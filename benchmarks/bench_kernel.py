@@ -1,33 +1,33 @@
 #!/usr/bin/env python
-"""Kernel-tier bench: reference vs vector (vs numba) single-shard mine().
+"""Kernel-tier bench: reference vs vector single-shard mine().
 
 Times the scalar reference loop against the arena-batched vector kernel
-(and the numba tier when numba is importable) on one serial miner, with
-every tier's answer verified GR-for-GR — scores, metrics *and* effort
-counters — against the reference oracle.  Run as a script (pytest does
-not collect it):
+on one serial miner, with the vector tier's answer verified GR-for-GR —
+scores, metrics *and* effort counters — against the reference oracle.
+Run as a script (pytest does not collect it):
 
     PYTHONPATH=src python benchmarks/bench_kernel.py [--quick] [--profile]
 
 Timing method: the tiers are interleaved (one round = one run of each
-tier) with the garbage collector disabled, and the per-tier best of
-``--repeats`` rounds is kept — CPU time (``time.process_time``) drives
-the speedup gate so shared-runner scheduling noise does not.  The first
-vector round runs on a warm miner skeleton (the arena build is a
-store-derived one-off, shared with the column caches).
+tier) with the garbage collector disabled during each timed run, and
+the per-tier best of ``--repeats`` rounds is kept — CPU time
+(``time.process_time``) drives the speedup gate so shared-runner
+scheduling noise does not.  Every run mines on a fresh ``GRMiner``: a
+re-armed skeleton would serve later rounds from its lattice memo and
+time memo hits instead of the kernel.  The compact store is built
+once, untimed, and shared; each fresh miner pays its own column gathers
+and arena build (milliseconds).  ``memo_mb`` records what one cold run
+left in the lattice memo (bounded by ``LATTICE_BYTE_CAP``).
 
 ``--profile`` additionally cProfiles one vector-tier branch walk via
 :func:`repro.bench.harness.profile_mining` and writes the raw profile
 to ``benchmarks/out/kernel_profile.pstats``.
 
 Gate: the vector tier must be >= 1.5x the reference on CPU time and
-every tier's result must verify.  The pure-numpy tier measures ~1.8-2x
-on this workload (each RIGHT node still pays fixed numpy dispatch and
-Python bookkeeping over a mean domain slice of ~40 values); the 3-5x
-headline needs the numba tier, which is gated on numba being installed
-— when it is absent the bench records ``"numba": "unavailable"`` in
-``benchmarks/out/BENCH_kernel.json`` (the CI artifact) instead of
-failing.
+its result must verify.  The pure-numpy tier measures ~1.8-2x on this
+workload (each RIGHT node still pays fixed numpy dispatch and Python
+bookkeeping over a mean domain slice of ~40 values).  The report goes
+to ``benchmarks/out/BENCH_kernel.json`` (the CI artifact).
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from pathlib import Path
 
 from repro.bench.harness import format_series, profile_mining
 from repro.bench.history import add_history_arguments, record_bench_run
-from repro.core.kernels import NUMBA_AVAILABLE
-from repro.core.miner import GRMiner, MinerConfig
+from repro.core.kernels import KERNEL_TIERS
+from repro.core.miner import LATTICE_BYTE_CAP, GRMiner, MinerConfig
+from repro.data.store import CompactStore
 from repro.datasets import synthetic_pokec
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
@@ -91,33 +92,37 @@ def _counters(stats):
 def run(quick: bool, repeats: int) -> tuple[str, dict]:
     network = _network(quick)
     params = _params(quick)
-    tiers = ["reference", "vector"] + (["numba"] if NUMBA_AVAILABLE else [])
-    miners = {
-        tier: GRMiner(network, config=MinerConfig(kernel=tier, **params))
-        for tier in tiers
-    }
+    tiers = list(KERNEL_TIERS)
+    store = CompactStore(network)
+    configs = {tier: MinerConfig(kernel=tier, **params) for tier in tiers}
 
     best_cpu = {tier: float("inf") for tier in tiers}
     best_wall = {tier: float("inf") for tier in tiers}
+    memo_mb = {}
     signatures: dict[str, list] = {}
     counters: dict[str, dict] = {}
     gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
         for _ in range(max(1, repeats)):
             for tier in tiers:
-                miner = miners[tier].rearm(miners[tier].config)
+                miner = GRMiner(network, store=store, config=configs[tier])
+                gc.disable()
                 cpu0, wall0 = time.process_time(), time.perf_counter()
                 result = miner.mine()
                 cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
+                gc.enable()
                 best_cpu[tier] = min(best_cpu[tier], cpu)
                 best_wall[tier] = min(best_wall[tier], wall)
+                memo_mb[tier] = miner.memo_bytes / 2**20
                 signatures[tier] = _signature(result)
                 counters[tier] = _counters(result.stats)
+                del miner, result
+                gc.collect()  # the next fresh miner starts on an empty memo
     finally:
         if gc_was_enabled:
             gc.enable()
-        gc.collect()
+        else:
+            gc.disable()
 
     mismatches = [
         tier
@@ -134,6 +139,7 @@ def run(quick: bool, repeats: int) -> tuple[str, dict]:
             "cpu (s)": best_cpu[tier],
             "wall (s)": best_wall[tier],
             "speedup": best_cpu["reference"] / best_cpu[tier],
+            "memo_mb": memo_mb[tier],
             "grs": len(signatures[tier]),
             "verified": "oracle" if tier == "reference" else
             ("yes" if tier not in mismatches else "NO"),
@@ -147,14 +153,10 @@ def run(quick: bool, repeats: int) -> tuple[str, dict]:
             "repeats": repeats,
             "cpus": os.cpu_count(),
             "edges": network.num_edges,
+            "memo_cap_mb": LATTICE_BYTE_CAP / 2**20,
             **{k: v for k, v in params.items()},
         },
         "rows": rows,
-        "numba": (
-            {"speedup": best_cpu["reference"] / best_cpu["numba"]}
-            if NUMBA_AVAILABLE
-            else "unavailable"
-        ),
         "summary": {
             "vector_speedup": speedup,
             "min_speedup": MIN_SPEEDUP,

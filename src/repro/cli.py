@@ -36,6 +36,7 @@ from typing import Sequence
 from .analysis.homophily import homophily_report, suggest_homophily_attributes
 from .analysis.summary import format_result, format_table2
 from .core.baselines import ConfidenceMiner
+from .core.kernels import KERNEL_TIERS
 from .core.miner import GRMiner
 from .data.network import SocialNetwork
 from .io.loaders import load_network, save_network
@@ -258,7 +259,7 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=("reference", "vector", "numba"),
+        choices=KERNEL_TIERS,
         default=None,
         help="candidate-evaluation kernel tier (execution detail: the "
         "answer and the result cache key are tier-independent)",
@@ -308,7 +309,7 @@ def _add_mining_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=("reference", "vector", "numba"),
+        choices=KERNEL_TIERS,
         default=None,
         help="candidate-evaluation kernel tier (default: vector; the "
         "answer never depends on the tier)",

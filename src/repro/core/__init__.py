@@ -14,13 +14,7 @@ from .interestingness import (
     lift,
     piatetsky_shapiro,
 )
-from .kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_TIERS,
-    NUMBA_AVAILABLE,
-    kernel_ops,
-    resolve_kernel,
-)
+from .kernels import DEFAULT_KERNEL, KERNEL_TIERS, kernel_ops, resolve_kernel
 from .metrics import GRMetrics, MetricEngine
 from .miner import GRMiner, MinerConfig, mine_top_k
 from .results import MinedGR, MiningResult, MiningStats
@@ -45,7 +39,6 @@ __all__ = [
     "MinerConfig",
     "MiningResult",
     "MiningStats",
-    "NUMBA_AVAILABLE",
     "Token",
     "TopKCollector",
     "conviction",

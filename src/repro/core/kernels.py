@@ -10,7 +10,7 @@ expressions, and the support/min-score/triviality filters as boolean
 masks — so only the survivors fall back to the scalar admission path
 (generality index, collector, decode).
 
-Three tiers are exposed through ``MinerConfig(kernel=...)``:
+Two tiers are exposed through ``MinerConfig(kernel=...)``:
 
 ``"reference"``
     The original scalar loop over ``partition_by_value`` groups, kept
@@ -19,12 +19,8 @@ Three tiers are exposed through ``MinerConfig(kernel=...)``:
     with ``_placement_loop_argsort``).
 ``"vector"``
     Pure numpy batches (this module's :class:`VectorOps`); the default.
-``"numba"``
-    ``@njit``-compiled versions of the count/score kernels.  Optional:
-    when numba is not importable the tier degrades gracefully to
-    ``"vector"`` with a single warning (:func:`resolve_kernel`).
 
-Every tier produces bit-identical scores: the array expressions use the
+Both tiers produce bit-identical scores: the array expressions use the
 same IEEE-754 double operations in the same order as the scalar
 formulas, and ``int64/int64`` true division is correctly rounded in
 both numpy and Python for operands below 2**53 — far above any edge
@@ -40,8 +36,6 @@ drift.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..sortutil.counting_sort import _key_dtype
@@ -49,7 +43,6 @@ from ..sortutil.counting_sort import _key_dtype
 __all__ = [
     "DEFAULT_KERNEL",
     "KERNEL_TIERS",
-    "NUMBA_AVAILABLE",
     "VectorOps",
     "confidence_counts",
     "gain_counts",
@@ -59,45 +52,18 @@ __all__ = [
     "resolve_kernel",
     "score_counts",
     "score_matrix",
-    "token_support",
 ]
 
-KERNEL_TIERS = ("reference", "vector", "numba")
+KERNEL_TIERS = ("reference", "vector")
 DEFAULT_KERNEL = "vector"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the common case in CI
-    numba = None
-    NUMBA_AVAILABLE = False
-
-_warned_numba_missing = False
 
 
 def resolve_kernel(name: str) -> str:
-    """Resolve a configured tier name to the tier that will execute.
-
-    ``"numba"`` without numba installed falls back to ``"vector"`` —
-    same answers, different speed — warning once per process so a
-    requested-but-unavailable accelerator never fails a query.
-    """
-    global _warned_numba_missing
+    """Validate a configured tier name; returns the tier that executes."""
     if name not in KERNEL_TIERS:
         raise ValueError(
             f"kernel must be one of {KERNEL_TIERS}; got {name!r}"
         )
-    if name == "numba" and not NUMBA_AVAILABLE:
-        if not _warned_numba_missing:
-            _warned_numba_missing = True
-            warnings.warn(
-                "kernel='numba' requested but numba is not installed; "
-                "falling back to the 'vector' kernel (identical results)",
-                UserWarning,
-                stacklevel=2,
-            )
-        return "vector"
     return name
 
 
@@ -197,46 +163,6 @@ def score_matrix(
 
 
 # ----------------------------------------------------------------------
-# Batch support phase
-# ----------------------------------------------------------------------
-def token_support(ops, keys, domain_size, abs_min_support):
-    """Evaluate the support filter for every value of one RIGHT token.
-
-    One histogram replaces the per-value ``partition_by_value`` walk:
-    ``counts[v]`` is the support of extending the node's RHS with
-    ``(attr: v)``, values the reference loop would have examined are the
-    non-empty non-null bins, and Theorem 2(1) pruning is one vectorized
-    comparison.
-
-    Returns ``(counts, values, supports, examined, support_pruned)``
-    where ``values``/``supports`` hold the surviving candidates in
-    ascending value order (the reference traversal order) and are
-    ``None`` when nothing survives.  ``counts`` is the full histogram,
-    kept so a caller that recurses can derive the counting-sort
-    partition offsets without a second pass.
-    """
-    counts = ops.counts(keys, domain_size)
-    nonzero = np.nonzero(counts)[0]
-    examined = int(nonzero.size)
-    has_null = examined > 0 and nonzero[0] == 0
-    if has_null:
-        examined -= 1
-    if examined == 0:
-        return counts, None, None, 0, 0
-    supports = counts[nonzero]
-    keep = supports >= abs_min_support
-    if has_null:
-        keep[0] = False
-    alive = int(np.count_nonzero(keep))
-    if alive == 0:
-        return counts, None, None, examined, examined
-    if alive != nonzero.size:
-        nonzero = nonzero[keep]
-        supports = supports[keep]
-    return counts, nonzero, supports, examined, examined - alive
-
-
-# ----------------------------------------------------------------------
 # Kernel ops: the tier-specific numeric primitives
 # ----------------------------------------------------------------------
 class VectorOps:
@@ -245,15 +171,10 @@ class VectorOps:
     name = "vector"
 
     @staticmethod
-    def counts(keys: np.ndarray, domain_size: int) -> np.ndarray:
-        """Histogram of codes over ``[0, domain_size]``."""
-        return np.bincount(keys, minlength=domain_size + 1)
-
-    @staticmethod
     def argsort(keys: np.ndarray, domain_size: int) -> np.ndarray:
         """Stable counting-sort permutation (radix for small domains)."""
         narrow = keys.astype(_key_dtype(domain_size), copy=False)
-        return np.argsort(narrow, kind="stable")
+        return narrow.argsort(kind="stable")
 
     @staticmethod
     def and_eq(prefix: np.ndarray | None, keys: np.ndarray, code: int) -> np.ndarray:
@@ -267,10 +188,10 @@ class VectorOps:
     def flat_counts(matrix: np.ndarray, n_bins: int) -> np.ndarray:
         """One histogram over a whole offset-coded arena matrix.
 
-        Row ``r`` of the matrix carries codes pre-shifted by
-        ``r * stride``, so a single flat bincount yields every
-        attribute's histogram side by side; the caller reshapes to
-        ``(rows, stride)``.
+        Row ``r`` of the matrix carries codes pre-shifted into its own
+        segment of the ragged bin layout (see ``GRMiner._arena``), so a
+        single flat bincount yields every attribute's histogram side by
+        side: row ``r``'s bins are ``bounds[r]:bounds[r + 1]``.
         """
         return np.bincount(matrix.ravel(), minlength=n_bins)
 
@@ -280,139 +201,7 @@ class VectorOps:
         the fused gather + flat bincount behind each RIGHT node."""
         return np.bincount(matrix.take(edges, axis=1).ravel(), minlength=n_bins)
 
-    scores = staticmethod(score_counts)
     score_matrix = staticmethod(score_matrix)
-
-
-if NUMBA_AVAILABLE:  # pragma: no cover - requires numba in the environment
-
-    _njit = numba.njit(cache=False, fastmath=False)
-
-    @_njit
-    def _nb_counts(keys, domain_size):
-        counts = np.zeros(domain_size + 1, dtype=np.int64)
-        for i in range(keys.shape[0]):
-            counts[keys[i]] += 1
-        return counts
-
-    @_njit
-    def _nb_eq(keys, code):
-        out = np.empty(keys.shape[0], dtype=np.bool_)
-        for i in range(keys.shape[0]):
-            out[i] = keys[i] == code
-        return out
-
-    @_njit
-    def _nb_and_eq(prefix, keys, code):
-        out = np.empty(keys.shape[0], dtype=np.bool_)
-        for i in range(keys.shape[0]):
-            out[i] = prefix[i] and keys[i] == code
-        return out
-
-    @_njit
-    def _nb_flat_counts(matrix, n_bins):
-        counts = np.zeros(n_bins, dtype=np.int64)
-        for r in range(matrix.shape[0]):
-            for i in range(matrix.shape[1]):
-                counts[matrix[r, i]] += 1
-        return counts
-
-    @_njit
-    def _nb_arena_counts(matrix, edges, n_bins):
-        counts = np.zeros(n_bins, dtype=np.int64)
-        for r in range(matrix.shape[0]):
-            row = matrix[r]
-            for i in range(edges.shape[0]):
-                counts[row[edges[i]]] += 1
-        return counts
-
-    @_njit
-    def _nb_div(supports, denominator):
-        out = np.empty(supports.shape[0], dtype=np.float64)
-        for i in range(supports.shape[0]):
-            out[i] = supports[i] / denominator
-        return out
-
-    @_njit
-    def _nb_laplace(supports, lw_count, laplace_k):
-        out = np.empty(supports.shape[0], dtype=np.float64)
-        for i in range(supports.shape[0]):
-            out[i] = (supports[i] + 1) / (lw_count + laplace_k)
-        return out
-
-    @_njit
-    def _nb_gain(supports, lw_count, num_edges, gain_theta):
-        out = np.empty(supports.shape[0], dtype=np.float64)
-        theta_lw = gain_theta * lw_count
-        for i in range(supports.shape[0]):
-            out[i] = (supports[i] - theta_lw) / num_edges
-        return out
-
-    class NumbaOps:
-        """``@njit``-compiled count/score kernels (the ``"numba"`` tier).
-
-        Same IEEE-754 operations in the same order as :class:`VectorOps`,
-        so scores stay bit-identical.  The counting-sort permutation
-        stays on numpy's radix sort, which is already native code.
-        """
-
-        name = "numba"
-
-        @staticmethod
-        def counts(keys, domain_size):
-            return _nb_counts(keys, domain_size)
-
-        argsort = staticmethod(VectorOps.argsort)
-        #: numpy's 2D broadcast division is already native code; a jitted
-        #: copy would only re-spell the same IEEE expressions.
-        score_matrix = staticmethod(score_matrix)
-
-        @staticmethod
-        def flat_counts(matrix, n_bins):
-            return _nb_flat_counts(matrix, n_bins)
-
-        @staticmethod
-        def arena_counts(matrix, edges, n_bins):
-            # fused gather + histogram: no (rows, |edges|) temporary
-            return _nb_arena_counts(matrix, edges, n_bins)
-
-        @staticmethod
-        def and_eq(prefix, keys, code):
-            if prefix is None:
-                return _nb_eq(keys, code)
-            return _nb_and_eq(prefix, keys, code)
-
-        @staticmethod
-        def scores(
-            rank_by,
-            support_count,
-            lw_count,
-            homophily_count,
-            num_edges,
-            laplace_k,
-            gain_theta,
-        ):
-            if not isinstance(support_count, np.ndarray):
-                return score_counts(
-                    rank_by, support_count, lw_count, homophily_count,
-                    num_edges, laplace_k, gain_theta,
-                )
-            supports = support_count.astype(np.int64, copy=False)
-            if rank_by == "nhp":
-                denominator = lw_count - homophily_count
-                if denominator <= 0:
-                    return np.zeros(supports.shape[0], dtype=np.float64)
-                return _nb_div(supports, denominator)
-            if rank_by == "confidence":
-                if lw_count <= 0:
-                    return np.zeros(supports.shape[0], dtype=np.float64)
-                return _nb_div(supports, lw_count)
-            if rank_by == "laplace":
-                return _nb_laplace(supports, lw_count, laplace_k)
-            return _nb_gain(supports, lw_count, num_edges or 1, gain_theta)
-
-else:
-    NumbaOps = None
 
 
 def kernel_ops(tier: str):
@@ -420,8 +209,6 @@ def kernel_ops(tier: str):
 
     The reference tier has no batch primitives of its own; it receives
     :class:`VectorOps` for the shared plumbing (homophily-mask caching)
-    that all tiers go through.
+    that both tiers go through.
     """
-    if tier == "numba" and NumbaOps is not None:
-        return NumbaOps
     return VectorOps

@@ -29,9 +29,12 @@ truncates to k at the end.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -86,26 +89,64 @@ CKEY_APPLY_GENERALITY = 13
 CKEY_FIELDS = 17
 
 
-@dataclass
+#: Bytes of memoised lattice state one process may hold, summed over
+#: every live miner skeleton (a pool worker keeps one per store
+#: attachment, up to 8).  Past it, nodes are computed transiently.
+LATTICE_BYTE_CAP = 128 << 20
+#: Resident cost charged per memoised node, RIGHT entry and partition
+#: on top of its arrays: the Python objects, dict slots and key tuples.
+_NODE_BYTES = 2048
+_ENTRY_BYTES = 640
+_PART_BYTES = 384
+#: Process-wide lattice accounting: bytes ``held`` by every ``live``
+#: lattice, and the ``clock`` ordering their last arming.
+_PROCESS = SimpleNamespace(held=0, live=weakref.WeakSet(), clock=itertools.count(1))
+
+
+@dataclass(eq=False, slots=True)
 class _LWContext:
-    """State shared by all RIGHT nodes under one ``l ∧ w`` node."""
+    """One ``l ∧ w`` node of the enumeration lattice — the memoised node.
+
+    Holds the node's edge set and what Algorithm 1's counting-sort
+    partitioning derives from it.  Every data field is a function of
+    the store and of ``(l_key, w_key)`` under one layout (see
+    :class:`_Lattice`), never of a query's thresholds, k, ranking or
+    collector, so a node built by one query serves every later query of
+    the same skeleton unchanged.
+    """
 
     edges: np.ndarray
     l_map: dict[str, int]
     w_map: dict[str, int]
     lw_count: int
-    #: Sorted-tuple forms of ``l_map`` / ``w_map``, interned once per
-    #: context so the candidate path does not rebuild them per GR.
+    #: Sorted-tuple forms of ``l_map`` / ``w_map``: the memo key, and
+    #: what the candidate path hands the generality index.
     l_key: tuple[tuple[str, int], ...] = ()
     w_key: tuple[tuple[str, int], ...] = ()
+    #: The lattice holding this node; ``None`` for a transient node.
+    lattice: "_Lattice | None" = None
+    #: The root (first-level partitions, read by every plan and branch
+    #: entry) stays memoised even past the byte cap.
+    pinned: bool = False
+    #: The node's Eqn. 8 RHS ordering.
+    r_tokens: tuple[Token, ...] | None = None
+    #: LEFT/EDGE child partitions keyed by the token's τ position: the
+    #: edges stably sorted by the token's code, and the value offsets
+    #: ``ends`` (the histogram's running sum) — value ``v``'s child is
+    #: ``sorted[ends[v - 1]:ends[v]]``; null-coded edges sort first.
+    children: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    #: RIGHT nodes keyed by ``r_key``: ``[flat arena histogram,
+    #: examined-per-row counts (lazy), {attr: (sorted edges, ends)}]``.
+    right: dict[tuple, list] = field(default_factory=dict)
     #: Cache of homophily-effect counts ``supp(l -w-> l[β])`` keyed by β.
     hom_cache: dict[tuple[str, ...], int] = field(default_factory=dict)
     #: Destination-code columns gathered onto this context's edge set,
     #: keyed by attribute name — each attribute pays its O(|edges|)
-    #: fancy-index once per context instead of once per β set.
+    #: fancy-index once per visit instead of once per β set.
     dst_gathered: dict[str, np.ndarray] = field(default_factory=dict)
     #: Boolean masks ``edges satisfying l[β]`` keyed by β, built
-    #: incrementally from their longest cached prefix.
+    #: incrementally from their longest cached prefix.  Like
+    #: ``dst_gathered``, working memory dropped when the visit ends.
     hom_masks: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
     #: Per-token ``(attr, arena row, ext_applies, l_code)`` for the
     #: context's *root* RHS ordering — every node's tail is a prefix of
@@ -113,6 +154,60 @@ class _LWContext:
     #: re-querying the homophily/LHS maps at every node (built lazily by
     #: ``_right_vector``).
     token_meta: list | None = None
+
+
+class _Lattice:
+    """The LW-node memo of one miner skeleton.
+
+    Nodes are grouped by *layout* — ``(attribute selection,
+    dynamic_rhs_ordering)``, which fixes τ, every node's tail and RHS
+    ordering, and the arena's bin layout — and keyed by ``(l_key,
+    w_key)`` within it.  Bytes are accounted process-wide against
+    :data:`LATTICE_BYTE_CAP` (in :data:`_PROCESS`): a lattice that needs
+    room first evicts the other lattices of the process, least recently
+    armed first (a dropped skeleton awaiting garbage collection, a stale
+    post-delta attachment), then refuses.  Mining is single-threaded per
+    process, so an evicted lattice is never mid-walk.
+    """
+
+    def __init__(self) -> None:
+        self.layouts: dict[tuple, dict[tuple, _LWContext]] = {}
+        self.nbytes = 0
+        self.last_armed = 0
+        _PROCESS.live.add(self)
+
+    def layout(self, key: tuple) -> dict[tuple, _LWContext]:
+        self.touch()
+        return self.layouts.setdefault(key, {})
+
+    def touch(self) -> None:
+        """Mark this lattice the most recently armed of the process."""
+        self.last_armed = next(_PROCESS.clock)
+
+    def charge(self, nbytes: int) -> bool:
+        """Reserve ``nbytes`` under the cap; False when they do not fit."""
+        process = _PROCESS
+        if process.held + nbytes > LATTICE_BYTE_CAP and process.held > self.nbytes:
+            for other in sorted(process.live, key=lambda lattice: lattice.last_armed):
+                if other is not self:
+                    other.clear()
+                    if process.held + nbytes <= LATTICE_BYTE_CAP:
+                        break
+        if process.held + nbytes > LATTICE_BYTE_CAP:
+            return False
+        process.held += nbytes
+        self.nbytes += nbytes
+        return True
+
+    def clear(self) -> None:
+        """Drop every node (in place: armed miners see the empty layouts)."""
+        _PROCESS.held -= self.nbytes
+        self.nbytes = 0
+        for nodes in self.layouts.values():
+            nodes.clear()
+
+    def __del__(self, process=_PROCESS) -> None:
+        process.held -= self.nbytes
 
 
 @dataclass(frozen=True)
@@ -183,8 +278,8 @@ class MinerConfig:
     gain_theta: float = 0.5
     verify_generality: bool = True
     #: Execution tier for the RIGHT-phase inner loop; see
-    #: :mod:`repro.core.kernels`.  A pure speed knob: every tier
-    #: produces identical results, so it is excluded from
+    #: :mod:`repro.core.kernels`.  A pure speed knob: both tiers
+    #: produce identical results, so it is excluded from
     #: :meth:`canonical_key`.
     kernel: str = DEFAULT_KERNEL
 
@@ -480,13 +575,15 @@ class GRMiner:
         #: the parallel workers, whose local generality index cannot see
         #: blockers discovered in sibling shards (repro.parallel.worker).
         self._candidate_verifier = None
-        #: First-level value partitions keyed by LEFT attribute name.
+        #: The enumeration lattice memo (:class:`_LWContext` nodes).
         #: Pure derived data over the immutable store — independent of
         #: the query parameters — so it persists across runs *and*
-        #: re-arms: plan_branches fills it, mine_branch reuses it
-        #: (workers, which never plan, fill it lazily for the attributes
-        #: they own).
-        self._branch_partitions: dict[str, dict[int, np.ndarray]] = {}
+        #: re-arms, and dies with the skeleton (a store delta drops the
+        #: skeleton).  ``memo_hits``/``memo_misses`` count this run's
+        #: node lookups.
+        self._lattice = _Lattice()
+        self.memo_hits = 0
+        self.memo_misses = 0
         self._homophily = {
             name: self.schema.is_homophily(name)
             for name in self.schema.node_attribute_names
@@ -520,10 +617,10 @@ class GRMiner:
 
         Applies ``config`` to the existing network/store, re-deriving
         only parameter-dependent state — the compact store, the cached
-        per-edge code columns and the first-level branch partitions all
-        survive, which is what makes a long-lived miner (an engine's
-        serial executor, a pool worker) cheap to re-target between
-        queries.  Returns ``self``.
+        per-edge code columns and the lattice memo all survive, which is
+        what makes a long-lived miner (an engine's serial executor, a
+        pool worker) cheap to re-target between queries.  Returns
+        ``self``.
         """
         config.validate()
         node_attributes = (
@@ -559,14 +656,10 @@ class GRMiner:
         self.gain_theta = config.gain_theta
         self.verify_generality = config.verify_generality
         self.kernel = config.kernel
-        #: The tier that actually executes ("numba" resolves to
-        #: "vector" when numba is absent, with a one-time warning).
         self.kernel_tier = resolve_kernel(config.kernel)
         self._kernel_ops = kernel_ops(self.kernel_tier)
-        self._right = (
-            self._right_reference
-            if self.kernel_tier == "reference"
-            else self._right_vector
+        self._nodes = self._lattice.layout(
+            (tuple(node_attributes), config.dynamic_rhs_ordering)
         )
         # A verifier installed for a previous query must not leak into
         # the next one (it may cache verdicts under other thresholds).
@@ -630,7 +723,9 @@ class GRMiner:
         ):
             results = self._verify_generality(results)
         self._stats.runtime_seconds = time.perf_counter() - start
-        return MiningResult(grs=results, stats=self._stats, params=self._params())
+        params = self._params()
+        params.update(lw_memo_hits=self.memo_hits, lw_memo_misses=self.memo_misses)
+        return MiningResult(grs=results, stats=self._stats, params=params)
 
     # ------------------------------------------------------------------
     # Branch-entry API (used by mine() and by the parallel workers)
@@ -642,6 +737,8 @@ class GRMiner:
             k=self.k if self.push_topk else None, min_score=self.min_score
         )
         self._index = GeneralityIndex()
+        self._lattice.touch()
+        self.memo_hits = self.memo_misses = 0
         # A worker installs its verifier after _begin; resetting here
         # keeps a plain mine() exact after the miner served as a shard
         # executor (repro.parallel reuses miner instances across tasks).
@@ -657,22 +754,25 @@ class GRMiner:
         counted, not emitted.
         """
         tau = static_tau(self.schema, self.node_attributes)
-        edges = self.store.all_edges()
+        root = self._root()
         branches: list[BranchSpec] = []
         pruned = 0
         if self.allow_empty_lhs:
             branches.append(
                 BranchSpec(
-                    kind="root", token_index=-1, attr="", value=0, weight=int(edges.size)
+                    kind="root", token_index=-1, attr="", value=0, weight=root.lw_count
                 )
             )
         if self.max_lhs_attrs is None or self.max_lhs_attrs > 0:
             for i, token in enumerate(tau):
                 if token.role != "L":
                     continue
-                per_value = self._first_level_partition(tau, i)
-                for value, subset in per_value.items():
-                    if subset.size < self.abs_min_support:
+                ends = self._partition(root, i, token)[1].tolist()
+                for value in range(1, len(ends)):
+                    size = ends[value] - ends[value - 1]
+                    if not size:
+                        continue
+                    if size < self.abs_min_support:
                         pruned += 1
                         continue
                     branches.append(
@@ -680,33 +780,11 @@ class GRMiner:
                             kind="left",
                             token_index=i,
                             attr=token.attr,
-                            value=int(value),
-                            weight=int(subset.size),
+                            value=value,
+                            weight=size,
                         )
                     )
         return BranchPlan(tau=tau, branches=tuple(branches), pruned_by_support=pruned)
-
-    def _first_level_partition(
-        self, tau: tuple[Token, ...], token_index: int
-    ) -> dict[int, np.ndarray]:
-        """Cached per-value edge partition of one first-level LEFT token.
-
-        Keyed by attribute *name*, not token index: the partition depends
-        only on the immutable store, while a token's index shifts when a
-        re-arm changes ``node_attributes`` — a positional key would serve
-        query N+1 another attribute's partition.
-        """
-        token = tau[token_index]
-        per_value = self._branch_partitions.get(token.attr)
-        if per_value is None:
-            edges = self.store.all_edges()
-            per_value = dict(
-                partition_by_value(
-                    edges, self._src_cols[token.attr][edges], self._domain[token.attr]
-                )
-            )
-            self._branch_partitions[token.attr] = per_value
-        return per_value
 
     def mine_branch(self, tau: tuple[Token, ...], branch: BranchSpec) -> None:
         """Run the recursion under one first-level branch.
@@ -715,19 +793,98 @@ class GRMiner:
         plan's static order (workers recompute it deterministically from
         the schema rather than pickling it).
         """
+        root = self._root()
         if branch.kind == "root":
-            edges = self.store.all_edges()
-            self._enter_right(edges, tau, l_map={}, w_map={})
-            self._edge(edges, tau, l_map={}, w_map={})
+            self._enter_right(root, tau)
+            self._edge(root, tau)
             return
         token = tau[branch.token_index]
-        subset = self._first_level_partition(tau, branch.token_index)[branch.value]
+        sorted_edges, ends = self._partition(root, branch.token_index, token)
+        start, stop = ends[branch.value - 1 : branch.value + 1].tolist()
         child_tail = tau[: branch.token_index]
-        l_map = {token.attr: branch.value}
         self._stats.lw_nodes += 1
-        self._enter_right(subset, child_tail, l_map, w_map={})
-        self._edge(subset, child_tail, l_map, w_map={})
-        self._left(subset, child_tail, l_map)
+        node = self._node({token.attr: branch.value}, {}, sorted_edges[start:stop])
+        self._enter_right(node, child_tail)
+        self._edge(node, child_tail)
+        self._left(node, child_tail)
+
+    @property
+    def memo_bytes(self) -> int:
+        """Bytes the lattice memo holds against :data:`LATTICE_BYTE_CAP`."""
+        return self._lattice.nbytes
+
+    def clear_memo(self) -> None:
+        """Drop the lattice memo (its bytes return to the process cap)."""
+        self._lattice.clear()
+
+    # ------------------------------------------------------------------
+    # The lattice memo
+    # ------------------------------------------------------------------
+    def _root(self) -> _LWContext:
+        """The empty ``l ∧ w`` node over every edge (pinned in the memo)."""
+        root = self._nodes.get(((), ()))
+        if root is None:
+            edges = self.store.all_edges()
+            root = self._nodes[((), ())] = _LWContext(
+                edges=edges,
+                l_map={},
+                w_map={},
+                lw_count=int(edges.size),
+                lattice=self._lattice,
+                pinned=True,
+            )
+        return root
+
+    def _node(
+        self, l_map: dict[str, int], w_map: dict[str, int], edges: np.ndarray
+    ) -> _LWContext:
+        """The memoised ``l ∧ w`` node, built on ``edges`` when absent.
+
+        ``edges`` must be exactly the edges satisfying ``l ∧ w``; a
+        node the byte cap refuses is returned transient.
+        """
+        l_key = tuple(sorted(l_map.items()))
+        w_key = tuple(sorted(w_map.items()))
+        node = self._nodes.get((l_key, w_key))
+        if node is not None:
+            self.memo_hits += 1
+            return node
+        self.memo_misses += 1
+        node = _LWContext(
+            edges=edges,
+            l_map=l_map,
+            w_map=w_map,
+            lw_count=int(edges.size),
+            l_key=l_key,
+            w_key=w_key,
+        )
+        if self._lattice.charge(_NODE_BYTES):
+            node.lattice = self._lattice
+            self._nodes[(l_key, w_key)] = node
+        return node
+
+    def _partition(
+        self, node: _LWContext, index: int, token: Token
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The node's LEFT/EDGE partition on the τ-position-``index`` token.
+
+        One counting sort (Section V) of the node's edges by the token's
+        code: ``(sorted edges, value ends)``, memoised on the node.
+        """
+        part = node.children.get(index)
+        if part is None:
+            cols = self._src_cols if token.role == "L" else self._edge_cols
+            keys = cols[token.attr][node.edges]
+            domain = self._domain[token.attr]
+            ends = np.bincount(keys, minlength=domain + 1).cumsum()
+            part = (node.edges[self._kernel_ops.argsort(keys, domain)], ends)
+            lattice = node.lattice
+            if lattice is not None and (
+                node.pinned
+                or lattice.charge(part[0].nbytes + ends.nbytes + _PART_BYTES)
+            ):
+                node.children[index] = part
+        return part
 
     def _verify_generality(self, results: list) -> list:
         """Drop top-k entries whose generalization qualifies (DESIGN §5.5).
@@ -791,84 +948,79 @@ class GRMiner:
     # ------------------------------------------------------------------
     # LEFT / EDGE (Algorithm 1 lines 7-21)
     # ------------------------------------------------------------------
-    def _left(self, edges: np.ndarray, tail: tuple[Token, ...], l_map: dict[str, int]) -> None:
-        if self.max_lhs_attrs is not None and len(l_map) >= self.max_lhs_attrs:
-            return
+    def _children(self, node: _LWContext, tail: tuple[Token, ...], role: str):
+        """The support-qualified LEFT (``"L"``) or EDGE (``"W"``) children
+        of ``node``: ``(child tail, attr, value, edges)`` in traversal order."""
+        min_support = self.abs_min_support
         for i, token in enumerate(tail):
-            if token.role != "L":
+            if token.role != role:
                 continue
-            child_tail = tail[:i]
-            keys = self._src_cols[token.attr][edges]
-            for value, subset in partition_by_value(edges, keys, self._domain[token.attr]):
-                if subset.size < self.abs_min_support:
+            sorted_edges, ends = self._partition(node, i, token)
+            ends = ends.tolist()
+            for value in range(1, len(ends)):  # code 0 is null
+                start, stop = ends[value - 1], ends[value]
+                if start == stop:
+                    continue
+                if stop - start < min_support:
                     self._stats.pruned_by_support += 1
                     continue
-                new_l = dict(l_map)
-                new_l[token.attr] = value
-                self._stats.lw_nodes += 1
-                self._enter_right(subset, child_tail, new_l, w_map={})
-                self._edge(subset, child_tail, new_l, w_map={})
-                self._left(subset, child_tail, new_l)
+                yield tail[:i], token.attr, value, sorted_edges[start:stop]
 
-    def _edge(
-        self,
-        edges: np.ndarray,
-        tail: tuple[Token, ...],
-        l_map: dict[str, int],
-        w_map: dict[str, int],
-    ) -> None:
-        if self.max_edge_attrs is not None and len(w_map) >= self.max_edge_attrs:
+    def _left(self, node: _LWContext, tail: tuple[Token, ...]) -> None:
+        if self.max_lhs_attrs is not None and len(node.l_map) >= self.max_lhs_attrs:
             return
-        for i, token in enumerate(tail):
-            if token.role != "W":
-                continue
-            child_tail = tail[:i]
-            keys = self._edge_cols[token.attr][edges]
-            for value, subset in partition_by_value(edges, keys, self._domain[token.attr]):
-                if subset.size < self.abs_min_support:
-                    self._stats.pruned_by_support += 1
-                    continue
-                new_w = dict(w_map)
-                new_w[token.attr] = value
-                self._stats.lw_nodes += 1
-                self._enter_right(subset, child_tail, l_map, new_w)
-                self._edge(subset, child_tail, l_map, new_w)
+        for child_tail, attr, value, subset in self._children(node, tail, "L"):
+            l_map = dict(node.l_map)
+            l_map[attr] = value
+            self._stats.lw_nodes += 1
+            child = self._node(l_map, {}, subset)
+            self._enter_right(child, child_tail)
+            self._edge(child, child_tail)
+            self._left(child, child_tail)
+
+    def _edge(self, node: _LWContext, tail: tuple[Token, ...]) -> None:
+        if self.max_edge_attrs is not None and len(node.w_map) >= self.max_edge_attrs:
+            return
+        for child_tail, attr, value, subset in self._children(node, tail, "W"):
+            w_map = dict(node.w_map)
+            w_map[attr] = value
+            self._stats.lw_nodes += 1
+            child = self._node(node.l_map, w_map, subset)
+            self._enter_right(child, child_tail)
+            self._edge(child, child_tail)
 
     # ------------------------------------------------------------------
     # RIGHT (Algorithm 1 lines 22-29)
     # ------------------------------------------------------------------
-    def _enter_right(
-        self,
-        edges: np.ndarray,
-        tail: tuple[Token, ...],
-        l_map: dict[str, int],
-        w_map: dict[str, int],
-    ) -> None:
+    def _enter_right(self, context: _LWContext, tail: tuple[Token, ...]) -> None:
+        l_map = context.l_map
         if not l_map and not self.allow_empty_lhs:
             return
-        # The ordered RHS tail depends only on the tail, on WHICH
-        # attributes the LHS binds (Eqn. 8 groups by homophily flag and
-        # LHS membership, never by value) and on whether dynamic
-        # ordering is enabled at all — the cache outlives re-arms, so
-        # the flag must be part of the key.
-        cache_key = (self.dynamic_rhs_ordering, tail, frozenset(l_map) if l_map else ())
-        r_tokens = self._rhs_order_cache.get(cache_key)
+        r_tokens = context.r_tokens
         if r_tokens is None:
-            r_tokens = tuple(t for t in tail if t.role == "R")
-            if self.dynamic_rhs_ordering:
-                r_tokens = dynamic_rhs_order(
-                    r_tokens, l_map, self.schema, self._homophily
-                )
-            self._rhs_order_cache[cache_key] = r_tokens
-        context = _LWContext(
-            edges=edges,
-            l_map=l_map,
-            w_map=w_map,
-            lw_count=int(edges.size),
-            l_key=tuple(sorted(l_map.items())),
-            w_key=tuple(sorted(w_map.items())),
-        )
-        self._right(edges, r_tokens, context, r_map={})
+            # The ordered RHS tail depends only on the tail, on WHICH
+            # attributes the LHS binds (Eqn. 8 groups by homophily flag
+            # and LHS membership, never by value) and on whether dynamic
+            # ordering is enabled at all — the cache outlives re-arms,
+            # so the flag must be part of the key.
+            cache_key = (
+                self.dynamic_rhs_ordering, tail, frozenset(l_map) if l_map else ()
+            )
+            r_tokens = self._rhs_order_cache.get(cache_key)
+            if r_tokens is None:
+                r_tokens = tuple(t for t in tail if t.role == "R")
+                if self.dynamic_rhs_ordering:
+                    r_tokens = dynamic_rhs_order(
+                        r_tokens, l_map, self.schema, self._homophily
+                    )
+                self._rhs_order_cache[cache_key] = r_tokens
+            context.r_tokens = r_tokens
+        if self.kernel_tier == "reference":
+            self._right_reference(context.edges, r_tokens, context, r_map={})
+        else:
+            self._right_vector(context.edges, r_tokens, context, r_map={})
+        context.dst_gathered.clear()
+        context.hom_masks.clear()
 
     def _right_reference(
         self,
@@ -904,7 +1056,7 @@ class GRMiner:
                 if self._should_prune(context, metrics.beta, score, child_tail):
                     self._stats.pruned_by_nhp += 1
                     continue
-                self._right(subset, child_tail, context, new_r)
+                self._right_reference(subset, child_tail, context, new_r)
 
     def _right_vector(
         self,
@@ -914,7 +1066,7 @@ class GRMiner:
         r_map: dict[str, int],
         r_key: tuple[tuple[str, int], ...] = (),
     ) -> None:
-        """Arena-batched RIGHT loop (the ``"vector"``/``"numba"`` tiers).
+        """Arena-batched RIGHT loop (the ``"vector"`` tier).
 
         One gather of the stacked offset-coded destination matrix
         (:meth:`_arena`) plus one flat bincount produce the histograms
@@ -958,19 +1110,30 @@ class GRMiner:
         abs_min_support = self.abs_min_support
 
         matrix, row_of, offsets, bounds, widths, n_bins = self._arena()
-        if edges.size == matrix.shape[1]:
-            flat = ops.flat_counts(matrix, n_bins)  # the root spans every edge
-        else:
-            flat = ops.arena_counts(matrix, edges, n_bins)
+        # The node's store-derived state: its histogram, examined counts
+        # and recursion partitions, memoised under r_key on the context.
+        entry = context.right.get(r_key)
+        kept = entry is not None
+        if not kept:
+            if edges.size == matrix.shape[1]:
+                flat = ops.flat_counts(matrix, n_bins)  # the root spans every edge
+            else:
+                flat = ops.arena_counts(matrix, edges, n_bins)
+            entry = [flat, None, {}]
+            lattice = context.lattice
+            kept = lattice is not None and lattice.charge(flat.nbytes + _ENTRY_BYTES)
+            if kept:
+                context.right[r_key] = entry
+        flat, examined_per_row, partitions = entry
         alive = flat >= abs_min_support
         alive[offsets] = False  # code 0 (each segment's first bin) is the null sentinel
         alive_per_row = np.add.reduceat(alive, offsets).tolist()
-        if abs_min_support > 1:
+        if abs_min_support <= 1:
+            examined_per_row = alive_per_row
+        elif examined_per_row is None:
             nonzero = flat > 0
             nonzero[offsets] = False
-            examined_per_row = np.add.reduceat(nonzero, offsets).tolist()
-        else:
-            examined_per_row = alive_per_row
+            examined_per_row = entry[1] = np.add.reduceat(nonzero, offsets).tolist()
 
         # β and triviality of the node's own r_map; each candidate below
         # extends them by one (attr: value) pair, which either keeps the
@@ -1183,7 +1346,7 @@ class GRMiner:
             key_head = r_key[:key_at]
             key_tail = r_key[key_at:]
             sorted_edges = None
-            starts = None
+            ends = None
             # Single-survivor rows (the common case once batch pruning
             # bites) skip the nonzero scan.
             if loop_n == 1:
@@ -1225,17 +1388,21 @@ class GRMiner:
                 if not need_recurse:
                     continue
                 if sorted_edges is None:
-                    if edges is context.edges:
-                        keys = self._context_dst(context, attr)
-                    else:
-                        keys = self._dst_cols[attr].take(edges)
-                    order = ops.argsort(keys, self._domain[attr])
-                    sorted_edges = edges[order]
-                    starts = np.concatenate(
-                        (np.zeros(1, dtype=np.int64), np.cumsum(counts_row))
-                    )
-                start = int(starts[value])
-                subset = sorted_edges[start : start + int(counts_row[value])]
+                    part = partitions.get(attr)
+                    if part is None:
+                        if edges is context.edges:
+                            keys = self._context_dst(context, attr)
+                        else:
+                            keys = self._dst_cols[attr].take(edges)
+                        order = ops.argsort(keys, self._domain[attr])
+                        part = (edges[order], counts_row.cumsum())
+                        if kept and context.lattice.charge(
+                            part[0].nbytes + part[1].nbytes + _PART_BYTES
+                        ):
+                            partitions[attr] = part
+                    sorted_edges, ends = part
+                stop = int(ends[value])
+                subset = sorted_edges[stop - int(counts_row[value]) : stop]
                 if new_r is None:
                     new_r = dict(r_map)
                     new_r[attr] = value
@@ -1539,9 +1706,9 @@ def mine_top_k(
     :class:`~repro.parallel.ParallelGRMiner` instead of the serial
     miner (``workers=1`` runs the shard machinery in-process).
 
-    Pass ``kernel="reference"|"vector"|"numba"`` to select the
+    Pass ``kernel="reference"|"vector"`` to select the
     candidate-evaluation tier (:mod:`repro.core.kernels`).  The tier is
-    a pure execution detail: every tier returns the identical result
+    a pure execution detail: both tiers return the identical result
     list and the identical effort counters, and cached results are
     shared across tiers.
 

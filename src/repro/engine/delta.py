@@ -76,7 +76,7 @@ from ..core.miner import GRMiner, MinerConfig, config_from_canonical_key
 from ..core.results import MinedGR, MiningResult, MiningStats
 from ..core.topk import TopKCollector
 from ..data.store import StoreDelta
-from ..parallel.miner import merge_shard_results
+from ..parallel.miner import memo_counts, merge_shard_results
 from ..parallel.worker import CrossShardGeneralityVerifier, ShardResult
 from ..serve.markers import coordinator_only
 from .request import split_canonical_key
@@ -244,6 +244,8 @@ def _migrate_entry(
         shard_id=1,
         entries=skeleton._collector.results(),
         stats=skeleton._stats,
+        memo_hits=skeleton.memo_hits,
+        memo_misses=skeleton.memo_misses,
     )
     carried = ShardResult(shard_id=0, entries=survivors, stats=MiningStats())
     entries, stats = merge_shard_results(
@@ -267,5 +269,6 @@ def _migrate_entry(
         migrated=True,
         branches_mined=len(touched_branches),
         branches_total=len(plan.branches),
+        **memo_counts([mined]),
     )
     return "migrated", MiningResult(grs=entries, stats=stats, params=params)

@@ -43,6 +43,7 @@ from ..data.store import CompactStore, SharedStoreHandle, SharedStoreLease, Stor
 from ..parallel.miner import (
     check_worker_count,
     execute_shards_inline,
+    memo_counts,
     merge_shard_results,
     warn_if_overprovisioned,
 )
@@ -487,6 +488,7 @@ class MiningEngine:
             start_method=self.start_method,
             engine=self.fingerprint,
             warm_floor=prepared.floor,
+            **memo_counts(shard_results),
         )
         result = MiningResult(grs=entries, stats=stats, params=params)
         self._cache.put(prepared.key, result)
@@ -642,8 +644,8 @@ class MiningEngine:
         """Re-sync serving state after the backing store was rebuilt.
 
         Re-reads the fingerprint; when it changed, drops the serial
-        skeleton (its column gathers and first-level partitions describe
-        the old edge set), retires the shared-memory lease (workers
+        skeleton (its column gathers and lattice memo describe the old
+        edge set), retires the shared-memory lease (workers
         attach the next export per task) and hands the old fingerprint's
         result-cache entries to :func:`repro.engine.delta.migrate_fingerprint`:
         entries the delta provably did not invalidate are re-keyed to
@@ -662,6 +664,8 @@ class MiningEngine:
         self.fingerprint = new
         self.stats.invalidations += 1
         _INVALIDATIONS.inc()
+        if self._skeleton is not None:
+            self._skeleton.clear_memo()
         self._skeleton = None
         self._release_lease()
         report = migrate_fingerprint(self, old, delta)

@@ -54,6 +54,7 @@ __all__ = [
     "ParallelGRMiner",
     "check_worker_count",
     "execute_shards_inline",
+    "memo_counts",
     "merge_shard_results",
     "warn_if_overprovisioned",
 ]
@@ -122,6 +123,14 @@ def merge_shard_results(
         totals.pruned_by_nhp += result.stats.pruned_by_nhp
         totals.pruned_by_generality += result.stats.pruned_by_generality
     return merged.results(), totals
+
+
+def memo_counts(shard_results: Sequence[ShardResult]) -> dict:
+    """The shards' summed lattice-memo lookups, as result params."""
+    return {
+        "lw_memo_hits": sum(result.memo_hits for result in shard_results),
+        "lw_memo_misses": sum(result.memo_misses for result in shard_results),
+    }
 
 
 def execute_shards_inline(
@@ -206,6 +215,7 @@ class ParallelGRMiner:
             workers=self.workers,
             shards=len(shards),
             start_method=self.start_method,
+            **memo_counts(shard_results),
         )
         return MiningResult(grs=entries, stats=stats, params=params)
 

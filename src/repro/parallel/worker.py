@@ -9,8 +9,8 @@ the threshold bus to trade k-th-best scores over — so one long-lived
 worker serves an arbitrary stream of differently parameterized queries:
 the miner skeleton is re-armed (:meth:`GRMiner.rearm`) whenever a task's
 config differs from the previous one, while the attached store, the
-per-edge column gathers and the first-level partitions persist for the
-process lifetime.  Each task replays the serial miner's recursion over
+per-edge column gathers and the enumeration-lattice memo persist for the
+attachment's lifetime.  Each task replays the serial miner's recursion over
 its slice of first-level branches via the branch-entry API, and ships
 back a :class:`ShardResult` of mined entries plus effort counters.
 
@@ -83,11 +83,19 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """What a shard sends back to the coordinator."""
+    """What a shard sends back to the coordinator.
+
+    ``memo_hits``/``memo_misses`` count the shard's LW-node lookups the
+    executing skeleton's lattice memo served or had to build — what the
+    shard reused, kept out of ``stats`` (whose counters never depend on
+    a skeleton's history).
+    """
 
     shard_id: int
     entries: list[MinedGR]
     stats: MiningStats
+    memo_hits: int = 0
+    memo_misses: int = 0
 
 
 @dataclass
@@ -232,7 +240,7 @@ def _task_attachment(
     long-lived worker serving a hub's rotating population of leases
     (evictions, post-delta re-exports) must not accumulate mappings
     forever.  Eviction drops the armed miner with the views before
-    closing the segment.
+    closing the segment, and the miner's lattice memo with it.
     """
     if handle is None:
         if state.default is None:
@@ -250,6 +258,8 @@ def _task_attachment(
         state.attachments[handle.shm_name] = attachment
         while len(state.attachments) > state.max_attachments:
             _, stale = state.attachments.popitem(last=False)
+            if stale.miner is not None:
+                stale.miner.clear_memo()
             stale.miner = None
             stale.network = None
             stale.store = None
@@ -325,4 +335,6 @@ def run_shard(task: ShardTask, state: WorkerState | None = None) -> ShardResult:
         shard_id=task.shard_id,
         entries=miner._collector.results(),
         stats=miner._stats,
+        memo_hits=miner.memo_hits,
+        memo_misses=miner.memo_misses,
     )

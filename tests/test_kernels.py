@@ -11,9 +11,6 @@ cache keys, engine result caching, warm-start dominance and delta
 migration all behave identically whichever tier computed the entries.
 """
 
-import itertools
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,21 +18,12 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.interestingness import gain, laplace
-from repro.core.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_TIERS,
-    NUMBA_AVAILABLE,
-    kernel_ops,
-    resolve_kernel,
-)
+from repro.core.kernels import DEFAULT_KERNEL, KERNEL_TIERS, kernel_ops, resolve_kernel
 from repro.core.miner import GRMiner, MinerConfig, _ColumnCache, _LWContext, mine_top_k
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.datasets.toy import toy_dating_network
 
 RANK_METRICS = ("nhp", "confidence", "laplace", "gain")
-#: Batch tiers under test ("numba" resolves to "vector" when numba is
-#: absent, which still exercises the config-level plumbing).
-BATCH_TIERS = ("vector", "numba")
 
 
 def _signature(result):
@@ -87,13 +75,13 @@ def _mine(network, tier, **kw):
 
 
 class TestTierEquivalence:
-    """Vector (and numba) answers equal the reference candidate-for-candidate."""
+    """Vector answers equal the reference candidate-for-candidate."""
 
     @pytest.mark.parametrize("rank_by", RANK_METRICS)
     @pytest.mark.parametrize("push_topk", [True, False])
     def test_toy_all_metrics_and_pushdown(self, rank_by, push_topk):
         network = toy_dating_network()
-        for gen, tier in itertools.product([True, False], BATCH_TIERS):
+        for gen in (True, False):
             kw = dict(
                 k=5,
                 min_support=1,
@@ -101,10 +89,8 @@ class TestTierEquivalence:
                 push_topk=push_topk,
                 apply_generality=gen,
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # numba-fallback warning
-                ref = _mine(network, "reference", **kw)
-                got = _mine(network, tier, **kw)
+            ref = _mine(network, "reference", **kw)
+            got = _mine(network, "vector", **kw)
             assert _signature(got) == _signature(ref)
             assert _counters(got.stats) == _counters(ref.stats)
 
@@ -171,6 +157,8 @@ class TestTierEquivalence:
 
 
 class TestNumbaTier:
+    """The never-run numba tier is gone: "numba" is an unknown tier."""
+
     def test_default_is_vector(self):
         assert DEFAULT_KERNEL == "vector"
         assert GRMiner(toy_dating_network(), k=3).kernel_tier in ("vector",)
@@ -181,37 +169,16 @@ class TestNumbaTier:
         with pytest.raises(ValueError, match="kernel"):
             GRMiner(toy_dating_network(), k=3, kernel="simd")
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed: no fallback path")
-    def test_numba_absent_falls_back_to_vector_warning_once(self):
-        kernels._warned_numba_missing = False
-        network = toy_dating_network()
-        with pytest.warns(UserWarning, match="falling back"):
-            miner = GRMiner(network, k=5, min_support=1, kernel="numba")
-        assert miner.kernel == "numba"
-        assert miner.kernel_tier == "vector"
-        # Warn-once: a second numba request in the same process is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            again = GRMiner(network, k=5, min_support=1, kernel="numba")
-        assert again.kernel_tier == "vector"
-        assert _signature(miner.mine()) == _signature(
-            _mine(network, "vector", k=5, min_support=1)
-        )
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_tier_equals_reference(self):
-        network = _network(1)
-        kw = dict(k=6, min_support=1, min_score=0.1)
-        ref = _mine(network, "reference", **kw)
-        got = _mine(network, "numba", **kw)
-        assert _signature(got) == _signature(ref)
-        assert _counters(got.stats) == _counters(ref.stats)
+    def test_numba_fails_validation_like_any_unknown_tier(self):
+        assert KERNEL_TIERS == ("reference", "vector")
+        with pytest.raises(ValueError, match="kernel"):
+            MinerConfig(kernel="numba")
+        with pytest.raises(ValueError, match="kernel"):
+            resolve_kernel("numba")
 
     def test_kernel_ops_resolution(self):
         assert kernel_ops("vector") is kernels.VectorOps
         assert kernel_ops("reference") is kernels.VectorOps
-        if NUMBA_AVAILABLE:
-            assert kernel_ops("numba") is kernels.NumbaOps
 
 
 class TestTierIsExecutionDetail:
