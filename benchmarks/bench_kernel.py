@@ -23,11 +23,14 @@ left in the lattice memo (bounded by ``LATTICE_BYTE_CAP``).
 :func:`repro.bench.harness.profile_mining` and writes the raw profile
 to ``benchmarks/out/kernel_profile.pstats``.
 
-Gate: the vector tier must be >= 1.5x the reference on CPU time and
-its result must verify.  The pure-numpy tier measures ~1.8-2x on this
-workload (each RIGHT node still pays fixed numpy dispatch and Python
-bookkeeping over a mean domain slice of ~40 values).  The report goes
-to ``benchmarks/out/BENCH_kernel.json`` (the CI artifact).
+Gate: the vector tier must be >= 2x the reference on CPU time and its
+result must verify.  A fresh miner builds every RIGHT entry during the
+timed run: one arena bincount per entry, after which each visit costs
+what survives minSupp.  On ``--quick`` (2-vCPU VM) the vector tier took
+11.2 s CPU against the reference's 42.7 s, 3.8x; the unchanged
+reference read 37.3 s in another run, so host noise alone moves the
+ratio by ~15%, hence the margin.  The report goes to
+``benchmarks/out/BENCH_kernel.json`` (the CI artifact).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ TXT_PATH = OUT_DIR / "kernel.txt"
 PSTATS_PATH = OUT_DIR / "kernel_profile.pstats"
 
 #: CPU-time speedup the vector tier must clear over the reference.
-MIN_SPEEDUP = 1.5
+MIN_SPEEDUP = 2.0
 
 
 def _network(quick: bool):

@@ -3,12 +3,10 @@
 The SFDF traversal bottoms out in the RIGHT-node candidate evaluation
 (Algorithm 1 lines 22–29): for every token left in a node's tail, every
 value of the token's domain is a candidate GR.  This module provides the
-batch primitives that evaluate *all values of one token in one shot* —
-support counts via a single ``np.bincount`` over the gathered
-destination codes, rank scores for all four metrics as array
-expressions, and the support/min-score/triviality filters as boolean
-masks — so only the survivors fall back to the scalar admission path
-(generality index, collector, decode).
+numpy primitives behind the ``"vector"`` tier's candidate lists — one
+flat ``np.bincount`` over a gathered arena of destination codes yields
+every tail token's value counts at a node at once — and the stable
+counting-sort permutation both tiers partition edge sets with.
 
 Two tiers are exposed through ``MinerConfig(kernel=...)``:
 
@@ -18,20 +16,19 @@ Two tiers are exposed through ``MinerConfig(kernel=...)``:
     oracle (the same pattern the counting-sort vectorization followed
     with ``_placement_loop_argsort``).
 ``"vector"``
-    Pure numpy batches (this module's :class:`VectorOps`); the default.
+    :meth:`GRMiner._right_vector`: each memoised RIGHT node lists its
+    non-empty value bins by count, so a visit cuts at minSupp with one
+    ``bisect`` and handles only the surviving values; the default.
 
-Both tiers produce bit-identical scores: the array expressions use the
-same IEEE-754 double operations in the same order as the scalar
-formulas, and ``int64/int64`` true division is correctly rounded in
-both numpy and Python for operands below 2**53 — far above any edge
-count this miner sees.  The tier is therefore a pure execution detail:
-results, stats counters and cache identities match across tiers.
+Both tiers score a candidate with the same scalar formula on the same
+counts, so results, stats counters and cache identities match across
+tiers: the tier is a pure execution detail.
 
 This module is also the single home of the rank-metric formulas on raw
 counts (:func:`nhp_counts`, :func:`confidence_counts`,
-:func:`laplace_counts`, :func:`gain_counts`) — ``GRMiner._score`` and
-:mod:`repro.core.interestingness` both delegate here so the two can't
-drift.
+:func:`laplace_counts`, :func:`gain_counts`) — ``GRMiner._score``,
+the vector tier and :mod:`repro.core.interestingness` all delegate here
+so they can't drift.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ __all__ = [
     "nhp_counts",
     "resolve_kernel",
     "score_counts",
-    "score_matrix",
 ]
 
 KERNEL_TIERS = ("reference", "vector")
@@ -131,37 +127,6 @@ def _zeros_like(support_count):
     return 0.0
 
 
-def score_matrix(
-    rank_by,
-    counts,
-    lw_count,
-    nhp_denoms,
-    num_edges,
-    laplace_k,
-    gain_theta,
-):
-    """Rank scores for a whole RIGHT-node arena in one array expression.
-
-    ``counts`` is the node's flat ragged histogram (every tail token's
-    value bins side by side) and ``nhp_denoms`` the element-aligned
-    ``lw − hom`` denominators — read only for ``rank_by="nhp"``; bins
-    whose true denominator was non-positive are clamped to 1 by the
-    caller and zeroed afterwards, mirroring the degenerate-case
-    convention of :func:`nhp_counts`.  Elementwise the same IEEE-754
-    operations as the scalar formulas, so every bin is bit-identical to
-    the reference tier's score for that candidate.
-    """
-    if rank_by == "nhp":
-        return counts / nhp_denoms
-    if rank_by == "confidence":
-        if lw_count <= 0:
-            return np.zeros(counts.shape, dtype=np.float64)
-        return counts / lw_count
-    if rank_by == "laplace":
-        return (counts + 1) / (lw_count + laplace_k)
-    return (counts - gain_theta * lw_count) / (num_edges or 1)
-
-
 # ----------------------------------------------------------------------
 # Kernel ops: the tier-specific numeric primitives
 # ----------------------------------------------------------------------
@@ -185,23 +150,10 @@ class VectorOps:
         return prefix & eq
 
     @staticmethod
-    def flat_counts(matrix: np.ndarray, n_bins: int) -> np.ndarray:
-        """One histogram over a whole offset-coded arena matrix.
-
-        Row ``r`` of the matrix carries codes pre-shifted into its own
-        segment of the ragged bin layout (see ``GRMiner._arena``), so a
-        single flat bincount yields every attribute's histogram side by
-        side: row ``r``'s bins are ``bounds[r]:bounds[r + 1]``.
-        """
-        return np.bincount(matrix.ravel(), minlength=n_bins)
-
-    @staticmethod
     def arena_counts(matrix: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
         """Histogram of every arena row gathered at ``edges`` at once —
-        the fused gather + flat bincount behind each RIGHT node."""
+        the fused gather + flat bincount behind each new RIGHT entry."""
         return np.bincount(matrix.take(edges, axis=1).ravel(), minlength=n_bins)
-
-    score_matrix = staticmethod(score_matrix)
 
 
 def kernel_ops(tier: str):

@@ -33,6 +33,8 @@ import itertools
 import math
 import time
 import weakref
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Sequence
@@ -98,6 +100,9 @@ LATTICE_BYTE_CAP = 128 << 20
 _NODE_BYTES = 2048
 _ENTRY_BYTES = 640
 _PART_BYTES = 384
+#: Resident cost per candidate of a RIGHT entry: one count and one bin
+#: position, 8 bytes each in the entry's two arrays.
+_CANDIDATE_BYTES = 16
 #: Process-wide lattice accounting: bytes ``held`` by every ``live``
 #: lattice, and the ``clock`` ordering their last arming.
 _PROCESS = SimpleNamespace(held=0, live=weakref.WeakSet(), clock=itertools.count(1))
@@ -128,16 +133,18 @@ class _LWContext:
     #: The root (first-level partitions, read by every plan and branch
     #: entry) stays memoised even past the byte cap.
     pinned: bool = False
-    #: The node's Eqn. 8 RHS ordering.
-    r_tokens: tuple[Token, ...] | None = None
+    #: The node's Eqn. 8 RHS ordering and its candidate-bin layout.
+    layout: "_RHSLayout | None" = None
     #: LEFT/EDGE child partitions keyed by the token's τ position: the
     #: edges stably sorted by the token's code, and the value offsets
     #: ``ends`` (the histogram's running sum) — value ``v``'s child is
     #: ``sorted[ends[v - 1]:ends[v]]``; null-coded edges sort first.
     children: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    #: RIGHT nodes keyed by ``r_key``: ``[flat arena histogram,
-    #: examined-per-row counts (lazy), {attr: (sorted edges, ends)}]``.
-    right: dict[tuple, list] = field(default_factory=dict)
+    #: RIGHT nodes keyed by ``r_key``: ``(counts, positions, {attr:
+    #: (sorted edges, ends)})`` — the tail's non-empty value bins as two
+    #: aligned arrays, sorted by count, highest first (counts negated,
+    #: so ascending), and the recursion partitions.
+    right: dict[tuple, tuple] = field(default_factory=dict)
     #: Cache of homophily-effect counts ``supp(l -w-> l[β])`` keyed by β.
     hom_cache: dict[tuple[str, ...], int] = field(default_factory=dict)
     #: Destination-code columns gathered onto this context's edge set,
@@ -148,12 +155,30 @@ class _LWContext:
     #: incrementally from their longest cached prefix.  Like
     #: ``dst_gathered``, working memory dropped when the visit ends.
     hom_masks: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
-    #: Per-token ``(attr, arena row, ext_applies, l_code)`` for the
-    #: context's *root* RHS ordering — every node's tail is a prefix of
-    #: it, so the batch tier derives this once per context instead of
-    #: re-querying the homophily/LHS maps at every node (built lazily by
-    #: ``_right_vector``).
-    token_meta: list | None = None
+
+
+@dataclass(eq=False, slots=True)
+class _RHSLayout:
+    """An Eqn. 8 RHS ordering and the candidate bins of its RIGHT nodes.
+
+    Bin ``p`` is the candidate ``bins[p] = (tail position, attr, value,
+    lhs_hom)``, null codes left out, in the reference loop's visit
+    order: tail position, then value.  A RIGHT node whose tail is the
+    ordering's first ``n`` tokens owns bins ``[0, stops[n])``, and
+    ``arena_bins`` maps each bin to its bin of :meth:`GRMiner._arena`.
+    ``lhs_hom`` marks a homophily attribute the LHS binds (``Hʳ₂``),
+    whose value either keeps β or adds the attribute to it;
+    ``can_flip[i]`` says whether one sits before position ``i``, i.e.
+    in the child tail (Theorem 2(3)).  All of it follows from the tail,
+    the LHS *attribute set* and the lattice layout, so the nodes sharing
+    those share one layout.
+    """
+
+    tokens: tuple[Token, ...]
+    bins: list[tuple[int, str, int, bool]]
+    stops: list[int]
+    arena_bins: np.ndarray
+    can_flip: list[bool]
 
 
 class _Lattice:
@@ -601,14 +626,15 @@ class GRMiner:
         self._src_cols = _ColumnCache(self.store.source_codes)
         self._dst_cols = _ColumnCache(self.store.dest_codes)
         self._edge_cols = _ColumnCache(self.store.edge_codes)
-        #: Stacked destination-code matrices for the batch kernels,
-        #: keyed by node-attribute tuple.  Store-derived like the column
+        #: Stacked destination-code matrices (:meth:`_arena`), keyed by
+        #: node-attribute tuple.  Store-derived like the column
         #: caches, so they survive re-arms (and are dropped with the
         #: whole skeleton when a store delta changes the fingerprint).
         self._dst_matrices: dict[tuple[str, ...], tuple] = {}
-        #: Memoised Eqn. 8 RHS orderings, keyed by (tail, LHS attribute
-        #: set) — schema-derived only, so shared across re-arms too.
-        self._rhs_order_cache: dict[object, tuple] = {}
+        #: Memoised :class:`_RHSLayout` s per lattice layout, keyed by
+        #: (tail, LHS attribute set) — schema-derived only, so shared
+        #: across re-arms too.
+        self._rhs_layouts_by_layout: dict[tuple, dict[tuple, _RHSLayout]] = {}
 
         self.rearm(config)
 
@@ -658,9 +684,9 @@ class GRMiner:
         self.kernel = config.kernel
         self.kernel_tier = resolve_kernel(config.kernel)
         self._kernel_ops = kernel_ops(self.kernel_tier)
-        self._nodes = self._lattice.layout(
-            (tuple(node_attributes), config.dynamic_rhs_ordering)
-        )
+        layout = (tuple(node_attributes), config.dynamic_rhs_ordering)
+        self._nodes = self._lattice.layout(layout)
+        self._rhs_layouts = self._rhs_layouts_by_layout.setdefault(layout, {})
         # A verifier installed for a previous query must not leak into
         # the next one (it may cache verdicts under other thresholds).
         self._candidate_verifier = None
@@ -874,17 +900,22 @@ class GRMiner:
         part = node.children.get(index)
         if part is None:
             cols = self._src_cols if token.role == "L" else self._edge_cols
-            keys = cols[token.attr][node.edges]
-            domain = self._domain[token.attr]
-            ends = np.bincount(keys, minlength=domain + 1).cumsum()
-            part = (node.edges[self._kernel_ops.argsort(keys, domain)], ends)
+            part = self._split(node.edges, cols[token.attr][node.edges], token.attr)
             lattice = node.lattice
             if lattice is not None and (
                 node.pinned
-                or lattice.charge(part[0].nbytes + ends.nbytes + _PART_BYTES)
+                or lattice.charge(part[0].nbytes + part[1].nbytes + _PART_BYTES)
             ):
                 node.children[index] = part
         return part
+
+    def _split(
+        self, edges: np.ndarray, keys: np.ndarray, attr: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(edges stably sorted by keys, value ends)``: one counting sort."""
+        domain = self._domain[attr]
+        ends = np.bincount(keys, minlength=domain + 1).cumsum()
+        return edges[self._kernel_ops.argsort(keys, domain)], ends
 
     def _verify_generality(self, results: list) -> list:
         """Drop top-k entries whose generalization qualifies (DESIGN §5.5).
@@ -996,31 +1027,47 @@ class GRMiner:
         l_map = context.l_map
         if not l_map and not self.allow_empty_lhs:
             return
-        r_tokens = context.r_tokens
-        if r_tokens is None:
-            # The ordered RHS tail depends only on the tail, on WHICH
-            # attributes the LHS binds (Eqn. 8 groups by homophily flag
-            # and LHS membership, never by value) and on whether dynamic
-            # ordering is enabled at all — the cache outlives re-arms,
-            # so the flag must be part of the key.
-            cache_key = (
-                self.dynamic_rhs_ordering, tail, frozenset(l_map) if l_map else ()
-            )
-            r_tokens = self._rhs_order_cache.get(cache_key)
-            if r_tokens is None:
-                r_tokens = tuple(t for t in tail if t.role == "R")
-                if self.dynamic_rhs_ordering:
-                    r_tokens = dynamic_rhs_order(
-                        r_tokens, l_map, self.schema, self._homophily
-                    )
-                self._rhs_order_cache[cache_key] = r_tokens
-            context.r_tokens = r_tokens
+        layout = context.layout
+        if layout is None:
+            layout = context.layout = self._rhs_layout(tail, l_map)
         if self.kernel_tier == "reference":
-            self._right_reference(context.edges, r_tokens, context, r_map={})
+            self._right_reference(context.edges, layout.tokens, context, r_map={})
         else:
-            self._right_vector(context.edges, r_tokens, context, r_map={})
+            self._right_vector(context.edges, len(layout.tokens), context)
         context.dst_gathered.clear()
         context.hom_masks.clear()
+
+    def _rhs_layout(self, tail: tuple[Token, ...], l_map: dict[str, int]) -> _RHSLayout:
+        """The memoised :class:`_RHSLayout` of a node's RHS tail.
+
+        The ordering depends only on the tail, on WHICH attributes the
+        LHS binds (Eqn. 8 groups by homophily flag and LHS membership,
+        never by value) and on the lattice layout, which selects the
+        dict (``dynamic_rhs_ordering`` and the arena's attribute order
+        are both part of it).
+        """
+        key = (tail, frozenset(l_map))
+        layout = self._rhs_layouts.get(key)
+        if layout is None:
+            tokens = tuple(t for t in tail if t.role == "R")
+            if self.dynamic_rhs_ordering:
+                tokens = dynamic_rhs_order(tokens, l_map, self.schema, self._homophily)
+            starts = self._arena()[1]
+            bins, stops, arena_bins, can_flip = [], [0], [], []
+            flip = False
+            for i, token in enumerate(tokens):
+                attr = token.attr
+                lhs_hom = self._homophily[attr] and attr in l_map
+                values = range(1, self._domain[attr] + 1)
+                bins += [(i, attr, value, lhs_hom) for value in values]
+                arena_bins += [starts[attr] + value for value in values]
+                stops.append(len(bins))
+                can_flip.append(flip)
+                flip = flip or lhs_hom
+            layout = self._rhs_layouts[key] = _RHSLayout(
+                tokens, bins, stops, np.asarray(arena_bins, dtype=np.intp), can_flip
+            )
+        return layout
 
     def _right_reference(
         self,
@@ -1034,7 +1081,7 @@ class GRMiner:
 
         One ``partition_by_value`` group per candidate, one
         ``_evaluate``/``_score``/``_consider`` round-trip each.  Kept
-        intact (``kernel="reference"``) so the batch tiers always have a
+        intact (``kernel="reference"``) so the vector tier always has a
         bit-exact baseline to verify against, the same way the
         counting-sort kernel keeps ``_placement_loop_argsort``.
         """
@@ -1061,360 +1108,151 @@ class GRMiner:
     def _right_vector(
         self,
         edges: np.ndarray,
-        r_tail: tuple[Token, ...],
+        n_tail: int,
         context: _LWContext,
-        r_map: dict[str, int],
         r_key: tuple[tuple[str, int], ...] = (),
+        base_beta: tuple[str, ...] = (),
+        base_trivial: bool = True,
     ) -> None:
-        """Arena-batched RIGHT loop (the ``"vector"`` tier).
+        """The RIGHT loop over a memoised candidate list (``"vector"``).
 
-        One gather of the stacked offset-coded destination matrix
-        (:meth:`_arena`) plus one flat bincount produce the histograms
-        of *every* tail token at this node at once; scores come out as
-        one array expression per token, and the support/min-score/
-        threshold masks decide in batch which values are mere counter
-        updates.  Only values that are admissible — or whose subtree
-        must actually be descended — fall through to the scalar
-        ``_consider`` path, and the counting-sort permutation behind the
-        per-value subsets is built lazily, only when some value
-        recurses.
-
-        The score-threshold cut (Theorem 3) is also taken in batch
-        against a snapshot of the collector's threshold: the threshold
-        only ratchets upward, so a value below the snapshot is below the
-        live threshold at its in-order visit too, and none of those
-        values would have touched the collector (they are below
-        ``min_score`` by construction).  Values at or above the snapshot
-        keep their live per-value check inside the loop.
-
-        Candidate visit order, collector/threshold interleaving and
-        every stats counter match the reference loop exactly; scores are
-        bit-identical (see the module docstring of
-        :mod:`repro.core.kernels`).
+        The node's entry (:meth:`_candidates`) lists its tail's non-empty
+        value bins by count, highest first.  By support anti-monotonicity
+        (Theorem 2(1)) the values meeting minSupp are a prefix of that
+        list, so one ``bisect`` yields both effort counts — GRs examined
+        is the list's length, GRs pruned by support what lies past the
+        cut — and only the survivors are visited, in the reference
+        order (tail position, then value), each decided by the reference
+        loop's own rules: score, :meth:`_consider`, the live-threshold
+        Theorem 3 cut and recursion.  ``n_tail`` is the length of the
+        node's tail (a prefix of the context's RHS ordering), and
+        ``base_beta`` / ``base_trivial`` are β and triviality of the
+        node's own RHS ``r_key``.
         """
-        if not r_tail:
+        max_rhs = self.max_rhs_attrs
+        if not n_tail or (max_rhs is not None and len(r_key) >= max_rhs):
             return
-        if self.max_rhs_attrs is not None and len(r_map) >= self.max_rhs_attrs:
-            return
+        entry = context.right.get(r_key)
+        kept = entry is not None
+        if not kept:
+            entry = self._candidates(context, edges, n_tail)
+            lattice = context.lattice
+            kept = lattice is not None and lattice.charge(
+                _ENTRY_BYTES + _CANDIDATE_BYTES * len(entry[0])
+            )
+            if kept:
+                context.right[r_key] = entry
+        neg_counts, positions, partitions = entry
+        examined = len(neg_counts)
+        cut = bisect_right(neg_counts, -self.abs_min_support)
         stats = self._stats
-        ops = self._kernel_ops
-        collector = self._collector
+        stats.grs_examined += examined
+        stats.pruned_by_support += examined - cut
+        if not cut:
+            return
+        survivors = sorted(zip(positions[:cut], neg_counts[:cut]))
+
+        layout = context.layout
+        bins = layout.bins
         l_map = context.l_map
-        homophily = self._homophily
         lw_count = context.lw_count
         num_edges = self.network.num_edges
         rank_by = self.rank_by
         rank_nhp = rank_by == "nhp"
         min_score = self.min_score
+        include_trivial = self.include_trivial
         push_prune = self.push_score_pruning
-        abs_min_support = self.abs_min_support
-
-        matrix, row_of, offsets, bounds, widths, n_bins = self._arena()
-        # The node's store-derived state: its histogram, examined counts
-        # and recursion partitions, memoised under r_key on the context.
-        entry = context.right.get(r_key)
-        kept = entry is not None
-        if not kept:
-            if edges.size == matrix.shape[1]:
-                flat = ops.flat_counts(matrix, n_bins)  # the root spans every edge
+        collector = self._collector
+        may_recurse = max_rhs is None or len(r_key) + 1 < max_rhs
+        for position, neg_count in survivors:
+            i, attr, value, lhs_hom = bins[position]
+            count = -neg_count
+            if lhs_hom and value != l_map[attr]:
+                beta = tuple(sorted(base_beta + (attr,)))
+                trivial = False
             else:
-                flat = ops.arena_counts(matrix, edges, n_bins)
-            entry = [flat, None, {}]
-            lattice = context.lattice
-            kept = lattice is not None and lattice.charge(flat.nbytes + _ENTRY_BYTES)
-            if kept:
-                context.right[r_key] = entry
-        flat, examined_per_row, partitions = entry
-        alive = flat >= abs_min_support
-        alive[offsets] = False  # code 0 (each segment's first bin) is the null sentinel
-        alive_per_row = np.add.reduceat(alive, offsets).tolist()
-        if abs_min_support <= 1:
-            examined_per_row = alive_per_row
-        elif examined_per_row is None:
-            nonzero = flat > 0
-            nonzero[offsets] = False
-            examined_per_row = entry[1] = np.add.reduceat(nonzero, offsets).tolist()
-
-        # β and triviality of the node's own r_map; each candidate below
-        # extends them by one (attr: value) pair, which either keeps the
-        # base β (value matches the LHS) or inserts attr into it.
-        if r_map:
-            base_beta = tuple(
-                sorted(
-                    name
-                    for name, value in r_map.items()
-                    if homophily[name] and name in l_map and l_map[name] != value
-                )
+                beta = base_beta
+                trivial = base_trivial and lhs_hom
+            # Only nhp scores read the homophily count; the other
+            # metrics need it just for the metrics of a considered GR.
+            hom_count = self._homophily_count(context, beta) if beta and rank_nhp else 0
+            score = score_counts(
+                rank_by, count, lw_count, hom_count, num_edges,
+                self.laplace_k, self.gain_theta,
             )
-            base_trivial = all(
-                homophily[name] and l_map.get(name) == value
-                for name, value in r_map.items()
-            )
-        else:
-            base_beta = ()
-            base_trivial = True
-        mask_trivial = base_trivial and not self.include_trivial
-        may_recurse = (
-            self.max_rhs_attrs is None or len(r_map) + 1 < self.max_rhs_attrs
-        )
-
-        # ---- pass A: pure-Python token bookkeeping -------------------
-        # can_flip for token i asks whether any EARLIER tail token could
-        # re-enter β (Theorem 2(3)); ext_applies is the same predicate
-        # applied to the token itself, so one prefix flag serves both.
-        # The per-token (attr, row, ext_applies, l_code, base_idx) facts
-        # are context-invariant and every node's tail is a prefix of the
-        # context's root ordering, so they are derived once per context.
-        meta = context.token_meta
-        if meta is None or len(meta) < len(r_tail):
-            meta = context.token_meta = [
-                (
-                    token.attr,
-                    row_of[token.attr],
-                    ext,
-                    l_map[token.attr] if ext else -1,
-                    bounds[row_of[token.attr]] + l_map[token.attr] if ext else -1,
+            new_key = None
+            # _consider's own first exits, tested here so that a value
+            # it would drop builds no metrics or keys.
+            if score >= min_score and (include_trivial or not trivial):
+                if beta and not rank_nhp:
+                    hom_count = self._homophily_count(context, beta)
+                new_key = tuple(sorted(r_key + ((attr, value),)))
+                metrics = GRMetrics(
+                    support_count=count,
+                    lw_count=lw_count,
+                    homophily_count=hom_count,
+                    num_edges=num_edges,
+                    beta=beta,
                 )
-                for token in r_tail
-                for ext in (homophily[token.attr] and token.attr in l_map,)
-            ]
-        infos = []
-        base_fixups = []
-        batch_fixups = []
-        denom_rows = None
-        zero_rows = None
-        can_flip = False
-        for i in range(len(r_tail)):
-            attr, row, ext_applies, l_code, base_idx = meta[i]
-            examined = examined_per_row[row]
-            alive_n = alive_per_row[row]
-            if examined:
-                stats.grs_examined += examined
-                if examined != alive_n:
-                    stats.pruned_by_support += examined - alive_n
-            if alive_n:
-                if ext_applies:
-                    insert_at = 0
-                    while insert_at < len(base_beta) and base_beta[insert_at] < attr:
-                        insert_at += 1
-                    beta_ext = base_beta[:insert_at] + (attr,) + base_beta[insert_at:]
-                    has_base = bool(alive[base_idx])
+                self._consider(
+                    context, dict(new_key), metrics, trivial, score, r_key=new_key
+                )
+            if (
+                push_prune
+                and score < collector.effective_threshold
+                and (beta or not rank_nhp or not layout.can_flip[i])
+            ):
+                stats.pruned_by_nhp += 1
+                continue
+            if not i or not may_recurse:
+                continue
+            part = partitions.get(attr)
+            if part is None:
+                if edges is context.edges:
+                    keys = self._context_dst(context, attr)
                 else:
-                    beta_ext = base_beta
-                    has_base = False
-                hom_ext = 0
-                hom_base = 0
-                if rank_nhp:
-                    if beta_ext:
-                        hom_ext = self._homophily_count(context, beta_ext)
-                    if has_base:
-                        hom_base = (
-                            self._homophily_count(context, base_beta)
-                            if base_beta
-                            else 0
-                        )
-                        base_fixups.append((base_idx, hom_base))
-                    if hom_ext:
-                        # Rows with untouched denominators default to
-                        # plain lw, applied as one scalar divisor below.
-                        if denom_rows is None:
-                            denom_rows = [lw_count] * (len(bounds) - 1)
-                        denominator = lw_count - hom_ext
-                        if denominator > 0:
-                            denom_rows[row] = denominator
-                        else:
-                            denom_rows[row] = 1
-                            if zero_rows is None:
-                                zero_rows = []
-                            zero_rows.append(row)
-                    prunable_ext = bool(beta_ext) or not can_flip
-                    prunable_base = bool(base_beta) or not can_flip
-                    if not prunable_ext or (has_base and not prunable_base):
-                        batch_fixups.append(
-                            (row, base_idx, has_base, prunable_ext, prunable_base)
-                        )
-                else:
-                    prunable_ext = True
-                    prunable_base = True
-                    if has_base:
-                        base_fixups.append((base_idx, 0))
-                infos.append((
-                    i, attr, row, l_code, beta_ext, hom_ext, hom_base,
-                    has_base, prunable_ext, prunable_base,
-                    may_recurse and i > 0,
-                ))
-            can_flip = can_flip or ext_applies
-        if not infos:
-            return
-
-        # ---- node-level batch: scores, admission and Theorem 3 masks -
-        nhp_denoms = None
-        if rank_nhp:
-            if denom_rows is not None:
-                nhp_denoms = np.repeat(
-                    np.asarray(denom_rows, dtype=np.int64), widths
-                )
-            else:
-                # No β adjustment anywhere: one scalar divisor, which
-                # numpy broadcasts through the identical IEEE division.
-                nhp_denoms = lw_count
-        scores = ops.score_matrix(
-            rank_by, flat, lw_count, nhp_denoms, num_edges,
-            self.laplace_k, self.gain_theta,
-        )
-        if zero_rows is not None:
-            for row in zero_rows:
-                scores[bounds[row] : bounds[row + 1]] = 0.0
-        if rank_nhp:
-            # The value matching the LHS keeps the base β class, whose
-            # homophily count differs: patch its score before deriving
-            # the masks.
-            for base_idx, hom_base in base_fixups:
-                scores[base_idx] = score_counts(
-                    rank_by, int(flat[base_idx]), lw_count, hom_base,
-                    num_edges, self.laplace_k, self.gain_theta,
-                )
-        consider = scores >= min_score
-        consider &= alive
-        if mask_trivial:
-            for base_idx, _ in base_fixups:
-                consider[base_idx] = False
-        consider_per_row = None
-        if push_prune:
-            # Theorem 3 cuts below the node-entry threshold are taken in
-            # batch: the collector's threshold only ratchets upward, so a
-            # value below it now is below it at its in-order visit too,
-            # and none of these values would have touched the collector
-            # (they are below ``min_score`` or trivial by construction).
-            # Values at or above the snapshot keep their live per-value
-            # check inside the scalar loop.
-            # consider ⊆ alive, so the XOR is exactly alive & ~consider:
-            # the alive values the collector will not admit.
-            below0 = alive ^ consider
-            below0 &= scores < collector.effective_threshold
-            for row, base_idx, has_base, prunable_ext, prunable_base in batch_fixups:
-                if prunable_ext:  # only the base value is exempt
-                    below0[base_idx] = False
-                else:  # only the base value is prunable, if that
-                    keep = (
-                        has_base and prunable_base and bool(below0[base_idx])
-                    )
-                    below0[bounds[row] : bounds[row + 1]] = False
-                    if keep:
-                        below0[base_idx] = True
-            batch_per_row = np.add.reduceat(below0, offsets).tolist()
-            # below0 ⊆ alive, so XOR is exactly alive & ~below0 — the
-            # values the scalar loop must still visit.
-            loop_flat = alive ^ below0
-        else:
-            loop_flat = None
-            batch_per_row = None
-            consider_per_row = np.add.reduceat(consider, offsets).tolist()
-
-        # ---- pass B: scalar fallback over the survivors --------------
-        # Ascending value order — the reference traversal order — so the
-        # collector, the generality index and the dynamic threshold
-        # evolve through the identical state sequence.
-        for (
-            i, attr, row, l_code, beta_ext, hom_ext, hom_base,
-            has_base, prunable_ext, prunable_base, need_recurse,
-        ) in infos:
-            seg = slice(bounds[row], bounds[row + 1])
-            if push_prune:
-                pruned = batch_per_row[row]
-                loop_n = alive_per_row[row] - pruned
-                if pruned:
-                    stats.pruned_by_nhp += pruned
-                if not loop_n:
-                    continue
-                mask_row = loop_flat[seg]
-            elif need_recurse:
-                loop_n = alive_per_row[row]
-                mask_row = alive[seg]
-            else:
-                loop_n = consider_per_row[row]
-                if not loop_n:
-                    continue
-                mask_row = consider[seg]
-            counts_row = flat[seg]
-            scores_row = scores[seg]
-            consider_row = consider[seg]
-            child_tail = r_tail[:i]
-            key_at = 0
-            while key_at < len(r_key) and r_key[key_at][0] < attr:
-                key_at += 1
-            key_head = r_key[:key_at]
-            key_tail = r_key[key_at:]
-            sorted_edges = None
-            ends = None
-            # Single-survivor rows (the common case once batch pruning
-            # bites) skip the nonzero scan.
-            if loop_n == 1:
-                survivors = (int(mask_row.argmax()),)
-            else:
-                survivors = np.nonzero(mask_row)[0].tolist()
-            for value in survivors:
-                score = float(scores_row[value])
-                is_base = value == l_code
-                new_r = None
-                new_key = None
-                if consider_row[value]:
-                    beta = base_beta if is_base else beta_ext
-                    if rank_nhp:
-                        hom_count = (hom_base if is_base else hom_ext) if beta else 0
-                    else:
-                        hom_count = self._homophily_count(context, beta) if beta else 0
-                    metrics = GRMetrics(
-                        support_count=int(counts_row[value]),
-                        lw_count=lw_count,
-                        homophily_count=hom_count,
-                        num_edges=num_edges,
-                        beta=beta,
-                    )
-                    new_r = dict(r_map)
-                    new_r[attr] = value
-                    new_key = key_head + ((attr, value),) + key_tail
-                    self._consider(
-                        context, new_r, metrics, base_trivial and is_base,
-                        score, r_key=new_key,
-                    )
-                if (
-                    push_prune
-                    and (prunable_base if is_base else prunable_ext)
-                    and score < collector.effective_threshold
+                    keys = self._dst_cols[attr].take(edges)
+                part = self._split(edges, keys, attr)
+                if kept and context.lattice.charge(
+                    part[0].nbytes + part[1].nbytes + _PART_BYTES
                 ):
-                    stats.pruned_by_nhp += 1
-                    continue
-                if not need_recurse:
-                    continue
-                if sorted_edges is None:
-                    part = partitions.get(attr)
-                    if part is None:
-                        if edges is context.edges:
-                            keys = self._context_dst(context, attr)
-                        else:
-                            keys = self._dst_cols[attr].take(edges)
-                        order = ops.argsort(keys, self._domain[attr])
-                        part = (edges[order], counts_row.cumsum())
-                        if kept and context.lattice.charge(
-                            part[0].nbytes + part[1].nbytes + _PART_BYTES
-                        ):
-                            partitions[attr] = part
-                    sorted_edges, ends = part
-                stop = int(ends[value])
-                subset = sorted_edges[stop - int(counts_row[value]) : stop]
-                if new_r is None:
-                    new_r = dict(r_map)
-                    new_r[attr] = value
-                    new_key = key_head + ((attr, value),) + key_tail
-                self._right_vector(subset, child_tail, context, new_r, new_key)
+                    partitions[attr] = part
+            sorted_edges, ends = part
+            stop = int(ends[value])
+            if new_key is None:
+                new_key = tuple(sorted(r_key + ((attr, value),)))
+            self._right_vector(
+                sorted_edges[stop - count : stop], i, context, new_key, beta, trivial
+            )
+
+    def _candidates(self, context: _LWContext, edges: np.ndarray, n_tail: int) -> tuple:
+        """A RIGHT entry: the tail's non-empty value bins, by count.
+
+        One gather and bincount over the arena give every destination
+        histogram of ``edges``; the layout picks the first ``n_tail``
+        tokens' bins in visit order, and the non-empty ones are sorted
+        by count, highest first.  Store-derived only, so one entry
+        serves every later query's minSupp cut.
+        """
+        matrix, _, n_bins = self._arena()
+        flat = self._kernel_ops.arena_counts(matrix, edges, n_bins)
+        layout = context.layout
+        counts = flat.take(layout.arena_bins[: layout.stops[n_tail]])
+        positions = counts.nonzero()[0]
+        neg_counts = -counts.take(positions)
+        order = neg_counts.argsort()
+        return (
+            array("q", neg_counts.take(order).tobytes()),
+            array("q", positions.take(order).tobytes()),
+            {},
+        )
 
     def _score(self, metrics: GRMetrics) -> float:
         """The ranking metric's value (Definitions 3–4, Eqns. 10–11).
 
         Delegates to the shared count-level formulas in
-        :mod:`repro.core.kernels`, the same expressions the batch tiers
-        evaluate as arrays.
+        :mod:`repro.core.kernels`, the same expressions the vector tier
+        evaluates per candidate.
         """
         if self.rank_by == "nhp":
             return metrics.nhp
@@ -1508,57 +1346,44 @@ class GRMiner:
         return metrics, trivial
 
     def _arena(self):
-        """The stacked offset-coded destination matrix for the batch tiers.
+        """The stacked offset-coded destination matrix of the vector tier.
 
-        Row ``row_of[attr]`` holds attribute ``attr``'s destination
+        Row ``r`` holds the ``r``-th selected attribute's destination
         codes shifted into its own bin segment of a *ragged* flat
-        layout: segment ``row`` starts at ``offsets[row]`` and is
-        ``domain + 1`` bins wide, so one flat bincount over a gathered
-        slice of the matrix yields *every* tail token's histogram side
-        by side — replacing one gather and one histogram per token with
-        one of each per RIGHT node.  Ragged (cumulative) offsets rather
-        than a rectangular stride keep the bin count at
-        ``Σ (domain + 1)`` instead of ``rows × (max domain + 1)``, which
-        matters when one wide attribute (e.g. Pokec's Region) would
-        otherwise inflate every row's histogram.  Derived purely from
-        the immutable store and the attribute selection, so it persists
-        across runs and re-arms like the plain column caches (a store
-        delta drops the whole miner skeleton, matrices included).
+        layout, ``domain + 1`` bins wide and starting at
+        ``starts[attr]``, so one flat bincount over a gathered slice of
+        the matrix yields *every* attribute's histogram side by side.
+        Ragged (cumulative) starts rather than a rectangular stride keep
+        the bin count at ``Σ (domain + 1)`` instead of ``rows × (max
+        domain + 1)``, which matters when one wide attribute (e.g.
+        Pokec's Region) would otherwise inflate every row's histogram.
+        Derived purely from the immutable store and the attribute
+        selection, so it persists across runs and re-arms like the plain
+        column caches (a store delta drops the whole miner skeleton,
+        matrices included).
 
-        Returns ``(matrix, row_of, offsets, bounds, widths, n_bins)``
-        where ``offsets`` is the int64 segment-start array (also the
-        positions of the per-row null-sentinel bins, since code 0 sits
-        at each segment's start), ``bounds`` its plain-int mirror with
-        ``n_bins`` appended (so row ``r`` spans
-        ``bounds[r]:bounds[r + 1]``) and ``widths`` the int64 per-row
-        segment widths.
+        Returns ``(matrix, starts, n_bins)``.
         """
         attrs = tuple(self.node_attributes)
         entry = self._dst_matrices.get(attrs)
         if entry is None:
-            widths = np.asarray(
-                [self._domain[name] + 1 for name in attrs], dtype=np.int64
-            )
-            offsets = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(widths[:-1]))
-            )
-            n_bins = int(offsets[-1] + widths[-1])
-            first = self._dst_cols[attrs[0]]
-            matrix = np.empty((len(attrs), first.size), dtype=np.int32)
+            starts = {}
+            n_bins = 0
+            for name in attrs:
+                starts[name] = n_bins
+                n_bins += self._domain[name] + 1
+            matrix = np.empty((len(attrs), self.network.num_edges), dtype=np.int32)
             for row, name in enumerate(attrs):
-                np.add(self._dst_cols[name], int(offsets[row]), out=matrix[row])
-            row_of = {name: row for name, row in zip(attrs, range(len(attrs)))}
-            bounds = offsets.tolist() + [n_bins]
-            entry = (matrix, row_of, offsets, bounds, widths, n_bins)
-            self._dst_matrices[attrs] = entry
+                np.add(self._dst_cols[name], starts[name], out=matrix[row])
+            entry = self._dst_matrices[attrs] = (matrix, starts, n_bins)
         return entry
 
     def _context_dst(self, context: _LWContext, name: str) -> np.ndarray:
         """Destination codes of ``name`` gathered onto the context's edges.
 
         Each attribute pays its O(|edges|) fancy-index once per ``l ∧ w``
-        context; every β set touching the attribute (and the top-level
-        RIGHT batch over it) reuses the gathered column.
+        context; every β set touching the attribute (and the context's
+        top-level RIGHT partition on it) reuses the gathered column.
         """
         col = context.dst_gathered.get(name)
         if col is None:

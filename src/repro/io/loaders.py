@@ -17,11 +17,13 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..data.network import SocialNetwork
 from ..data.schema import Attribute, Schema
+
+if TYPE_CHECKING:  # networkx is imported only by the adapter that builds a graph
+    import networkx as nx
 
 __all__ = [
     "save_network",
@@ -120,6 +122,8 @@ def load_network(directory: str | Path) -> SocialNetwork:
 # ----------------------------------------------------------------------
 def to_networkx(network: SocialNetwork) -> nx.MultiDiGraph:
     """Convert to a ``networkx.MultiDiGraph`` with label attributes."""
+    import networkx as nx
+
     graph = nx.MultiDiGraph()
     for index, node_id in enumerate(network.node_ids):
         graph.add_node(node_id, **network.node_record(index))

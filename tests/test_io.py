@@ -1,5 +1,9 @@
 """CSV persistence and networkx interop."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -61,6 +65,25 @@ class TestCSVRoundtrip:
 
 
 class TestNetworkx:
+    def test_networkx_is_imported_only_by_the_adapter(self):
+        # Every ``repro`` process, each ``repro serve`` launch included,
+        # imports the CLI; it must not pay for networkx up front.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, repro.cli, repro.io; "
+            "assert 'networkx' not in sys.modules; "
+            "from repro.datasets.toy import toy_dating_network; "
+            "repro.io.to_networkx(toy_dating_network()); "
+            "assert 'networkx' in sys.modules"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_to_networkx_shape(self, toy_network):
         graph = to_networkx(toy_network)
         assert graph.number_of_nodes() == 14

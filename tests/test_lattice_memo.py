@@ -80,7 +80,8 @@ def _configs(draw, names):
     return MinerConfig(
         node_attributes=node_attributes,
         dynamic_rhs_ordering=draw(st.booleans()),
-        min_support=draw(st.integers(2, 8)),
+        # 0 and 1 keep every non-empty value: the cut at the list's end.
+        min_support=draw(st.integers(0, 8)),
         min_score=draw(st.sampled_from([0.0, 0.2, 0.5])),
         k=draw(st.sampled_from([None, 3, 8])),
         rank_by=draw(st.sampled_from(RANK_METRICS)),
@@ -91,6 +92,7 @@ def _configs(draw, names):
         max_lhs_attrs=draw(st.sampled_from([None, 1, 2])),
         max_rhs_attrs=draw(st.sampled_from([None, 1, 2])),
         max_edge_attrs=draw(st.sampled_from([None, 0, 1])),
+        include_trivial=draw(st.sampled_from([None, True, False])),
     )
 
 
