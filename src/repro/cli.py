@@ -147,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fair-share weight for a network (default 1.0; repeatable)",
     )
     serve.add_argument(
-        "--no-dedup",
-        action="store_true",
-        help="disable single-flight dedup of identical concurrent jobs",
-    )
-    serve.add_argument(
         "--no-warm-start",
         action="store_true",
         help="default sweep batches to cold floors (a batch passing "
@@ -614,7 +609,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             async with Scheduler(
                 hub,
                 max_inflight=args.max_inflight,
-                dedup=not args.no_dedup,
                 warm_start=not args.no_warm_start,
             ) as scheduler:
                 for name, weight in weights:
@@ -624,7 +618,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         f"serving {len(registrations)} network(s) on "
                         f"http://{args.host}:{server.port} "
                         f"({hub.workers} workers, {scheduler.slots} slots, "
-                        f"dedup={'off' if args.no_dedup else 'on'}, "
                         f"warm-start={'off' if args.no_warm_start else 'on'}) — "
                         "Ctrl-C to stop"
                     )

@@ -18,7 +18,7 @@ result cache that can persist to disk between processes
 
 from .cache import DiskResultCache, ResultCache, TieredResultCache
 from .delta import MigrationReport, migrate_fingerprint
-from .engine import EngineStats, MiningEngine, PreparedQuery
+from .engine import EngineStats, Execution, MiningEngine
 from .hub import EngineHub
 from .request import MineRequest
 
@@ -26,10 +26,10 @@ __all__ = [
     "DiskResultCache",
     "EngineHub",
     "EngineStats",
+    "Execution",
     "MigrationReport",
     "MineRequest",
     "MiningEngine",
-    "PreparedQuery",
     "ResultCache",
     "TieredResultCache",
     "migrate_fingerprint",

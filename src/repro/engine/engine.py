@@ -21,9 +21,20 @@ query stream:
 * results are memoized in an LRU keyed by ``(store fingerprint,
   canonical request)``.
 
+A cache miss is planned into an :class:`~repro.parallel.Execution`
+(:meth:`MiningEngine.prepare`), whose ``mode`` is ``"pooled"`` (shard
+tasks for the fleet), ``"inline"`` (one shard, or ``workers=1``: the
+same shard machinery in-process) or ``"serial"`` (the plain
+:class:`~repro.core.miner.GRMiner`, for requests without ``workers``).
+:meth:`MiningEngine.sweep` drives a batch of them itself; the
+:mod:`repro.serve` scheduler drives the same executions through the
+same steps and hands them back to :meth:`MiningEngine.finish` and
+:meth:`MiningEngine.release_bus`.
+
 Semantics are inherited, not reimplemented: every query runs through the
-exact same :func:`run_shard` / :func:`merge_shard_results` machinery as
-:class:`~repro.parallel.ParallelGRMiner` (sharded mode) or the plain
+exact same :func:`run_shard` / :meth:`Execution.merge
+<repro.parallel.Execution.merge>` machinery as
+:class:`~repro.parallel.ParallelGRMiner` (sharded modes) or the plain
 :class:`~repro.core.miner.GRMiner` (serial mode), so the equivalence
 harness's guarantees — Definition 5 exactness and worker-count
 determinism — carry over unchanged.
@@ -33,7 +44,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ..core.miner import GRMiner, MinerConfig
@@ -41,22 +52,24 @@ from ..core.results import MiningResult
 from ..data.network import SocialNetwork
 from ..data.store import CompactStore, SharedStoreHandle, SharedStoreLease, StoreDelta
 from ..parallel.miner import (
+    Execution,
     check_worker_count,
+    dispatch,
     execute_shards_inline,
+    gather,
     memo_counts,
-    merge_shard_results,
+    shard_tasks,
     warn_if_overprovisioned,
 )
 from ..obs.metrics import REGISTRY
 from ..parallel.planner import plan_shards
 from ..parallel.pool import BusPool, PersistentWorkerPool, default_start_method
-from ..parallel.worker import ShardTask
 from ..serve.markers import coordinator_only
 from .cache import ResultCache
 from .delta import migrate_fingerprint
 from .request import MineRequest
 
-__all__ = ["EngineStats", "MiningEngine", "PreparedQuery"]
+__all__ = ["EngineStats", "Execution", "MiningEngine"]
 
 _WARM_STARTS = REGISTRY.counter(
     "repro_warm_starts_total",
@@ -124,54 +137,6 @@ class EngineStats:
             "migration_fallbacks": self.migration_fallbacks,
             "warm_starts": self.warm_starts,
         }
-
-
-@dataclass
-class PreparedQuery:
-    """The planned-but-not-yet-executed front half of one query.
-
-    Splitting a query into *prepare* (cache lookup, branch planning,
-    shard construction, bus checkout — all coordinator-side and quick)
-    and *execute* (shard tasks on the fleet, gather, merge) is what lets
-    the :mod:`repro.serve` scheduler own submission order: it prepares
-    many jobs, then feeds their ``tasks`` to the shared fleet one slot
-    at a time under its own priority / fairness policy, calling
-    :meth:`MiningEngine.finish` once every shard settled.
-
-    ``mode`` is one of:
-
-    * ``"cached"`` — ``result`` already holds the answer;
-    * ``"serial"`` — run on the coordinator via
-      :meth:`MiningEngine.execute_prepared`;
-    * ``"inline"`` — single-shard / ``workers=1``: same call, runs the
-      shard machinery in-process;
-    * ``"pooled"`` — submit ``tasks`` to the worker fleet, gather the
-      :class:`~repro.parallel.worker.ShardResult`\\ s, then
-      :meth:`MiningEngine.finish`.
-
-    A prepared query holding a ``bus`` owns that checkout until
-    :meth:`MiningEngine.release_bus` — which must only happen after
-    every submitted shard settled (a straggler would otherwise publish
-    stale floors into whichever query acquires the segment next).
-    """
-
-    request: MineRequest
-    key: tuple
-    mode: str
-    result: MiningResult | None = None
-    config: MinerConfig | None = None
-    plan: object = None
-    tasks: tuple[ShardTask, ...] = ()
-    bus: object = None
-    started: float = 0.0
-    #: Warm-start floor the bus was seeded with (``None`` = cold).
-    floor: float | None = None
-    #: ``AsyncResult``s of submitted tasks (the blocking sweep path).
-    pending: list = field(default_factory=list)
-    #: Named sub-phase timings recorded by the engine, as
-    #: ``{name: (start_perf_counter_s, end_perf_counter_s)}`` — the raw
-    #: material the serve scheduler turns into trace spans.
-    timings: dict = field(default_factory=dict)
 
 
 class MiningEngine:
@@ -263,72 +228,70 @@ class MiningEngine:
         All pooled queries' shard tasks are dispatched round-robin over
         the one shared fleet before any gather, so a sweep's wall time
         approaches the makespan of the combined task bag instead of the
-        sum of per-query makespans.  Serial-mode queries run on the
-        coordinator while the fleet churns.  Results come back in
-        request order; duplicates within a batch are mined once.
+        sum of per-query makespans.  Serial and inline queries run on
+        the coordinator while the fleet churns.  Results come back in
+        request order; duplicates within a batch share one execution.
         """
         self._ensure_open()
         requests = [
             req if isinstance(req, MineRequest) else MineRequest.create(**req)
             for req in requests
         ]
-        results: list[MiningResult | None] = [None] * len(requests)
-        misses: list[tuple[int, MineRequest, tuple]] = []
-        inflight: dict[tuple, int] = {}  # canonical key -> first index mining it
-        for i, request in enumerate(requests):
-            self.stats.queries += 1
-            key = self.query_key(request)
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                # The cache hands out private snapshots, so tagging the
-                # copy (consumed by e.g. the CLI's per-row accounting)
-                # cannot leak into the stored entry or other callers.
-                cached.params["cached"] = True
-                results[i] = cached
-                continue
-            if key in inflight:  # duplicate within this batch
-                self.stats.cache_hits += 1
-                results[i] = inflight[key]
-                continue
-            self.stats.cache_misses += 1
-            inflight[key] = i
-            misses.append((i, request, key))
-
-        jobs = self._dispatch_pooled(misses)
+        answers: list[MiningResult | Execution] = []
+        executions: dict[tuple, Execution] = {}
+        try:
+            for request in requests:
+                key = self.query_key(request)
+                if key in executions:  # duplicate within this batch
+                    self.stats.queries += 1
+                    self.stats.cache_hits += 1
+                    answers.append(executions[key])
+                    continue
+                answer = self.prepare(request)
+                if isinstance(answer, Execution):
+                    executions[key] = answer
+                answers.append(answer)
+            pooled = [e for e in executions.values() if e.mode == "pooled"]
+            handles = dispatch(pooled, self._ensure_pool()) if pooled else []
+        except BaseException:
+            # A bus is only recyclable while none of its query's shards
+            # reached the fleet; the others stay checked out (reclaimed
+            # at close()).
+            for execution in executions.values():
+                if execution.inflight == 0:
+                    self.release_bus(execution)
+            raise
 
         # Coordinator-side work while the fleet churns on pooled shards.
-        # One failing query must not stop the others: every pooled job
-        # is always gathered (each job's bus may only be recycled after
-        # all of its shards settled, or a straggler from the dead query
-        # would publish stale floors into whichever query acquires the
-        # segment next), completed work is cached, and the first error
-        # is re-raised at the end.
+        # One failing query must not stop the others: every pooled
+        # execution is always gathered (its bus may only be recycled
+        # once all of its shards settled), completed work is cached, and
+        # the first error is re-raised at the end.
+        results: dict[tuple, MiningResult] = {}
         errors: list[BaseException] = []
-        for i, prepared in jobs:
-            if prepared.mode == "pooled":
-                continue  # gathered below, after the coordinator's work
+        for execution in executions.values():
+            if execution.mode != "pooled":
+                try:
+                    results[execution.key] = self.run_in_process(execution)
+                except BaseException as exc:
+                    errors.append(exc)
+        gather(handles)
+        for execution in pooled:
+            self.release_bus(execution)
             try:
-                results[i] = self.execute_prepared(prepared)
-            except BaseException as exc:
-                errors.append(exc)
-        for i, prepared in jobs:
-            if prepared.mode != "pooled":
-                continue
-            try:
-                results[i] = self._gather(prepared)
+                if execution.error is not None:
+                    raise execution.error
+                results[execution.key] = self.finish(execution)
             except BaseException as exc:
                 errors.append(exc)
         if errors:
             raise errors[0]
-
-        # Resolve in-batch duplicates to their mined sibling's result.
         return [
-            r if isinstance(r, MiningResult) else results[r] for r in results
+            results[a.key] if isinstance(a, Execution) else a for a in answers
         ]
 
     # ------------------------------------------------------------------
-    # Prepare / execute split (the non-blocking hooks repro.serve uses)
+    # The steps a driver runs an execution through
     # ------------------------------------------------------------------
     def query_key(self, request: MineRequest) -> tuple:
         """The result-cache identity of ``request`` over this store."""
@@ -337,16 +300,17 @@ class MiningEngine:
         ))
 
     @coordinator_only
-    def prepare(self, request: MineRequest, floor: float | None = None) -> PreparedQuery:
-        """The front half of one query: cache lookup, planning, sharding.
+    def prepare(
+        self, request: MineRequest, floor: float | None = None
+    ) -> MiningResult | Execution:
+        """The front half of one query: cache lookup, then planning.
 
-        Returns a :class:`PreparedQuery` whose ``mode`` tells the caller
-        how to run the back half — a ``"cached"`` result is already
-        final, ``"serial"``/``"inline"`` run via
-        :meth:`execute_prepared`, and ``"pooled"`` tasks are the
-        caller's to submit (in any interleaving) before :meth:`finish`.
-        Stats are counted here, so a scheduler-served query shows up in
-        :class:`EngineStats` exactly like a ``sweep()``-served one.
+        A cache hit returns the answer itself — a private snapshot
+        tagged ``params["cached"]`` — and creates no execution; a miss
+        returns the :class:`~repro.parallel.Execution`
+        :meth:`plan_query` built.  Stats are counted here, so a
+        scheduler-served query shows up in :class:`EngineStats` exactly
+        like a ``sweep()``-served one.
 
         ``floor`` is an optional *warm-start* threshold: a pooled
         query's threshold bus is checked out pre-seeded with it, so
@@ -355,7 +319,7 @@ class MiningEngine:
         valid results of **this** query scoring at least it (derived
         in :func:`repro.engine.request.warmstart_dominates`; the
         :mod:`repro.serve` admission planner computes such floors from
-        dominating sweep points).  Serial/inline/cached modes ignore it.
+        dominating sweep points).  Serial and inline executions ignore it.
         """
         self._ensure_open()
         self.stats.queries += 1
@@ -363,28 +327,29 @@ class MiningEngine:
         cached = self._cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
+            # The cache hands out private snapshots, so tagging the copy
+            # (consumed by e.g. the CLI's per-row accounting) cannot
+            # leak into the stored entry or other callers.
             cached.params["cached"] = True
-            return PreparedQuery(request=request, key=key, mode="cached", result=cached)
+            return cached
         self.stats.cache_misses += 1
         return self.plan_query(request, key, floor=floor)
 
     @coordinator_only
     def plan_query(
         self, request: MineRequest, key: tuple, floor: float | None = None
-    ) -> PreparedQuery:
-        """Plan one cache-missed query into an executable form.
+    ) -> Execution:
+        """Plan one cache-missed query into an :class:`Execution`.
 
-        Serial requests defer all work to execution; pooled requests pay
-        branch planning, sharding, the bus checkout and the store-handle
-        resolution here, so their tasks can be dispatched without
-        touching the engine again.  ``floor`` seeds the pooled bus as on
-        :meth:`prepare`.
+        Serial requests defer all work to :meth:`run_in_process`; sharded
+        requests pay branch planning, sharding, the bus checkout and the
+        store-handle resolution here, so their tasks can be dispatched
+        without touching the engine again.  ``floor`` seeds the pooled
+        bus as on :meth:`prepare`.
         """
-        if request.workers is None:
-            return PreparedQuery(
-                request=request, key=key, mode="serial", config=request.to_config()
-            )
         config = request.to_config()
+        if request.workers is None:
+            return Execution(config=config, mode="serial", key=key)
         plan = self._armed_skeleton(config).plan_branches()
         workers = min(request.workers, self.workers)
         if request.workers > self.workers and not self._warned_clamp:
@@ -419,160 +384,75 @@ class MiningEngine:
         # been submitted — so it must go back to the pool, not strand.
         try:
             store_handle = self._task_store_handle() if pooled else None
-            tasks = tuple(
-                ShardTask(
-                    shard_id=j,
-                    branches=branches,
-                    config=config,
-                    bus_handle=bus.handle() if bus is not None else None,
-                    store_handle=store_handle,
-                )
-                for j, branches in enumerate(shards)
-            )
         except BaseException:
             if bus is not None:
                 self._bus_pool().release(bus)
             raise
-        return PreparedQuery(
-            request=request,
-            key=key,
-            mode="pooled" if pooled else "inline",
+        return Execution(
             config=config,
+            mode="pooled" if pooled else "inline",
+            key=key,
             plan=plan,
-            tasks=tasks,
+            tasks=shard_tasks(shards, config, bus, store_handle),
             bus=bus,
             floor=applied_floor,
             timings=timings,
         )
 
     @coordinator_only
-    def execute_prepared(self, prepared: PreparedQuery) -> MiningResult:
-        """Run a cached / serial / inline prepared query to completion."""
-        if prepared.mode == "cached":
-            return prepared.result
-        if prepared.mode == "serial":
-            result = self._mine_serial(prepared.request)
-            self._cache.put(prepared.key, result)
-            return result
-        if prepared.mode == "inline":
-            prepared.started = time.perf_counter()
-            shard_results = execute_shards_inline(
-                self._armed_skeleton(prepared.config), prepared.tasks
+    def run_in_process(self, execution: Execution) -> MiningResult:
+        """Run a serial or inline execution to completion on this thread."""
+        execution.started = time.perf_counter()
+        skeleton = self._armed_skeleton(execution.config)
+        if execution.mode == "serial":
+            result = skeleton.mine()
+            result.params["engine"] = self.fingerprint
+            self._cache.put(execution.key, result)
+        elif execution.mode == "inline":
+            execution.results = execute_shards_inline(skeleton, execution.tasks)
+            result = self.finish(execution)
+        else:
+            raise ValueError(
+                "pooled executions run on the fleet: dispatch their tasks, "
+                "settle the shard results, then call finish()"
             )
-            return self.finish(prepared, shard_results)
-        raise ValueError(
-            "pooled queries are executed by submitting prepared.tasks to "
-            "the fleet and calling finish() with the gathered shard results"
-        )
+        execution.shards_done = execution.shards_total
+        execution.timings["execute"] = (execution.started, time.perf_counter())
+        return result
 
     @coordinator_only
-    def finish(self, prepared: PreparedQuery, shard_results) -> MiningResult:
-        """Merge a pooled/inline query's shard results and cache it.
-
-        Gather order does not matter (the merge is a total-order reduce
-        and the stats are sums); results are normalized by shard id so
-        the scheduler's completion-order collection is equivalent to the
-        sweep's submission-order one.
-        """
+    def finish(self, execution: Execution) -> MiningResult:
+        """Merge a drained pooled/inline execution's shards and cache it."""
         merge_started = time.perf_counter()
-        shard_results = sorted(shard_results, key=lambda r: r.shard_id)
-        entries, stats = merge_shard_results(
-            shard_results, prepared.config, prepared.plan.pruned_by_support
-        )
-        stats.runtime_seconds = time.perf_counter() - prepared.started
-        prepared.timings["merge"] = (merge_started, time.perf_counter())
-        params = self._armed_skeleton(prepared.config)._params()
+        entries, stats = execution.merge()
+        execution.timings["merge"] = (merge_started, time.perf_counter())
+        params = self._armed_skeleton(execution.config)._params()
         params.update(
-            workers=len(prepared.tasks),
-            shards=len(prepared.tasks),
+            workers=len(execution.tasks),
+            shards=len(execution.tasks),
             start_method=self.start_method,
             engine=self.fingerprint,
-            warm_floor=prepared.floor,
-            **memo_counts(shard_results),
+            warm_floor=execution.floor,
+            **memo_counts(execution.results),
         )
         result = MiningResult(grs=entries, stats=stats, params=params)
-        self._cache.put(prepared.key, result)
+        self._cache.put(execution.key, result)
         return result
 
     @coordinator_only
-    def release_bus(self, prepared: PreparedQuery) -> None:
-        """Return a prepared query's bus checkout (idempotent).
+    def release_bus(self, execution: Execution) -> None:
+        """Return an execution's bus checkout (idempotent).
 
-        Only safe once every submitted shard of the query has settled —
-        or before any was submitted at all.
+        Only safe once the execution drained — or before any of its
+        shards was dispatched at all.
         """
-        if prepared.bus is not None:
-            self._bus_pool().release(prepared.bus)
-            prepared.bus = None
+        if execution.bus is not None:
+            self._bus_pool().release(execution.bus)
+            execution.bus = None
 
     # ------------------------------------------------------------------
-    # Pooled execution (the blocking sweep path)
+    # The serial skeleton
     # ------------------------------------------------------------------
-    def _dispatch_pooled(self, misses):
-        """Plan every miss and interleave pooled task submission."""
-        jobs: list[tuple[int, PreparedQuery]] = []
-        try:
-            for i, request, key in misses:
-                jobs.append((i, self.plan_query(request, key)))
-        except BaseException:
-            # Nothing has been submitted yet, so buses acquired for the
-            # jobs planned so far are clean and safe to recycle.
-            for _, prepared in jobs:
-                self.release_bus(prepared)
-            raise
-
-        pooled = [prepared for _, prepared in jobs if prepared.mode == "pooled"]
-        if pooled:
-            try:
-                pool = self._ensure_pool()
-                for prepared in pooled:
-                    prepared.started = time.perf_counter()
-                # Round-robin over jobs so every query progresses at once.
-                cursors = [iter(prepared.tasks) for prepared in pooled]
-                live = list(range(len(pooled)))
-                while live:
-                    still = []
-                    for j in live:
-                        task = next(cursors[j], None)
-                        if task is None:
-                            continue
-                        pooled[j].pending.append(pool.submit(task))
-                        still.append(j)
-                    live = still
-            except BaseException:
-                # A bus is only recyclable when none of its query's tasks
-                # reached the pool; buses with in-flight shards stay
-                # checked out (reclaimed at close()).
-                for prepared in pooled:
-                    if not prepared.pending:
-                        self.release_bus(prepared)
-                raise
-        return jobs
-
-    def _gather(self, prepared: PreparedQuery) -> MiningResult:
-        shard_results = []
-        errors: list[BaseException] = []
-        for pending in prepared.pending:
-            try:
-                shard_results.append(pending.get())
-            except BaseException as exc:
-                errors.append(exc)
-        # Every shard has now settled — no straggler can publish to the
-        # bus anymore — so recycling it for the next query is safe.
-        self.release_bus(prepared)
-        if errors:
-            raise errors[0]
-        return self.finish(prepared, shard_results)
-
-    # ------------------------------------------------------------------
-    # Serial execution
-    # ------------------------------------------------------------------
-    @coordinator_only
-    def _mine_serial(self, request: MineRequest) -> MiningResult:
-        result = self._armed_skeleton(request.to_config()).mine()
-        result.params["engine"] = self.fingerprint
-        return result
-
     @coordinator_only
     def _armed_skeleton(self, config: MinerConfig) -> GRMiner:
         """The engine's one serial miner, re-targeted to ``config``."""

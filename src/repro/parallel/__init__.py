@@ -2,7 +2,8 @@
 
 The paper's GRMiner walks the enumeration tree serially; this package
 exploits the tree's embarrassingly parallel first level.  See
-:class:`ParallelGRMiner` for the one-shot orchestration,
+:class:`Execution` for one sharded query and the steps every driver
+runs it through, :class:`ParallelGRMiner` for the one-shot driver,
 :mod:`repro.parallel.planner` for degree-weighted shard packing,
 :mod:`repro.parallel.bus` for the best-effort dynamic-threshold
 exchange, :mod:`repro.parallel.pool` for the long-lived worker-fleet
@@ -14,6 +15,7 @@ exactly equal to the serial miner's Definition 5 semantics.
 
 from .bus import SharedThresholdCollector, ThresholdBus
 from .miner import (
+    Execution,
     ParallelGRMiner,
     check_worker_count,
     execute_shards_inline,
@@ -26,6 +28,7 @@ from .worker import CrossShardGeneralityVerifier, ShardResult, ShardTask, run_sh
 __all__ = [
     "BusPool",
     "CrossShardGeneralityVerifier",
+    "Execution",
     "ParallelGRMiner",
     "PersistentWorkerPool",
     "SharedThresholdCollector",

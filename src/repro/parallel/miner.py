@@ -26,12 +26,20 @@ reference miner, GR for GR.  (Serial ``GRMiner(k)`` agrees too except in
 the rare blocker-in-pruned-subtree case of DESIGN.md §5.5, where the
 parallel result is the more faithful one.)
 
-This class is the one-shot face of the machinery: every ``mine()``
-builds and tears down its own lease and pool.  A stream of queries over
-the same network should go through :class:`repro.engine.MiningEngine`,
-which keeps both alive and routes each query through the same
-:func:`execute_shards` / :func:`merge_shard_results` path used here —
-that shared path is what keeps the two layers answer-identical.
+One sharded query is an :class:`Execution`: the plan and its shard
+tasks, plus what a driver tracks while they run (undispatched tasks,
+in-flight count, settled results, first error).  Every driver moves it
+through the same steps — :meth:`Execution.next_task`,
+:meth:`Execution.settle`, :attr:`Execution.drained`,
+:meth:`Execution.merge` — so its answer never depends on who drove it:
+:class:`ParallelGRMiner` runs one execution over a pool of its own
+(exported, spawned and torn down per ``mine()``);
+:meth:`repro.engine.MiningEngine.sweep` runs a batch of them
+round-robin over its long-lived fleet (:func:`dispatch`, then
+:func:`gather`); the :mod:`repro.serve` scheduler feeds their tasks to
+the fleet one slot at a time.  A stream of queries over one network
+should go through :class:`repro.engine.MiningEngine`, which keeps the
+export and the fleet alive across them.
 """
 
 from __future__ import annotations
@@ -39,9 +47,11 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core.miner import GRMiner, MinerConfig
+from ..core.miner import BranchPlan, GRMiner, MinerConfig
 from ..core.results import MiningResult, MiningStats
 from ..core.topk import TopKCollector
 from ..data.network import SocialNetwork
@@ -51,11 +61,15 @@ from .pool import PersistentWorkerPool, default_start_method
 from .worker import ShardResult, ShardTask, make_worker_state, run_shard
 
 __all__ = [
+    "Execution",
     "ParallelGRMiner",
     "check_worker_count",
+    "dispatch",
     "execute_shards_inline",
+    "gather",
     "memo_counts",
     "merge_shard_results",
+    "shard_tasks",
     "warn_if_overprovisioned",
 ]
 
@@ -147,6 +161,154 @@ def execute_shards_inline(
     return [run_shard(task, state=state) for task in tasks]
 
 
+def shard_tasks(
+    shards: Sequence[tuple], config: MinerConfig, bus=None, store_handle=None
+) -> tuple[ShardTask, ...]:
+    """One :class:`ShardTask` per planned shard, all on one bus and store."""
+    bus_handle = bus.handle() if bus is not None else None
+    return tuple(
+        ShardTask(
+            shard_id=j,
+            branches=branches,
+            config=config,
+            bus_handle=bus_handle,
+            store_handle=store_handle,
+        )
+        for j, branches in enumerate(shards)
+    )
+
+
+@dataclass(eq=False)
+class Execution:
+    """One planned sharded query and everything its driver tracks.
+
+    ``mode`` is ``"pooled"`` (the tasks go to a worker fleet),
+    ``"inline"`` (one shard, or ``workers=1``: the same shard machinery
+    runs in-process) or ``"serial"`` (the plain :class:`GRMiner`; no
+    tasks).  A driver hands out tasks with :meth:`next_task`, records
+    each one that comes back with :meth:`settle` and is done once
+    :attr:`drained`; :meth:`merge` is then the deterministic reduce.
+
+    An execution holding a ``bus`` owns that checkout until it drained:
+    a straggler shard would otherwise publish stale floors into
+    whichever query checks the segment out next.  Several
+    :class:`~repro.serve.ServeJob`\\ s may share one execution
+    (``jobs``); it runs at the highest priority among them.
+    """
+
+    config: MinerConfig
+    mode: str = "inline"
+    #: Result-cache identity (engine-planned executions).
+    key: tuple = ()
+    plan: BranchPlan | None = None
+    tasks: tuple[ShardTask, ...] = ()
+    bus: ThresholdBus | None = None
+    #: Warm-start floor the bus was seeded with (``None`` = cold).
+    floor: float | None = None
+    #: Named coordinator-side phases as ``{name: (start, end)}``
+    #: ``perf_counter`` seconds — the raw material of trace spans.
+    timings: dict = field(default_factory=dict)
+    #: When the first shard was handed out (or the in-process run began).
+    started: float = 0.0
+    #: Shards handed out and not yet settled.
+    inflight: int = 0
+    shards_done: int = 0
+    results: list = field(default_factory=list)
+    #: The first shard failure; nothing more is handed out after it.
+    error: BaseException | None = None
+    #: Served network whose lease this execution pins (``repro.serve``).
+    network: str | None = None
+    pinned: bool = False
+    #: The jobs sharing this execution (``repro.serve``).
+    jobs: list = field(default_factory=list)
+    #: Tasks not yet handed out.
+    queue: deque = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.queue = deque(self.tasks)
+
+    @property
+    def shards_total(self) -> int:
+        return max(len(self.tasks), 1)
+
+    @property
+    def drained(self) -> bool:
+        """Nothing left to hand out and every handed-out shard settled."""
+        return not self.queue and self.inflight == 0
+
+    @property
+    def priority(self) -> int:
+        """The highest priority among the attached jobs (0 with none)."""
+        return max((job.priority for job in self.jobs), default=0)
+
+    def next_task(self) -> ShardTask:
+        task = self.queue.popleft()
+        self.inflight += 1
+        if not self.started:
+            self.started = time.perf_counter()
+        return task
+
+    def settle(
+        self, result: ShardResult | None = None, error: BaseException | None = None
+    ) -> None:
+        """Record one handed-out shard as back, with its result or error."""
+        self.inflight -= 1
+        self.shards_done += 1
+        if error is None:
+            self.results.append(result)
+            return
+        if self.error is None:
+            self.error = error
+        self.stop()
+
+    def stop(self) -> None:
+        """Hand out no further task (cancelled, or a shard failed)."""
+        self.queue.clear()
+
+    def merge(self) -> tuple[list, MiningStats]:
+        """Rank-merge the settled shards; stats are timed from ``started``.
+
+        Settle order does not matter: the merge is a total-order reduce
+        and the stats are sums, and results are taken in shard order.
+        """
+        results = sorted(self.results, key=lambda r: r.shard_id)
+        entries, stats = merge_shard_results(
+            results, self.config, self.plan.pruned_by_support
+        )
+        stats.runtime_seconds = time.perf_counter() - self.started
+        return entries, stats
+
+
+def dispatch(executions: Sequence[Execution], pool) -> list[tuple]:
+    """Submit every execution's tasks to ``pool``, round-robin across
+    executions so each query progresses at once.
+
+    Returns ``(execution, AsyncResult)`` pairs for :func:`gather`.
+    """
+    handles = []
+    live = [execution for execution in executions if execution.queue]
+    while live:
+        for execution in live:
+            handles.append((execution, pool.submit(execution.next_task())))
+        live = [execution for execution in live if execution.queue]
+    return handles
+
+
+def gather(handles: Sequence[tuple]) -> None:
+    """Block until every dispatched shard settled on its execution.
+
+    A failed shard never raises here: it becomes its execution's
+    ``error``, so every other shard is still waited for.
+    """
+    for execution, handle in handles:
+        try:
+            result = handle.get()
+        except Exception as exc:
+            execution.settle(error=exc)
+        else:
+            execution.settle(result)
+
+
 class ParallelGRMiner:
     """Mine top-k GRs with sharded worker processes.
 
@@ -193,56 +355,50 @@ class ParallelGRMiner:
     # ------------------------------------------------------------------
     def mine(self) -> MiningResult:
         """Plan, shard, mine and merge; returns the ranked result."""
-        start = time.perf_counter()
+        started = time.perf_counter()
+        config = self._config
         plan = self._serial.plan_branches()
         warn_if_overprovisioned(self.workers, len(plan.branches))
         shards = plan_shards(plan.branches, self.workers)
-        if len(shards) <= 1 or self.workers == 1:
-            tasks = [
-                ShardTask(shard_id=i, branches=branches, config=self._config)
-                for i, branches in enumerate(shards)
-            ]
-            shard_results = execute_shards_inline(self._serial, tasks)
-        else:
-            shard_results = self._mine_pool(shards)
-
-        entries, stats = merge_shard_results(
-            shard_results, self._config, plan.pruned_by_support
+        pooled = len(shards) > 1 and self.workers > 1
+        bus = None
+        if pooled and config.push_topk and config.k is not None:
+            bus = ThresholdBus(num_slots=len(shards))
+        execution = Execution(
+            config=config,
+            mode="pooled" if pooled else "inline",
+            plan=plan,
+            tasks=shard_tasks(shards, config, bus),
+            bus=bus,
+            started=started,
         )
-        stats.runtime_seconds = time.perf_counter() - start
+        try:
+            if pooled:
+                # A one-query pool: spawned over this store's export and
+                # torn down with it.
+                with self._serial.store.lease_shared() as lease:
+                    with PersistentWorkerPool(
+                        lease.handle,
+                        processes=len(shards),
+                        start_method=self.start_method,
+                        threshold_refresh=self.threshold_refresh,
+                    ) as pool:
+                        gather(dispatch([execution], pool))
+            else:
+                execution.results = execute_shards_inline(
+                    self._serial, execution.tasks
+                )
+        finally:
+            if bus is not None:
+                bus.release()
+        if execution.error is not None:
+            raise execution.error
+        entries, stats = execution.merge()
         params = self._serial._params()
         params.update(
             workers=self.workers,
             shards=len(shards),
             start_method=self.start_method,
-            **memo_counts(shard_results),
+            **memo_counts(execution.results),
         )
         return MiningResult(grs=entries, stats=stats, params=params)
-
-    # ------------------------------------------------------------------
-    def _mine_pool(self, shards: Sequence[tuple]) -> list[ShardResult]:
-        """Fan the shards out over a freshly spawned, one-query pool."""
-        bus: ThresholdBus | None = None
-        if self._config.push_topk and self._config.k is not None:
-            bus = ThresholdBus(num_slots=len(shards))
-        try:
-            with self._serial.store.lease_shared() as lease:
-                tasks = [
-                    ShardTask(
-                        shard_id=i,
-                        branches=branches,
-                        config=self._config,
-                        bus_handle=bus.handle() if bus is not None else None,
-                    )
-                    for i, branches in enumerate(shards)
-                ]
-                with PersistentWorkerPool(
-                    lease.handle,
-                    processes=len(shards),
-                    start_method=self.start_method,
-                    threshold_refresh=self.threshold_refresh,
-                ) as pool:
-                    return pool.run_query(tasks)
-        finally:
-            if bus is not None:
-                bus.release()

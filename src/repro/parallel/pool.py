@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..data.store import SharedStoreHandle
 from ..obs.metrics import REGISTRY
 from ..serve.markers import coordinator_only
 from .bus import ThresholdBus
-from .worker import ShardResult, ShardTask, initialize_worker, run_shard
+from .worker import ShardTask, initialize_worker, run_shard
 
 __all__ = ["BusPool", "PersistentWorkerPool", "default_start_method"]
 
@@ -158,11 +158,6 @@ class PersistentWorkerPool:
         return self._pool.apply_async(
             run_shard, (task,), callback=_done, error_callback=_err
         )
-
-    def run_query(self, tasks: Sequence[ShardTask]) -> list[ShardResult]:
-        """Dispatch one query's tasks and gather its shard results."""
-        pending = [self.submit(task) for task in tasks]
-        return [handle.get() for handle in pending]
 
     # ------------------------------------------------------------------
     @property

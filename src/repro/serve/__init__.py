@@ -2,22 +2,22 @@
 
 The hub made many networks share one fleet; this layer makes many
 *concurrent users* share it.  A :class:`Scheduler` owns the fleet's
-in-flight slots and admits shard tasks from every submitted
-:class:`ServeJob` through strict priorities and weighted-fair
-per-network interleaving, so a bulk sweep on one network no longer
-blocks a single query on another.  Jobs support deadlines and
-cooperative cancellation (stop submitting, drain in-flight shards,
-recycle the bus); answers stay GR-for-GR equal to a direct
-``hub.mine()`` under any interleaving because the execution machinery —
-prepare, shard, merge, cache — is the engine's own.
+in-flight slots and admits shard tasks from every execution in flight
+through strict priorities and weighted-fair per-network interleaving,
+so a bulk sweep on one network no longer blocks a single query on
+another.  Each submitted :class:`ServeJob` is a handle on one
+execution.  Jobs support deadlines and cooperative cancellation (the
+job detaches; the execution's last job leaving stops it, drains its
+in-flight shards and recycles its bus); answers stay GR-for-GR equal to
+a direct ``hub.mine()`` under any interleaving because the execution
+machinery — prepare, shard, merge, cache — is the engine's own.
 
 A query-admission planner rides in front: identical concurrent jobs
-collapse into one *single-flight* execution (followers attach to the
-leader and share its outcome), and dominance-related sweep batches mine
-their seed point first, warm-starting the dominated points' threshold
-buses with its k-th-best score
-(:func:`~repro.engine.request.warmstart_dominates` derives the sound
-direction; unsound pairs fall back to cold floors).
+attach to one *single-flight* execution and share its outcome, and
+dominance-related sweep batches mine their seed point first,
+warm-starting the dominated points' threshold buses with its
+k-th-best score (:func:`~repro.engine.request.warmstart_dominates`
+derives the sound direction; unsound pairs fall back to cold floors).
 
 :class:`ServeHTTP` puts the scheduler on a wire (stdlib-only HTTP/JSON:
 mine, sweep, append_edges, job status/cancel, stats); ``repro serve``

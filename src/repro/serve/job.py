@@ -1,4 +1,4 @@
-"""ServeJob — one admitted mining request, owned by a :class:`Scheduler`.
+"""ServeJob — one caller's handle on a request, owned by a :class:`Scheduler`.
 
 A job is the serving-layer sibling of
 :class:`~repro.engine.request.MineRequest`: the request says *what* to
@@ -9,40 +9,39 @@ cancellation handle.  Awaiting a job yields its
 :class:`~repro.core.results.MiningResult`; a cancelled or expired job
 raises :class:`JobCancelled` instead.
 
-Jobs move through :class:`JobState`:
+The mining itself is not the job's: it belongs to an
+:class:`~repro.parallel.Execution`, one per distinct query in flight
+(same network, store fingerprint and canonical request), which every
+identical job *attaches* to.  A job reads its live state, shard
+progress and warm-start floor from its execution.  Jobs move through
+:class:`JobState`:
 
-``PENDING`` → ``READY`` (prepared; shard tasks queued for the fleet) →
-``RUNNING`` (shards in flight, or serial/inline execution underway) →
-one of ``DONE`` / ``FAILED`` / ``CANCELLED`` / ``EXPIRED``.
+``PENDING`` (queued, or being planned) → ``READY`` (attached; shard
+tasks queued for the fleet) → ``RUNNING`` (shards in flight, or a
+serial/inline execution underway) → one of ``DONE`` / ``FAILED`` /
+``CANCELLED`` / ``EXPIRED``.
 
-Cache hits skip straight from ``PENDING`` to ``DONE``.  Cancellation is
-cooperative at shard granularity: a cancelled job submits no further
-shards, its in-flight shards drain (their results are discarded), and
-only then is its threshold bus recycled — the same settle-before-release
-invariant the blocking sweep upholds, which is what keeps a cancelled
-job from ever polluting another job's dynamic thresholds.
+Cache hits skip straight from ``PENDING`` to ``DONE`` and never create
+an execution.  Cancelling a job *detaches* it: its execution keeps
+running for the jobs still attached.  When the last one leaves, the
+execution cancels itself — it submits no further shards, its in-flight
+shards drain (their results are discarded), and only then are its
+threshold bus and lease pin released, the settle-before-release
+invariant that keeps a dead query's stale floors out of whichever query
+checks the bus out next.  That last job resolves once the release is
+done.
 
-Two admission-planner roles layer on top (see
-:meth:`Scheduler.submit_sweep`):
-
-* **Single-flight dedup** — a job admitted while an identical one
-  (same network, store fingerprint and canonical request) is already
-  in flight becomes a *follower* of that *leader*: it holds no shards,
-  bus or pins of its own, and resolves with a private copy of the
-  leader's outcome.  The shared execution runs at the maximum priority
-  of the attached jobs; cancelling a follower merely detaches it,
-  cancelling the leader promotes a follower (or re-plans).
-* **Warm-start dependents** — a job submitted with ``floor_from=seed``
-  parks until the seed resolves, then admits with the seed's
-  k-th-best score as its threshold-bus floor (cold when dominance
-  does not hold; ``warm_floor`` records what was applied).
+A job submitted with ``floor_from=seed`` (see
+:meth:`Scheduler.submit_sweep`) parks until the seed resolves, then
+admits with the seed's k-th-best score as its threshold-bus floor —
+cold when dominance does not hold; ``warm_floor`` records what its
+execution applied.
 """
 
 from __future__ import annotations
 
 import asyncio
 import enum
-from collections import deque
 
 from ..engine.request import MineRequest
 
@@ -97,38 +96,25 @@ class ServeJob:
         self.request = request
         self.priority = priority
         self.deadline_s = deadline_s
-        self.state = JobState.PENDING
         self.cancel_requested = False
         self.cancel_reason: str | None = None
-        #: Fleet-slot accounting (scheduler-owned, event-loop thread only).
+        #: Submission order (the scheduler's FIFO tie-break).
         self.seq: int = 0
         self.future: asyncio.Future = scheduler._loop.create_future()
         self.submitted_at: float = scheduler._loop.time()
         self.finished_at: float | None = None
-        self.shards_total: int = 0
-        self.shards_done: int = 0
         self.cached: bool = False
         #: Single-flight identity ``(network, fingerprint, canonical
         #: key)``, assigned at admission (``None`` until then).
         self.dedup_key = None
-        #: True when this job rode another job's execution (follower).
+        #: True when this job attached to an execution another job opened.
         self.deduped: bool = False
-        #: Warm-start floor the threshold bus was seeded with, if any.
-        self.warm_floor: float | None = None
-        self._prepared = None
-        self._queue: deque = deque()
-        self._inflight: int = 0
-        self._shard_results: list = []
-        self._error: BaseException | None = None
-        self._pinned: bool = False
-        self._finalized: bool = False
-        #: True while the admitter owns the job (prepare or coordinator
-        #: execution in progress) — cancellation then defers to it.
-        self._executing: bool = False
-        #: Leader this job follows (single-flight), if any.
-        self._leader: "ServeJob | None" = None
-        #: Followers attached to this job's execution (leaders only).
-        self._followers: list["ServeJob"] = []
+        #: The execution this job attached to; kept once the job resolved,
+        #: so its final shard counts stay readable.
+        self.execution = None
+        #: ``PENDING`` until resolved, then the terminal state; the live
+        #: states in between come from the execution.
+        self._state = JobState.PENDING
         #: Warm-start seed whose resolution this job waits for.
         self._floor_source: "ServeJob | None" = None
         #: True while parked in the seed's dependent list (pre-admission;
@@ -140,50 +126,49 @@ class ServeJob:
         #: Deadline timer armed at submit; cancelled on resolution so a
         #: long-deadline job does not leak a live TimerHandle.
         self._deadline_handle = None
-        #: Set when a cancelled leader's execution moved to a promoted
-        #: follower — in-flight shard completions follow this pointer.
-        self._moved_to: "ServeJob | None" = None
         #: SSE progress subscriptions: one ``asyncio.Queue`` per open
         #: ``GET /jobs/{id}/events`` stream (event-loop thread only).
         self._subscribers: list = []
-        #: Running partial top-k ``(score, gr_str)`` merged from arrived
-        #: shard results, capped at the request's k (best-effort preview;
-        #: the exact merge still happens in ``engine.finish``).
-        self._partial_topk: list = []
         #: Highest bus floor ever reported for this job — progress events
         #: must never publish a looser floor than an earlier one.
         self._floor_seen: float | None = None
-        #: Dispatch timestamps (``perf_counter``) of in-flight shards,
-        #: keyed by shard id — closed into trace spans on completion.
-        self._shard_started: dict = {}
-        #: Start timestamp of the finalize phase, for its trace span.
-        self._finalize_started: float | None = None
-
-    @property
-    def effective_priority(self) -> int:
-        """The priority the shared execution runs at: the max over this
-        job and its live followers (single-flight boosts the leader)."""
-        priority = self.priority
-        for follower in self._followers:
-            if not follower.done and follower.priority > priority:
-                priority = follower.priority
-        return priority
 
     # ------------------------------------------------------------------
     @property
+    def state(self) -> JobState:
+        execution = self.execution
+        if self._state is not JobState.PENDING or execution is None:
+            return self._state
+        return JobState.RUNNING if execution.started else JobState.READY
+
+    @property
     def done(self) -> bool:
-        return self.state in TERMINAL_STATES
+        return self._state in TERMINAL_STATES
+
+    @property
+    def shards_total(self) -> int:
+        return self.execution.shards_total if self.execution is not None else 0
+
+    @property
+    def shards_done(self) -> int:
+        return self.execution.shards_done if self.execution is not None else 0
+
+    @property
+    def warm_floor(self) -> float | None:
+        """Warm-start floor the execution's threshold bus was seeded with."""
+        return self.execution.floor if self.execution is not None else None
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Request cooperative cancellation (idempotent, thread-safe).
 
-        Takes effect at the next scheduling point: no further shards are
-        submitted, in-flight ones drain and are discarded, the job's bus
-        is recycled after the drain, and awaiting the job raises
-        :class:`JobCancelled`.  A job whose result is already final is
-        left untouched; a serial/inline execution already running on the
-        coordinator cannot be interrupted, but its job still resolves as
-        cancelled.
+        Takes effect at the next scheduling point: the job detaches from
+        its execution and awaiting it raises :class:`JobCancelled`.  The
+        execution runs on for the other attached jobs; when this was the
+        last one it stops submitting shards, drains the in-flight ones
+        and recycles its bus first.  A job whose result is already final
+        is left untouched; a serial/inline execution already running on
+        the coordinator cannot be interrupted, but its job still
+        resolves as cancelled.
         """
         self._scheduler._request_cancel(self, reason)
 

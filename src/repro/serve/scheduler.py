@@ -4,7 +4,7 @@ The blocking :class:`~repro.engine.EngineHub` is single-coordinator: one
 ``sweep()`` owns the fleet until it returns, so a 50-point sweep on
 network A blocks a 1-query user on network B.  The scheduler inverts
 that ownership — *it* holds the fleet's in-flight slots and feeds them
-one shard task at a time, picked from every admitted job:
+one shard task at a time, picked from every execution in flight:
 
 * **Strict priorities.**  A ready shard of a higher-priority job always
   dispatches before any lower-priority one (priorities are ints, higher
@@ -17,25 +17,26 @@ one shard task at a time, picked from every admitted job:
   two networks make progress proportional to their weights instead of
   FIFO.  A network waking from idle is clamped to the active minimum so
   it cannot burst through accumulated credit.
-* **Cooperative cancellation and deadlines.**  Cancelled jobs stop
-  submitting shards, drain in-flight ones (results discarded) and only
-  then recycle their threshold bus — the settle-before-release invariant
-  that keeps a dead query's stale floors out of whichever query gets the
-  bus next.  ``deadline_s`` arms a timer that cancels with reason
-  ``"deadline"`` (state ``EXPIRED``).
+* **Cooperative cancellation and deadlines.**  A cancelled execution
+  stops submitting shards, drains in-flight ones (results discarded)
+  and only then recycles its threshold bus — the settle-before-release
+  invariant that keeps a dead query's stale floors out of whichever
+  query gets the bus next.  ``deadline_s`` arms a timer that cancels
+  the job with reason ``"deadline"`` (state ``EXPIRED``).
 
-A **query-admission planner** sits in front of the slot scheduler:
+What the slots run are **executions**
+(:class:`~repro.parallel.Execution`): one per distinct query in flight,
+holding its plan, shard tasks, bus, lease pin and settled results.  A
+:class:`ServeJob` is only the caller's handle on one of them:
 
 * **Single-flight dedup.**  Jobs whose ``(network, store fingerprint,
-  canonical request)`` coincide while one is in flight share a single
-  execution: the first becomes the *leader*, later arrivals attach as
-  *followers* that hold no shards, bus or lease pins of their own and
-  resolve with private copies of the leader's outcome.  The shared
-  execution runs at the max priority of all attached jobs; cancelling
-  a follower detaches it, cancelling the leader promotes a follower
-  into the in-flight execution (or re-plans when nothing promotable is
-  in flight yet).  N identical concurrent jobs thus cost one mining
-  pass instead of N.
+  canonical request)`` coincide while an execution for it is in flight
+  *attach* to that execution instead of mining again, and each resolves
+  with a private copy of its outcome.  An execution runs at the highest
+  priority among its attached jobs.  A job that leaves (cancel or
+  deadline) detaches and the execution runs on for the rest; when its
+  last job leaves, the execution cancels itself.  N identical
+  concurrent jobs thus cost one mining pass instead of N.
 * **Speculative warm-start floors.**  :meth:`Scheduler.submit_sweep`
   inspects a co-admitted batch for the provable dominance relation of
   :func:`~repro.engine.request.warmstart_dominates` (same query up to
@@ -50,12 +51,12 @@ A **query-admission planner** sits in front of the slot scheduler:
   to cold execution either way — the floor only rejects GRs that
   provably cannot enter the top-k.
 
-Exactness is inherited, not reimplemented: jobs run through the same
-:meth:`~repro.engine.MiningEngine.prepare` /
-:meth:`~repro.engine.MiningEngine.finish` machinery as the blocking
-sweep (per-job buses, fingerprint-keyed result cache), and the merge is
-gather-order independent, so any interleaving the scheduler produces
-yields GR-for-GR the answer of a direct ``hub.mine()``.
+Exactness is inherited, not reimplemented: executions are planned by
+:meth:`~repro.engine.MiningEngine.prepare` and merged by
+:meth:`~repro.engine.MiningEngine.finish`, the blocking sweep's own
+steps (per-execution buses, fingerprint-keyed result cache), and the
+merge is settle-order independent, so any interleaving the scheduler
+produces yields GR-for-GR the answer of a direct ``hub.mine()``.
 
 Threading model — three actors, strict ownership:
 
@@ -64,7 +65,9 @@ Threading model — three actors, strict ownership:
 * one **coordinator thread** (a 1-thread executor) owns all
   engine-internal mutable state — planning skeletons, bus checkouts,
   leases and pins, the result cache, serial/inline execution — i.e. the
-  role the blocking hub's calling thread used to play;
+  role the blocking hub's calling thread used to play.  A serial or
+  inline execution holds it, and the admission loop, for its whole
+  run, so a serving deployment should prefer sharded requests;
 * the **worker fleet** (processes) owns mining, exactly as before.
 
 While a scheduler serves a hub, route all traffic through it: calling
@@ -85,6 +88,7 @@ from typing import Iterable, Mapping
 from ..core.results import MiningResult
 from ..engine.hub import EngineHub
 from ..engine.request import MineRequest, warmstart_dominates
+from ..parallel.miner import Execution
 from ..obs.metrics import REGISTRY
 from ..obs.trace import NullTracer, Tracer
 from .job import JobCancelled, JobState, ServeJob
@@ -149,11 +153,6 @@ class Scheduler:
         connection's descriptor to the children, whose copies keep
         clients waiting for an EOF that never comes.  ``False`` restores
         the lazy spawn for fleet-less (serial/cached-only) use.
-    dedup:
-        Single-flight dedup of identical concurrent jobs (default on):
-        a job admitted while an equal one (same network, fingerprint,
-        canonical request) is in flight attaches to that execution
-        instead of mining again.
     warm_start:
         Default for speculative warm-start floors (on);
         :meth:`submit_sweep` / :meth:`sweep` accept a per-batch
@@ -182,7 +181,6 @@ class Scheduler:
         hub: EngineHub,
         max_inflight: int | None = None,
         prewarm: bool = True,
-        dedup: bool = True,
         warm_start: bool = True,
         observe: bool = True,
     ) -> None:
@@ -190,7 +188,6 @@ class Scheduler:
             raise ValueError("max_inflight must be positive (or None)")
         self.hub = hub
         self.prewarm = prewarm
-        self.dedup = dedup
         self.warm_start = warm_start
         self.observe = observe
         self.tracer = Tracer() if observe else NullTracer()
@@ -210,8 +207,10 @@ class Scheduler:
         self._jobs: dict[str, ServeJob] = {}
         self._retired: deque[str] = deque()
         self.retain_jobs = 512
-        self._ready: list[ServeJob] = []
+        #: Executions with shard tasks waiting for a fleet slot.
+        self._ready: list[Execution] = []
         self._inflight_slots = 0
+        self._inflight_by_network: dict[str, int] = {}
         self._fleet = None
         self._seq = itertools.count(1)
         self._vtime: dict[str, float] = {}
@@ -224,8 +223,10 @@ class Scheduler:
         #: drained; later ones park in the backlog until the delta lands.
         self._paused: dict[str, int] = {}
         self._backlog: dict[str, deque[ServeJob]] = {}
-        #: Single-flight registry: dedup key -> the in-flight leader.
-        self._singleflight: dict[tuple, ServeJob] = {}
+        #: Single-flight registry: dedup key -> the pooled execution that
+        #: identical jobs attach to while it is in flight.
+        self._executions: dict[tuple, Execution] = {}
+        self._finalizing: set[asyncio.Task] = set()
         self._counters = {
             "submitted": 0,
             "completed": 0,
@@ -280,17 +281,17 @@ class Scheduler:
         for job in list(self._jobs.values()):
             if not job.done:
                 self._request_cancel(job, "scheduler shutdown")
-        # Futures resolve only after each job's in-flight shards settled
-        # and its bus/pin were released on the coordinator.
+        # The job that ends an execution resolves only after its
+        # in-flight shards settled and its bus/pin were released on the
+        # coordinator.
         pending = [job.future for job in self._jobs.values() if not job.done]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         if self._admitter is not None:
-            self._admitter.cancel()
-            try:
-                await self._admitter
-            except asyncio.CancelledError:
-                pass
+            # The sentinel queues behind any admission in progress, which
+            # releases what it planned for its since-cancelled job.
+            self._admit.put_nowait(None)
+            await self._admitter
             self._admitter = None
         self._coordinator.shutdown(wait=True)
 
@@ -505,7 +506,7 @@ class Scheduler:
         Greedy single-level cover: repeatedly promote the unassigned
         point that dominates the most still-unassigned others to a
         seed, until no point dominates anything.  Identical keys never
-        dominate each other (that is the dedup path), and points under
+        dominate each other (they share one execution), and points under
         no dominance run cold.
         """
         n = len(keys)
@@ -556,13 +557,14 @@ class Scheduler:
     async def append_edges(self, network: str, src, dst, edge_codes=None) -> str:
         """Apply an append-edge delta with a per-network drain barrier.
 
-        Admitted jobs hold shard tasks addressing the network's current
-        store export; mutating under them would unlink that segment (or
-        worse, serve half a query from each edge set).  The barrier
-        pauses *admission* for this network only (other networks keep
-        flowing; late submissions park in a backlog), waits for its
-        active jobs to finish, applies the delta on the coordinator,
-        then releases the backlog.  Returns the new fingerprint.
+        Admitted executions hold shard tasks addressing the network's
+        current store export; mutating under them would unlink that
+        segment (or worse, serve half a query from each edge set).  The
+        barrier pauses *admission* for this network only (other
+        networks keep flowing; late submissions park in a backlog),
+        waits for its active jobs to finish, applies the delta on the
+        coordinator, then releases the backlog.  Returns the new
+        fingerprint.
 
         The delta's cache outcome is surfaced in :meth:`stats`:
         ``delta_migrated_entries`` counts result-cache entries carried
@@ -635,13 +637,15 @@ class Scheduler:
                     waiter.set_result(None)
 
     # ------------------------------------------------------------------
-    # Admission (prepare on the coordinator, classify, enqueue)
+    # Admission (attach, or prepare on the coordinator and enqueue)
     # ------------------------------------------------------------------
     async def _admit_loop(self) -> None:
         while True:
-            job: ServeJob = await self._admit.get()
+            job: ServeJob | None = await self._admit.get()
+            if job is None:
+                return  # close(): every admission before it has finished
             if job.done:
-                continue  # cancelled while queued; already finalized
+                continue  # cancelled while queued; already resolved
             pause_seq = self._paused.get(job.network)
             if pause_seq is not None and job.seq > pause_seq:
                 # Submitted after the barrier began: park until the
@@ -657,120 +661,84 @@ class Scheduler:
             except asyncio.CancelledError:
                 raise
             except BaseException as exc:
-                if not job.done:
-                    job._error = exc
-                    await self._finalize(job)
+                self._resolve(job, JobState.FAILED, error=exc)
 
     async def _admit_one(self, job: ServeJob) -> None:
         engine = self.hub.engine(job.network)
-        if job.cancel_requested:
-            await self._finalize(job)
-            return
         # Single-flight: identical to an in-flight execution -> attach
-        # as a follower and stop; otherwise register as the leader for
-        # this key.  (Admission of a network's jobs never overlaps its
+        # and stop.  (Admission of a network's jobs never overlaps its
         # append_edges barrier, so the fingerprint read is stable.)
         job.dedup_key = (job.network,) + engine.query_key(job.request)
-        if self.dedup:
-            leader = self._singleflight.get(job.dedup_key)
-            if (
-                leader is not None
-                and leader is not job
-                and not leader.done
-                and not leader.cancel_requested
-            ):
-                self._attach_follower(leader, job)
-                return
-            self._singleflight[job.dedup_key] = job
+        shared = self._executions.get(job.dedup_key)
+        if shared is not None:
+            job.deduped = True
+            self._counters["deduped"] += 1
+            _M_DEDUPED.inc()
+            self._attach(job, shared)
+            return
         floor = self._floor_for(job)
-        # While the admitter owns the job (prepare, serial/inline
-        # execution), cancellation defers to the checkpoints below —
-        # a concurrent _finalize would release the bus/pin before the
-        # coordinator even handed them over.
-        job._executing = True
-        try:
-            plan_started = time.perf_counter()
-            prepared = await self._run_coord(self._prepare_sync, engine, job, floor)
-            self.tracer.span(job.id, "plan", plan_started, time.perf_counter())
-            for name, (span_start, span_end) in prepared.timings.items():
-                self.tracer.span(job.id, name, span_start, span_end)
-            job._prepared = prepared
-            job.warm_floor = prepared.floor
-            if prepared.floor is not None:
-                self._counters["warm_started"] += 1
-                _M_WARM_STARTED.inc()
-            if job.cancel_requested:
-                await self._finalize(job)
-                return
-            if prepared.mode == "cached":
+        plan_started = time.perf_counter()
+        prepared = await self._run_coord(
+            self._prepare_sync, engine, job.request, floor
+        )
+        self.tracer.span(job.id, "plan", plan_started, time.perf_counter())
+        if isinstance(prepared, MiningResult):
+            if not job.done:
                 job.cached = True
                 self._counters["cache_hit_jobs"] += 1
                 _M_CACHE_HIT_JOBS.inc()
-                await self._run_coord(self._release_sync, engine, job)
-                self._resolve(job, JobState.DONE, result=prepared.result)
-                return
-            if prepared.mode in ("serial", "inline"):
-                # Coordinator-bound execution: correct and simple, but
-                # it occupies the coordinator — a serving deployment
-                # should prefer pooled requests (workers >= 1).
-                # Uncancellable once started; the flag was checked above.
-                job.state = JobState.RUNNING
-                job.shards_total = max(len(prepared.tasks), 1)
-                try:
-                    exec_started = time.perf_counter()
-                    result = await self._run_coord(
-                        engine.execute_prepared, prepared
-                    )
-                    self.tracer.span(
-                        job.id, "execute", exec_started, time.perf_counter()
-                    )
-                except BaseException as exc:
-                    job._error = exc
-                    await self._finalize(job)
-                    return
-                job.shards_done = job.shards_total
-                if job.cancel_requested:
-                    # The answer landed in the cache, but the contract
-                    # is uniform: a cancelled job yields no result.
-                    await self._finalize(job)
-                    return
-                await self._run_coord(self._release_sync, engine, job)
-                self._resolve(job, JobState.DONE, result=result)
-                return
-        finally:
-            job._executing = False
-        # Pooled: the scheduler owns submission from here on.
-        if self._fleet is None:
-            self._fleet = await self._run_coord(engine._ensure_pool)
-        if job.done:
-            return  # cancelled during the fleet spawn; already settled
-        if job.cancel_requested:
-            await self._finalize(job)
+                self._resolve(job, JobState.DONE, result=prepared)
             return
-        job._queue = deque(prepared.tasks)
-        job.shards_total = len(prepared.tasks)
-        job.state = JobState.READY
-        self._enter_ready(job)
-        self._publish_progress(job)
+        execution = prepared
+        for name, (span_start, span_end) in execution.timings.items():
+            self.tracer.span(job.id, name, span_start, span_end)
+        if execution.floor is not None:
+            self._counters["warm_started"] += 1
+            _M_WARM_STARTED.inc()
+        if execution.mode == "pooled" and self._fleet is None:
+            try:
+                self._fleet = await self._run_coord(engine._ensure_pool)
+            except BaseException:
+                await self._run_coord(self._release_sync, engine, execution)
+                raise
+        if job.done:  # cancelled while being planned: nothing went out
+            await self._run_coord(self._release_sync, engine, execution)
+            return
+        self._attach(job, execution)
+        if execution.mode != "pooled":
+            # Serial/inline: runs on the coordinator, holding it and
+            # this admission loop for the whole run.  Uncancellable once
+            # started; a job cancelled meanwhile resolves at once.
+            await self._finalize(execution)
+            return
+        self._executions[job.dedup_key] = execution
+        self._enter_ready(execution)
         self._fill_slots()
 
     @coordinator_only
-    def _prepare_sync(self, engine, job: ServeJob, floor=None):
+    def _prepare_sync(self, engine, request: MineRequest, floor=None):
         # Runs on the coordinator thread.  The pin must precede the
         # prepare: prepare resolves the store handle (possibly exporting
         # a lease), and an interleaved prepare for another network must
-        # not budget-evict it while this job's tasks still address it.
-        self.hub.pin_lease(job.network)
-        job._pinned = True
-        return engine.prepare(job.request, floor=floor)
+        # not budget-evict it while this execution's tasks address it.
+        self.hub.pin_lease(engine.name)
+        try:
+            prepared = engine.prepare(request, floor=floor)
+        except BaseException:
+            self.hub.unpin_lease(engine.name)
+            raise
+        if isinstance(prepared, Execution):
+            prepared.network = engine.name
+            prepared.pinned = True
+            return prepared
+        self.hub.unpin_lease(engine.name)  # a cache hit addresses no lease
+        self._publish_hub_stats()
+        return prepared
 
-    def _attach_follower(self, leader: ServeJob, job: ServeJob) -> None:
-        """Ride ``leader``'s execution instead of mining again."""
-        job._leader = leader
-        job.deduped = True
-        leader._followers.append(job)
-        self._counters["deduped"] += 1
-        _M_DEDUPED.inc()
+    def _attach(self, job: ServeJob, execution) -> None:
+        job.execution = execution
+        execution.jobs.append(job)
+        self._publish_progress(job)
 
     def _floor_for(self, job: ServeJob) -> float | None:
         """The warm-start floor this job admits with, or ``None``.
@@ -815,14 +783,10 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Slot scheduling (event-loop thread only)
     # ------------------------------------------------------------------
-    def _enter_ready(self, job: ServeJob) -> None:
-        active = {j.network for j in self._ready}
-        active.update(
-            j.network
-            for j in self._jobs.values()
-            if j._inflight > 0 and not j.done
-        )
-        if job.network not in active:
+    def _enter_ready(self, execution) -> None:
+        active = {e.network for e in self._ready}
+        active.update(n for n, count in self._inflight_by_network.items() if count)
+        if execution.network not in active:
             # A network waking from idle re-enters *at* the active
             # minimum, from either side: clamping up keeps it from
             # bursting through credit accumulated while absent, and
@@ -832,113 +796,94 @@ class Scheduler:
             floor = min(
                 (self._vtime.get(n, 0.0) for n in active), default=0.0
             )
-            self._vtime[job.network] = floor
-        self._ready.append(job)
+            self._vtime[execution.network] = floor
+        self._ready.append(execution)
 
-    def _pick(self) -> ServeJob | None:
-        """The next job to advance: priority, then fair share, then FIFO.
-
-        Priority is the *effective* one — a leader with a
-        higher-priority follower attached dispatches at the follower's
-        level, so single-flight never slows the most urgent attachee.
-        """
-        best = None
-        best_rank = None
-        for job in self._ready:
-            rank = (
-                -job.effective_priority,
-                self._vtime.get(job.network, 0.0),
-                job.seq,
-            )
-            if best_rank is None or rank < best_rank:
-                best, best_rank = job, rank
-        return best
+    def _pick(self):
+        """The next execution to advance: priority, then fair share, then
+        FIFO.  Its priority is the highest among its attached jobs, so
+        single-flight never slows the most urgent of them."""
+        return min(
+            self._ready,
+            key=lambda e: (
+                -e.priority,
+                self._vtime.get(e.network, 0.0),
+                e.jobs[0].seq,
+            ),
+        )
 
     def _fill_slots(self) -> None:
         while self._inflight_slots < self.slots and self._ready:
-            job = self._pick()
-            if job is None:
-                return
-            task = job._queue.popleft()
-            if not job._queue:
-                self._ready.remove(job)
-            if job.state is JobState.READY:
-                job.state = JobState.RUNNING
-                job._prepared.started = time.perf_counter()
-            job._inflight += 1
+            execution = self._pick()
+            task = execution.next_task()
+            if not execution.queue:
+                self._ready.remove(execution)
+            network = execution.network
             self._inflight_slots += 1
+            self._inflight_by_network[network] = (
+                self._inflight_by_network.get(network, 0) + 1
+            )
             self._counters["shards_dispatched"] += 1
             _M_SHARDS_DISPATCHED.inc()
-            job._shard_started[task.shard_id] = time.perf_counter()
-            self._shards_by_network[job.network] = (
-                self._shards_by_network.get(job.network, 0) + 1
+            self._shards_by_network[network] = (
+                self._shards_by_network.get(network, 0) + 1
             )
-            weight = self._weights.get(job.network, 1.0)
-            self._vtime[job.network] = (
-                self._vtime.get(job.network, 0.0) + 1.0 / weight
-            )
+            weight = self._weights.get(network, 1.0)
+            self._vtime[network] = self._vtime.get(network, 0.0) + 1.0 / weight
+            sent = time.perf_counter()
             self._fleet.submit(
                 task,
-                callback=lambda res, j=job: self._from_fleet(j, res, None),
-                error_callback=lambda exc, j=job: self._from_fleet(j, None, exc),
+                callback=lambda res, e=execution, t=sent: self._from_fleet(
+                    e, t, res, None
+                ),
+                error_callback=lambda exc, e=execution, t=sent: self._from_fleet(
+                    e, t, None, exc
+                ),
             )
 
-    def _from_fleet(self, job: ServeJob, result, exc) -> None:
+    def _from_fleet(self, execution, sent: float, result, exc) -> None:
         # Pool result-handler thread: marshal onto the loop and return.
         try:
-            self._loop.call_soon_threadsafe(self._on_shard, job, result, exc)
+            self._loop.call_soon_threadsafe(
+                self._on_shard, execution, sent, result, exc
+            )
         except RuntimeError:
             pass  # loop already closed under a forced teardown
 
-    def _on_shard(self, job: ServeJob, result, exc) -> None:
-        # A shard dispatched under a since-cancelled leader belongs to
-        # whoever inherited the execution.
-        while job._moved_to is not None:
-            job = job._moved_to
+    def _on_shard(self, execution, sent: float, result, exc) -> None:
         self._inflight_slots -= 1
+        self._inflight_by_network[execution.network] -= 1
         self._counters["shards_completed"] += 1
         _M_SHARDS_COMPLETED.inc()
-        job._inflight -= 1
-        job.shards_done += 1
+        execution.settle(result, exc)
         if exc is not None:
-            if job._error is None:
-                job._error = exc
-        elif result is not None:
-            job._shard_results.append(result)
-            shard_started = job._shard_started.pop(result.shard_id, None)
-            if shard_started is not None:
-                self.tracer.span(
-                    job.id,
-                    f"shard-{result.shard_id}",
-                    shard_started,
-                    time.perf_counter(),
-                    tid=result.shard_id + 1,
-                    entries=len(result.entries),
-                )
-            self._merge_partial(job, result)
-        if (job._error is not None or job.cancel_requested) and job._queue:
-            # Stop submitting: the remaining shards are dead weight.
-            job._queue.clear()
-            if job in self._ready:
-                self._ready.remove(job)
-        if job._inflight == 0 and not job._queue and not job.done:
-            self._loop.create_task(self._finalize(job))
-        self._publish_progress(job)
+            self._stop(execution)  # the remaining shards are dead weight
+        else:
+            self.tracer.span(
+                execution.jobs[0].id,
+                f"shard-{result.shard_id}",
+                sent,
+                time.perf_counter(),
+                tid=result.shard_id + 1,
+                entries=len(result.entries),
+            )
+        if execution.drained:
+            self._finalize_soon(execution)
+        for job in execution.jobs:
+            self._publish_progress(job)
         self._fill_slots()
 
-    @staticmethod
-    def _merge_partial(job: ServeJob, result) -> None:
-        """Fold an arrived shard's entries into the job's partial top-k.
+    def _stop(self, execution) -> None:
+        """Dispatch nothing more for ``execution``; attach nobody more."""
+        execution.stop()
+        if execution in self._ready:
+            self._ready.remove(execution)
+        self._forget(execution)
 
-        A best-effort preview for progress streaming only — the exact,
-        tie-broken merge still happens in ``engine.finish``.
-        """
-        k = job.request.k if job.request.k is not None else 10
-        merged = job._partial_topk + [
-            (float(entry.score), str(entry.gr)) for entry in result.entries[:k]
-        ]
-        merged.sort(key=lambda pair: pair[0], reverse=True)
-        job._partial_topk = merged[:k]
+    def _forget(self, execution) -> None:
+        key = (execution.network,) + execution.key
+        if self._executions.get(key) is execution:
+            del self._executions[key]
 
     # ------------------------------------------------------------------
     # Progress streaming (event-loop thread only)
@@ -946,25 +891,37 @@ class Scheduler:
     def progress_payload(self, job: ServeJob) -> dict:
         """JSON-ready progress snapshot for SSE streaming.
 
-        The reported ``floor`` is monotonic per job: the bus read is a
-        lock-free shared-memory max (safe off the coordinator), but the
-        bus is recycled at finalize — without the high-water mark a
-        terminal event could report a looser floor than an earlier one.
+        State, shard counts, floor and partial top-k are the job's
+        execution's.  The partial top-k folds every settled shard's best
+        entries — a best-effort preview; the exact, tie-broken merge
+        still happens in ``engine.finish``.  The reported ``floor`` is
+        monotonic per job: the bus read is a lock-free shared-memory max
+        (safe off the coordinator), but the bus is recycled once the
+        execution drained — without the high-water mark a terminal event
+        could report a looser floor than an earlier one.
         """
-        floor = None
-        prepared = job._prepared
-        if prepared is not None and prepared.bus is not None:
-            raw = prepared.bus.best_floor()
-            if raw != float("-inf"):
-                floor = raw
-        elif job.warm_floor is not None:
-            floor = job.warm_floor
+        execution = job.execution
+        bus = execution.bus if execution is not None else None
+        floor = job.warm_floor
+        if bus is not None:
+            raw = bus.best_floor()
+            floor = raw if raw != float("-inf") else None
         if floor is not None and (
             job._floor_seen is None or floor > job._floor_seen
         ):
             job._floor_seen = floor
         k = job.request.k
-        topk = list(job._partial_topk)
+        keep = k if k is not None else 10
+        results = execution.results if execution is not None else ()
+        topk = sorted(
+            (
+                (float(entry.score), str(entry.gr))
+                for result in results
+                for entry in result.entries[:keep]
+            ),
+            key=lambda pair: pair[0],
+            reverse=True,
+        )[:keep]
         kth_best = topk[k - 1][0] if (k is not None and len(topk) >= k) else None
         return {
             "job_id": job.id,
@@ -986,61 +943,77 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Completion / cancellation (event-loop thread only)
     # ------------------------------------------------------------------
-    async def _finalize(self, job: ServeJob) -> None:
-        """Settle a job once nothing of it is in flight anymore."""
-        if job._finalized:
-            return
-        job._finalized = True
-        job._finalize_started = time.perf_counter()
-        engine = self.hub.engine(job.network)
+    def _finalize_soon(self, execution) -> None:
+        # The loop holds tasks weakly: keep each one until it is done.
+        task = self._loop.create_task(self._finalize(execution))
+        self._finalizing.add(task)
+        task.add_done_callback(self._finalizing.discard)
+
+    async def _finalize(self, execution) -> None:
+        """Settle a drained execution (or run a serial/inline one) and
+        resolve every job still on it."""
+        finalize_started = time.perf_counter()
+        engine = self.hub.engine(execution.network)
+        result = None
+        error = execution.error
         try:
-            if job.cancel_requested or job._error is not None:
-                await self._run_coord(self._release_sync, engine, job)
-                if job.cancel_requested:
-                    state = (
-                        JobState.EXPIRED
-                        if job.cancel_reason == "deadline"
-                        else JobState.CANCELLED
-                    )
-                    self._resolve(
-                        job, state,
-                        error=JobCancelled(job.id, job.cancel_reason or "cancelled"),
-                    )
-                else:
-                    self._resolve(job, JobState.FAILED, error=job._error)
-                return
-            if job._prepared is not None and job._prepared.mode == "pooled":
-                result = await self._run_coord(self._finish_sync, engine, job)
+            if error is None and not all(
+                job.cancel_requested for job in execution.jobs
+            ):
+                result = await self._run_coord(self._finish_sync, engine, execution)
             else:
-                result = None  # cancelled before planning produced work
-            self._resolve(job, JobState.DONE, result=result)
-        except BaseException as exc:
-            self._resolve(job, JobState.FAILED, error=exc)
+                await self._run_coord(self._release_sync, engine, execution)
+        except Exception as exc:
+            error = exc
+        self._forget(execution)
+        # The last job to leave never detaches, so ``jobs`` is not empty.
+        jobs, execution.jobs = execution.jobs, []
+        for name in ("execute", "merge"):
+            if name in execution.timings:
+                self.tracer.span(jobs[0].id, name, *execution.timings[name])
+        self.tracer.span(
+            jobs[0].id, "finalize", finalize_started, time.perf_counter()
+        )
+        live = [job for job in jobs if not job.cancel_requested]
+        # Each caller gets a private copy of the result: mutating one
+        # caller's copy must not reach another's.
+        snapshot = (
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            if error is None and len(live) > 1
+            else None
+        )
+        for job in jobs:
+            if job.cancel_requested:
+                self._resolve_cancelled(job)
+            elif error is not None:
+                self._resolve(job, JobState.FAILED, error=error)
+            else:
+                copy = result if job is live[0] else pickle.loads(snapshot)
+                self._resolve(job, JobState.DONE, result=copy)
 
     @coordinator_only
-    def _finish_sync(self, engine, job: ServeJob) -> MiningResult:
-        # Coordinator thread: merge, cache, then release bus and pin.
+    def _finish_sync(self, engine, execution) -> MiningResult:
+        # Coordinator thread: merge a drained pooled execution (or run a
+        # serial/inline one), cache, then release bus and pin.
         try:
-            return engine.finish(job._prepared, job._shard_results)
+            if execution.mode == "pooled":
+                return engine.finish(execution)
+            return engine.run_in_process(execution)
         finally:
-            merge = (
-                job._prepared.timings.get("merge")
-                if job._prepared is not None
-                else None
-            )
-            if merge is not None:
-                self.tracer.span(job.id, "merge", merge[0], merge[1])
-            self._release_sync(engine, job)
+            self._release_sync(engine, execution)
 
     @coordinator_only
-    def _release_sync(self, engine, job: ServeJob) -> None:
-        # Coordinator thread.  Safe exactly because finalize waits for
-        # every submitted shard to settle first.
-        if job._prepared is not None:
-            engine.release_bus(job._prepared)
-        if job._pinned:
-            job._pinned = False
-            self.hub.unpin_lease(job.network)
+    def _release_sync(self, engine, execution) -> None:
+        # Coordinator thread.  Safe exactly because an execution is only
+        # released once drained, or before any of its shards went out.
+        engine.release_bus(execution)
+        if execution.pinned:
+            execution.pinned = False
+            self.hub.unpin_lease(execution.network)
+        self._publish_hub_stats()
+
+    @coordinator_only
+    def _publish_hub_stats(self) -> None:
         # Publish a fresh hub snapshot while we're already on the
         # coordinator — the GET /stats read path then serves it without
         # its own round-trip (see hub_stats()).
@@ -1059,25 +1032,17 @@ class Scheduler:
     ) -> None:
         if job.done:
             return
-        job.state = state
+        job._state = state
         job.finished_at = self._loop.time()
-        job._finalized = True
         _M_RESOLVED.labels(state=state.value).inc()
         _M_JOB_LATENCY.labels(priority=str(job.priority)).observe(
             job.finished_at - job.submitted_at
         )
-        if job._finalize_started is not None:
-            self.tracer.span(
-                job.id, "finalize", job._finalize_started, time.perf_counter()
-            )
-            job._finalize_started = None
         if job._deadline_handle is not None:
             # Timer-leak fix: a resolved job must not leave its deadline
             # timer live until it fires (only to find the job done).
             job._deadline_handle.cancel()
             job._deadline_handle = None
-        if self._singleflight.get(job.dedup_key) is job:
-            del self._singleflight[job.dedup_key]
         if state is JobState.DONE:
             self._counters["completed"] += 1
             if not job.future.done():
@@ -1095,30 +1060,6 @@ class Scheduler:
                     # Cancellation is a normal outcome the caller may
                     # never await; don't log it as an unretrieved error.
                     job.future.exception()
-        # Single-flight fan-out: every follower still attached shares
-        # this outcome — a private snapshot of the result (mutating one
-        # caller's copy must not reach another's), the same error, or —
-        # when a cancelled leader could not promote (shutdown, or a
-        # coordinator-bound mode) — a trip back through admission.
-        followers, job._followers = job._followers, []
-        snapshot = (
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            if state is JobState.DONE and followers
-            else None
-        )
-        for follower in followers:
-            if follower.done:
-                continue
-            follower._leader = None
-            if state is JobState.DONE:
-                self._resolve(
-                    follower, JobState.DONE, result=pickle.loads(snapshot)
-                )
-            elif state is JobState.FAILED:
-                self._resolve(follower, JobState.FAILED, error=error)
-            else:
-                follower.deduped = False
-                self._admit.put_nowait(follower)
         # Warm-start fan-out: dependents parked on this job re-enter
         # admission (their floor — or a cold fallback — is decided
         # there, against live fingerprints).
@@ -1136,6 +1077,11 @@ class Scheduler:
         self._check_drain(job.network)
         self._publish_progress(job, event="done")
         self._retire(job)
+
+    def _resolve_cancelled(self, job: ServeJob) -> None:
+        reason = job.cancel_reason or "cancelled"
+        state = JobState.EXPIRED if reason == "deadline" else JobState.CANCELLED
+        self._resolve(job, state, error=JobCancelled(job.id, reason))
 
     def _retire(self, job: ServeJob) -> None:
         self._retired.append(job.id)
@@ -1163,100 +1109,26 @@ class Scheduler:
             return
         job.cancel_requested = True
         job.cancel_reason = reason
-        leader = job._leader
-        if leader is not None:
-            # Follower: detach from the shared execution — which keeps
-            # running for the leader and any remaining followers — and
-            # settle.  A follower holds no shards, bus or pins.
-            job._leader = None
-            if job in leader._followers:
-                leader._followers.remove(job)
-            self._loop.create_task(self._finalize(job))
-            return
-        followers = [f for f in job._followers if not f.done]
-        # A leader whose finalize already started (_finalized) is about
-        # to resolve: its _resolve fan-out will deliver the outcome to
-        # the still-attached followers, and its finish may be mid-merge
-        # on the coordinator — neither promoting (which would mutate
-        # _prepared under that merge) nor detaching is correct then.
-        if followers and not job._finalized:
-            if (
-                job._prepared is not None
-                and job._prepared.mode == "pooled"
-                and job.state in (JobState.READY, JobState.RUNNING)
-                and not job._executing
-            ):
-                # In-flight pooled execution: hand it to a follower
-                # rather than throwing the work away.
-                self._promote_follower(job, followers)
+        execution = job.execution
+        if execution is not None and execution.mode == "pooled":
+            if any(not other.cancel_requested for other in execution.jobs):
+                # Detach: the execution runs on for the jobs still on it.
+                execution.jobs.remove(job)
             else:
-                # Nothing promotable in flight (still preparing, or
-                # coordinator-bound): detach and re-plan the followers —
-                # the first one re-admitted becomes a fresh leader
-                # (often a cache hit if this execution still lands).
-                if self._singleflight.get(job.dedup_key) is job:
-                    del self._singleflight[job.dedup_key]
-                job._followers = []
-                for follower in followers:
-                    follower._leader = None
-                    follower.deduped = False
-                    self._admit.put_nowait(follower)
-        if job._queue:
-            job._queue.clear()
-            if job in self._ready:
-                self._ready.remove(job)
-        if job._inflight > 0:
-            return  # _on_shard finalizes after the drain
-        if job._executing:
-            return  # the admitter owns it and finalizes at its next checkpoint
-        # Nothing of the job is anywhere in flight — not in the admit
-        # pipeline, not on the coordinator, not on the fleet (this
-        # includes a RUNNING pooled job whose dispatched shards all
-        # settled while its remaining ones sat queued behind other
-        # jobs) — so settle it now; the admitter skips done jobs.
-        self._loop.create_task(self._finalize(job))
-
-    def _promote_follower(self, leader: ServeJob, followers: list[ServeJob]) -> None:
-        """Transfer a cancelled leader's pooled execution to a follower.
-
-        The heir (highest priority, earliest on ties) inherits the
-        prepared query, the remaining task queue, the in-flight shard
-        accounting, partial shard results and the lease pin; shard
-        completions dispatched under the leader are redirected through
-        ``_moved_to``.  The leader is left holding nothing, so its own
-        cancel path settles it without touching the bus or pin it no
-        longer owns.
-        """
-        heir = max(followers, key=lambda f: (f.priority, -f.seq))
-        heir._leader = None
-        heir.deduped = False
-        heir._followers = [f for f in followers if f is not heir]
-        for follower in heir._followers:
-            follower._leader = heir
-        leader._followers = []
-        heir._prepared, leader._prepared = leader._prepared, None
-        heir._queue, leader._queue = leader._queue, deque()
-        heir._inflight, leader._inflight = leader._inflight, 0
-        heir._shard_results, leader._shard_results = leader._shard_results, []
-        heir._partial_topk, leader._partial_topk = leader._partial_topk, []
-        heir._shard_started, leader._shard_started = leader._shard_started, {}
-        heir.shards_total = leader.shards_total
-        heir.shards_done = leader.shards_done
-        heir._pinned, leader._pinned = leader._pinned, False
-        heir.warm_floor = leader.warm_floor
-        heir.state = leader.state
-        leader._moved_to = heir
-        if self._singleflight.get(leader.dedup_key) is leader:
-            self._singleflight[leader.dedup_key] = heir
-        for i, ready in enumerate(self._ready):
-            if ready is leader:
-                self._ready[i] = heir
-                break
-        if heir._inflight == 0 and not heir._queue and not heir.done:
-            # Every shard had already settled when the leader was
-            # cancelled (its finalize had not run yet): no completion
-            # callback will ever fire again, so settle the heir now.
-            self._loop.create_task(self._finalize(heir))
+                # The last job out cancels the execution and resolves
+                # once it drained and released its bus and pin.  With
+                # shards in flight the last one back finalizes it, and
+                # one that already drained is finalizing; one starved of
+                # slots has nothing in flight, so it finalizes here.
+                starved = bool(execution.queue) and execution.inflight == 0
+                self._stop(execution)
+                if starved:
+                    self._finalize_soon(execution)
+                return
+        # Nothing of the job is anywhere in flight — queued, parked,
+        # detached, or its serial/inline run is the coordinator's to
+        # finish — so it resolves now.
+        self._resolve_cancelled(job)
 
     def _expire(self, job: ServeJob) -> None:
         if not job.done:

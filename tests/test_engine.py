@@ -415,7 +415,7 @@ class TestEngineLifecycle:
         with pytest.raises(Exception):
             with lease:
                 with PersistentWorkerPool(lease.handle, processes=2) as pool:
-                    pool.run_query([poison])
+                    pool.submit(poison).get()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 

@@ -244,7 +244,10 @@ class TestCancellation:
                     # an early cancel if it finished too fast to catch).
                     try:
                         await _wait_for(
-                            lambda: victim._inflight > 0 or victim.done, timeout=10
+                            lambda: victim.execution is not None
+                            and victim.execution.inflight > 0
+                            or victim.done,
+                            timeout=10,
                         )
                     except AssertionError:
                         pass
@@ -307,7 +310,10 @@ class TestCancellation:
                         await _wait_for(
                             lambda: (
                                 victim.done
-                                or (victim._inflight == 0 and victim._queue)
+                                or (
+                                    victim.execution.inflight == 0
+                                    and victim.execution.queue
+                                )
                             ),
                             timeout=20,
                         )
@@ -948,11 +954,11 @@ class TestServeValidation:
         assert args.register == ["a=/tmp/x", "b=/tmp/y"]
         assert args.max_inflight == 3 and args.weight == ["a=2.5"]
         assert args.disk_cache_max_bytes == 1000 and args.disk_cache_ttl == 60.0
-        assert not args.no_dedup and not args.no_warm_start  # defaults on
+        assert not args.no_warm_start  # default on
         args = build_parser().parse_args(
-            ["serve", "--register", "a=/tmp/x", "--no-dedup", "--no-warm-start"]
+            ["serve", "--register", "a=/tmp/x", "--no-warm-start"]
         )
-        assert args.no_dedup and args.no_warm_start
+        assert args.no_warm_start
 
 
 # ---------------------------------------------------------------------------

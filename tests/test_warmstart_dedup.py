@@ -15,9 +15,10 @@ The planner's contract, on top of the serving layer's:
    simply fall back to cold floors).
 3. **Single-flight** — N identical concurrent jobs trigger exactly one
    planned mining execution; every attached future resolves to an
-   equal (but private) result.  Cancelling a follower detaches it;
-   cancelling the leader promotes a follower into the in-flight
-   execution without re-mining.
+   equal (but private) result, and every attached job reports the
+   execution's progress.  Cancelling any one job detaches it and the
+   execution runs on for the rest, without re-mining; once the last
+   job left, the execution stops, drains and releases its bus and pin.
 """
 
 import asyncio
@@ -76,6 +77,14 @@ def _fresh(network, request: MineRequest):
 
 def _key(network, request: MineRequest):
     return request.canonical_key(network.schema, network.num_edges)
+
+
+async def _until(predicate, timeout: float = 30.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        if asyncio.get_running_loop().time() > deadline:
+            raise AssertionError("timed out waiting for a serving condition")
+        await asyncio.sleep(0.002)
 
 
 class TestCanonicalKeyLayout:
@@ -394,8 +403,9 @@ class TestSingleFlight:
                 hub.register("n", network)
                 hub.register("blocker", _make_network(8, num_edges=200))
                 # One slot, occupied by a long higher-priority job: the
-                # leader is planned but starved, guaranteeing the
-                # followers attach while it is verifiably in flight.
+                # first job's execution is planned but starved,
+                # guaranteeing the others attach while it is verifiably
+                # in flight.
                 async with Scheduler(hub, max_inflight=1) as scheduler:
                     blocker = scheduler.submit(
                         "blocker", blocker_request, priority=10
@@ -416,10 +426,54 @@ class TestSingleFlight:
         assert len(planned_dups) == 1  # single-flight: one execution
         assert deduped == [False, True, True, True]
         assert counters["deduped"] == 3
-        # Followers hold private snapshots: mutating one result must
-        # not reach a sibling's.
+        # Attached jobs hold private snapshots: mutating one result
+        # must not reach a sibling's.
         results[1].grs.clear()
         assert _signature(results[2]) == reference
+
+    def test_attached_job_reports_its_execution_progress(self):
+        """A job that attached to another job's execution shows that
+        execution's state and shard counts, and streams its progress."""
+        network = _make_network(10, num_edges=150)
+        request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
+        reference = _signature(_fresh(network, request))
+
+        async def scenario():
+            with EngineHub(workers=2, cache_size=0) as hub:
+                hub.register("n", network)
+                hub.register("blocker", _make_network(8, num_edges=200))
+                async with Scheduler(hub, max_inflight=1) as scheduler:
+                    blocker = scheduler.submit(
+                        "blocker", k=15, min_nhp=0.0, workers=2, priority=10
+                    )
+                    opener = scheduler.submit("n", request)
+                    attached = scheduler.submit("n", request)
+                    # The queue GET /jobs/{id}/events streams from.
+                    stream: asyncio.Queue = asyncio.Queue()
+                    attached._subscribers.append(stream)
+                    await _until(lambda: attached.deduped or attached.done)
+                    starved = [
+                        (job.state, job.shards_total) for job in (opener, attached)
+                    ]
+                    results = [_signature(await opener), _signature(await attached)]
+                    await blocker
+                    events = []
+                    while not stream.empty():
+                        events.append(stream.get_nowait())
+                    counts = (attached.shards_done, attached.shards_total)
+                    return starved, results, counts, events
+
+        starved, results, counts, events = asyncio.run(scenario())
+        assert starved[0] == starved[1]
+        assert starved[1][0] in (JobState.READY, JobState.RUNNING)
+        assert results == [reference, reference]
+        assert counts == (2, 2)
+        names = [event for event, _ in events]
+        assert names[-1] == "done"
+        assert any(
+            event == "progress" and payload["shards_done"] >= 1
+            for event, payload in events[:-1]
+        ), events
 
     def test_cancel_follower_detaches_only(self):
         network = _make_network(9, num_edges=150)
@@ -437,8 +491,8 @@ class TestSingleFlight:
                     leader = scheduler.submit("n", request)
                     follower = scheduler.submit("n", request)
                     keeper = scheduler.submit("n", request)
-                    # Let the admit loop attach the followers (the
-                    # starved leader cannot resolve while the blocker
+                    # Let the admit loop attach the other jobs (the
+                    # starved execution cannot resolve while the blocker
                     # owns the only slot, so attachment is guaranteed).
                     deadline = asyncio.get_running_loop().time() + 30
                     while not follower.deduped and not follower.done:
@@ -456,12 +510,12 @@ class TestSingleFlight:
         first, second, state, keeper_deduped = asyncio.run(scenario())
         assert first == reference and second == reference
         assert state is JobState.CANCELLED
-        assert keeper_deduped  # the surviving follower stayed attached
+        assert keeper_deduped  # the surviving job stayed attached
 
-    def test_cancel_leader_promotes_follower(self, monkeypatch):
-        """A cancelled leader's in-flight pooled execution transfers to
-        a follower: no second mining pass, exact result, leader
-        resolves CANCELLED."""
+    def test_cancel_opener_leaves_execution_running(self, monkeypatch):
+        """The job that opened an in-flight pooled execution leaves it:
+        the attached jobs keep it — no second mining pass, exact
+        results — and the opener resolves CANCELLED."""
         network = _make_network(11, num_edges=150)
         request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
         reference = _signature(_fresh(network, request))
@@ -472,53 +526,53 @@ class TestSingleFlight:
             with EngineHub(workers=2, cache_size=0) as hub:
                 hub.register("n", network)
                 hub.register("blocker", _make_network(8, num_edges=200))
-                # One slot under a long high-priority job: the leader is
+                # One slot under a long high-priority job: the opener is
                 # planned (bus checked out, tasks queued) but starved,
                 # so the cancel deterministically lands while the
-                # execution is promotable.
+                # execution is in flight.
                 async with Scheduler(hub, max_inflight=1) as scheduler:
                     blocker = scheduler.submit(
                         "blocker", k=15, min_nhp=0.0, workers=2, priority=10
                     )
-                    leader = scheduler.submit("n", request)
+                    opener = scheduler.submit("n", request)
                     deadline = asyncio.get_running_loop().time() + 30
-                    while leader.state not in (JobState.READY, JobState.RUNNING):
-                        if leader.done or (
+                    while opener.state not in (JobState.READY, JobState.RUNNING):
+                        if opener.done or (
                             asyncio.get_running_loop().time() > deadline
                         ):
                             break
                         await asyncio.sleep(0.002)
-                    followers = [scheduler.submit("n", request) for _ in range(2)]
-                    while not all(f.deduped or f.done for f in followers):
+                    riders = [scheduler.submit("n", request) for _ in range(2)]
+                    while not all(job.deduped or job.done for job in riders):
                         if asyncio.get_running_loop().time() > deadline:
                             break
                         await asyncio.sleep(0.002)
-                    attached = [f.deduped for f in followers]
-                    leader.cancel()
+                    attached = [job.deduped for job in riders]
+                    opener.cancel()
                     outcomes = []
-                    for follower in followers:
+                    for job in riders:
                         try:
-                            outcomes.append(_signature(await follower))
+                            outcomes.append(_signature(await job))
                         except JobCancelled:
                             outcomes.append("cancelled")
                     cancelled = False
                     try:
-                        await leader
+                        await opener
                     except JobCancelled:
                         cancelled = True
                     await blocker
                     buses = hub._buses
                     freed = buses is None or len(buses._free) == len(buses._all)
-                    return attached, outcomes, cancelled, leader.state, freed
+                    return attached, outcomes, cancelled, opener.state, freed
 
         attached, outcomes, cancelled, state, freed = asyncio.run(scenario())
         assert all(attached) and cancelled
         assert state is JobState.CANCELLED
         assert outcomes == [reference, reference]
         assert len([r for r in plans if r == request]) == 1  # no re-mine
-        assert freed  # the promoted execution still recycled its bus
+        assert freed  # the execution still recycled its bus
 
-    def test_follower_priority_boosts_leader(self):
+    def test_attached_priority_boosts_execution(self):
         async def scenario():
             with EngineHub(workers=2, cache_size=0) as hub:
                 hub.register("n", _make_network(12))
@@ -528,39 +582,109 @@ class TestSingleFlight:
                         "blocker", k=15, min_nhp=0.0, workers=2, priority=10
                     )
                     request = MineRequest(k=5, min_support=1, min_nhp=0.2, workers=2)
-                    leader = scheduler.submit("n", request, priority=0)
-                    follower = scheduler.submit("n", request, priority=7)
+                    opener = scheduler.submit("n", request, priority=0)
+                    urgent = scheduler.submit("n", request, priority=7)
                     deadline = asyncio.get_running_loop().time() + 30
-                    while not follower.deduped and not follower.done:
+                    while not urgent.deduped and not urgent.done:
                         if asyncio.get_running_loop().time() > deadline:
                             break
                         await asyncio.sleep(0.002)
                     boosted = None
-                    if follower.deduped:
-                        boosted = leader.effective_priority
-                    await asyncio.gather(leader, follower, blocker)
-                    settled = leader.effective_priority
+                    if urgent.deduped:
+                        boosted = opener.execution.priority
+                    await asyncio.gather(opener, urgent, blocker)
+                    settled = opener.execution.priority
                     return boosted, settled
 
         boosted, settled = asyncio.run(scenario())
         if boosted is not None:
             assert boosted == 7
-        assert settled == 0  # resolved followers stop boosting
+        assert settled == 0  # resolved jobs stop boosting
 
-    def test_dedup_disabled_mines_each(self, monkeypatch):
-        network = _make_network(13, num_edges=120)
-        request = MineRequest(k=8, min_support=1, min_nhp=0.2, workers=2)
+    def test_cancelling_every_attached_job_cancels_the_execution(
+        self, monkeypatch
+    ):
+        """The last job out stops its starved execution: no further
+        shard, bus and pin released, no dedup entry left — and an
+        identical job afterwards plans afresh and stays exact."""
+        network = _make_network(14, num_edges=150)
+        request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
+        reference = _signature(_fresh(network, request))
         plans: list = []
         self._count_plans(monkeypatch, plans)
 
         async def scenario():
             with EngineHub(workers=2, cache_size=0) as hub:
                 hub.register("n", network)
-                async with Scheduler(hub, dedup=False) as scheduler:
+                hub.register("blocker", _make_network(8, num_edges=200))
+                async with Scheduler(hub, max_inflight=1) as scheduler:
+                    blocker = scheduler.submit(
+                        "blocker", k=15, min_nhp=0.0, workers=2, priority=10
+                    )
                     jobs = [scheduler.submit("n", request) for _ in range(3)]
-                    results = [await job for job in jobs]
-                    return [_signature(r) for r in results]
+                    await _until(lambda: all(j.deduped for j in jobs[1:]))
+                    dispatched = scheduler._shards_by_network.get("n", 0)
+                    for job in jobs:
+                        job.cancel()
+                    states = []
+                    for job in jobs:
+                        with pytest.raises(JobCancelled):
+                            await job
+                        states.append(job.state)
+                    await blocker
+                    after = scheduler._shards_by_network.get("n", 0)
+                    buses = hub._buses
+                    freed = len(buses._free) == len(buses._all)
+                    leftovers = (dict(hub._lease_pins), dict(scheduler._executions))
+                    plans_before = len(plans)
+                    again = _signature(await scheduler.submit("n", request))
+                    return (
+                        states, dispatched, after, freed, leftovers,
+                        len(plans) - plans_before, again,
+                    )
 
-        signatures = asyncio.run(scenario())
-        assert len(set(map(tuple, (map(str, s) for s in signatures)))) <= 1
-        assert len([r for r in plans if r == request]) == 3
+        states, dispatched, after, freed, leftovers, replans, again = (
+            asyncio.run(scenario())
+        )
+        assert states == [JobState.CANCELLED] * 3
+        assert after == dispatched  # no shard went out after the cancels
+        assert freed
+        assert leftovers == ({}, {})
+        assert replans == 1
+        assert again == reference
+
+    def test_failing_execution_fails_every_attached_job(self):
+        """A shard that fails on the fleet fails every job on its
+        execution, releases bus and pin, and poisons nothing after."""
+        network = _make_network(15, num_edges=150)
+        # max_rhs_attrs is only consulted inside the RIGHT recursion, so
+        # planning succeeds and the TypeError fires in the workers.
+        poisoned = MineRequest.create(
+            k=5, min_support=1, min_nhp=0.3, workers=2, max_rhs_attrs="bogus"
+        )
+        loose = MineRequest(k=20, min_support=1, min_nhp=0.0, workers=2)
+
+        async def scenario():
+            with EngineHub(workers=2, cache_size=0) as hub:
+                hub.register("n", network)
+                hub.register("blocker", _make_network(8, num_edges=200))
+                async with Scheduler(hub, max_inflight=1) as scheduler:
+                    blocker = scheduler.submit(
+                        "blocker", k=15, min_nhp=0.0, workers=2, priority=10
+                    )
+                    jobs = [scheduler.submit("n", poisoned) for _ in range(3)]
+                    await _until(lambda: all(j.deduped for j in jobs[1:]))
+                    for job in jobs:
+                        with pytest.raises(TypeError):
+                            await job
+                    await blocker
+                    buses = hub._buses
+                    freed = len(buses._free) == len(buses._all)
+                    pins = dict(hub._lease_pins)
+                    result = _signature(await scheduler.submit("n", loose))
+                    return [job.state for job in jobs], freed, pins, result
+
+        states, freed, pins, result = asyncio.run(scenario())
+        assert states == [JobState.FAILED] * 3
+        assert freed and pins == {}
+        assert result == _signature(_fresh(network, loose))
