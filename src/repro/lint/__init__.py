@@ -9,20 +9,19 @@ swallowed.  This package turns those conventions into machine-checked
 rules (stdlib :mod:`ast` only — no new dependencies) so they fail at
 review time instead of under production load.
 
-PR 10 grew the per-file checks into a whole-program analysis: one
-shared symbol table and conservative call graph
-(:mod:`repro.lint.callgraph`), thread-domain inference over it
-(:mod:`repro.lint.domains`), lock-order cycle detection
-(:mod:`repro.lint.locks`), and pickle-boundary / shared-memory taint
-tracking (:mod:`repro.lint.taint`) — so the coordinator-ownership and
-blocking rules are now *transitive* across files, not just local.
+The checks are a whole-program analysis on one shared symbol table and
+conservative call graph (:mod:`repro.lint.callgraph`), one rule per
+invariant: event-loop reachability (:mod:`repro.lint.domains`),
+lock-order cycle detection (:mod:`repro.lint.locks`), and
+pickle-boundary taint tracking (:mod:`repro.lint.taint`) — so the
+coordinator-ownership, blocking and pickle rules see across files, not
+just local call sites.
 
 Usage::
 
     python -m repro.lint [PATHS ...]      # default: src/
     python -m repro.lint --list-rules
-    python -m repro.lint --json out.json --sarif out.sarif src/
-    python -m repro.lint --baseline old_report.json --stats src/
+    python -m repro.lint --json out.json --stats --verbose src/
 
 Findings are suppressed per-line with a justified pragma::
 
@@ -35,13 +34,13 @@ reporters in :mod:`repro.lint.report`.
 
 from __future__ import annotations
 
-from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import Finding, Pragma, Project, SourceFile, load_project
 from .report import LintReport
-from .rules import ALL_RULES, UNSUPPRESSABLE, Rule, iter_rules
+from .rules import ALL_RULES, UNSUPPRESSABLE, Rule
 
 __all__ = [
     "ALL_RULES",
@@ -52,7 +51,6 @@ __all__ = [
     "Rule",
     "SourceFile",
     "UNSUPPRESSABLE",
-    "iter_rules",
     "load_project",
     "run_lint",
 ]
@@ -61,28 +59,17 @@ __all__ = [
 def run_lint(
     paths: Iterable[str | Path],
     select: Sequence[str] | None = None,
-    baseline: Iterable[tuple[str, str, str]] | None = None,
-    project: Project | None = None,
 ) -> LintReport:
     """Lint every ``*.py`` under ``paths`` and resolve suppressions.
 
     ``select`` restricts the run to the named rules (the ``parse`` and
     ``pragma`` built-ins always run; their findings are unsuppressable).
-    Raises :class:`KeyError` for an unknown rule name.
-
-    ``baseline`` is a collection of ``(rule, path, message)`` triples
-    from a previous run (see ``--baseline``): matching findings are
-    moved to :attr:`LintReport.baselined` and do not fail the run —
-    line numbers are deliberately not matched, so unrelated edits that
-    shift a known finding do not break the gate.
-
-    ``project`` reuses an already-loaded :class:`Project` (and with it
-    the memoized program analysis) instead of re-reading ``paths``.
+    Raises :class:`KeyError` for an unknown rule name.  After every rule
+    ran, ``pragma`` also reports each pragma that suppressed nothing.
     """
     import time
 
-    if project is None:
-        project = load_project(paths)
+    project = load_project(paths)
     if select is None:
         names = list(ALL_RULES)
     else:
@@ -91,8 +78,8 @@ def run_lint(
             raise KeyError(f"unknown rule(s): {', '.join(unknown)}")
         names = list(dict.fromkeys(list(select) + sorted(UNSUPPRESSABLE)))
 
-    remaining = Counter(baseline or ())
     by_display = {f.display: f for f in project}
+    used: set[tuple[str, int]] = set()  # (path, line) of pragmas that fired
     report = LintReport(files_checked=len(project.files), rules_run=names)
     timings: dict[str, float] = {}
     for name in names:
@@ -107,22 +94,14 @@ def run_lint(
                 and finding.rule in pragma.rules
                 and finding.rule not in UNSUPPRESSABLE
             ):
+                used.add((finding.path, pragma.line))
                 report.suppressed.append(
-                    Finding(
-                        rule=finding.rule,
-                        path=finding.path,
-                        line=finding.line,
-                        col=finding.col,
-                        message=finding.message,
-                        justification=pragma.justification,
-                    )
+                    replace(finding, justification=pragma.justification)
                 )
-            elif remaining[(finding.rule, finding.path, finding.message)] > 0:
-                remaining[(finding.rule, finding.path, finding.message)] -= 1
-                report.baselined.append(finding)
             else:
                 report.findings.append(finding)
         timings[name] = time.perf_counter() - started
+    report.findings.extend(ALL_RULES["pragma"].stale(project, used, names))
     analysis = project._analysis  # populated only if a rule needed it
     report.stats = {
         **(analysis.stats() if analysis is not None else

@@ -1,21 +1,18 @@
 """CLI entry point: ``python -m repro.lint [PATHS ...]``.
 
-Exit status: 0 when the tree is clean (no unsuppressed, unbaselined
-findings), 1 when findings remain, 2 on usage errors — including a
-``--select`` naming an unknown rule or selecting nothing at all.
+Exit status: 0 when the tree is clean (no unsuppressed findings), 1 when
+findings remain, 2 on usage errors — including a ``--select`` naming an
+unknown rule or selecting nothing at all.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import pickle
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import ALL_RULES, UNSUPPRESSABLE, load_project, run_lint
+from . import ALL_RULES, UNSUPPRESSABLE, run_lint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,17 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(parent directories are created)",
     )
     parser.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="also write a SARIF 2.1.0 log to PATH",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="suppress findings recorded in a previous --json report "
-        "(matched by rule, path, and message; not by line)",
-    )
-    parser.add_argument(
         "--select",
         metavar="RULE[,RULE...]",
         help="run only the named rules (parse/pragma built-ins always run)",
@@ -61,12 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print analysis statistics (files, functions, call edges, "
         "slowest rules)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="cache the parsed project + call graph under DIR, keyed by a "
-        "hash of the source tree (used by CI to skip re-parsing)",
     )
     parser.add_argument(
         "-v",
@@ -86,54 +66,6 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _load_baseline(path: str) -> list[tuple[str, str, str]]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    triples: list[tuple[str, str, str]] = []
-    for section in ("findings", "baselined"):
-        for entry in data.get(section, []):
-            triples.append((entry["rule"], entry["path"], entry["message"]))
-    return triples
-
-
-def _tree_key(paths: list[str]) -> str:
-    """Hash of every source file's path + contents under ``paths``."""
-    digest = hashlib.sha256()
-    for raw in sorted(paths):
-        root = Path(raw)
-        files = [root] if root.is_file() else sorted(
-            p for p in root.rglob("*.py") if "__pycache__" not in p.parts
-        )
-        for p in files:
-            digest.update(p.as_posix().encode())
-            try:
-                digest.update(p.read_bytes())
-            except OSError:
-                pass
-    return digest.hexdigest()[:32]
-
-
-def _cached_project(cache_dir: str, paths: list[str]):
-    """Load the (project, analysis) pickle for this tree, or build and
-    store it.  A stale or unreadable cache entry is simply rebuilt."""
-    key = _tree_key(paths)
-    entry = Path(cache_dir) / f"lint-cache-{key}.pickle"
-    if entry.exists():
-        try:
-            project = pickle.loads(entry.read_bytes())
-            print(f"cache: hit {entry.name}", file=sys.stderr)
-            return project
-        except Exception:
-            pass  # version skew / truncation: fall through and rebuild
-    project = load_project(paths)
-    project.analysis()  # build the call graph so the cache includes it
-    entry.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        entry.write_bytes(pickle.dumps(project))
-    except Exception as exc:
-        print(f"cache: not written ({exc})", file=sys.stderr)
-    return project
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_rules:
@@ -151,17 +83,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = _load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: unreadable baseline: {exc}", file=sys.stderr)
-            return 2
-    project = _cached_project(args.cache, paths) if args.cache else None
     try:
-        report = run_lint(paths, select=select, baseline=baseline,
-                          project=project)
+        report = run_lint(paths, select=select)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -169,9 +92,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.json:
         out = report.write_json(args.json)
         print(f"json report: {out}")
-    if args.sarif:
-        out = report.write_sarif(args.sarif)
-        print(f"sarif report: {out}")
     return 0 if report.ok else 1
 
 

@@ -7,29 +7,24 @@ table (every function/method/class, with decorators and markers), an
 import map (including relative imports and re-exports through package
 ``__init__`` files — both ``from .mod import name`` and the PEP 562
 ``_LAZY`` table ``repro.serve`` uses), and a call graph whose edges
-carry the *dispatch kind* of each call site:
+carry the *kind* of each call site:
 
 ``call``
     An ordinary synchronous call — runs on the caller's thread.
 ``partial``
     ``functools.partial(f, ...)`` — conservatively assumed to be
     invoked on the caller's thread.
-``coord``
-    A function *reference* handed to ``Scheduler._run_coord`` or
-    ``loop.run_in_executor`` — runs on the coordinator thread.
 ``loop``
     A reference handed to ``call_soon`` / ``call_soon_threadsafe`` /
     ``call_later`` / ``call_at`` / ``create_task`` / ``ensure_future``
-    — runs on the event loop.
-``worker``
-    A reference that crosses the process boundary: the target of
-    ``pool.apply_async``, positional ``submit`` payloads on pool/fleet
-    receivers, and ``Pool(initializer=...)``.
-``any``
-    A reference whose execution context is unknown: ``callback=`` /
-    ``error_callback=`` keywords of ``submit``/``apply_async`` (they
-    run on the pool's result-handler thread) and calls made inside
-    ``lambda`` bodies (deferred to whoever invokes the lambda).
+    — runs on the event loop, so its target is an event-loop entry.
+
+A function *reference* handed anywhere else — ``Scheduler._run_coord``,
+``run_in_executor``, pool ``submit``/``apply_async`` targets and
+callbacks — produces no edge: it runs on another thread or process,
+so no rule follows the caller's thread into it.  Calls written inside a
+``lambda`` body produce no edge either: they run whenever, and on
+whichever thread, the lambda is invoked.
 
 Soundness envelope (what the conservative analysis can miss): name
 resolution is static and name-based — ``getattr(obj, name)()``, calls
@@ -65,6 +60,7 @@ __all__ = [
     "ClassInfo",
     "FunctionInfo",
     "ProgramAnalysis",
+    "awaited_call_ids",
     "dotted",
     "last_name",
     "walk_scope",
@@ -77,13 +73,10 @@ _LOOP_DISPATCH = frozenset(
     {"call_soon", "call_soon_threadsafe", "call_later", "call_at",
      "create_task", "ensure_future"}
 )
-#: ``submit``/``apply_async`` keywords that run parent-side.
-_PARENT_KWARGS = frozenset({"callback", "error_callback"})
 
 
 # --------------------------------------------------------------------------
-# shared AST helpers (duplicated from rules.py would be a cycle: rules
-# imports the interprocedural rule classes, which import this module)
+# shared AST helpers
 
 
 def walk_scope(body: Iterable[ast.AST]) -> Iterator[ast.AST]:
@@ -117,14 +110,6 @@ def last_name(node: ast.AST) -> str | None:
     return None
 
 
-def _has_marker(node: ast.AST, marker: str) -> bool:
-    for dec in getattr(node, "decorator_list", []):
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if last_name(target) == marker:
-            return True
-    return False
-
-
 def _decorator_names(node: ast.AST) -> tuple[str, ...]:
     names = []
     for dec in getattr(node, "decorator_list", []):
@@ -135,7 +120,8 @@ def _decorator_names(node: ast.AST) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _awaited_call_ids(tree: ast.AST) -> set[int]:
+def awaited_call_ids(tree: ast.AST) -> set[int]:
+    """ids of Call nodes that are the direct operand of ``await``."""
     return {
         id(n.value)
         for n in ast.walk(tree)
@@ -203,8 +189,7 @@ class CallEdge:
     path: str  # caller file display path (finding anchor)
     line: int
     col: int
-    kind: str  # call | partial | coord | loop | worker | any
-    awaited: bool = False
+    kind: str  # call | partial | loop
 
 
 @dataclass
@@ -253,7 +238,6 @@ class ProgramAnalysis:
         for file in project:
             if file.tree is not None:
                 self._index_file(file)
-        self._link_class_methods()
         self._infer_field_types()
         for file in project:
             if file.tree is not None:
@@ -399,11 +383,6 @@ class ProgramAnalysis:
             parts = parts + node.module.split(".")
         return ".".join(parts) if parts else None
 
-    def _link_class_methods(self) -> None:
-        # Methods were registered per-module; nothing further to do here
-        # beyond priming the related-class cache lazily.
-        self._related_cache.clear()
-
     # -- pass 1.5: field types -------------------------------------------
 
     def _infer_field_types(self) -> None:
@@ -414,7 +393,9 @@ class ProgramAnalysis:
                     if isinstance(stmt, ast.AnnAssign) and isinstance(
                         stmt.target, ast.Name
                     ):
-                        self._record_annotation(cls, stmt.target.id, stmt.annotation)
+                        self._apply_annotation(
+                            self._field(cls, stmt.target.id), stmt.annotation
+                        )
                 for method in cls.methods.values():
                     annotations = {
                         a.arg: a.annotation
@@ -438,14 +419,11 @@ class ProgramAnalysis:
                                 and target.value.id == "self"
                             ):
                                 continue
+                            ft = self._field(cls, target.attr)
                             if isinstance(node, ast.AnnAssign):
-                                self._record_annotation(
-                                    cls, target.attr, node.annotation
-                                )
+                                self._apply_annotation(ft, node.annotation)
                             if value is not None:
-                                self._record_value(
-                                    cls, table, target.attr, value, annotations
-                                )
+                                self._classify_value(ft, table, value, annotations)
 
     def _field(self, cls: ClassInfo, attr: str) -> _FieldType:
         return self.field_types.setdefault((cls.name, attr), _FieldType())
@@ -465,21 +443,6 @@ class ProgramAnalysis:
             ft.types |= project
         else:
             ft.nonproject = True
-
-    def _record_annotation(
-        self, cls: ClassInfo, attr: str, annotation: ast.AST
-    ) -> None:
-        self._apply_annotation(self._field(cls, attr), annotation)
-
-    def _record_value(
-        self,
-        cls: ClassInfo,
-        table: _ModuleTable,
-        attr: str,
-        value: ast.AST,
-        annotations: dict[str, ast.AST],
-    ) -> None:
-        self._classify_value(self._field(cls, attr), table, value, annotations)
 
     def _classify_value(
         self,
@@ -598,65 +561,46 @@ class ProgramAnalysis:
         self._related_cache[name] = result
         return result
 
-    def methods_named(
+    def _methods(
         self, attr: str, within: frozenset[str] | None = None
     ) -> list[FunctionInfo]:
-        candidates = [
+        """Methods named ``attr``: of the classes ``within``, or of every
+        project class (the untyped fallback)."""
+        return [
             f
             for f in self.by_name.get(attr, [])
-            if f.cls is not None and f.parent is None
+            if f.cls is not None
+            and f.parent is None
+            and (within is None or f.cls in within)
         ]
-        if within is not None:
-            scoped = [f for f in candidates if f.cls in within]
-            if scoped:
-                return scoped
-        return candidates
 
     # -- pass 2: call edges ----------------------------------------------
 
     def _extract_calls(self, file: SourceFile) -> None:
         module = module_name(file)
-        awaited = _awaited_call_ids(file.tree)
+        awaited = awaited_call_ids(file.tree)
         for info in self.functions.values():
-            if info.file is not file:
-                continue
-            body = (
-                info.node.body
-                if isinstance(
-                    info.node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
-                )
-                else []
-            )
-            for node in walk_scope(body):
-                if isinstance(node, ast.Call):
-                    self._edge_from_call(info, module, node, awaited)
-                elif isinstance(node, ast.Lambda):
-                    # Calls inside a lambda run whenever someone invokes
-                    # it — attribute them with kind "any".
-                    for sub in ast.walk(node.body):
-                        if isinstance(sub, ast.Call):
-                            self._edge_from_call(
-                                info, module, sub, awaited, force_kind="any"
-                            )
+            if info.file is file:
+                for node in walk_scope(info.node.body):
+                    if isinstance(node, ast.Call):
+                        self._edge_from_call(
+                            info, module, node, id(node) in awaited
+                        )
 
     def _add_edge(
         self,
         caller: FunctionInfo,
-        callee: FunctionInfo | None,
+        callee: FunctionInfo,
         node: ast.AST,
         kind: str,
-        awaited: bool = False,
     ) -> None:
-        if callee is None:
-            return
         edge = CallEdge(
             caller=caller.qname,
             callee=callee.qname,
             path=caller.file.display,
-            line=getattr(node, "lineno", caller.line),
-            col=getattr(node, "col_offset", 0),
+            line=node.lineno,
+            col=node.col_offset,
             kind=kind,
-            awaited=awaited,
         )
         self.edges.append(edge)
         self.edges_by_caller.setdefault(edge.caller, []).append(edge)
@@ -684,13 +628,6 @@ class ProgramAnalysis:
                         frontier.append(base)
         return frozenset(out)
 
-    def _scoped_methods(self, attr: str, within: frozenset[str]) -> list[FunctionInfo]:
-        return [
-            f
-            for f in self.by_name.get(attr, [])
-            if f.cls in within and f.parent is None
-        ]
-
     def _field_classes(
         self, classes: frozenset[str], attr: str
     ) -> frozenset[str] | str | None:
@@ -709,10 +646,7 @@ class ProgramAnalysis:
             types |= ft.types
             nonproject |= ft.nonproject
         if types:
-            related: set[str] = set()
-            for t in types:
-                related |= self.related_classes(t)
-            return frozenset(related)
+            return frozenset().union(*map(self.related_classes, types))
         if seen and nonproject:
             return "nonproject"
         return None
@@ -734,10 +668,7 @@ class ProgramAnalysis:
             project = self._annotation_project(arg.annotation)
             if not project:
                 return "nonproject"
-            related: set[str] = set()
-            for t in project:
-                related |= self.related_classes(t)
-            return frozenset(related)
+            return frozenset().union(*map(self.related_classes, project))
         table = self.modules.get(module)
         if table is None:
             return None
@@ -758,10 +689,7 @@ class ProgramAnalysis:
         if not seen or ft.unknown:
             return None
         if ft.types:
-            related = set()
-            for t in ft.types:
-                related |= self.related_classes(t)
-            return frozenset(related)
+            return frozenset().union(*map(self.related_classes, ft.types))
         if ft.nonproject:
             return "nonproject"
         return None
@@ -777,42 +705,30 @@ class ProgramAnalysis:
             and node.value.func.id == "super"
             and caller.cls is not None
         ):
-            return self._scoped_methods(node.attr, self._base_classes(caller.cls))
+            return self._methods(node.attr, self._base_classes(caller.cls))
         recv = dotted(node.value)
-        if recv is not None:
-            parts = recv.split(".")
-            if parts[0] in ("self", "cls") and caller.cls is not None:
-                classes = self.related_classes(caller.cls)
-                for hop in parts[1:]:
-                    resolved = self._field_classes(classes, hop)
-                    if resolved is None:
-                        return self.methods_named(node.attr)
-                    if resolved == "nonproject":
-                        return []
-                    classes = resolved
-                return self._scoped_methods(node.attr, classes)
+        if recv is None:
+            return self._methods(node.attr)
+        root, *hops = recv.split(".")
+        if root in ("self", "cls") and caller.cls is not None:
+            classes = self.related_classes(caller.cls)
+        else:
             mod = self._receiver_module(module, recv)
             if mod is not None:
                 resolved = self.resolve_export(mod, node.attr)
-                if isinstance(resolved, FunctionInfo):
-                    return [resolved]
                 if isinstance(resolved, ClassInfo):
-                    init = resolved.methods.get("__init__")
-                    return [init] if init is not None else []
-                return []
-            classes = self._name_classes(caller, module, parts[0])
-            if classes is not None:
-                if classes == "nonproject":
-                    return []
-                for hop in parts[1:]:
-                    resolved = self._field_classes(classes, hop)
-                    if resolved is None:
-                        return self.methods_named(node.attr)
-                    if resolved == "nonproject":
-                        return []
-                    classes = resolved
-                return self._scoped_methods(node.attr, classes)
-        return self.methods_named(node.attr)
+                    resolved = resolved.methods.get("__init__")
+                return [resolved] if resolved is not None else []
+            classes = self._name_classes(caller, module, root)
+        for hop in hops:
+            if classes is None or classes == "nonproject":
+                break
+            classes = self._field_classes(classes, hop)
+        if classes is None:
+            return self._methods(node.attr)
+        if classes == "nonproject":
+            return []
+        return self._methods(node.attr, classes)
 
     def _resolve_direct(
         self, caller: FunctionInfo, module: str, name: str
@@ -852,62 +768,32 @@ class ProgramAnalysis:
         caller: FunctionInfo,
         module: str,
         node: ast.Call,
-        awaited_ids: set[int],
-        force_kind: str | None = None,
+        awaited: bool,
     ) -> None:
         func = node.func
         name = last_name(func)
-        awaited = id(node) in awaited_ids
-        base_kind = force_kind or "call"
 
-        # -- dispatch special cases: references handed to shims ---------
-        if name == "_run_coord" or name == "run_in_executor":
-            ref_args = node.args if name == "_run_coord" else node.args[1:]
-            for arg in ref_args[:1]:
-                for target in self._reference_candidates(caller, module, arg):
-                    self._add_edge(caller, target, node, "coord")
-        elif name in _LOOP_DISPATCH:
+        # -- references handed to the loop, or to partial() ------------
+        if name in _LOOP_DISPATCH:
             for arg in node.args:
                 for target in self._reference_candidates(caller, module, arg):
                     self._add_edge(caller, target, node, "loop")
-        elif name == "partial":
-            if node.args:
-                for target in self._reference_candidates(
-                    caller, module, node.args[0]
-                ):
-                    self._add_edge(caller, target, node, base_kind
-                                   if base_kind != "call" else "partial")
-        elif name in ("submit", "apply_async"):
-            for kw in node.keywords:
-                if kw.arg in _PARENT_KWARGS:
-                    for target in self._reference_candidates(
-                        caller, module, kw.value
-                    ):
-                        self._add_edge(caller, target, node, "any")
-            kind = "worker" if name == "apply_async" else "any"
-            for arg in node.args[:1]:
-                for target in self._reference_candidates(caller, module, arg):
-                    self._add_edge(caller, target, node, kind)
-        elif name == "Pool" or name == "ThreadPoolExecutor":
-            for kw in node.keywords:
-                if kw.arg == "initializer":
-                    for target in self._reference_candidates(
-                        caller, module, kw.value
-                    ):
-                        self._add_edge(caller, target, node, "worker")
+        elif name == "partial" and node.args:
+            for target in self._reference_candidates(
+                caller, module, node.args[0]
+            ):
+                self._add_edge(caller, target, node, "partial")
 
         # -- the call itself ---------------------------------------------
         if isinstance(func, ast.Name):
             resolved = self._resolve_direct(caller, module, func.id)
-            if isinstance(resolved, FunctionInfo):
-                self._add_edge(caller, resolved, node, base_kind, awaited)
-            elif isinstance(resolved, ClassInfo):
-                init = resolved.methods.get("__init__")
-                if init is not None:
-                    self._add_edge(caller, init, node, base_kind, awaited)
+            if isinstance(resolved, ClassInfo):
+                resolved = resolved.methods.get("__init__")
+            if resolved is not None:
+                self._add_edge(caller, resolved, node, "call")
         elif isinstance(func, ast.Attribute):
             candidates = self._attr_candidates(caller, module, func)
             if awaited and any(c.is_async for c in candidates):
                 candidates = [c for c in candidates if c.is_async]
             for target in candidates:
-                self._add_edge(caller, target, node, base_kind, awaited)
+                self._add_edge(caller, target, node, "call")

@@ -71,10 +71,11 @@ class _LockTable:
 
     def __init__(self, analysis: ProgramAnalysis):
         self.kinds: dict[LockId, str] = {}
-        self.sites: dict[LockId, tuple[str, int]] = {}
-        for info in analysis.functions.values():
-            if not isinstance(info.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        # module bodies last: a module-level lock wins a name clash
+        infos = sorted(
+            analysis.functions.values(), key=lambda f: f.name == "<module>"
+        )
+        for info in infos:
             for node in walk_scope(info.node.body):
                 if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                     continue
@@ -94,20 +95,6 @@ class _LockTable:
                 else:
                     continue
                 self.kinds[lock_id] = kind
-                self.sites[lock_id] = (info.file.display, node.lineno)
-        # module-level locks assigned outside any function
-        for qname, info in analysis.functions.items():
-            if info.name != "<module>":
-                continue
-            for node in walk_scope(getattr(info.node, "body", [])):
-                if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                    continue
-                kind = _lock_kind(node.value)
-                if kind is None or not isinstance(node.targets[0], ast.Name):
-                    continue
-                lock_id = ("mod", info.module, node.targets[0].id)
-                self.kinds[lock_id] = kind
-                self.sites[lock_id] = (info.file.display, node.lineno)
 
     def resolve(
         self, analysis: ProgramAnalysis, info: FunctionInfo, expr: ast.AST

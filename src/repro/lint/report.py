@@ -1,19 +1,16 @@
-"""Human, JSON, and SARIF reporters for lint results.
+"""Human and JSON reporters for lint results.
 
 JSON schema history:
 
 ``schema_version: 1``
     ``ok`` / ``rules`` / ``findings`` / ``suppressed`` / ``summary``.
 ``schema_version: 2`` (PR 10)
-    Adds ``baselined`` (findings matched by a ``--baseline`` file and
-    therefore not counted against ``ok``), ``summary.baselined``, and
-    ``stats`` — file/function/call-edge counts from the shared program
-    analysis plus per-rule wall-clock timings (``rule_seconds``).
-
-SARIF output (:meth:`LintReport.to_sarif`) follows the SARIF 2.1.0
-schema: one run, one driver tool listing every executed rule, one
-result per active finding (suppressed and baselined findings are
-emitted with ``suppressions`` so viewers show them struck through).
+    Adds ``stats`` — file/function/call-edge counts from the shared
+    program analysis plus per-rule wall-clock timings
+    (``rule_seconds``) — and ``baselined``.
+``schema_version: 3``
+    Drops ``baselined`` and ``summary.baselined`` with the
+    ``--baseline`` flag.
 """
 
 from __future__ import annotations
@@ -27,12 +24,7 @@ from .rules import ALL_RULES
 
 __all__ = ["LintReport", "sorted_findings"]
 
-SCHEMA_VERSION = 2
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -41,7 +33,6 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)  # active
     suppressed: list[Finding] = field(default_factory=list)  # pragma'd
-    baselined: list[Finding] = field(default_factory=list)  # in --baseline
     files_checked: int = 0
     rules_run: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
@@ -58,17 +49,10 @@ class LintReport:
                 f"{f.format()}  [suppressed: {f.justification}]"
                 for f in sorted_findings(self.suppressed)
             )
-            lines.extend(
-                f"{f.format()}  [baselined]"
-                for f in sorted_findings(self.baselined)
-            )
         noun = "finding" if len(self.findings) == 1 else "findings"
-        baseline_part = (
-            f", {len(self.baselined)} baselined" if self.baselined else ""
-        )
         lines.append(
             f"{len(self.findings)} {noun} "
-            f"({len(self.suppressed)} suppressed{baseline_part}) in "
+            f"({len(self.suppressed)} suppressed) in "
             f"{self.files_checked} files, "
             f"{len(self.rules_run)} rules"
         )
@@ -97,99 +81,22 @@ class LintReport:
             "suppressed": [
                 f.to_dict() for f in sorted_findings(self.suppressed)
             ],
-            "baselined": [
-                f.to_dict() for f in sorted_findings(self.baselined)
-            ],
             "summary": {
                 "files_checked": self.files_checked,
                 "findings": len(self.findings),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
             },
             "stats": self.stats,
         }
 
     def write_json(self, path: str | Path) -> Path:
         """Write the JSON report, creating parent directories."""
-        return _write(path, self.to_dict())
-
-    # -- SARIF -----------------------------------------------------------
-
-    def to_sarif(self) -> dict:
-        """The report as a SARIF 2.1.0 log (one run)."""
-
-        def result(finding: Finding, suppression: str | None) -> dict:
-            out = {
-                "ruleId": finding.rule,
-                "level": "error",
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": finding.path},
-                            "region": {
-                                "startLine": finding.line,
-                                "startColumn": finding.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-            if suppression is not None:
-                entry: dict = {"kind": "inSource" if suppression == "pragma"
-                               else "external"}
-                if finding.justification:
-                    entry["justification"] = finding.justification
-                out["suppressions"] = [entry]
-            return out
-
-        results = [result(f, None) for f in sorted_findings(self.findings)]
-        results += [
-            result(f, "pragma") for f in sorted_findings(self.suppressed)
-        ]
-        results += [
-            result(f, "baseline") for f in sorted_findings(self.baselined)
-        ]
-        return {
-            "$schema": _SARIF_SCHEMA,
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "repro-lint",
-                            "informationUri": (
-                                "https://github.com/local/repro"
-                            ),
-                            "rules": [
-                                {
-                                    "id": name,
-                                    "shortDescription": {
-                                        "text": ALL_RULES[name].description
-                                    },
-                                }
-                                for name in self.rules_run
-                            ],
-                        }
-                    },
-                    "results": results,
-                }
-            ],
-        }
-
-    def write_sarif(self, path: str | Path) -> Path:
-        """Write the SARIF 2.1.0 log, creating parent directories."""
-        return _write(path, self.to_sarif())
-
-
-def _write(path: str | Path, payload: dict) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=False) + "\n",
-        encoding="utf-8",
-    )
-    return out
+        out = Path(path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(
+            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
+        )
+        return out
 
 
 def sorted_findings(findings: list[Finding]) -> list[Finding]:

@@ -1,7 +1,11 @@
 """The rule registry: the stack's invariants as AST checks.
 
-Each rule class documents the contract it enforces and the PR that
-introduced that contract.  Rules are deliberately heuristic — they key
+This module holds the per-file rules and the built-in meta-rules; the
+call-graph rules live in :mod:`~repro.lint.domains`
+(``no-blocking-in-async``, ``coordinator-only``),
+:mod:`~repro.lint.taint` (``pickle-boundary``) and
+:mod:`~repro.lint.locks` (``lock-order``).  Each rule class documents
+the contract it enforces.  Rules are deliberately heuristic — they key
 on the project's own naming conventions (``ckey``, ``*pool*.submit``,
 ``lease_shared``) rather than attempting type inference — and every
 rule except the built-in ``parse``/``pragma`` meta-rules can be
@@ -16,9 +20,10 @@ import ast
 from typing import Iterable, Iterator
 
 from .base import Rule
+from .callgraph import last_name, walk_scope
 from .model import Finding, Project, SourceFile
 
-__all__ = ["ALL_RULES", "Rule", "UNSUPPRESSABLE", "iter_rules"]
+__all__ = ["ALL_RULES", "Rule", "UNSUPPRESSABLE"]
 
 # Findings from these rules cannot be pragma-suppressed: the first is a
 # broken file, the second polices the pragmas themselves.
@@ -29,51 +34,10 @@ UNSUPPRESSABLE = frozenset({"parse", "pragma"})
 # shared AST helpers
 
 
-def _walk_scope(body: Iterable[ast.AST]) -> Iterator[ast.AST]:
-    """Walk statements/expressions without descending into nested
-    function or lambda bodies (those are their own scopes)."""
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a pure Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _last_name(func: ast.AST) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _contains_name(node: ast.AST, name: str) -> bool:
     return any(
         isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)
     )
-
-
-def _awaited_call_ids(tree: ast.AST) -> set[int]:
-    """ids of Call nodes that are the direct operand of ``await``."""
-    return {
-        id(n.value)
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Await) and isinstance(n.value, ast.Call)
-    }
 
 
 def _func_scopes(tree: ast.Module) -> Iterator[ast.AST]:
@@ -82,83 +46,6 @@ def _func_scopes(tree: ast.Module) -> Iterator[ast.AST]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def _has_marker(node: ast.AST, marker: str) -> bool:
-    for dec in getattr(node, "decorator_list", []):
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if _last_name(target) == marker:
-            return True
-    return False
-
-
-# --------------------------------------------------------------------------
-# R1
-
-
-class NoBlockingInAsync(Rule):
-    """Blocking calls are forbidden inside ``async def`` bodies in
-    ``repro/serve/``.
-
-    Invariant (PR 4): the asyncio event loop owns only scheduling
-    state; anything that can block — sleeps, sqlite, file I/O,
-    subprocesses, fleet waits, bare lock acquires — must run on the
-    single coordinator thread via ``Scheduler._run_coord`` so one slow
-    job cannot stall admission, cancellation, and deadline handling for
-    every other client.  Only the coroutine's own body is inspected:
-    nested ``def`` helpers execute on whatever thread calls them.
-    """
-
-    name = "no-blocking-in-async"
-
-    _BLOCKING_ATTRS = frozenset({"acquire", "wait", "run_query", "sweep_serial"})
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        for file in project.files_under("repro/serve/"):
-            if file.tree is None:
-                continue
-            awaited = _awaited_call_ids(file.tree)
-            for node in ast.walk(file.tree):
-                if isinstance(node, ast.AsyncFunctionDef):
-                    yield from self._check_body(file, node, awaited)
-
-    def _check_body(
-        self, file: SourceFile, func: ast.AsyncFunctionDef, awaited: set[int]
-    ) -> Iterator[Finding]:
-        for node in _walk_scope(func.body):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted == "time.sleep":
-                yield self.finding(
-                    file, node,
-                    f"time.sleep inside 'async def {func.name}' blocks the "
-                    "event loop; use 'await asyncio.sleep' or _run_coord",
-                )
-            elif dotted is not None and dotted.startswith(("sqlite3.", "subprocess.")):
-                yield self.finding(
-                    file, node,
-                    f"blocking {dotted.split('.')[0]} call inside "
-                    f"'async def {func.name}'; route through the coordinator "
-                    "thread (_run_coord)",
-                )
-            elif isinstance(node.func, ast.Name) and node.func.id == "open":
-                yield self.finding(
-                    file, node,
-                    f"file I/O via open() inside 'async def {func.name}' "
-                    "blocks the event loop; route through _run_coord",
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._BLOCKING_ATTRS
-                and id(node) not in awaited
-            ):
-                yield self.finding(
-                    file, node,
-                    f"non-awaited .{node.func.attr}() inside "
-                    f"'async def {func.name}' can block the event loop; "
-                    "await the asyncio variant or route through _run_coord",
-                )
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +79,7 @@ class LeaseLifecycle(Rule):
     def _is_acquisition(self, node: ast.AST) -> str | None:
         if not isinstance(node, ast.Call):
             return None
-        name = _last_name(node.func)
+        name = last_name(node.func)
         if name in self._ACQUIRE_ATTRS or name == "SharedStoreLease":
             return name
         return None
@@ -206,7 +93,7 @@ class LeaseLifecycle(Rule):
 
     def _check_scope(self, file: SourceFile, scope: ast.AST) -> Iterator[Finding]:
         body = list(getattr(scope, "body", []))
-        nodes = list(_walk_scope(body))
+        nodes = list(walk_scope(body))
         for node in nodes:
             if isinstance(node, ast.Expr):
                 name = self._is_acquisition(node.value)
@@ -271,184 +158,6 @@ class LeaseLifecycle(Rule):
 
 
 # --------------------------------------------------------------------------
-# R3
-
-
-class CoordinatorOwnership(Rule):
-    """Functions marked ``@coordinator_only`` may only be *called* (in
-    ``repro/serve/``) from other marked functions or the dispatch shim.
-
-    Invariant (PR 4): one coordinator thread owns every engine/hub/
-    cache internal — planning, bus checkouts, leases and pins, result
-    caches, serial execution.  The event loop reaches them exclusively
-    by handing a function *reference* to ``Scheduler._run_coord``.
-    This rule collects every ``@coordinator_only`` definition in the
-    project, then walks all call sites under ``repro/serve/``: a call
-    to a marked name is legal only from inside another marked function
-    or ``_run_coord`` itself.  ``await``-ed calls are exempt — marked
-    functions are synchronous, so an awaited name is the scheduler's
-    async wrapper, not the engine internal.  Layers below serve are
-    not constrained: in blocking ``engine.sweep()``/``hub.mine()`` use
-    the calling thread *is* the coordinator.
-    """
-
-    name = "coordinator-only"
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        marked: dict[str, str] = {}
-        for file in project:
-            if file.tree is None:
-                continue
-            for node in ast.walk(file.tree):
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) and _has_marker(node, "coordinator_only"):
-                    marked.setdefault(node.name, f"{file.display}:{node.lineno}")
-        if not marked:
-            return
-        for file in project.files_under("repro/serve/"):
-            if file.tree is None:
-                continue
-            awaited = _awaited_call_ids(file.tree)
-            yield from self._check_calls(
-                file, file.tree.body, None, marked, awaited
-            )
-
-    def _check_calls(
-        self,
-        file: SourceFile,
-        body: Iterable[ast.AST],
-        enclosing: ast.AST | None,
-        marked: dict[str, str],
-        awaited: set[int],
-    ) -> Iterator[Finding]:
-        stack = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_calls(
-                    file, node.body, node, marked, awaited
-                )
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-            if not isinstance(node, ast.Call):
-                continue
-            name = _last_name(node.func)
-            if name not in marked or id(node) in awaited:
-                continue
-            if self._caller_allowed(enclosing):
-                continue
-            where = (
-                f"unmarked function '{enclosing.name}'"
-                if enclosing is not None
-                else "module level"
-            )
-            yield self.finding(
-                file, node,
-                f"coordinator-owned '{name}' (defined at {marked[name]}) "
-                f"called from {where}; route through "
-                "Scheduler._run_coord or mark the caller "
-                "@coordinator_only",
-            )
-
-    @staticmethod
-    def _caller_allowed(enclosing: ast.AST | None) -> bool:
-        if enclosing is None:
-            return False
-        if getattr(enclosing, "name", "") == "_run_coord":
-            return True
-        return _has_marker(enclosing, "coordinator_only")
-
-
-# --------------------------------------------------------------------------
-# R4
-
-
-class PickleBoundary(Rule):
-    """No lambdas or locally-defined functions/classes may flow into
-    ``PersistentWorkerPool.submit`` arguments or ``ShardTask`` fields.
-
-    Invariant (PRs 1–2): shard tasks cross a process boundary and are
-    pickled; lambdas, closures, and classes defined inside a function
-    fail to pickle (or worse, unpickle against a stale module on the
-    worker).  Everything a ``ShardTask`` carries, and every positional
-    argument of a ``*pool*/*fleet*.submit(...)`` call, must be
-    module-level and importable by name on the worker side.  The
-    ``callback=``/``error_callback=`` keywords of ``submit`` are exempt
-    — they run in the parent process and never cross the boundary.
-    """
-
-    name = "pickle-boundary"
-
-    _PARENT_ONLY_KWARGS = frozenset({"callback", "error_callback"})
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        for file in project:
-            if file.tree is None:
-                continue
-            yield from self._check_scope(file, file.tree.body, frozenset())
-
-    def _check_scope(
-        self, file: SourceFile, body: Iterable[ast.AST], local_defs: frozenset[str]
-    ) -> Iterator[Finding]:
-        stack = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = frozenset(
-                    n.name
-                    for n in _walk_scope(node.body)
-                    if isinstance(
-                        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                    )
-                )
-                yield from self._check_scope(file, node.body, inner)
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-            if isinstance(node, ast.Call):
-                yield from self._check_call(file, node, local_defs)
-
-    def _check_call(
-        self, file: SourceFile, call: ast.Call, local_defs: frozenset[str]
-    ) -> Iterator[Finding]:
-        func = call.func
-        pickled: list[ast.AST] = []
-        if isinstance(func, ast.Attribute) and func.attr == "submit":
-            receiver = (_dotted(func.value) or "").lower()
-            if "pool" not in receiver and "fleet" not in receiver:
-                return
-            pickled.extend(call.args)
-            pickled.extend(
-                kw.value
-                for kw in call.keywords
-                if kw.arg not in self._PARENT_ONLY_KWARGS
-            )
-        elif _last_name(func) == "ShardTask":
-            pickled.extend(call.args)
-            pickled.extend(kw.value for kw in call.keywords)
-        else:
-            return
-        for expr in pickled:
-            for node in ast.walk(expr):
-                if isinstance(node, ast.Lambda):
-                    yield self.finding(
-                        file, node,
-                        "lambda cannot cross the worker pickle boundary; "
-                        "use a module-level function",
-                    )
-                elif (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id in local_defs
-                ):
-                    yield self.finding(
-                        file, node,
-                        f"locally-defined '{node.id}' cannot cross the "
-                        "worker pickle boundary; define it at module level",
-                    )
-
-
-# --------------------------------------------------------------------------
 # R5
 
 
@@ -487,7 +196,7 @@ class CkeyLayout(Rule):
         if isinstance(node, ast.Attribute):
             return self._is_ckey_name(node.attr)
         if isinstance(node, ast.Call):
-            return _last_name(node.func) == "canonical_key"
+            return last_name(node.func) == "canonical_key"
         return False
 
     @staticmethod
@@ -582,93 +291,6 @@ class SwallowedException(Rule):
 
 
 # --------------------------------------------------------------------------
-# R7
-
-
-class ObsNonblocking(Rule):
-    """Metric/trace emission inside ``async def`` bodies in
-    ``repro/serve/`` must stay on the registry's in-memory API.
-
-    Invariant (PR 9): observability must never make the event loop
-    slower than the thing it observes.  Counters, gauges, histograms
-    and trace spans are plain in-memory mutations (and the render
-    methods build their exposition in memory), so emitting them from a
-    coroutine is free — but *persisting* them is not.  Any call that
-    writes observability state to a file or database (``write_text``,
-    ``dump``, ``flush``, ``record_bench_run``, ``append_history``, …)
-    on a receiver whose name says metrics/registry/tracer/history must
-    route through the coordinator (``_run_coord``) or happen outside
-    the serving process entirely.  Detection is name-based, like every
-    rule here: a persistence-verb call whose dotted receiver contains
-    an observability token.
-    """
-
-    name = "obs-nonblocking"
-
-    _PERSIST_VERBS = frozenset(
-        {
-            "write",
-            "write_text",
-            "write_bytes",
-            "write_json",
-            "dump",
-            "save",
-            "flush",
-            "persist",
-            "append_row",
-        }
-    )
-    _DIRECT_CALLS = frozenset({"record_bench_run", "append_history"})
-    _OBS_TOKENS = ("metric", "registry", "tracer", "trace", "history")
-
-    @classmethod
-    def _obs_receiver(cls, dotted: str) -> bool:
-        parts = dotted.lower().split(".")
-        return any(
-            token in part for part in parts for token in cls._OBS_TOKENS
-        )
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        for file in project.files_under("repro/serve/"):
-            if file.tree is None:
-                continue
-            for node in ast.walk(file.tree):
-                if isinstance(node, ast.AsyncFunctionDef):
-                    yield from self._check_body(file, node)
-
-    def _check_body(
-        self, file: SourceFile, func: ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        for node in _walk_scope(func.body):
-            if not isinstance(node, ast.Call):
-                continue
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id in self._DIRECT_CALLS
-            ):
-                yield self.finding(
-                    file, node,
-                    f"{node.func.id}() persists bench/obs state inside "
-                    f"'async def {func.name}'; observability writes must "
-                    "not run on the event loop — route through _run_coord",
-                )
-                continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._PERSIST_VERBS
-            ):
-                receiver = _dotted(node.func.value)
-                if receiver is not None and self._obs_receiver(receiver):
-                    yield self.finding(
-                        file, node,
-                        f"blocking .{node.func.attr}() on observability "
-                        f"object '{receiver}' inside 'async def {func.name}'; "
-                        "metric/trace emission on the event loop must stay "
-                        "in-memory — persist via _run_coord or off-process",
-                    )
-
-
-# --------------------------------------------------------------------------
 # built-in meta-rules
 
 
@@ -694,12 +316,15 @@ class ParseFailure(Rule):
 
 
 class PragmaHygiene(Rule):
-    """Every suppression pragma must name known rules and carry a
-    ``-- justification``.
+    """Every suppression pragma must name known rules, carry a
+    ``-- justification``, and suppress a finding.
 
     Built-in, unsuppressable: the acceptance bar for this tool is that
     every shipped suppression is a reviewed, written-down decision —
-    an unexplained or misspelled pragma is silent rot.
+    an unexplained, misspelled, or stale pragma is silent rot.  A
+    pragma is stale when it suppressed nothing in a run where every
+    rule it names ran (see :meth:`stale`): the finding it was written
+    for moved or no longer exists.
     """
 
     name = "pragma"
@@ -727,10 +352,37 @@ class PragmaHygiene(Rule):
                         **loc,
                     )
 
+    def stale(
+        self,
+        project: Project,
+        used: set[tuple[str, int]],
+        ran: Iterable[str],
+    ) -> Iterator[Finding]:
+        """Pragmas that suppressed nothing although every rule they name
+        ran; ``used`` holds the ``(path, line)`` of each pragma that
+        suppressed a finding."""
+        ran = set(ran)
+        for file in project:
+            for pragma in file.pragmas.values():
+                if (
+                    pragma.rules
+                    and ran.issuperset(pragma.rules)
+                    and (file.display, pragma.line) not in used
+                ):
+                    yield Finding(
+                        rule=self.name, path=file.display, line=pragma.line,
+                        col=0,
+                        message=(
+                            "pragma suppresses nothing: no "
+                            f"{', '.join(pragma.rules)} finding on the line "
+                            "it governs — delete it"
+                        ),
+                    )
 
-from .domains import CoordinatorOnlyTransitive  # noqa: E402
+
+from .domains import CoordinatorOwnership, NoBlockingInAsync  # noqa: E402
 from .locks import LockOrder  # noqa: E402
-from .taint import NoShmAcrossTransport, PickleTaint  # noqa: E402
+from .taint import PickleBoundary  # noqa: E402
 
 ALL_RULES: dict[str, Rule] = {
     rule.name: rule
@@ -741,16 +393,9 @@ ALL_RULES: dict[str, Rule] = {
         PickleBoundary(),
         CkeyLayout(),
         SwallowedException(),
-        ObsNonblocking(),
+        LockOrder(),
         ParseFailure(),
         PragmaHygiene(),
-        CoordinatorOnlyTransitive(),
-        LockOrder(),
-        PickleTaint(),
-        NoShmAcrossTransport(),
     )
 }
 
-
-def iter_rules() -> Iterator[Rule]:
-    return iter(ALL_RULES.values())

@@ -1,35 +1,26 @@
-"""Pickle-boundary and shared-memory taint analysis.
+"""Pickle-boundary taint analysis: the ``pickle-boundary`` rule.
 
-Two rules share one conservative, field-sensitive taint engine:
+Values reaching ``ShardTask`` fields or pool/fleet
+``submit``/``apply_async`` arguments are traced through assignments,
+``with``/``for`` bindings, attribute fields (``self.x = ...`` anywhere
+in the class), function returns, and calls, back to *poisoned sources*:
+lambdas and locally-defined functions/classes,
+``threading``/``multiprocessing`` primitives, sockets, ``asyncio``
+primitives, and shared-memory leases (``SharedStoreLease(...)`` /
+``lease_shared()`` / ``export_shared()``).  Every function body and
+every module body is walked.
 
-``pickle-taint``
-    Values reaching ``ShardTask`` fields or pool/fleet
-    ``submit``/``apply_async``/``run_query`` arguments are traced
-    through assignments, ``with``/``for`` bindings, attribute fields
-    (``self.x = ...`` anywhere in the class), function returns, and
-    calls, back to *poisoned sources*: lambdas and locally-defined
-    functions, ``threading``/``multiprocessing`` primitives, sockets,
-    ``asyncio`` primitives, and ``SharedStoreLease`` objects
-    (``SharedStoreLease(...)`` / ``lease_shared()`` /
-    ``export_shared()``).  The per-file ``pickle-boundary`` rule only
-    sees a lambda written literally at the call site; this rule follows
-    the value.  ``.handle`` access *sanitizes*: a
-    ``SharedStoreHandle`` is picklable by design and legitimately
-    crosses the on-box worker boundary.  The ``callback=`` /
-    ``error_callback=`` keywords stay parent-side and are exempt.
-
-``no-shm-across-transport``
-    The first transport-boundary rule, landed ahead of the multi-host
-    refactor (ROADMAP): shared-memory-derived values (leases, exported
-    segments, ``SharedStoreHandle``/``.handle``, bus handles) must
-    never flow into a *transport* send (``send``/``sendall``/
-    ``send_task``/``dispatch``/``publish`` on a receiver whose name
-    mentions transport/remote/wire).  POSIX shared memory only exists
-    on one box; shipping a handle over a wire protocol hands the
-    remote worker a name it can never attach.  Local pool dispatch
-    (``ShardTask.store_handle``) is *not* a sink — handles legitimately
-    cross the same-box process boundary.  Vacuously clean today;
-    fixture-tested so the rule is live the day a transport lands.
+Expression rules: a call that resolves to a project function carries
+that function's return taint, with its parameters substituted by the
+call-site arguments; a call that resolves to no project function
+(``partial(...)``, stdlib and third-party calls, unknown callables)
+passes on the taint of its arguments, except ``callback=`` /
+``error_callback=``.  Any expression the engine does not model
+otherwise — subscripts, comprehensions, f-strings, operators —
+carries the taint of its parts.  ``.handle`` access *sanitizes*: a
+``SharedStoreHandle`` is picklable by design and legitimately crosses
+the on-box worker boundary.  The ``callback=`` / ``error_callback=``
+keywords of ``submit`` stay parent-side and are exempt.
 
 Soundness envelope: the engine unions taint over all assignments to a
 name (flow- and path-insensitive), tracks containers as a whole (one
@@ -57,7 +48,7 @@ from .callgraph import (
 )
 from .model import Finding, Project
 
-__all__ = ["NoShmAcrossTransport", "PickleTaint"]
+__all__ = ["PickleBoundary"]
 
 _THREADING_PRIMS = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event",
@@ -67,175 +58,142 @@ _ASYNCIO_PRIMS = frozenset(
     {"Queue", "LifoQueue", "PriorityQueue", "Event", "Lock", "Condition",
      "Semaphore", "BoundedSemaphore", "Future"}
 )
-_SHM_CALLS = frozenset(
-    {"SharedStoreLease", "lease_shared", "export_shared", "SharedMemory",
-     "SharedStoreHandle", "attach_shared_store", "handle"}
-)
 _PARENT_KWARGS = frozenset({"callback", "error_callback"})
-
-#: A taint is either a human-readable source description (str) or a
-#: parameter marker ("param", index) used for interprocedural summaries.
-Taint = object
-
-
-class _Config:
-    """What counts as a source, a sink, and a sanitizer for one rule."""
-
-    lambda_desc: str | None = None
-    sanitize_attrs: frozenset[str] = frozenset()
-
-    def call_source(self, call: ast.Call) -> str | None:
-        raise NotImplementedError
-
-    def sink_exprs(
-        self, info: FunctionInfo, call: ast.Call
-    ) -> tuple[str, list[ast.AST]] | None:
-        """``(sink description, expressions pickled/sent)`` or None."""
-        raise NotImplementedError
+_SANITIZE_ATTR = "handle"
+_BINDERS = (ast.Assign, ast.AnnAssign, ast.With, ast.AsyncWith, ast.For, ast.AsyncFor)
+_LAMBDA = "a lambda closure"
 
 
-class _PickleConfig(_Config):
-    lambda_desc = "a lambda closure"
-    sanitize_attrs = frozenset({"handle"})
-
-    def call_source(self, call: ast.Call) -> str | None:
-        d = dotted(call.func)
-        name = last_name(call.func)
-        if d is not None:
-            parts = d.split(".")
-            if (
-                parts[0] in ("threading", "multiprocessing", "mp")
-                and parts[-1] in _THREADING_PRIMS
-            ):
-                return f"a {parts[0]} primitive ({d}())"
-            if parts[0] == "asyncio" and parts[-1] in _ASYNCIO_PRIMS:
-                return f"an asyncio primitive ({d}())"
-            if d == "socket.socket":
-                return "a socket"
-        if name == "SharedStoreLease" or name in ("lease_shared", "export_shared"):
-            return f"a shared-memory lease ({name}(...))"
-        return None
-
-    def sink_exprs(self, info, call):
-        func = call.func
-        if last_name(func) == "ShardTask":
-            exprs = list(call.args) + [kw.value for kw in call.keywords]
-            return "a ShardTask field", exprs
-        if not isinstance(func, ast.Attribute):
-            return None
-        if func.attr not in ("submit", "apply_async", "run_query"):
-            return None
-        receiver = (dotted(func.value) or "").lower()
-        pooled = "pool" in receiver or "fleet" in receiver
-        if not pooled and receiver in ("self", "cls") and info.cls is not None:
-            cls = info.cls.lower()
-            pooled = "pool" in cls or "fleet" in cls
-        if not pooled:
-            return None
-        exprs = list(call.args) + [
-            kw.value for kw in call.keywords if kw.arg not in _PARENT_KWARGS
-        ]
-        return f"a {func.attr}() worker-pool argument", exprs
+def _call_source(call: ast.Call) -> str | None:
+    d = dotted(call.func)
+    name = last_name(call.func)
+    if d is not None:
+        parts = d.split(".")
+        if (
+            parts[0] in ("threading", "multiprocessing", "mp")
+            and parts[-1] in _THREADING_PRIMS
+        ):
+            return f"a {parts[0]} primitive ({d}())"
+        if parts[0] == "asyncio" and parts[-1] in _ASYNCIO_PRIMS:
+            return f"an asyncio primitive ({d}())"
+        if d == "socket.socket":
+            return "a socket"
+    if name in ("SharedStoreLease", "lease_shared", "export_shared"):
+        return f"a shared-memory lease ({name}(...))"
+    return None
 
 
-class _ShmConfig(_Config):
-    _SINK_VERBS = frozenset({"send", "sendall", "send_task", "dispatch", "publish"})
-    _SINK_TOKENS = ("transport", "remote", "wire")
+def _pickled_args(call: ast.Call) -> list[ast.AST]:
+    return list(call.args) + [
+        kw.value for kw in call.keywords if kw.arg not in _PARENT_KWARGS
+    ]
 
-    def call_source(self, call: ast.Call) -> str | None:
-        name = last_name(call.func)
-        if name in _SHM_CALLS:
-            return f"a shared-memory object ({name}(...))"
-        return None
 
-    def sink_exprs(self, info, call):
-        func = call.func
-        if not isinstance(func, ast.Attribute) or func.attr not in self._SINK_VERBS:
-            return None
-        receiver = (dotted(func.value) or "").lower()
-        if not any(token in receiver for token in self._SINK_TOKENS):
-            return None
+def _sink(info: FunctionInfo, call: ast.Call) -> tuple[str, list[ast.AST]] | None:
+    """``(sink description, expressions pickled)`` or None."""
+    func = call.func
+    if last_name(func) == "ShardTask":
         exprs = list(call.args) + [kw.value for kw in call.keywords]
-        return f"a transport .{func.attr}() payload", exprs
-
-
-# --------------------------------------------------------------------------
-# the engine
+        return "a ShardTask field", exprs
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr not in ("submit", "apply_async"):
+        return None
+    receiver = (dotted(func.value) or "").lower()
+    pooled = "pool" in receiver or "fleet" in receiver
+    if not pooled and receiver in ("self", "cls") and info.cls is not None:
+        cls = info.cls.lower()
+        pooled = "pool" in cls or "fleet" in cls
+    if not pooled:
+        return None
+    return f"a {func.attr}() worker-pool argument", _pickled_args(call)
 
 
 class _TaintEngine:
+    """Taint summaries and findings for one project.  A taint is either
+    a human-readable source description (str) or a parameter marker
+    ("param", index) used for interprocedural summaries."""
+
     _ROUNDS = 4  # interprocedural fixpoint bound
 
-    def __init__(self, analysis: ProgramAnalysis, config: _Config):
+    def __init__(self, analysis: ProgramAnalysis):
         self.analysis = analysis
-        self.config = config
         self.return_taint: dict[str, set] = {}
         self.field_taint: dict[tuple[str, str], set[str]] = {}
         self.sink_params: dict[str, set[int]] = {}
         self.findings: list[tuple[str, int, int, str]] = []
-        funcs = [
-            f
-            for f in analysis.functions.values()
-            if isinstance(f.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
+        # (caller qname, line, col) -> project functions that call runs
+        self.callees: dict[tuple[str, int, int], list[FunctionInfo]] = {}
+        for edge in analysis.edges:
+            if edge.kind == "call":
+                self.callees.setdefault(
+                    (edge.caller, edge.line, edge.col), []
+                ).append(analysis.functions[edge.callee])
+        scopes = [self._scope(info) for info in analysis.functions.values()]
         for _ in range(self._ROUNDS):
-            before = (
-                sum(len(v) for v in self.return_taint.values()),
-                sum(len(v) for v in self.field_taint.values()),
-                sum(len(v) for v in self.sink_params.values()),
-            )
-            for info in funcs:
-                self._process(info, record=False)
-            after = (
-                sum(len(v) for v in self.return_taint.values()),
-                sum(len(v) for v in self.field_taint.values()),
-                sum(len(v) for v in self.sink_params.values()),
-            )
-            if after == before:
+            before = self._summary_size()
+            for scope in scopes:
+                self._process(*scope, record=False)
+            if self._summary_size() == before:
                 break
-        for info in funcs:
-            self._process(info, record=True)
+        for scope in scopes:
+            self._process(*scope, record=True)
+
+    def _summary_size(self) -> tuple[int, int, int]:
+        return (
+            sum(len(v) for v in self.return_taint.values()),
+            sum(len(v) for v in self.field_taint.values()),
+            sum(len(v) for v in self.sink_params.values()),
+        )
 
     # -- per-function ----------------------------------------------------
 
-    def _params(self, info: FunctionInfo) -> list[str]:
+    @staticmethod
+    def _params(info: FunctionInfo) -> list[str]:
+        if isinstance(info.node, ast.Module):
+            return []
         args = info.node.args
-        names = [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
-        return names
+        return [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
 
     def _callees(self, info: FunctionInfo, call: ast.Call) -> list[FunctionInfo]:
-        line = getattr(call, "lineno", None)
-        out = []
-        for edge in self.analysis.edges_by_caller.get(info.qname, []):
-            if edge.kind == "call" and edge.line == line:
-                out.append(self.analysis.functions[edge.callee])
-        return out
+        return self.callees.get((info.qname, call.lineno, call.col_offset), [])
 
-    def _process(self, info: FunctionInfo, record: bool) -> None:
+    @staticmethod
+    def _scope(info: FunctionInfo) -> tuple:
+        """``(info, local defs, binding statements, other interesting
+        nodes)`` of one body, walked once."""
+        nodes = list(walk_scope(info.node.body))
+        # module-level definitions are importable by name on the worker
+        local_defs = set() if isinstance(info.node, ast.Module) else {
+            n.name
+            for n in nodes
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        binds = [n for n in nodes if isinstance(n, _BINDERS)]
+        uses = [n for n in nodes if isinstance(n, (ast.Return, ast.Assign, ast.Call))]
+        return info, local_defs, binds, uses
+
+    def _process(self, info, local_defs, binds, uses, record: bool) -> None:
         env: dict[str, set] = {}
         for i, name in enumerate(self._params(info)):
             env[name] = {("param", i)}
-        local_defs = {
-            n.name
-            for n in walk_scope(info.node.body)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        }
         # Bindings, to a local fixpoint (out-of-order def/use tolerant).
         for _ in range(3):
             changed = False
-            for node in walk_scope(info.node.body):
+            for node in binds:
                 changed |= self._bind(info, env, local_defs, node)
             if not changed:
                 break
         # Sinks, returns, field stores, interprocedural propagation.
-        for node in walk_scope(info.node.body):
-            if isinstance(node, ast.Return) and node.value is not None:
-                taints = self._eval(info, env, local_defs, node.value)
-                if taints:
-                    self.return_taint.setdefault(info.qname, set()).update(taints)
+        for node in uses:
+            if isinstance(node, ast.Return):
+                if node.value is not None:
+                    taints = self._eval(info, env, local_defs, node.value)
+                    if taints:
+                        self.return_taint.setdefault(info.qname, set()).update(taints)
             elif isinstance(node, ast.Assign):
                 self._field_store(info, env, local_defs, node)
-            elif isinstance(node, ast.Call):
+            else:
                 self._check_call(info, env, local_defs, node, record)
 
     def _bind(self, info, env, local_defs, node) -> bool:
@@ -294,70 +252,55 @@ class _TaintEngine:
 
     # -- expression taint ------------------------------------------------
 
-    def _eval(self, info, env, local_defs, expr: ast.AST, depth: int = 0) -> set:
-        if depth > 12:
-            return set()
+    def _eval(self, info, env, local_defs, expr: ast.AST) -> set:
         if isinstance(expr, ast.Name):
             taints = set(env.get(expr.id, ()))
-            if expr.id in local_defs and self.config.lambda_desc is not None:
+            if expr.id in local_defs:
                 taints.add(f"locally-defined '{expr.id}'")
             return taints
         if isinstance(expr, ast.Lambda):
-            return (
-                {self.config.lambda_desc}
-                if self.config.lambda_desc is not None
-                else set()
-            )
-        if isinstance(expr, ast.Await):
-            return self._eval(info, env, local_defs, expr.value, depth + 1)
+            return {_LAMBDA}
         if isinstance(expr, ast.Attribute):
-            if expr.attr in self.config.sanitize_attrs:
+            if expr.attr == _SANITIZE_ATTR:
                 return set()
             taints: set = set()
             if isinstance(expr.value, ast.Name) and expr.value.id == "self":
                 if info.cls is not None:
                     for cls in self.analysis.related_classes(info.cls):
                         taints |= self.field_taint.get((cls, expr.attr), set())
-            taints |= self._eval(info, env, local_defs, expr.value, depth + 1)
+            taints |= self._eval(info, env, local_defs, expr.value)
             return taints
         if isinstance(expr, ast.Call):
-            source = self.config.call_source(expr)
+            source = _call_source(expr)
             if source is not None:
                 return {source}
-            taints = set()
             # a call on a sanitizing attribute (lease.handle()) is clean
             if (
                 isinstance(expr.func, ast.Attribute)
-                and expr.func.attr in self.config.sanitize_attrs
+                and expr.func.attr == _SANITIZE_ATTR
             ):
                 return set()
-            for callee in self._callees(info, expr):
+            callees = self._callees(info, expr)
+            if not callees:
+                taints = set()
+                for arg in _pickled_args(expr):
+                    taints |= self._eval(info, env, local_defs, arg)
+                return taints
+            taints = set()
+            for callee in callees:
                 for t in self.return_taint.get(callee.qname, ()):
                     if isinstance(t, str):
                         taints.add(t)
                     else:  # ("param", i): substitute the call-site arg
                         arg = self._arg_at(callee, expr, t[1])
                         if arg is not None:
-                            taints |= self._eval(
-                                info, env, local_defs, arg, depth + 1
-                            )
+                            taints |= self._eval(info, env, local_defs, arg)
             return taints
-        if isinstance(
-            expr,
-            (ast.Tuple, ast.List, ast.Set, ast.Starred, ast.BoolOp, ast.BinOp,
-             ast.IfExp, ast.NamedExpr),
-        ):
-            taints = set()
-            for child in ast.iter_child_nodes(expr):
-                if isinstance(child, (ast.expr,)):
-                    taints |= self._eval(info, env, local_defs, child, depth + 1)
-            return taints
-        if isinstance(expr, ast.Dict):
-            taints = set()
-            for value in expr.values:
-                taints |= self._eval(info, env, local_defs, value, depth + 1)
-            return taints
-        return set()
+        # anything else carries the taint of its parts
+        taints = set()
+        for child in ast.iter_child_nodes(expr):
+            taints |= self._eval(info, env, local_defs, child)
+        return taints
 
     @staticmethod
     def _arg_at(callee: FunctionInfo, call: ast.Call, index: int) -> ast.AST | None:
@@ -377,62 +320,59 @@ class _TaintEngine:
     # -- sinks -----------------------------------------------------------
 
     def _check_call(self, info, env, local_defs, call: ast.Call, record: bool):
-        sink = self.config.sink_exprs(info, call)
+        sink = _sink(info, call)
         if sink is not None:
             desc, exprs = sink
-            params = set(self._params(info))
             for expr in exprs:
-                taints = self._eval(info, env, local_defs, expr)
-                for t in taints:
-                    if isinstance(t, str):
-                        if record:
-                            self.findings.append(
-                                (
-                                    info.file.display,
-                                    getattr(expr, "lineno", call.lineno),
-                                    getattr(expr, "col_offset", 0),
-                                    f"{t} flows into {desc} in "
-                                    f"'{info.name}' — it cannot cross this "
-                                    "boundary",
-                                )
-                            )
-                    else:
+                for t in self._eval(info, env, local_defs, expr):
+                    if not isinstance(t, str):
                         self.sink_params.setdefault(info.qname, set()).add(t[1])
-            del params
+                    elif record:
+                        self.findings.append((
+                            info.file.display, expr.lineno, expr.col_offset,
+                            f"{t} flows into {desc} in '{info.name}' — it "
+                            "cannot cross this boundary",
+                        ))
         # propagation into callees whose parameters reach a sink
         for callee in self._callees(info, call):
             for index in self.sink_params.get(callee.qname, ()):
                 arg = self._arg_at(callee, call, index)
                 if arg is None:
                     continue
-                taints = self._eval(info, env, local_defs, arg)
-                for t in taints:
-                    if isinstance(t, str):
-                        if record:
-                            self.findings.append(
-                                (
-                                    info.file.display,
-                                    getattr(arg, "lineno", call.lineno),
-                                    getattr(arg, "col_offset", 0),
-                                    f"{t} flows into a boundary sink inside "
-                                    f"'{callee.name}' ({callee.where()}) via "
-                                    f"this call in '{info.name}'",
-                                )
-                            )
-                    else:
+                for t in self._eval(info, env, local_defs, arg):
+                    if not isinstance(t, str):
                         self.sink_params.setdefault(info.qname, set()).add(t[1])
+                    elif record:
+                        self.findings.append((
+                            info.file.display, arg.lineno, arg.col_offset,
+                            f"{t} flows into a boundary sink inside "
+                            f"'{callee.name}' ({callee.where()}) via this "
+                            f"call in '{info.name}'",
+                        ))
 
 
-# --------------------------------------------------------------------------
-# the rules
+class PickleBoundary(Rule):
+    """Unpicklable values must not *flow* into the worker boundary —
+    ``ShardTask`` fields and pool/fleet submit arguments are traced
+    back through assignments, fields, returns, and calls to closure /
+    lock / socket / asyncio / shared-memory-lease sources.
 
+    Invariant: shard tasks cross a process boundary and are pickled;
+    lambdas, closures, classes defined inside a function, locks,
+    sockets and leases fail to pickle (or worse, unpickle against a
+    stale module on the worker).  The rule catches a lambda written at the call site, the
+    same lambda bound to a variable three assignments earlier, a lease
+    stored on ``self`` and submitted from another method, and a helper
+    whose parameter ends up in a ``ShardTask`` field.  ``.handle``
+    sanitizes (a ``SharedStoreHandle`` is picklable by design);
+    ``callback=``/``error_callback=`` stay parent-side and are exempt.
+    See the module docstring for the soundness envelope.
+    """
 
-class _TaintRule(Rule):
-    config_cls: type[_Config] = _Config
+    name = "pickle-boundary"
 
     def run(self, project: Project) -> Iterator[Finding]:
-        analysis = project.analysis()
-        engine = _TaintEngine(analysis, self.config_cls())
+        engine = _TaintEngine(project.analysis())
         seen: set[tuple] = set()
         for path, line, col, message in engine.findings:
             key = (path, line, message)
@@ -442,44 +382,3 @@ class _TaintRule(Rule):
             yield Finding(
                 rule=self.name, path=path, line=line, col=col, message=message
             )
-
-
-class PickleTaint(_TaintRule):
-    """Unpicklable values must not *flow* into the worker boundary —
-    ``ShardTask`` fields and pool/fleet submit arguments are traced
-    back through assignments, fields, returns, and calls to closure /
-    lock / socket / asyncio / shared-memory-lease sources.
-
-    Invariant (PRs 1–2, made interprocedural in PR 10): everything a
-    shard task carries is pickled into a worker process.  The per-file
-    ``pickle-boundary`` rule catches a lambda written at the call
-    site; this rule catches the same lambda bound to a variable three
-    assignments earlier, a lease stored on ``self`` and submitted from
-    another method, or a helper whose parameter ends up in a
-    ``ShardTask`` field.  ``.handle`` sanitizes (a
-    ``SharedStoreHandle`` is picklable by design);
-    ``callback=``/``error_callback=`` stay parent-side and are exempt.
-    See the module docstring for the soundness envelope.
-    """
-
-    name = "pickle-taint"
-    config_cls = _PickleConfig
-
-
-class NoShmAcrossTransport(_TaintRule):
-    """Shared-memory handles and leases must never flow into a
-    transport send (``send``/``dispatch``/``publish`` on
-    transport/remote/wire receivers).
-
-    Invariant (ROADMAP, multi-host scale-out — landed ahead of the
-    refactor it gates): POSIX shared memory is same-box only.  When
-    ``ShardTask`` dispatch grows a transport interface, store access
-    must be re-established remotely (mmap-file shipping / object-store
-    fetch), never by shipping a ``/dev/shm`` name.  Local pool
-    dispatch is exempt: handles legitimately cross the same-box
-    process boundary.  See the module docstring for the soundness
-    envelope.
-    """
-
-    name = "no-shm-across-transport"
-    config_cls = _ShmConfig

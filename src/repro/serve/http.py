@@ -335,7 +335,6 @@ class ServeHTTP:
                 await self._send_event(writer, event, payload)
                 if event == "done":
                     return
-        # repro-lint: disable=swallowed-exception -- client disconnected mid-stream: dropping the subscription (in the finally) is the entire required response, and the job itself is unaffected
         except ConnectionError:
             pass
         finally:

@@ -2,9 +2,10 @@
 
 Covers the resolution machinery every interprocedural rule leans on:
 import chasing (including re-exports through package ``__init__`` files
-and the PEP 562 ``_LAZY`` table), dispatch-kind edges (coord / loop /
-worker / any), field-type inference for ``self.x`` receivers, ``super()``
-dispatch, and the documented misses (dynamic ``getattr`` dispatch).
+and the PEP 562 ``_LAZY`` table), edge kinds (call / partial / loop, and
+no edge for references dispatched to another thread or process),
+field-type inference for ``self.x`` receivers, ``super()`` dispatch, and
+the documented misses (dynamic ``getattr`` dispatch).
 Each case is a paired fires/clean fixture: an edge the graph must have,
 next to a same-shaped construct it must *not* over-resolve.
 """
@@ -13,7 +14,6 @@ import time
 from pathlib import Path
 
 from repro.lint import load_project
-from repro.lint.domains import infer_domains
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -134,24 +134,30 @@ class TestResolution:
 
 class TestDispatchKinds:
     def test_submit_callback_kwarg_is_any(self, tmp_path):
+        """A ``callback=`` runs on the pool's result-handler thread, so
+        the reference makes no edge; the direct call beside it does."""
         analysis = analysis_of(tmp_path, {
             "a.py": (
                 "def on_done(r):\n    return r\n"
                 "def caller(pool, task):\n"
                 "    pool.submit(task, callback=on_done)\n"
+                "    return on_done(task)\n"
             ),
         })
-        assert ("repro.a.on_done", "any") in edges_from(analysis, ".caller")
+        assert edges_from(analysis, ".caller") == [("repro.a.on_done", "call")]
 
     def test_apply_async_target_is_worker(self, tmp_path):
+        """An ``apply_async`` target runs in a worker process, so the
+        reference makes no edge; the direct call beside it does."""
         analysis = analysis_of(tmp_path, {
             "a.py": (
                 "def run(t):\n    return t\n"
                 "def caller(pool, task):\n"
                 "    pool.apply_async(run, (task,))\n"
+                "    return run(task)\n"
             ),
         })
-        assert ("repro.a.run", "worker") in edges_from(analysis, ".caller")
+        assert edges_from(analysis, ".caller") == [("repro.a.run", "call")]
 
     def test_call_soon_reference_is_loop(self, tmp_path):
         analysis = analysis_of(tmp_path, {
@@ -164,6 +170,8 @@ class TestDispatchKinds:
         assert ("repro.a.tick", "loop") in edges_from(analysis, ".caller")
 
     def test_run_coord_reference_is_coord(self, tmp_path):
+        """A reference handed to ``_run_coord`` runs on the coordinator
+        thread: the shim call is an edge, the reference is not."""
         analysis = analysis_of(tmp_path, {
             "a.py": (
                 "def work():\n    return 1\n"
@@ -174,9 +182,20 @@ class TestDispatchKinds:
                 "        return fn\n"
             ),
         })
-        assert ("repro.a.work", "coord") in edges_from(analysis, ".go")
-        # the reference is dispatched, not called on the loop
-        assert ("repro.a.work", "call") not in edges_from(analysis, ".go")
+        assert edges_from(analysis, ".go") == [("repro.a.S._run_coord", "call")]
+
+    def test_calls_inside_a_lambda_make_no_edge(self, tmp_path):
+        """A call inside a lambda runs whenever, and on whichever thread,
+        the lambda is invoked, so no rule may follow the caller into it."""
+        analysis = analysis_of(tmp_path, {
+            "a.py": (
+                "def work():\n    return 1\n"
+                "def caller():\n"
+                "    work()\n"
+                "    return lambda: work()\n"
+            ),
+        })
+        assert edges_from(analysis, ".caller") == [("repro.a.work", "call")]
 
 
 class TestFieldTypes:
@@ -270,46 +289,6 @@ class TestFieldTypes:
             ),
         })
         assert edges_from(analysis, "Boom.__init__") == []
-
-
-class TestDomains:
-    def test_loop_domain_propagates_and_marked_is_boundary(self, tmp_path):
-        analysis = analysis_of(tmp_path, {
-            "serve/app.py": (
-                "from repro.engine.core import helper\n"
-                "async def handler():\n"
-                "    return helper()\n"
-            ),
-            "engine/core.py": (
-                "def helper():\n"
-                "    return leaf()\n"
-                "def leaf():\n"
-                "    return 1\n"
-                "def coordinator_only(fn):\n"
-                "    return fn\n"
-                "@coordinator_only\n"
-                "def internal():\n"
-                "    return 2\n"
-            ),
-        })
-        domains = infer_domains(analysis)
-        assert "loop" in domains["repro.serve.app.handler"]
-        assert "loop" in domains["repro.engine.core.helper"]
-        assert "loop" in domains["repro.engine.core.leaf"]
-        assert domains["repro.engine.core.internal"] == {"coordinator"}
-
-    def test_worker_entry_points_are_worker_domain(self, tmp_path):
-        analysis = analysis_of(tmp_path, {
-            "parallel/worker.py": (
-                "def initialize_worker(handle):\n"
-                "    return attach(handle)\n"
-                "def attach(handle):\n"
-                "    return handle\n"
-            ),
-        })
-        domains = infer_domains(analysis)
-        assert "worker" in domains["repro.parallel.worker.initialize_worker"]
-        assert "worker" in domains["repro.parallel.worker.attach"]
 
 
 class TestRealTree:

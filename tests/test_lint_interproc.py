@@ -1,11 +1,13 @@
-"""The PR-10 interprocedural rules: coordinator-only-transitive,
-lock-order, pickle-taint, no-shm-across-transport.
+"""The call-graph halves of the rules: chains from event-loop entries
+(``coordinator-only``, ``no-blocking-in-async``), ``lock-order``, and
+the taint tracking of ``pickle-boundary``.
 
-The headline case: fixtures the per-file rules *provably* miss — each
-asserts the old rule stays clean on the very tree the new rule flags,
-so the value of the whole-program analysis is pinned by a test, not a
-claim.  Every rule also has a compliant twin (no false positive) and a
-pragma case (suppression still works on analysis-produced findings).
+The headline cases are shapes a per-file check cannot see — a marked
+call site outside ``repro/serve/``, a blocking call one helper away, a
+lambda bound to a variable — so the value of the whole-program analysis
+is pinned by a test, not a claim.  Every rule also has a compliant twin
+(no false positive) and a pragma case (suppression still works on
+analysis-produced findings).
 """
 
 from repro.lint import run_lint
@@ -24,7 +26,7 @@ def rules_fired(report):
 
 
 # ---------------------------------------------------------------------------
-# coordinator-only-transitive
+# coordinator-only / no-blocking-in-async: chains from event-loop entries
 
 _TRANSITIVE_MARKED = {
     "serve/app.py": (
@@ -45,22 +47,23 @@ _TRANSITIVE_MARKED = {
 
 
 class TestCoordinatorOnlyTransitive:
-    def test_old_per_file_rule_misses_the_indirect_chain(self, tmp_path):
+    def test_fires_on_marked_call_outside_serve(self, tmp_path):
         """The acceptance fixture: the marked call site is in
-        ``repro/engine/`` where the per-file coordinator-only rule never
-        looks, so only the transitive rule can see the loop reach it."""
-        report = lint_files(
-            tmp_path, _TRANSITIVE_MARKED, select=["coordinator-only"]
-        )
-        assert report.ok  # old rule: provably clean
+        ``repro/engine/``, where no direct name check looks; only the
+        walk from the serve coroutine sees the loop reach it."""
+        report = lint_files(tmp_path, _TRANSITIVE_MARKED)
+        assert rules_fired(report) == {"coordinator-only"}
+        (finding,) = report.findings
+        assert finding.path.endswith("repro/engine/layer.py")
+        assert finding.line == 4  # the final hop: do_work -> _internal
 
     def test_transitive_rule_fires_with_full_chain(self, tmp_path):
         report = lint_files(
             tmp_path,
             _TRANSITIVE_MARKED,
-            select=["coordinator-only-transitive"],
+            select=["coordinator-only"],
         )
-        assert rules_fired(report) == {"coordinator-only-transitive"}
+        assert rules_fired(report) == {"coordinator-only"}
         message = report.findings[0].message
         assert "handler" in message and "_internal" in message
         assert "->" in message  # the chain is printed hop by hop
@@ -81,13 +84,12 @@ class TestCoordinatorOnlyTransitive:
                     "    time.sleep(1)\n"
                 ),
             },
-            select=["coordinator-only-transitive"],
+            select=["no-blocking-in-async"],
         )
-        assert rules_fired(report) == {"coordinator-only-transitive"}
-        assert "time.sleep" in report.findings[0].message
-        # ...and the per-file blocking rule cannot see it
-        old = lint_files(tmp_path, {}, select=["no-blocking-in-async"])
-        assert old.ok
+        assert rules_fired(report) == {"no-blocking-in-async"}
+        (finding,) = report.findings
+        assert "time.sleep" in finding.message and "->" in finding.message
+        assert finding.path.endswith("repro/serve/app.py")
 
     def test_quiet_when_routed_through_run_coord(self, tmp_path):
         report = lint_files(
@@ -103,7 +105,7 @@ class TestCoordinatorOnlyTransitive:
                 ),
                 "engine/layer.py": _TRANSITIVE_MARKED["engine/layer.py"],
             },
-            select=["coordinator-only-transitive"],
+            select=["coordinator-only"],
         )
         assert report.ok
 
@@ -112,11 +114,9 @@ class TestCoordinatorOnlyTransitive:
         files["engine/layer.py"] = files["engine/layer.py"].replace(
             "    return _internal()",
             "    return _internal()  # repro-lint: "
-            "disable=coordinator-only-transitive -- fixture justification",
+            "disable=coordinator-only -- fixture justification",
         )
-        report = lint_files(
-            tmp_path, files, select=["coordinator-only-transitive"]
-        )
+        report = lint_files(tmp_path, files, select=["coordinator-only"])
         assert report.ok
         assert len(report.suppressed) == 1
 
@@ -233,22 +233,23 @@ class TestLockOrder:
 
 
 # ---------------------------------------------------------------------------
-# pickle-taint
+# pickle-boundary: taint tracking
 
 
 class TestPickleTaint:
-    def test_old_rule_misses_lambda_bound_to_a_variable(self, tmp_path):
-        files = {
-            "engine/x.py": (
-                "def f(pool):\n"
-                "    cb = lambda: 1\n"
-                "    pool.submit(cb)\n"
-            ),
-        }
-        old = lint_files(tmp_path, files, select=["pickle-boundary"])
-        assert old.ok  # the per-file rule only sees literal lambdas
-        new = lint_files(tmp_path, files, select=["pickle-taint"])
-        assert rules_fired(new) == {"pickle-taint"}
+    def test_fires_on_lambda_bound_to_a_variable(self, tmp_path):
+        report = lint_files(
+            tmp_path,
+            {
+                "engine/x.py": (
+                    "def f(pool):\n"
+                    "    cb = lambda: 1\n"
+                    "    pool.submit(cb)\n"
+                ),
+            },
+            select=["pickle-boundary"],
+        )
+        assert rules_fired(report) == {"pickle-boundary"}
 
     def test_fires_on_lease_stored_on_self_and_submitted_later(self, tmp_path):
         report = lint_files(
@@ -262,9 +263,9 @@ class TestPickleTaint:
                     "        pool.submit(self._lease)\n"
                 ),
             },
-            select=["pickle-taint"],
+            select=["pickle-boundary"],
         )
-        assert rules_fired(report) == {"pickle-taint"}
+        assert rules_fired(report) == {"pickle-boundary"}
         assert "lease" in report.findings[0].message
 
     def test_fires_on_taint_through_a_return_value(self, tmp_path):
@@ -279,9 +280,9 @@ class TestPickleTaint:
                     "    pool.submit(make())\n"
                 ),
             },
-            select=["pickle-taint"],
+            select=["pickle-boundary"],
         )
-        assert rules_fired(report) == {"pickle-taint"}
+        assert rules_fired(report) == {"pickle-boundary"}
 
     def test_fires_through_a_helper_parameter(self, tmp_path):
         report = lint_files(
@@ -295,9 +296,9 @@ class TestPickleTaint:
                     "    send(pool, bad)\n"
                 ),
             },
-            select=["pickle-taint"],
+            select=["pickle-boundary"],
         )
-        assert rules_fired(report) == {"pickle-taint"}
+        assert rules_fired(report) == {"pickle-boundary"}
         assert "send" in report.findings[0].message
 
     def test_handle_access_sanitizes(self, tmp_path):
@@ -310,7 +311,7 @@ class TestPickleTaint:
                     "    pool.submit(lease.handle)\n"
                 ),
             },
-            select=["pickle-taint"],
+            select=["pickle-boundary"],
         )
         assert report.ok
 
@@ -324,68 +325,6 @@ class TestPickleTaint:
                     "    pool.submit(task, callback=cb)\n"
                 ),
             },
-            select=["pickle-taint"],
-        )
-        assert report.ok
-
-
-# ---------------------------------------------------------------------------
-# no-shm-across-transport
-
-
-class TestNoShmAcrossTransport:
-    def test_fires_on_handle_into_transport_send(self, tmp_path):
-        report = lint_files(
-            tmp_path,
-            {
-                "serve/wire.py": (
-                    "def f(transport, store):\n"
-                    "    lease = store.lease_shared()\n"
-                    "    transport.send(lease.handle)\n"
-                ),
-            },
-            select=["no-shm-across-transport"],
-        )
-        assert rules_fired(report) == {"no-shm-across-transport"}
-        assert "shared-memory" in report.findings[0].message
-
-    def test_fires_on_handle_via_remote_dispatch(self, tmp_path):
-        report = lint_files(
-            tmp_path,
-            {
-                "serve/wire.py": (
-                    "def f(remote_worker, handle_src):\n"
-                    "    h = handle_src.handle()\n"
-                    "    remote_worker.dispatch(h)\n"
-                ),
-            },
-            select=["no-shm-across-transport"],
-        )
-        assert rules_fired(report) == {"no-shm-across-transport"}
-
-    def test_local_pool_submit_is_not_a_transport(self, tmp_path):
-        report = lint_files(
-            tmp_path,
-            {
-                "engine/x.py": (
-                    "def f(pool, store):\n"
-                    "    lease = store.lease_shared()\n"
-                    "    pool.submit(lease.handle)\n"
-                ),
-            },
-            select=["no-shm-across-transport"],
-        )
-        assert report.ok
-
-    def test_untainted_payloads_cross_transports_freely(self, tmp_path):
-        report = lint_files(
-            tmp_path,
-            {
-                "serve/wire.py": (
-                    "def f(transport, payload):\n"
-                    "    transport.send(payload)\n"
-                ),
-            },
-            select=["no-shm-across-transport"],
+            select=["pickle-boundary"],
         )
         assert report.ok
