@@ -16,14 +16,11 @@ table goes to stdout and ``benchmarks/out/sweep_amortization.txt``; the
 machine-readable rows and summary go to ``benchmarks/out/BENCH_sweep.json``
 (the CI artifact).
 
-Two comparisons are reported:
-
-* **serial** — ``mine_top_k(network, ...)`` per combo (rebuilds the
-  store each call) vs the engine's serial path (store + column gathers +
-  first-level partitions built once).
-* **sharded** (``--workers N``) — ``mine_top_k(..., workers=N)`` per
-  combo (export + pool spawn each call) vs the engine's persistent
-  fleet, with the sweep dispatched as one interleaved batch.
+The comparison (``--workers N``) is ``mine_top_k(..., workers=N)`` per
+combo (store build, export and pool spawn each call) vs the engine's
+persistent fleet, one query at a time and then with the sweep
+dispatched as one interleaved batch.  Both sides return the exact
+Definition 5 answer, so they must agree GR for GR.
 
 The engine's result cache is disabled so every query is really mined.
 """
@@ -73,7 +70,7 @@ def _signature(result):
     return [(str(m.gr), round(m.score, 9)) for m in result]
 
 
-def _run_side(network, grid, workers: int | None) -> tuple[list[dict], dict]:
+def _run_side(network, grid, workers: int) -> tuple[list[dict], dict]:
     """Time cold per-combo calls vs one engine; verify result equality."""
     rows = []
     mismatches = 0
@@ -144,20 +141,18 @@ def run(quick: bool, workers: int) -> tuple[str, dict]:
         },
         "sides": {},
     }
-    tables = []
-    for label, side_workers in (("serial", None), (f"sharded x{workers}", workers)):
-        rows, summary = _run_side(network, grid, side_workers)
-        payload["sides"][label] = {"rows": rows, "summary": summary}
-        title = (
-            f"{label}: {summary['combos']} combos — cold {summary['cold_total_s']:.3f}s "
-            f"vs engine {summary['engine_total_s']:.3f}s "
-            f"(batched {summary['batch_total_s']:.3f}s, "
-            f"amortized speedup {summary['amortized_speedup']:.2f}x, "
-            f"exports={summary['engine_stats']['exports']}, "
-            f"pool_spawns={summary['engine_stats']['pool_spawns']})"
-        )
-        tables.append(format_series(rows, title=title))
-    return "\n\n".join(tables), payload
+    label = f"sharded x{workers}"
+    rows, summary = _run_side(network, grid, workers)
+    payload["sides"][label] = {"rows": rows, "summary": summary}
+    title = (
+        f"{label}: {summary['combos']} combos — cold {summary['cold_total_s']:.3f}s "
+        f"vs engine {summary['engine_total_s']:.3f}s "
+        f"(batched {summary['batch_total_s']:.3f}s, "
+        f"amortized speedup {summary['amortized_speedup']:.2f}x, "
+        f"exports={summary['engine_stats']['exports']}, "
+        f"pool_spawns={summary['engine_stats']['pool_spawns']})"
+    )
+    return format_series(rows, title=title), payload
 
 
 def main(argv=None) -> int:
@@ -166,7 +161,7 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="CI smoke run: small data, small grid"
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="fleet size for the sharded side"
+        "--workers", type=int, default=2, help="fleet size for both sides"
     )
     add_history_arguments(parser)
     args = parser.parse_args(argv)

@@ -264,8 +264,8 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         type=_parse_workers,
         default=None,
         metavar="N",
-        help="serve every combo through a shared N-process fleet; "
-        "default is the serial path",
+        help="serve every combo through a shared N-process fleet "
+        "(default: one worker per CPU)",
     )
     parser.add_argument(
         "--json",

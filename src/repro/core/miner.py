@@ -85,9 +85,9 @@ CKEY_RANK_BY = 3
 CKEY_PUSH_TOPK = 4
 CKEY_APPLY_GENERALITY = 13
 #: Total field count of :meth:`MinerConfig.canonical_key` — the length
-#: every well-formed config key must have.  Validators (e.g.
-#: :func:`repro.engine.request.split_canonical_key`) compare against
-#: this instead of a magic 17.
+#: every well-formed config key must have.  Validators (e.g. the delta
+#: migrator's eligibility check in :mod:`repro.engine.delta`) compare
+#: against this instead of a magic 17.
 CKEY_FIELDS = 17
 
 

@@ -13,10 +13,10 @@ bit-for-bit, and with it its support, lw, homophily counts and score.
 :func:`migrate_fingerprint` exploits that instead of purging the whole
 superseded fingerprint: each cached entry is either *migrated* — its
 untouched-branch members carried over (re-verified on the new store) and
-only the touched branches re-mined through the ordinary
-:meth:`~repro.core.miner.GRMiner.plan_branches` /
-:meth:`~repro.core.miner.GRMiner.mine_branch` entry points, then merged
-through the same total-order reduce every sharded query uses — or
+only the touched branches re-mined as one shard
+(:func:`~repro.parallel.worker.mine_shard`, on the engine's own
+skeleton), then merged through the same total-order reduce every
+sharded query uses — or
 *purged*, whenever any link of the proof below cannot be established.
 The fallback is always available and always sound: a purged entry is
 simply re-mined cold on its next request.
@@ -30,11 +30,11 @@ and ``C_T`` the fresh top-k of the branches in ``T``.  The migrated
 result is ``merge(U', C_T)``.  Eligibility conditions and what each one
 buys:
 
-* **Sharded mode only.**  Sharded entries carry exact Definition 5
-  semantics (cross-shard verification decides blocking from first
-  principles), so set equalities below are well-defined.  Serial
-  ``GRMiner(k)`` entries are path-dependent (DESIGN.md §5.5's
-  blocker-in-pruned-subtree case) and are always purged.
+* **Exact entries.**  Every engine entry was mined on the fleet and
+  carries exact Definition 5 semantics (cross-shard verification
+  decides blocking from first principles), so set equalities below are
+  well-defined.  A key of any other layout (e.g. a disk-tier row
+  written before keys lost their execution-mode prefix) is purged.
 * **Ranking ∈ {nhp, confidence, laplace}.**  These depend only on the
   candidate's own counts, which are unchanged in untouched branches.
   ``gain`` divides by ``|E|``, so *every* score moves with the delta —
@@ -72,14 +72,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..core.miner import GRMiner, MinerConfig, config_from_canonical_key
+from ..core.miner import CKEY_FIELDS, GRMiner, MinerConfig, config_from_canonical_key
 from ..core.results import MinedGR, MiningResult, MiningStats
-from ..core.topk import TopKCollector
 from ..data.store import StoreDelta
 from ..parallel.miner import memo_counts, merge_shard_results
-from ..parallel.worker import CrossShardGeneralityVerifier, ShardResult
+from ..parallel.worker import CrossShardGeneralityVerifier, ShardResult, ShardTask, mine_shard
 from ..serve.markers import coordinator_only
-from .request import split_canonical_key
 
 __all__ = ["MigrationReport", "migrate_fingerprint"]
 
@@ -166,13 +164,15 @@ def migrate_fingerprint(engine, old_fingerprint: str, delta: StoreDelta | None) 
 def _eligible_config(ckey) -> MinerConfig | None:
     """Decode an entry's request key iff it is provably migratable.
 
-    ``ckey`` is a :meth:`MineRequest.canonical_key`: the execution mode
-    followed by the 17 :meth:`MinerConfig.canonical_key` fields.
+    ``ckey`` is a :meth:`MineRequest.canonical_key`: the
+    :data:`~repro.core.miner.CKEY_FIELDS` fields of
+    :meth:`MinerConfig.canonical_key`.  Cache keys round-trip through
+    the sqlite disk tier and may predate the current layout, so the
+    shape is checked before the fields are decoded.
     """
-    split = split_canonical_key(ckey)
-    if split is None or split[0] != "sharded":
-        return None  # malformed key, or serial: §5.5-path-dependent
-    config = config_from_canonical_key(split[1])
+    if not isinstance(ckey, tuple) or len(ckey) != CKEY_FIELDS:
+        return None  # malformed, or another layout's key
+    config = config_from_canonical_key(ckey)
     if config.rank_by not in _COUNT_LOCAL_RANKINGS:
         return None  # gain rescales every score with |E|
     if config.apply_generality and config.min_score > 0.0:
@@ -226,26 +226,15 @@ def _migrate_entry(
             continue  # a blocker newly qualified; Definition 5(2) drops it
         survivors.append(MinedGR(gr=entry.gr, metrics=metrics, score=score))
 
-    # --- re-mine only the touched branches, with the same per-candidate
-    # machinery the sharded workers use (their exactness carries over).
+    # --- re-mine only the touched branches as one shard, with the same
+    # per-candidate machinery the fleet uses (its exactness carries over).
     touched_branches = tuple(
         b
         for b in plan.branches
         if b.kind == "root" or (b.attr, b.value) in touched
     )
-    collector = TopKCollector(
-        k=config.k if config.push_topk else None, min_score=float(config.min_score)
-    )
-    skeleton._begin(collector)
-    skeleton._candidate_verifier = verifier
-    for branch in touched_branches:
-        skeleton.mine_branch(plan.tau, branch)
-    mined = ShardResult(
-        shard_id=1,
-        entries=skeleton._collector.results(),
-        stats=skeleton._stats,
-        memo_hits=skeleton.memo_hits,
-        memo_misses=skeleton.memo_misses,
+    mined = mine_shard(
+        skeleton, ShardTask(shard_id=1, branches=touched_branches, config=config), None
     )
     carried = ShardResult(shard_id=0, entries=survivors, stats=MiningStats())
     entries, stats = merge_shard_results(

@@ -14,30 +14,30 @@ query stream:
   fingerprinted (the cache identity of the data);
 * the shared-memory export happens **once**, under a guaranteed-unlink
   :class:`~repro.data.store.SharedStoreLease`;
-* the worker fleet is spawned **once** (lazily, on the first pooled
+* the worker fleet is spawned **once** (lazily, on the first mined
   query) and re-armed per query via self-describing shard tasks;
-* one serial miner skeleton handles planning and serial-mode queries,
-  re-targeted per query with :meth:`GRMiner.rearm`;
+* one miner skeleton on the coordinator plans every query, re-targeted
+  per query with :meth:`GRMiner.rearm`; it mines nothing but a migrated
+  cache entry's touched branches (:mod:`repro.engine.delta`);
 * results are memoized in an LRU keyed by ``(store fingerprint,
   canonical request)``.
 
 A cache miss is planned into an :class:`~repro.parallel.Execution`
-(:meth:`MiningEngine.prepare`), whose ``mode`` is ``"pooled"`` (shard
-tasks for the fleet), ``"inline"`` (one shard, or ``workers=1``: the
-same shard machinery in-process) or ``"serial"`` (the plain
-:class:`~repro.core.miner.GRMiner`, for requests without ``workers``).
-:meth:`MiningEngine.sweep` drives a batch of them itself; the
+(:meth:`MiningEngine.prepare`) whose shard tasks all run on the fleet:
+one, many, or none when every first-level partition falls below
+minSupp.  A request's ``workers`` caps how many fleet workers its
+shards spread over; ``None`` means the whole fleet.
+:meth:`MiningEngine.sweep` drives a batch of executions itself; the
 :mod:`repro.serve` scheduler drives the same executions through the
 same steps and hands them back to :meth:`MiningEngine.finish` and
 :meth:`MiningEngine.release_bus`.
 
 Semantics are inherited, not reimplemented: every query runs through the
-exact same :func:`run_shard` / :meth:`Execution.merge
-<repro.parallel.Execution.merge>` machinery as
-:class:`~repro.parallel.ParallelGRMiner` (sharded modes) or the plain
-:class:`~repro.core.miner.GRMiner` (serial mode), so the equivalence
-harness's guarantees — Definition 5 exactness and worker-count
-determinism — carry over unchanged.
+exact same :func:`~repro.parallel.worker.mine_shard` /
+:meth:`Execution.merge <repro.parallel.Execution.merge>` machinery as
+:class:`~repro.parallel.ParallelGRMiner`, so the equivalence harness's
+guarantees carry over unchanged: every engine answer is the exact
+Definition 5 answer, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from ..parallel.miner import (
     Execution,
     check_worker_count,
     dispatch,
-    execute_shards_inline,
     gather,
     memo_counts,
     shard_tasks,
@@ -73,7 +72,7 @@ __all__ = ["EngineStats", "Execution", "MiningEngine"]
 
 _WARM_STARTS = REGISTRY.counter(
     "repro_warm_starts_total",
-    "Pooled queries whose bus was checked out pre-seeded with a warm-start floor.",
+    "Mined queries whose bus was checked out pre-seeded with a warm-start floor.",
 )
 _LEASE_EXPORTS = REGISTRY.counter(
     "repro_lease_exports_total",
@@ -120,7 +119,7 @@ class EngineStats:
     #: Migration attempts that failed a safety check and degraded to a
     #: purge (a subset of ``purged_entries``).
     migration_fallbacks: int = 0
-    #: Pooled queries whose threshold bus was checked out pre-seeded
+    #: Mined queries whose threshold bus was checked out pre-seeded
     #: with a warm-start floor (see :meth:`MiningEngine.prepare`).
     warm_starts: int = 0
 
@@ -147,10 +146,10 @@ class MiningEngine:
     network:
         The attributed network all queries run against.
     workers:
-        Size of the (lazily spawned) worker fleet for sharded queries;
-        ``None`` uses ``os.cpu_count()``.  Individual requests may ask
-        for fewer workers; requests asking for more are clamped with a
-        warning.
+        Size of the (lazily spawned) worker fleet every mined query runs
+        on; ``None`` uses ``os.cpu_count()``.  Individual requests may
+        ask for fewer workers; requests asking for more are clamped with
+        a warning.
     start_method, threshold_refresh:
         As on :class:`~repro.parallel.ParallelGRMiner`.
     cache_size:
@@ -225,12 +224,12 @@ class MiningEngine:
     def sweep(self, requests: Iterable[MineRequest | Mapping]) -> list[MiningResult]:
         """Answer a batch of queries, interleaving their shards.
 
-        All pooled queries' shard tasks are dispatched round-robin over
-        the one shared fleet before any gather, so a sweep's wall time
-        approaches the makespan of the combined task bag instead of the
-        sum of per-query makespans.  Serial and inline queries run on
-        the coordinator while the fleet churns.  Results come back in
-        request order; duplicates within a batch share one execution.
+        Every cache-missed query's shard tasks are dispatched
+        round-robin over the one shared fleet before any gather, so a
+        sweep's wall time approaches the makespan of the combined task
+        bag instead of the sum of per-query makespans.  Results come
+        back in request order; duplicates within a batch share one
+        execution.
         """
         self._ensure_open()
         requests = [
@@ -251,8 +250,8 @@ class MiningEngine:
                 if isinstance(answer, Execution):
                     executions[key] = answer
                 answers.append(answer)
-            pooled = [e for e in executions.values() if e.mode == "pooled"]
-            handles = dispatch(pooled, self._ensure_pool()) if pooled else []
+            pending = [e for e in executions.values() if e.queue]
+            handles = dispatch(pending, self._ensure_pool()) if pending else []
         except BaseException:
             # A bus is only recyclable while none of its query's shards
             # reached the fleet; the others stay checked out (reclaimed
@@ -262,21 +261,14 @@ class MiningEngine:
                     self.release_bus(execution)
             raise
 
-        # Coordinator-side work while the fleet churns on pooled shards.
-        # One failing query must not stop the others: every pooled
-        # execution is always gathered (its bus may only be recycled
-        # once all of its shards settled), completed work is cached, and
-        # the first error is re-raised at the end.
+        # One failing query must not stop the others: every execution is
+        # always gathered (its bus may only be recycled once all of its
+        # shards settled), completed work is cached, and the first error
+        # is re-raised at the end.
+        gather(handles)
         results: dict[tuple, MiningResult] = {}
         errors: list[BaseException] = []
         for execution in executions.values():
-            if execution.mode != "pooled":
-                try:
-                    results[execution.key] = self.run_in_process(execution)
-                except BaseException as exc:
-                    errors.append(exc)
-        gather(handles)
-        for execution in pooled:
             self.release_bus(execution)
             try:
                 if execution.error is not None:
@@ -312,14 +304,15 @@ class MiningEngine:
         scheduler-served query shows up in :class:`EngineStats` exactly
         like a ``sweep()``-served one.
 
-        ``floor`` is an optional *warm-start* threshold: a pooled
-        query's threshold bus is checked out pre-seeded with it, so
-        every shard starts its dynamic minNhp there instead of at −inf.
-        The caller guarantees soundness — the floor must certify ≥ k
-        valid results of **this** query scoring at least it (derived
-        in :func:`repro.engine.request.warmstart_dominates`; the
+        ``floor`` is an optional *warm-start* threshold: the query's
+        threshold bus is checked out pre-seeded with it, so every shard
+        starts its dynamic minNhp there instead of at −inf.  The caller
+        guarantees soundness — the floor must certify ≥ k valid results
+        of **this** query scoring at least it (derived in
+        :func:`repro.engine.request.warmstart_dominates`; the
         :mod:`repro.serve` admission planner computes such floors from
-        dominating sweep points).  Serial and inline executions ignore it.
+        dominating sweep points).  A query without a dynamic top-k, or
+        one that plans no shard, ignores it.
         """
         self._ensure_open()
         self.stats.queries += 1
@@ -341,34 +334,34 @@ class MiningEngine:
     ) -> Execution:
         """Plan one cache-missed query into an :class:`Execution`.
 
-        Serial requests defer all work to :meth:`run_in_process`; sharded
-        requests pay branch planning, sharding, the bus checkout and the
-        store-handle resolution here, so their tasks can be dispatched
-        without touching the engine again.  ``floor`` seeds the pooled
-        bus as on :meth:`prepare`.
+        Pays branch planning, sharding, the bus checkout and the
+        store-handle resolution here, so the tasks can be dispatched to
+        the fleet without touching the engine again.  ``floor`` seeds
+        the bus as on :meth:`prepare`.
         """
         config = request.to_config()
-        if request.workers is None:
-            return Execution(config=config, mode="serial", key=key)
         plan = self._armed_skeleton(config).plan_branches()
-        workers = min(request.workers, self.workers)
-        if request.workers > self.workers and not self._warned_clamp:
-            # Once per engine (and per hub network): a sweep of N
-            # over-asking requests is one misconfiguration, not N.
-            self._warned_clamp = True
-            warnings.warn(
-                f"request asked for workers={request.workers} but the "
-                f"engine's fleet has {self.workers}; clamping (further "
-                "clamped requests on this engine stay silent)",
-                stacklevel=3,
-            )
-        warn_if_overprovisioned(workers, len(plan.branches))
+        workers = self.workers
+        if request.workers is not None:
+            workers = min(request.workers, self.workers)
+            if request.workers > self.workers and not self._warned_clamp:
+                # Once per engine (and per hub network): a sweep of N
+                # over-asking requests is one misconfiguration, not N.
+                self._warned_clamp = True
+                warnings.warn(
+                    f"request asked for workers={request.workers} but the "
+                    f"engine's fleet has {self.workers}; clamping (further "
+                    "clamped requests on this engine stay silent)",
+                    stacklevel=3,
+                )
+            warn_if_overprovisioned(workers, len(plan.branches))
         shards = plan_shards(plan.branches, workers)
-        pooled = len(shards) > 1 and workers > 1
+        if not shards:  # every first-level partition is below minSupp
+            return Execution(config=config, key=key, plan=plan)
         bus = None
         applied_floor = None
         timings: dict = {}
-        if pooled and config.push_topk and config.k is not None:
+        if config.push_topk and config.k is not None:
             acquire_started = time.perf_counter()
             bus = self._bus_pool().acquire(floor=floor)
             timings["bus_acquire"] = (acquire_started, time.perf_counter())
@@ -376,21 +369,19 @@ class MiningEngine:
                 applied_floor = float(floor)
                 self.stats.warm_starts += 1
                 _WARM_STARTS.inc()
-        # Inline shards run on this process's own store; pooled ones
-        # carry the lease handle so any fleet — including a shared,
-        # store-agnostic hub fleet — can attach the right data.  The
-        # store export can fail (e.g. /dev/shm exhaustion) *after* the
-        # bus checkout above; the checkout is still clean — no task has
-        # been submitted — so it must go back to the pool, not strand.
+        # Tasks carry the lease handle so the store-agnostic fleet can
+        # attach the right data.  The store export can fail (e.g.
+        # /dev/shm exhaustion) *after* the bus checkout above; the
+        # checkout is still clean — no task has been submitted — so it
+        # must go back to the pool, not strand.
         try:
-            store_handle = self._task_store_handle() if pooled else None
+            store_handle = self._task_store_handle()
         except BaseException:
             if bus is not None:
                 self._bus_pool().release(bus)
             raise
         return Execution(
             config=config,
-            mode="pooled" if pooled else "inline",
             key=key,
             plan=plan,
             tasks=shard_tasks(shards, config, bus, store_handle),
@@ -400,29 +391,8 @@ class MiningEngine:
         )
 
     @coordinator_only
-    def run_in_process(self, execution: Execution) -> MiningResult:
-        """Run a serial or inline execution to completion on this thread."""
-        execution.started = time.perf_counter()
-        skeleton = self._armed_skeleton(execution.config)
-        if execution.mode == "serial":
-            result = skeleton.mine()
-            result.params["engine"] = self.fingerprint
-            self._cache.put(execution.key, result)
-        elif execution.mode == "inline":
-            execution.results = execute_shards_inline(skeleton, execution.tasks)
-            result = self.finish(execution)
-        else:
-            raise ValueError(
-                "pooled executions run on the fleet: dispatch their tasks, "
-                "settle the shard results, then call finish()"
-            )
-        execution.shards_done = execution.shards_total
-        execution.timings["execute"] = (execution.started, time.perf_counter())
-        return result
-
-    @coordinator_only
     def finish(self, execution: Execution) -> MiningResult:
-        """Merge a drained pooled/inline execution's shards and cache it."""
+        """Merge a drained execution's shards and cache the answer."""
         merge_started = time.perf_counter()
         entries, stats = execution.merge()
         execution.timings["merge"] = (merge_started, time.perf_counter())
@@ -451,11 +421,12 @@ class MiningEngine:
             execution.bus = None
 
     # ------------------------------------------------------------------
-    # The serial skeleton
+    # The planning skeleton
     # ------------------------------------------------------------------
     @coordinator_only
     def _armed_skeleton(self, config: MinerConfig) -> GRMiner:
-        """The engine's one serial miner, re-targeted to ``config``."""
+        """The engine's one coordinator-side miner, re-targeted to
+        ``config``: it plans queries and names their params."""
         if self._skeleton is None:
             self._skeleton = GRMiner(self.network, store=self.store, config=config)
         elif self._skeleton.config != config:
@@ -523,7 +494,7 @@ class MiningEngine:
     def refresh_store(self, delta: StoreDelta | None = None) -> str:
         """Re-sync serving state after the backing store was rebuilt.
 
-        Re-reads the fingerprint; when it changed, drops the serial
+        Re-reads the fingerprint; when it changed, drops the planning
         skeleton (its column gathers and lattice memo describe the old
         edge set), retires the shared-memory lease (workers
         attach the next export per task) and hands the old fingerprint's
@@ -562,8 +533,8 @@ class MiningEngine:
     # ------------------------------------------------------------------
     @coordinator_only
     def _ensure_lease(self) -> SharedStoreLease:
-        """The live export of the *current* store version (≥ 0 exports:
-        kept across pool-spawn failures, retired by refresh_store)."""
+        """The live export of the *current* store version (kept until
+        :meth:`refresh_store` retires it)."""
         if self._lease is None or self._lease.closed:
             self._lease = self.store.lease_shared()
             self.stats.exports += 1
@@ -578,19 +549,14 @@ class MiningEngine:
 
     @coordinator_only
     def _task_store_handle(self) -> SharedStoreHandle:
-        """The store handle pooled shard tasks must carry."""
+        """The store handle every shard task must carry."""
         return self._ensure_lease().handle
 
     @coordinator_only
     def _ensure_pool(self) -> PersistentWorkerPool:
         if self._pool is None:
-            # The lease is kept if the spawn below fails: the export
-            # succeeded and is reusable, so a retry must not pay (or
-            # count) a second one.
-            lease = self._ensure_lease()
             self._pool = PersistentWorkerPool(
-                lease.handle,
-                processes=self.workers,
+                self.workers,
                 start_method=self.start_method,
                 threshold_refresh=self.threshold_refresh,
             )
@@ -616,7 +582,7 @@ class MiningEngine:
     def close(self, force: bool = False) -> None:
         """Release the pool, the buses and the store lease (idempotent).
 
-        Closing while pooled shard tasks are still in flight fails fast
+        Closing while shard tasks are still in flight fails fast
         with a :class:`RuntimeError` instead of tearing the fleet down
         under a gatherer: terminating the pool would leave whoever is
         blocked in ``AsyncResult.get()`` waiting forever and strand the
@@ -646,7 +612,7 @@ class MiningEngine:
         inflight = self._pool.inflight
         if inflight > 0:
             raise RuntimeError(
-                f"{who}.close() with {inflight} pooled shard task(s) still "
+                f"{who}.close() with {inflight} shard task(s) still "
                 "in flight — terminating the fleet now would block their "
                 "gatherer forever and leak the query's threshold bus; "
                 "drain or cancel the in-flight queries first, or call "

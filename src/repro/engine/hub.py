@@ -4,11 +4,11 @@ A :class:`~repro.engine.MiningEngine` amortizes per-query setup for one
 immutable network; the hub amortizes the *fleet* across many networks
 and makes the networks mutable:
 
-* **One pool, one bus pool.**  The worker fleet is spawned once,
-  store-agnostic (``PersistentWorkerPool(None, ...)``); every pooled
-  shard task carries its network's store handle and workers attach the
-  export on demand (LRU-bounded per worker).  Threshold-bus segments
-  come from one shared free list.
+* **One pool, one bus pool.**  The worker fleet is spawned once and is
+  store-agnostic, like every :class:`PersistentWorkerPool`: each shard
+  task carries its network's store handle and workers attach the export
+  on demand (LRU-bounded per worker).  Threshold-bus segments come from
+  one shared free list.
 * **Per-network leases under a memory budget.**  Each registered
   network's shared-memory export lives in an LRU of
   :class:`~repro.data.store.SharedStoreLease`\\ s.  Attaching a lease
@@ -110,9 +110,6 @@ class _HubEngine(MiningEngine):
 
     @coordinator_only
     def _ensure_pool(self) -> PersistentWorkerPool:
-        # The shared fleet is store-agnostic, so serving a pooled query
-        # requires this network's lease to be resident alongside it.
-        self._hub._touch_lease(self)
         return self._hub._ensure_pool()
 
     @coordinator_only
@@ -133,7 +130,7 @@ class EngineHub:
     ----------
     workers:
         Shared fleet size (``None`` uses ``os.cpu_count()``).  Every
-        network's pooled queries run on this one fleet.
+        network's mined queries run on this one fleet.
     start_method, threshold_refresh:
         As on :class:`~repro.engine.MiningEngine`, applied hub-wide.
     cache_size:
@@ -209,7 +206,7 @@ class EngineHub:
         """Add a named network; returns its hub-managed engine.
 
         The compact store is built (or adopted) and fingerprinted now;
-        the shared-memory export is deferred until the first pooled
+        the shared-memory export is deferred until the first mined
         query touches it.
         """
         self._ensure_open()
@@ -289,8 +286,7 @@ class EngineHub:
     def _ensure_pool(self) -> PersistentWorkerPool:
         if self._pool is None:
             self._pool = PersistentWorkerPool(
-                None,  # store-agnostic: tasks carry their store handles
-                processes=self.workers,
+                self.workers,
                 start_method=self.start_method,
                 threshold_refresh=self.threshold_refresh,
             )
@@ -414,16 +410,16 @@ class EngineHub:
     def close(self, force: bool = False) -> None:
         """Release the fleet, buses, every lease and the cache (idempotent).
 
-        Like :meth:`MiningEngine.close`, closing while pooled shard
-        tasks are in flight on the shared fleet raises instead of
-        deadlocking their gatherer; ``force=True`` (and the exception-
-        unwinding ``with`` exit) tears down hard regardless.
+        Like :meth:`MiningEngine.close`, closing while shard tasks are
+        in flight on the shared fleet raises instead of deadlocking
+        their gatherer; ``force=True`` (and the exception-unwinding
+        ``with`` exit) tears down hard regardless.
         """
         if self._closed:
             return
         if not force and self._pool is not None and self._pool.inflight > 0:
             raise RuntimeError(
-                f"EngineHub.close() with {self._pool.inflight} pooled shard "
+                f"EngineHub.close() with {self._pool.inflight} shard "
                 "task(s) still in flight — terminating the shared fleet now "
                 "would block their gatherer forever and leak the query's "
                 "threshold bus; drain or cancel the in-flight queries "

@@ -4,25 +4,26 @@ A request is the user-facing sibling of
 :class:`~repro.core.miner.MinerConfig`: it speaks the paper's vocabulary
 (``min_nhp``, ``k``) plus an execution hint (``workers``), normalizes
 into a config for the miner skeletons, and canonicalizes into the
-engine's cache key.  Requests are frozen and hashable so they can be
-deduplicated, batched and replayed.
+engine's cache key — the config's own canonical key, since every engine
+answer is the exact Definition 5 answer whatever the hint.  Requests
+are frozen and hashable so they can be deduplicated, batched and
+replayed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..core.miner import (
     CKEY_ABS_SUPPORT,
     CKEY_APPLY_GENERALITY,
-    CKEY_FIELDS,
     CKEY_K,
     CKEY_MIN_SCORE,
     CKEY_PUSH_TOPK,
     MinerConfig,
 )
 
-__all__ = ["MineRequest", "split_canonical_key", "warmstart_dominates"]
+__all__ = ["MineRequest", "warmstart_dominates"]
 
 #: MineRequest fields that are *not* forwarded as MinerConfig options.
 _OWN_FIELDS = frozenset({"k", "min_support", "min_nhp", "rank_by", "push_topk", "workers"})
@@ -38,14 +39,11 @@ class MineRequest:
         As on :class:`~repro.core.miner.GRMiner` (``min_nhp`` maps to its
         ``min_score``).
     workers:
-        ``None`` runs the query on the engine's serial miner skeleton;
-        an integer routes it through the engine's shared worker pool
-        (clamped to the pool size), with ``workers=1`` running the shard
-        machinery in-process.  Thanks to the determinism guarantee the
-        *answer* does not depend on the count — only the latency and the
-        serial-heuristic-vs-exact distinction of DESIGN.md §5.5 do,
-        which is why only the serial/sharded mode bit enters the cache
-        key.
+        How many of the engine's fleet workers the query's shards may
+        spread over: ``None`` means the whole fleet, and larger counts
+        are clamped to it.  Thanks to the determinism guarantee the
+        *answer* does not depend on the count — only the latency does —
+        so it does not enter the cache key.
     options:
         Any further :class:`~repro.core.miner.MinerConfig` field (e.g.
         ``node_attributes``, ``allow_empty_lhs``,
@@ -63,7 +61,7 @@ class MineRequest:
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be None (serial) or a positive count")
+            raise ValueError("workers must be None (the whole fleet) or a positive count")
         options = []
         for name, value in (
             self.options.items() if isinstance(self.options, dict) else self.options
@@ -99,10 +97,6 @@ class MineRequest:
             options=tuple(options.items()),
         )
 
-    def with_workers(self, workers: int | None) -> "MineRequest":
-        """The same query under a different execution mode."""
-        return replace(self, workers=workers)
-
     # ------------------------------------------------------------------
     def to_config(self) -> MinerConfig:
         """The miner-facing form of this request (validates on build)."""
@@ -116,17 +110,15 @@ class MineRequest:
         )
 
     def canonical_key(self, schema, num_edges: int) -> tuple:
-        """Hashable result identity: execution mode + resolved params.
+        """Hashable result identity: the resolved
+        :meth:`MinerConfig.canonical_key <repro.core.miner.MinerConfig.canonical_key>`.
 
         Two requests with equal keys (over equal stores) are guaranteed
         the same result list, which is exactly what the engine's LRU
-        cache needs.  The worker *count* is excluded — the sharded
-        answer is worker-count deterministic — but the serial/sharded
-        mode is not, because serial GRMiner(k)'s dynamic-threshold
-        heuristic may hold fewer entries (DESIGN.md §5.5).
+        cache needs.  The worker count is excluded: the sharded answer
+        is worker-count deterministic.
         """
-        mode = "serial" if self.workers is None else "sharded"
-        return (mode,) + self.to_config().canonical_key(schema, num_edges)
+        return self.to_config().canonical_key(schema, num_edges)
 
     def describe(self) -> str:
         """Compact human-readable form for tables and logs."""
@@ -144,29 +136,6 @@ class MineRequest:
         return " ".join(parts)
 
 
-def split_canonical_key(full_key) -> tuple[str, tuple] | None:
-    """Split a full :meth:`MineRequest.canonical_key` into
-    ``(mode, config_key)`` — or ``None`` if it is not one.
-
-    This is the only sanctioned way for layers outside the two
-    layout-owning modules (this one and :mod:`repro.core.miner`) to peel
-    the execution-mode prefix off a canonical key: the ``ckey-layout``
-    lint rule forbids positional subscripts everywhere else, so layout
-    changes stay localized.  Validates shape (a tuple of
-    ``1 + CKEY_FIELDS`` entries whose head is ``"serial"`` or
-    ``"sharded"``) rather than trusting the caller, because cache keys
-    round-trip through the sqlite disk tier and may predate the current
-    layout.
-    """
-    if (
-        isinstance(full_key, tuple)
-        and len(full_key) == 1 + CKEY_FIELDS
-        and full_key[0] in ("serial", "sharded")
-    ):
-        return full_key[0], full_key[1:]
-    return None
-
-
 #: Canonical-key positions masked by the warm-start dominance check —
 #: the two threshold fields that may differ between seed and dependent.
 _THRESHOLD_SLOTS = frozenset({CKEY_ABS_SUPPORT, CKEY_MIN_SCORE})
@@ -178,13 +147,11 @@ def _invariant_part(config_key: tuple) -> tuple:
     )
 
 
-def warmstart_dominates(seed_key: tuple, dependent_key: tuple) -> bool:
-    """Whether mining ``seed_key``'s query first yields a *sound*
-    warm-start floor for ``dependent_key``'s query.
+def warmstart_dominates(seed: tuple, dependent: tuple) -> bool:
+    """Whether mining ``seed``'s query first yields a *sound*
+    warm-start floor for ``dependent``'s query.
 
-    Both arguments are full :meth:`MineRequest.canonical_key` tuples
-    (execution mode followed by the resolved
-    :meth:`~repro.core.miner.MinerConfig.canonical_key` fields) over the
+    Both arguments are :meth:`MineRequest.canonical_key` tuples over the
     **same store fingerprint** — the caller is responsible for the
     fingerprint check, since the keys themselves do not carry it.
 
@@ -229,24 +196,19 @@ def warmstart_dominates(seed_key: tuple, dependent_key: tuple) -> bool:
     generality on, only the support axis may relax; ``min_score`` must
     be equal.
 
-    Only ``"sharded"``-mode keys with a dynamic top-k (``push_topk``
-    and a finite ``k``) are eligible: the floor is delivered through
-    the threshold bus of the pooled path, whose per-candidate direct
-    generality verification makes the argument above exact (serial
-    GRMiner(k)'s index-based check is already heuristic per DESIGN.md
-    §5.5 and gets no bus).  Identical keys are *not* dominance — they
-    are the single-flight dedup case.
+    Only keys with a dynamic top-k (``push_topk`` and a finite ``k``)
+    are eligible: the floor is delivered through the query's threshold
+    bus, whose shards' per-candidate direct generality verification
+    makes the argument above exact.  Identical keys are *not* dominance
+    — they are the single-flight dedup case.
     """
-    if seed_key == dependent_key:
+    if seed == dependent:
         return False
-    if seed_key[0] != "sharded" or dependent_key[0] != "sharded":
+    if seed[CKEY_K] is None or not seed[CKEY_PUSH_TOPK]:
         return False
-    seed_cfg, dep_cfg = seed_key[1:], dependent_key[1:]
-    if seed_cfg[CKEY_K] is None or not seed_cfg[CKEY_PUSH_TOPK]:
+    if _invariant_part(seed) != _invariant_part(dependent):
         return False
-    if _invariant_part(seed_cfg) != _invariant_part(dep_cfg):
-        return False
-    support_ok = seed_cfg[CKEY_ABS_SUPPORT] >= dep_cfg[CKEY_ABS_SUPPORT]
-    if seed_cfg[CKEY_APPLY_GENERALITY]:
-        return support_ok and seed_cfg[CKEY_MIN_SCORE] == dep_cfg[CKEY_MIN_SCORE]
-    return support_ok and seed_cfg[CKEY_MIN_SCORE] >= dep_cfg[CKEY_MIN_SCORE]
+    support_ok = seed[CKEY_ABS_SUPPORT] >= dependent[CKEY_ABS_SUPPORT]
+    if seed[CKEY_APPLY_GENERALITY]:
+        return support_ok and seed[CKEY_MIN_SCORE] == dependent[CKEY_MIN_SCORE]
+    return support_ok and seed[CKEY_MIN_SCORE] >= dependent[CKEY_MIN_SCORE]

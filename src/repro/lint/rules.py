@@ -166,13 +166,12 @@ class CkeyLayout(Rule):
     outside ``repro/engine/request.py`` and ``repro/core/miner.py``.
 
     Invariant (PR 2, frozen in PRs 5–6): the canonical key —
-    ``("serial"|"sharded",) + MinerConfig.canonical_key`` — is the
-    stack-wide cache/dedup identity, and its field order is decoded by
-    warm-start dominance and delta migration.  Positional pokes like
-    ``ckey[4]`` scattered across layers make the layout impossible to
-    evolve; all decoding must go through the ``CKEY_*`` constants,
-    ``config_from_canonical_key``, or ``split_canonical_key`` in the
-    two layout-owning modules.  Detection is name-based: subscripts
+    ``MinerConfig.canonical_key`` — is the stack-wide cache/dedup
+    identity, and its field order is decoded by warm-start dominance
+    and delta migration.  Positional pokes like ``ckey[4]`` scattered
+    across layers make the layout impossible to evolve; all decoding
+    must go through the ``CKEY_*`` constants or
+    ``config_from_canonical_key`` in the two layout-owning modules.  Detection is name-based: subscripts
     with a literal integer index (or slice) on names matching
     ``ckey``/``canonical_key`` (with ``*_``/``_*`` variants) or on a
     direct ``.canonical_key`` call result.
@@ -230,8 +229,8 @@ class CkeyLayout(Rule):
                     yield self.finding(
                         file, node,
                         "integer subscript into a canonical key outside the "
-                        "layout-owning modules; use CKEY_* constants, "
-                        "config_from_canonical_key, or split_canonical_key",
+                        "layout-owning modules; use CKEY_* constants or "
+                        "config_from_canonical_key",
                     )
 
 

@@ -6,8 +6,9 @@ exploits the tree's embarrassingly parallel first level.  See
 runs it through, :class:`ParallelGRMiner` for the one-shot driver,
 :mod:`repro.parallel.planner` for degree-weighted shard packing,
 :mod:`repro.parallel.bus` for the best-effort dynamic-threshold
-exchange, :mod:`repro.parallel.pool` for the long-lived worker-fleet
-and bus lifecycle used by :class:`repro.engine.MiningEngine`, and
+exchange, :mod:`repro.parallel.pool` for the long-lived, store-agnostic
+worker-fleet and bus lifecycle used by :class:`repro.engine.MiningEngine`
+and :class:`repro.engine.EngineHub`, and
 :mod:`repro.parallel.worker` for per-shard execution and the
 cross-shard generality verification that keeps the merged result
 exactly equal to the serial miner's Definition 5 semantics.
@@ -18,12 +19,11 @@ from .miner import (
     Execution,
     ParallelGRMiner,
     check_worker_count,
-    execute_shards_inline,
     merge_shard_results,
 )
 from .planner import plan_shards
 from .pool import BusPool, PersistentWorkerPool, default_start_method
-from .worker import CrossShardGeneralityVerifier, ShardResult, ShardTask, run_shard
+from .worker import CrossShardGeneralityVerifier, ShardResult, ShardTask, mine_shard
 
 __all__ = [
     "BusPool",
@@ -37,8 +37,7 @@ __all__ = [
     "ThresholdBus",
     "check_worker_count",
     "default_start_method",
-    "execute_shards_inline",
     "merge_shard_results",
+    "mine_shard",
     "plan_shards",
-    "run_shard",
 ]

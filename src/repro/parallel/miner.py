@@ -33,7 +33,9 @@ through the same steps — :meth:`Execution.next_task`,
 :meth:`Execution.settle`, :attr:`Execution.drained`,
 :meth:`Execution.merge` — so its answer never depends on who drove it:
 :class:`ParallelGRMiner` runs one execution over a pool of its own
-(exported, spawned and torn down per ``mine()``);
+(exported, spawned and torn down per ``mine()``), or in-process through
+:func:`~repro.parallel.worker.mine_shard` for one shard or
+``workers=1``;
 :meth:`repro.engine.MiningEngine.sweep` runs a batch of them
 round-robin over its long-lived fleet (:func:`dispatch`, then
 :func:`gather`); the :mod:`repro.serve` scheduler feeds their tasks to
@@ -58,14 +60,13 @@ from ..data.network import SocialNetwork
 from .bus import ThresholdBus
 from .planner import plan_shards
 from .pool import PersistentWorkerPool, default_start_method
-from .worker import ShardResult, ShardTask, make_worker_state, run_shard
+from .worker import ShardResult, ShardTask, mine_shard
 
 __all__ = [
     "Execution",
     "ParallelGRMiner",
     "check_worker_count",
     "dispatch",
-    "execute_shards_inline",
     "gather",
     "memo_counts",
     "merge_shard_results",
@@ -147,20 +148,6 @@ def memo_counts(shard_results: Sequence[ShardResult]) -> dict:
     }
 
 
-def execute_shards_inline(
-    serial: GRMiner, tasks: Sequence[ShardTask]
-) -> list[ShardResult]:
-    """Run shard tasks sequentially in this process (no pool, no bus).
-
-    Uses the caller's serial miner as the executor so its store-derived
-    caches are reused; exact semantics are identical to the pooled path
-    because :func:`run_shard` applies the same per-shard verification.
-    """
-    state = make_worker_state(serial.network, serial.store)
-    state.default.miner = serial
-    return [run_shard(task, state=state) for task in tasks]
-
-
 def shard_tasks(
     shards: Sequence[tuple], config: MinerConfig, bus=None, store_handle=None
 ) -> tuple[ShardTask, ...]:
@@ -182,12 +169,12 @@ def shard_tasks(
 class Execution:
     """One planned sharded query and everything its driver tracks.
 
-    ``mode`` is ``"pooled"`` (the tasks go to a worker fleet),
-    ``"inline"`` (one shard, or ``workers=1``: the same shard machinery
-    runs in-process) or ``"serial"`` (the plain :class:`GRMiner`; no
-    tasks).  A driver hands out tasks with :meth:`next_task`, records
-    each one that comes back with :meth:`settle` and is done once
-    :attr:`drained`; :meth:`merge` is then the deterministic reduce.
+    A driver hands out tasks with :meth:`next_task`, records each one
+    that comes back with :meth:`settle` and is done once
+    :attr:`drained`; :meth:`merge` is then the deterministic reduce.  A
+    query whose first-level partitions all fall below minSupp plans no
+    shard at all: it is drained from the start and merges to an empty
+    answer.
 
     An execution holding a ``bus`` owns that checkout until it drained:
     a straggler shard would otherwise publish stale floors into
@@ -197,7 +184,6 @@ class Execution:
     """
 
     config: MinerConfig
-    mode: str = "inline"
     #: Result-cache identity (engine-planned executions).
     key: tuple = ()
     plan: BranchPlan | None = None
@@ -208,7 +194,7 @@ class Execution:
     #: Named coordinator-side phases as ``{name: (start, end)}``
     #: ``perf_counter`` seconds — the raw material of trace spans.
     timings: dict = field(default_factory=dict)
-    #: When the first shard was handed out (or the in-process run began).
+    #: When the first shard was handed out (0 until then).
     started: float = 0.0
     #: Shards handed out and not yet settled.
     inflight: int = 0
@@ -226,10 +212,6 @@ class Execution:
 
     def __post_init__(self) -> None:
         self.queue = deque(self.tasks)
-
-    @property
-    def shards_total(self) -> int:
-        return max(len(self.tasks), 1)
 
     @property
     def drained(self) -> bool:
@@ -266,7 +248,8 @@ class Execution:
         self.queue.clear()
 
     def merge(self) -> tuple[list, MiningStats]:
-        """Rank-merge the settled shards; stats are timed from ``started``.
+        """Rank-merge the settled shards; stats are timed from ``started``
+        (zero when no shard was ever handed out).
 
         Settle order does not matter: the merge is a total-order reduce
         and the stats are sums, and results are taken in shard order.
@@ -275,7 +258,8 @@ class Execution:
         entries, stats = merge_shard_results(
             results, self.config, self.plan.pruned_by_support
         )
-        stats.runtime_seconds = time.perf_counter() - self.started
+        if self.started:
+            stats.runtime_seconds = time.perf_counter() - self.started
         return entries, stats
 
 
@@ -347,9 +331,9 @@ class ParallelGRMiner:
         self.start_method = start_method or default_start_method()
         self.threshold_refresh = threshold_refresh
         self._config = MinerConfig(**miner_kwargs)
-        # The coordinator's serial miner: validates parameters eagerly,
-        # owns the compact store that gets exported, and does the branch
-        # planning.  Also the in-process executor on the workers=1 path.
+        # The coordinator's miner: validates parameters eagerly, owns the
+        # compact store that gets exported, and does the branch planning.
+        # Also the in-process executor for one shard or workers=1.
         self._serial = GRMiner(network, store=store, config=self._config)
 
     # ------------------------------------------------------------------
@@ -361,36 +345,41 @@ class ParallelGRMiner:
         warn_if_overprovisioned(self.workers, len(plan.branches))
         shards = plan_shards(plan.branches, self.workers)
         pooled = len(shards) > 1 and self.workers > 1
+        # A one-query pool mines over this store's export, and both are
+        # torn down with the query.
+        lease = self._serial.store.lease_shared() if pooled else None
         bus = None
-        if pooled and config.push_topk and config.k is not None:
-            bus = ThresholdBus(num_slots=len(shards))
-        execution = Execution(
-            config=config,
-            mode="pooled" if pooled else "inline",
-            plan=plan,
-            tasks=shard_tasks(shards, config, bus),
-            bus=bus,
-            started=started,
-        )
         try:
+            if pooled and config.push_topk and config.k is not None:
+                bus = ThresholdBus(num_slots=len(shards))
+            execution = Execution(
+                config=config,
+                plan=plan,
+                tasks=shard_tasks(
+                    shards, config, bus, lease.handle if pooled else None
+                ),
+                bus=bus,
+                started=started,
+            )
             if pooled:
-                # A one-query pool: spawned over this store's export and
-                # torn down with it.
-                with self._serial.store.lease_shared() as lease:
-                    with PersistentWorkerPool(
-                        lease.handle,
-                        processes=len(shards),
-                        start_method=self.start_method,
-                        threshold_refresh=self.threshold_refresh,
-                    ) as pool:
-                        gather(dispatch([execution], pool))
+                with PersistentWorkerPool(
+                    len(shards),
+                    start_method=self.start_method,
+                    threshold_refresh=self.threshold_refresh,
+                ) as pool:
+                    gather(dispatch([execution], pool))
             else:
-                execution.results = execute_shards_inline(
-                    self._serial, execution.tasks
-                )
+                # One shard, or workers=1: no pool and no bus, the shards
+                # run on the coordinator's own miner.
+                execution.results = [
+                    mine_shard(self._serial, task, None)
+                    for task in execution.tasks
+                ]
         finally:
             if bus is not None:
                 bus.release()
+            if lease is not None:
+                lease.close()
         if execution.error is not None:
             raise execution.error
         entries, stats = execution.merge()

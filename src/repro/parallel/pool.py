@@ -1,16 +1,18 @@
-"""Worker-fleet lifecycle: a store-armed process pool that outlives queries.
+"""Worker-fleet lifecycle: a store-agnostic process pool that outlives queries.
 
 PR 1's flow was build-use-discard: every ``ParallelGRMiner.mine()``
 exported the store, spawned a pool, ran one query and tore everything
-down.  This module separates the *expensive, per-store* setup (export +
-spawn) from the *cheap, per-query* work (sharding + task dispatch) so a
-long-lived :class:`~repro.engine.MiningEngine` pays the former once:
+down.  This module separates the *expensive* setup (the spawn) from the
+*cheap, per-query* work (sharding + task dispatch) so a long-lived
+:class:`~repro.engine.MiningEngine` or
+:class:`~repro.engine.EngineHub` pays the former once:
 
 * :class:`PersistentWorkerPool` — a ``multiprocessing`` pool whose
-  initializer attaches a shared store export and nothing else.  Tasks
-  are self-describing (:class:`~repro.parallel.worker.ShardTask` carries
-  the query config and bus address), so the same fleet serves any number
-  of queries, interleaved or sequential.  Context-manager semantics:
+  workers hold no store and no query.  Tasks are self-describing
+  (:class:`~repro.parallel.worker.ShardTask` carries the query config,
+  the store handle and the bus address), so the same fleet serves any
+  number of queries over any number of stores, interleaved or
+  sequential.  Context-manager semantics:
   graceful ``close()`` + join on clean exit, ``terminate()`` when an
   exception unwinds.
 * :class:`BusPool` — a free list of :class:`ThresholdBus` segments,
@@ -24,7 +26,6 @@ import multiprocessing as mp
 import threading
 from typing import Callable
 
-from ..data.store import SharedStoreHandle
 from ..obs.metrics import REGISTRY
 from ..serve.markers import coordinator_only
 from .bus import ThresholdBus
@@ -55,18 +56,15 @@ def default_start_method() -> str:
 
 
 class PersistentWorkerPool:
-    """A process pool attached once to a shared store, serving many queries.
+    """A store-agnostic process pool serving many queries.
+
+    Every submitted task carries its own ``store_handle``, which workers
+    attach (and LRU-cache) on demand; the caller owns each exported
+    segment and must keep its lease open while tasks addressing it are
+    in flight.  A task without a handle fails with a clear error.
 
     Parameters
     ----------
-    store_handle:
-        Picklable descriptor of the exported store
-        (:attr:`SharedStoreLease.handle`).  The caller owns the segment
-        and must keep its lease open for the pool's lifetime.  ``None``
-        spawns a *store-agnostic* fleet: every task must then carry its
-        own ``store_handle``, which workers attach (and LRU-cache) on
-        demand — the multi-network mode used by
-        :class:`repro.engine.EngineHub`.
     processes:
         Fleet size.  A query may use fewer workers (its planner simply
         emits fewer shards) but never more.
@@ -80,7 +78,6 @@ class PersistentWorkerPool:
 
     def __init__(
         self,
-        store_handle: SharedStoreHandle | None,
         processes: int,
         start_method: str | None = None,
         threshold_refresh: int = 64,
@@ -94,7 +91,7 @@ class PersistentWorkerPool:
         self._pool = ctx.Pool(
             processes=processes,
             initializer=initialize_worker,
-            initargs=(store_handle, threshold_refresh),
+            initargs=(threshold_refresh,),
         )
         self._inflight = 0
         self._inflight_lock = threading.Lock()

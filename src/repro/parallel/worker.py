@@ -1,18 +1,18 @@
 """Per-process execution of enumeration-tree shards.
 
-A worker process is initialized once (:func:`initialize_worker`): it
-attaches the shared-memory store export and lazily builds one
-:class:`~repro.core.miner.GRMiner` over the attached read-only data.
-Each :class:`ShardTask` is *self-describing* — it carries the query's
-:class:`~repro.core.miner.MinerConfig` and (optionally) the address of
-the threshold bus to trade k-th-best scores over — so one long-lived
-worker serves an arbitrary stream of differently parameterized queries:
-the miner skeleton is re-armed (:meth:`GRMiner.rearm`) whenever a task's
-config differs from the previous one, while the attached store, the
-per-edge column gathers and the enumeration-lattice memo persist for the
-attachment's lifetime.  Each task replays the serial miner's recursion over
-its slice of first-level branches via the branch-entry API, and ships
-back a :class:`ShardResult` of mined entries plus effort counters.
+A worker process is initialized once (:func:`initialize_worker`) and
+holds no store of its own.  Each :class:`ShardTask` is *self-describing*
+— it carries the query's :class:`~repro.core.miner.MinerConfig`, the
+handle of the store export it mines over and (optionally) the address
+of the threshold bus to trade k-th-best scores over — so one long-lived
+worker serves any stream of queries over any number of stores.  Each
+attached store (LRU-bounded) keeps one :class:`~repro.core.miner.GRMiner`
+skeleton, re-armed (:meth:`GRMiner.rearm`) whenever a task's config
+differs, while its per-edge column gathers and enumeration-lattice memo
+persist for the attachment's lifetime.  :func:`mine_shard` replays the
+serial miner's recursion over a task's slice of first-level branches
+and returns a :class:`ShardResult` of mined entries plus effort
+counters; :func:`run_shard` is the pool's entry around it.
 
 Cross-shard generality
 ----------------------
@@ -53,7 +53,7 @@ __all__ = [
     "ShardTask",
     "StoreAttachment",
     "initialize_worker",
-    "make_worker_state",
+    "mine_shard",
     "run_shard",
 ]
 
@@ -66,12 +66,13 @@ class ShardTask:
     bus.  ``bus_handle`` addresses the bus segment for *this query* —
     concurrent queries interleaved over one pool each bring their own
     bus, which is how query N's dynamic thresholds stay out of query
-    N+1's pruning.  ``store_handle`` addresses the shared store the task
-    mines over: ``None`` uses the store the pool was initialized with
-    (the single-network engine and the one-shot miner), while a handle
-    makes the worker attach that export on demand — the mechanism that
-    lets one fleet serve many networks (:class:`repro.engine.EngineHub`)
-    and re-exported post-delta stores.
+    N+1's pruning.  ``store_handle`` addresses the shared store export
+    the task mines over; a pool worker attaches it on demand, which is
+    what lets one fleet serve many networks
+    (:class:`repro.engine.EngineHub`) and re-exported post-delta stores.
+    Every task sent to a pool must carry one; only a task run in-process
+    through :func:`mine_shard`, on a miner its caller already holds, may
+    leave it ``None``.
     """
 
     shard_id: int
@@ -100,7 +101,7 @@ class ShardResult:
 
 @dataclass
 class StoreAttachment:
-    """One attached store (default or per-task) plus its armed miner."""
+    """One attached store export plus its armed miner."""
 
     network: object
     store: object
@@ -113,13 +114,6 @@ class WorkerState:
     """Everything a worker keeps between tasks."""
 
     refresh_every: int
-    #: The store the pool was initialized with (``None`` for a
-    #: store-agnostic fleet, e.g. an EngineHub's, where every task
-    #: carries its own handle).
-    default: StoreAttachment | None = None
-    #: Segment name of the default attachment — tasks addressing it by
-    #: handle are served from ``default`` instead of re-attaching.
-    default_name: str | None = None
     #: Per-task store attachments keyed by segment name, LRU-bounded by
     #: ``max_attachments`` (a hub evicts leases under a memory budget
     #: and re-exports post-delta stores, so stale names do turn over).
@@ -137,49 +131,16 @@ class WorkerState:
 _STATE: list[WorkerState] = []
 
 
-def make_worker_state(
-    network,
-    store,
-    refresh_every: int = 64,
-    shm=None,
-    default_name: str | None = None,
-) -> WorkerState:
-    """Build a state object (also used in-process for ``workers=1``)."""
-    default = None
-    if store is not None:
-        default = StoreAttachment(network=network, store=store, shm=shm)
-    return WorkerState(
-        refresh_every=refresh_every,
-        default=default,
-        default_name=default_name,
-    )
+def initialize_worker(refresh_every: int) -> None:
+    """Pool initializer: a fresh, store-agnostic worker state.
 
-
-def initialize_worker(
-    store_handle: SharedStoreHandle | None,
-    refresh_every: int,
-) -> None:
-    """Pool initializer: attach shared data once per worker process.
-
-    Deliberately query-agnostic — no miner parameters, no bus — so the
-    pool outlives any individual query (the engine spawns it once and
-    feeds it many).  ``store_handle=None`` starts a store-agnostic
-    worker for a multi-network fleet; tasks then carry their own store
-    handles.  A vanished default segment (unlinked after a store delta
-    while the pool respawned a crashed worker) is tolerated for the same
-    reason — such a worker can still serve every handle-carrying task.
+    Deliberately query- and store-agnostic — no miner parameters, no
+    bus, no store — so the pool outlives any individual query or store
+    version (an engine spawns it once and feeds it many); tasks carry
+    the store handles the worker attaches.
     """
-    state = make_worker_state(None, None, refresh_every)
-    if store_handle is not None:
-        try:
-            network, store, shm = attach_shared_store(store_handle)
-        except FileNotFoundError:
-            pass
-        else:
-            state.default = StoreAttachment(network=network, store=store, shm=shm)
-            state.default_name = store_handle.shm_name
     _STATE.clear()
-    _STATE.append(state)
+    _STATE.append(WorkerState(refresh_every=refresh_every))
 
 
 class CrossShardGeneralityVerifier:
@@ -193,8 +154,8 @@ class CrossShardGeneralityVerifier:
     memoized per (LHS, edge, RHS) selection — generalization sets of
     neighbouring candidates overlap heavily, so the cache hit rate is
     high within a shard.  The memo is valid only for the config the
-    verifier was built with; :func:`run_shard` installs a fresh verifier
-    per task.
+    verifier was built with; :func:`mine_shard` installs a fresh
+    verifier per task.
     """
 
     def __init__(self, miner: GRMiner) -> None:
@@ -234,7 +195,7 @@ class CrossShardGeneralityVerifier:
 def _task_attachment(
     state: WorkerState, handle: SharedStoreHandle | None
 ) -> StoreAttachment:
-    """Resolve a task's store: the pool default, or an attach-by-name.
+    """Resolve a task's store by attaching its export by name.
 
     Attachments are cached per segment name and LRU-bounded: one
     long-lived worker serving a hub's rotating population of leases
@@ -243,14 +204,11 @@ def _task_attachment(
     closing the segment, and the miner's lattice memo with it.
     """
     if handle is None:
-        if state.default is None:
-            raise RuntimeError(
-                "task carries no store handle and the pool was initialized "
-                "without a default store"
-            )
-        return state.default
-    if state.default_name is not None and handle.shm_name == state.default_name:
-        return state.default
+        raise RuntimeError(
+            "shard task carries no store handle: a pool worker holds no "
+            "store of its own, so every pooled task must address its "
+            "store export"
+        )
     attachment = state.attachments.get(handle.shm_name)
     if attachment is None:
         network, store, shm = attach_shared_store(handle)
@@ -296,29 +254,38 @@ def _task_bus(state: WorkerState, handle: BusHandle | None) -> ThresholdBus | No
     return bus
 
 
-def run_shard(task: ShardTask, state: WorkerState | None = None) -> ShardResult:
-    """Mine one shard's branches and return its verified entries.
+def run_shard(task: ShardTask) -> ShardResult:
+    """The pool's entry: resolve the task's store and bus, then mine."""
+    if not _STATE:
+        raise RuntimeError("worker not initialized — call initialize_worker first")
+    state = _STATE[0]
+    miner = _shard_miner(_task_attachment(state, task.store_handle), task.config)
+    return mine_shard(
+        miner, task, _task_bus(state, task.bus_handle), state.refresh_every
+    )
 
-    An explicitly passed ``state`` (the in-process ``workers=1`` path)
-    always executes on its own default store — its caller built the
-    task; a pool worker resolves the task's ``store_handle`` instead.
+
+def mine_shard(
+    miner: GRMiner,
+    task: ShardTask,
+    bus: ThresholdBus | None,
+    refresh_every: int = 64,
+) -> ShardResult:
+    """Mine one shard's branches on ``miner`` and return its verified
+    entries.
+
+    ``miner`` must already be armed with ``task.config``; the task's
+    store handle is not consulted.  With a ``bus`` (and a dynamic
+    top-k) the collector trades k-th-best scores over it, re-reading
+    the bus every ``refresh_every`` consultations.
     """
-    if state is None:
-        if not _STATE:
-            raise RuntimeError("worker not initialized — call initialize_worker first")
-        state = _STATE[0]
-        attachment = _task_attachment(state, task.store_handle)
-    else:
-        attachment = _task_attachment(state, None)
-    miner = _shard_miner(attachment, task.config)
-    bus = _task_bus(state, task.bus_handle)
     if bus is not None and miner.push_topk and miner.k is not None:
         collector: TopKCollector = SharedThresholdCollector(
             k=miner.k,
             min_score=miner.min_score,
             bus=bus,
             slot=task.shard_id,
-            refresh_every=state.refresh_every,
+            refresh_every=refresh_every,
         )
     else:
         collector = TopKCollector(

@@ -17,12 +17,12 @@ progress and warm-start floor from its execution.  Jobs move through
 :class:`JobState`:
 
 ``PENDING`` (queued, or being planned) → ``READY`` (attached; shard
-tasks queued for the fleet) → ``RUNNING`` (shards in flight, or a
-serial/inline execution underway) → one of ``DONE`` / ``FAILED`` /
-``CANCELLED`` / ``EXPIRED``.
+tasks queued for the fleet) → ``RUNNING`` (shards in flight on the
+fleet) → one of ``DONE`` / ``FAILED`` / ``CANCELLED`` / ``EXPIRED``.
 
 Cache hits skip straight from ``PENDING`` to ``DONE`` and never create
-an execution.  Cancelling a job *detaches* it: its execution keeps
+an execution; an execution that plans no shard (every first-level
+partition below minSupp) resolves from ``READY``.  Cancelling a job *detaches* it: its execution keeps
 running for the jobs still attached.  When the last one leaves, the
 execution cancels itself — it submits no further shards, its in-flight
 shards drain (their results are discarded), and only then are its
@@ -147,7 +147,7 @@ class ServeJob:
 
     @property
     def shards_total(self) -> int:
-        return self.execution.shards_total if self.execution is not None else 0
+        return len(self.execution.tasks) if self.execution is not None else 0
 
     @property
     def shards_done(self) -> int:
@@ -166,9 +166,7 @@ class ServeJob:
         execution runs on for the other attached jobs; when this was the
         last one it stops submitting shards, drains the in-flight ones
         and recycles its bus first.  A job whose result is already final
-        is left untouched; a serial/inline execution already running on
-        the coordinator cannot be interrupted, but its job still
-        resolves as cancelled.
+        is left untouched.
         """
         self._scheduler._request_cancel(self, reason)
 

@@ -2,10 +2,11 @@
 
 The :mod:`repro.serve` threading model (PR 4) gives every piece of
 engine-internal mutable state — planning skeletons, bus checkouts,
-leases and pins, the result cache, serial/inline execution — to ONE
-coordinator thread; the asyncio event loop owns scheduling state only,
-and reaches the engine exclusively through the coordinator dispatch
-shim (:meth:`Scheduler._run_coord`).  That contract used to live in
+leases and pins, the result cache — to ONE coordinator thread, which
+plans, merges and caches while the worker fleet does all mining; the
+asyncio event loop owns scheduling state only, and reaches the engine
+exclusively through the coordinator dispatch shim
+(:meth:`Scheduler._run_coord`).  That contract used to live in
 docstrings alone.  :func:`coordinator_only` turns it into a checkable
 annotation: decorate a function that must only run on the coordinator
 thread, and the ``coordinator-only`` rule of :mod:`repro.lint` verifies

@@ -64,11 +64,12 @@ Threading model — three actors, strict ownership:
   scheduler/job state (shard completions are marshalled onto it);
 * one **coordinator thread** (a 1-thread executor) owns all
   engine-internal mutable state — planning skeletons, bus checkouts,
-  leases and pins, the result cache, serial/inline execution — i.e. the
-  role the blocking hub's calling thread used to play.  A serial or
-  inline execution holds it, and the admission loop, for its whole
-  run, so a serving deployment should prefer sharded requests;
-* the **worker fleet** (processes) owns mining, exactly as before.
+  leases and pins, the result cache — i.e. the role the blocking hub's
+  calling thread used to play.  It plans, merges and caches but never
+  mines, so a cache hit on one network never queues behind another
+  network's mine;
+* the **worker fleet** (processes) owns all mining: every execution's
+  shards run there, one shard or many.
 
 While a scheduler serves a hub, route all traffic through it: calling
 the blocking ``hub.mine()`` / ``hub.sweep()`` concurrently from another
@@ -146,13 +147,6 @@ class Scheduler:
         shard tasks in flight at once; defaults to the hub's worker
         count (one shard per worker — more would just queue inside the
         pool, outside the scheduler's control).
-    prewarm:
-        Spawn the hub's worker fleet during :meth:`start` (default)
-        instead of lazily at the first pooled job.  A serving process
-        accepts sockets; forking the fleet later would hand every open
-        connection's descriptor to the children, whose copies keep
-        clients waiting for an EOF that never comes.  ``False`` restores
-        the lazy spawn for fleet-less (serial/cached-only) use.
     warm_start:
         Default for speculative warm-start floors (on);
         :meth:`submit_sweep` / :meth:`sweep` accept a per-batch
@@ -180,14 +174,12 @@ class Scheduler:
         self,
         hub: EngineHub,
         max_inflight: int | None = None,
-        prewarm: bool = True,
         warm_start: bool = True,
         observe: bool = True,
     ) -> None:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be positive (or None)")
         self.hub = hub
-        self.prewarm = prewarm
         self.warm_start = warm_start
         self.observe = observe
         self.tracer = Tracer() if observe else NullTracer()
@@ -223,7 +215,7 @@ class Scheduler:
         #: drained; later ones park in the backlog until the delta lands.
         self._paused: dict[str, int] = {}
         self._backlog: dict[str, deque[ServeJob]] = {}
-        #: Single-flight registry: dedup key -> the pooled execution that
+        #: Single-flight registry: dedup key -> the execution that
         #: identical jobs attach to while it is in flight.
         self._executions: dict[tuple, Execution] = {}
         self._finalizing: set[asyncio.Task] = set()
@@ -254,7 +246,14 @@ class Scheduler:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "Scheduler":
-        """Bind to the running event loop and start admitting jobs."""
+        """Bind to the running event loop, spawn the hub's worker fleet
+        and start admitting jobs.
+
+        Every mined job needs the fleet, and a serving process must fork
+        it before any socket opens: forked later, the children would
+        inherit every open connection's descriptor, whose copies keep
+        clients waiting for an EOF that never comes.
+        """
         if self._loop is not None:
             raise RuntimeError("scheduler already started")
         self._loop = asyncio.get_running_loop()
@@ -262,8 +261,7 @@ class Scheduler:
         self._admitter = self._loop.create_task(
             self._admit_loop(), name="serve-admitter"
         )
-        if self.prewarm:
-            self._fleet = await self._run_coord(self.hub._ensure_pool)
+        self._fleet = await self._run_coord(self.hub._ensure_pool)
         # Seed the stats snapshot so GET /stats never has to wait for a
         # first job to publish one (see hub_stats()).
         self._store_hub_stats(await self._run_coord(self.hub.aggregate_stats))
@@ -695,25 +693,18 @@ class Scheduler:
         if execution.floor is not None:
             self._counters["warm_started"] += 1
             _M_WARM_STARTED.inc()
-        if execution.mode == "pooled" and self._fleet is None:
-            try:
-                self._fleet = await self._run_coord(engine._ensure_pool)
-            except BaseException:
-                await self._run_coord(self._release_sync, engine, execution)
-                raise
         if job.done:  # cancelled while being planned: nothing went out
             await self._run_coord(self._release_sync, engine, execution)
             return
         self._attach(job, execution)
-        if execution.mode != "pooled":
-            # Serial/inline: runs on the coordinator, holding it and
-            # this admission loop for the whole run.  Uncancellable once
-            # started; a job cancelled meanwhile resolves at once.
-            await self._finalize(execution)
-            return
         self._executions[job.dedup_key] = execution
-        self._enter_ready(execution)
-        self._fill_slots()
+        if execution.queue:
+            self._enter_ready(execution)
+            self._fill_slots()
+        else:
+            # Every first-level partition is below minSupp: no shard to
+            # run, so the (empty) answer merges right away.
+            self._finalize_soon(execution)
 
     @coordinator_only
     def _prepare_sync(self, engine, request: MineRequest, floor=None):
@@ -950,8 +941,7 @@ class Scheduler:
         task.add_done_callback(self._finalizing.discard)
 
     async def _finalize(self, execution) -> None:
-        """Settle a drained execution (or run a serial/inline one) and
-        resolve every job still on it."""
+        """Settle a drained execution and resolve every job still on it."""
         finalize_started = time.perf_counter()
         engine = self.hub.engine(execution.network)
         result = None
@@ -968,9 +958,8 @@ class Scheduler:
         self._forget(execution)
         # The last job to leave never detaches, so ``jobs`` is not empty.
         jobs, execution.jobs = execution.jobs, []
-        for name in ("execute", "merge"):
-            if name in execution.timings:
-                self.tracer.span(jobs[0].id, name, *execution.timings[name])
+        if "merge" in execution.timings:
+            self.tracer.span(jobs[0].id, "merge", *execution.timings["merge"])
         self.tracer.span(
             jobs[0].id, "finalize", finalize_started, time.perf_counter()
         )
@@ -993,12 +982,10 @@ class Scheduler:
 
     @coordinator_only
     def _finish_sync(self, engine, execution) -> MiningResult:
-        # Coordinator thread: merge a drained pooled execution (or run a
-        # serial/inline one), cache, then release bus and pin.
+        # Coordinator thread: merge a drained execution, cache, then
+        # release bus and pin.
         try:
-            if execution.mode == "pooled":
-                return engine.finish(execution)
-            return engine.run_in_process(execution)
+            return engine.finish(execution)
         finally:
             self._release_sync(engine, execution)
 
@@ -1110,7 +1097,7 @@ class Scheduler:
         job.cancel_requested = True
         job.cancel_reason = reason
         execution = job.execution
-        if execution is not None and execution.mode == "pooled":
+        if execution is not None:
             if any(not other.cancel_requested for other in execution.jobs):
                 # Detach: the execution runs on for the jobs still on it.
                 execution.jobs.remove(job)
@@ -1125,9 +1112,8 @@ class Scheduler:
                 if starved:
                     self._finalize_soon(execution)
                 return
-        # Nothing of the job is anywhere in flight — queued, parked,
-        # detached, or its serial/inline run is the coordinator's to
-        # finish — so it resolves now.
+        # Nothing of the job is anywhere in flight — it is queued,
+        # parked, being planned or just detached — so it resolves now.
         self._resolve_cancelled(job)
 
     def _expire(self, job: ServeJob) -> None:

@@ -5,10 +5,9 @@ The engine's contract has three legs:
 1. **Amortization** — a sweep of M parameter combos performs exactly one
    store export and one pool spawn (the acceptance criterion of the
    engine PR), with the first-level state reused across queries.
-2. **Exactness** — every engine result equals a fresh one-shot miner of
-   the same parameters: serial-mode queries equal ``GRMiner``,
-   sharded-mode queries equal ``ParallelGRMiner`` (and therefore the
-   exact Definition 5 reference).
+2. **Exactness** — every engine result, with or without ``workers``,
+   equals a fresh ``ParallelGRMiner`` of the same parameters (and
+   therefore the exact Definition 5 reference).
 3. **Isolation** — nothing leaks between consecutive queries: no stale
    threshold-bus floors, no stale caches when parameters change, no
    orphaned shared-memory segments when a worker dies.
@@ -16,6 +15,7 @@ The engine's contract has three legs:
 
 import math
 import warnings
+from dataclasses import replace
 from multiprocessing import shared_memory
 
 import pytest
@@ -51,18 +51,18 @@ def _network(seed: int):
 
 
 def _fresh(network, request: MineRequest):
-    """A cold one-shot run of the same query, outside any engine."""
-    kwargs = dict(
+    """A cold one-shot run of the same query, outside any engine: the
+    exact parallel miner, which every engine answer must equal."""
+    return ParallelGRMiner(
+        network,
+        workers=request.workers or 1,
         k=request.k,
         min_support=request.min_support,
         min_score=request.min_nhp,
         rank_by=request.rank_by,
         push_topk=request.push_topk,
         **dict(request.options),
-    )
-    if request.workers is None:
-        return GRMiner(network, **kwargs).mine()
-    return ParallelGRMiner(network, workers=request.workers, **kwargs).mine()
+    ).mine()
 
 
 class TestMineRequest:
@@ -117,14 +117,18 @@ class TestMineRequest:
         with pytest.raises(ValueError, match="not both"):
             GRMiner(network, k=9, config=config)
 
-    def test_canonical_key_separates_modes_not_worker_counts(self):
+    def test_canonical_key_ignores_worker_counts(self):
+        # Every engine answer is exact and worker-count deterministic,
+        # so a whole-fleet request shares its key with every count.
         network = _network(0)
         schema, edges = network.schema, network.num_edges
-        serial = MineRequest(k=5, min_support=2)
-        two = serial.with_workers(2)
-        four = serial.with_workers(4)
-        assert serial.canonical_key(schema, edges) != two.canonical_key(schema, edges)
-        assert two.canonical_key(schema, edges) == four.canonical_key(schema, edges)
+        keys = {
+            MineRequest(k=5, min_support=2, workers=workers).canonical_key(
+                schema, edges
+            )
+            for workers in (None, 1, 2, 4)
+        }
+        assert len(keys) == 1
 
 
 class TestMinSupportCanonicalization:
@@ -232,13 +236,16 @@ class TestEngineAmortization:
         for request, result in zip(requests, results):
             assert _signature(result) == _signature(_fresh(network, request))
 
-    def test_serial_queries_never_touch_the_pool(self):
+    def test_workers_less_queries_run_on_the_whole_fleet(self):
         network = _network(1)
         with MiningEngine(network, workers=2) as engine:
             result = engine.mine(k=8, min_support=2, min_nhp=0.3)
-            assert engine.stats.exports == 0 and engine.stats.pool_spawns == 0
-        fresh = GRMiner(network, k=8, min_support=2, min_score=0.3).mine()
-        assert _signature(result) == _signature(fresh)
+            assert engine.stats.exports == 1 and engine.stats.pool_spawns == 1
+            assert result.params["shards"] == 2
+        exact = GRMiner(
+            network, k=8, min_support=2, min_score=0.3, push_topk=False
+        ).mine()
+        assert _signature(result) == _signature(exact)[:8]
 
     def test_mixed_serial_and_sharded_sweep(self):
         network = _network(2)
@@ -252,17 +259,38 @@ class TestEngineAmortization:
         for request, result in zip(requests, results):
             assert _signature(result) == _signature(_fresh(network, request))
 
-    def test_single_shard_request_runs_inline(self):
-        # One attribute, tiny domain ⇒ few branches ⇒ no pool needed.
+    def test_single_shard_request_runs_on_the_fleet(self, monkeypatch):
+        # One shard is still a fleet task: the coordinator never mines.
         schema = random_schema(
             num_node_attrs=1, num_edge_attrs=0, max_domain=2, num_homophily=1, seed=9
         )
         network = random_attributed_network(schema, num_nodes=5, num_edges=12, seed=9)
-        with MiningEngine(network, workers=4) as engine:
+        with MiningEngine(network, workers=2) as engine:
+            engine._ensure_pool()  # forked before the patch: workers mine
+
+            def _no_mining(*args, **kwargs):
+                raise AssertionError("the coordinator must not mine")
+
+            monkeypatch.setattr(GRMiner, "mine_branch", _no_mining)
             result = engine.mine(k=3, min_support=1, min_nhp=0.0, workers=1)
-            assert engine.stats.pool_spawns == 0
+            monkeypatch.undo()
+            assert result.params["shards"] == 1
         fresh = ParallelGRMiner(network, workers=1, k=3, min_support=1, min_score=0.0).mine()
         assert _signature(result) == _signature(fresh)
+
+    def test_zero_shard_query_resolves_without_the_fleet(self):
+        # Every first-level partition is below minSupp: no shard runs,
+        # and the empty answer carries no stale runtime.
+        from repro.datasets.toy import toy_dating_network
+
+        request = MineRequest(k=5, min_support=10_000, workers=2)
+        with MiningEngine(toy_dating_network(), workers=2) as engine:
+            [result] = engine.sweep([request])
+            assert len(result) == 0 and result.params["shards"] == 0
+            assert result.stats.runtime_seconds < 1
+            assert engine.stats.pool_spawns == 0
+            buses = engine._buses
+            assert buses is None or len(buses._free) == len(buses._all)
 
 
 class TestEngineCache:
@@ -405,16 +433,17 @@ class TestEngineLifecycle:
 
         store = CompactStore(_network(0))
         config = MinerConfig(k=3, min_support=2)
+        lease = store.lease_shared()
+        name = lease.name
         poison = ShardTask(
             shard_id=0,
             branches=(BranchSpec("left", token_index=999, attr="X", value=1, weight=1),),
             config=config,
+            store_handle=lease.handle,
         )
-        lease = store.lease_shared()
-        name = lease.name
         with pytest.raises(Exception):
             with lease:
-                with PersistentWorkerPool(lease.handle, processes=2) as pool:
+                with PersistentWorkerPool(2) as pool:
                     pool.submit(poison).get()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -436,23 +465,25 @@ class TestEngineLifecycle:
             result = engine.mine(good)
         assert _signature(result) == _signature(_fresh(network, good))
 
-    def test_failing_serial_query_does_not_strand_pooled_work(self):
-        """A sweep mixing a good pooled query with a bad serial one must
-        still gather the pooled job (caching it, recycling its bus) and
-        raise the serial failure afterwards."""
+    def test_failing_query_does_not_strand_other_work(self):
+        """A sweep mixing a good query with one whose shards fail on the
+        fleet must still gather the good one (caching it, recycling its
+        bus) and raise the failure afterwards."""
         network = _network(1)
-        pooled = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
+        good = MineRequest(k=5, min_support=2, min_nhp=0.3)
+        # max_rhs_attrs is only consulted inside the RIGHT recursion, so
+        # planning succeeds and the TypeError fires in the workers.
         bad = MineRequest.create(
-            k=5, min_support=2, min_nhp=0.3, node_attributes=("Nope",)
+            k=5, min_support=2, min_nhp=0.3, max_rhs_attrs="bogus"
         )
         with MiningEngine(network, workers=2) as engine:
-            with pytest.raises(Exception):
-                engine.sweep([pooled, bad])
-            if engine._buses is not None:  # every bus back on the free list
-                assert len(engine._buses._free) == len(engine._buses._all)
-            again = engine.mine(pooled)
+            with pytest.raises(TypeError):
+                engine.sweep([bad, good])
+            # every bus back on the free list
+            assert len(engine._buses._free) == len(engine._buses._all)
+            again = engine.mine(good)
             assert engine.stats.cache_hits == 1  # the sweep cached it
-        assert _signature(again) == _signature(_fresh(network, pooled))
+        assert _signature(again) == _signature(_fresh(network, good))
 
     def test_failed_store_export_recycles_the_bus_checkout(self, monkeypatch):
         """plan_query acquires the threshold bus *before* resolving the
@@ -527,7 +558,7 @@ class TestWorkerValidation:
             with pytest.warns(UserWarning, match="clamping"):
                 result = engine.mine(request)
         assert _signature(result) == _signature(
-            _fresh(network, request.with_workers(2))
+            _fresh(network, replace(request, workers=2))
         )
 
     def test_clamp_warning_fires_once_per_engine(self):

@@ -56,9 +56,8 @@ def _fresh(network, request: MineRequest):
         push_topk=request.push_topk,
         **dict(request.options),
     )
-    if request.workers is None:
-        return GRMiner(network, **kwargs).mine()
-    return ParallelGRMiner(network, workers=request.workers, **kwargs).mine()
+    # The exact parallel miner: every engine answer must equal it.
+    return ParallelGRMiner(network, workers=request.workers or 1, **kwargs).mine()
 
 
 def _delta(network, count: int, seed: int = 0):
@@ -522,7 +521,15 @@ class TestWorkerStoreRotation:
                 lease.close()
 
     def test_store_less_state_rejects_handleless_tasks(self):
+        # A worker holds no store of its own: every pooled task must
+        # address one, and one that does not fails loudly.
+        from repro.core.miner import MinerConfig
+        from repro.parallel import PersistentWorkerPool, ShardTask
         from repro.parallel.worker import WorkerState, _task_attachment
 
-        with pytest.raises(RuntimeError, match="without a default store"):
+        with pytest.raises(RuntimeError, match="carries no store handle"):
             _task_attachment(WorkerState(refresh_every=64), None)
+        task = ShardTask(shard_id=0, branches=(), config=MinerConfig(k=3))
+        with PersistentWorkerPool(1) as pool:
+            with pytest.raises(RuntimeError, match="carries no store handle"):
+                pool.submit(task).get(timeout=30)

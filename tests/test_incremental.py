@@ -8,13 +8,13 @@ The contract under test, in three legs:
    touched branches re-mined) or *purged* (cold re-mine).  The property
    sweep drives random deltas — empty, single-edge, many-edge,
    concentrated in one first-level partition and spread across them,
-   repeated, and followed by sweeps — through both the serial and the
-   sharded paths.
+   repeated, and followed by sweeps — through requests with and without
+   ``workers``.
 2. **Incrementality** — an eligible cached entry survives a delta as a
    migrated entry whose re-mine covered strictly fewer branches than a
-   cold mine would, while every ineligible shape (serial mode, gain
-   ranking, score threshold + generality, untracked deltas) demonstrably
-   falls back to the purge path.
+   cold mine would, while every ineligible shape (gain ranking, score
+   threshold + generality, untracked deltas, old-layout disk rows)
+   demonstrably falls back to the purge path.
 3. **Transactionality** — ``MiningEngine.append_edges`` never half
    commits: validation failures leave the engine untouched, a refresh
    failure is recovered through a full rebuild (with a warning), and a
@@ -27,11 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.miner import GRMiner, MinerConfig, config_from_canonical_key
+from repro.core.miner import MinerConfig, config_from_canonical_key
 from repro.data.network import NetworkError
 from repro.data.store import CompactStore, StoreDelta
 from repro.datasets.random_graphs import random_attributed_network, random_schema
-from repro.engine import EngineHub, MineRequest, MiningEngine
+from repro.engine import DiskResultCache, EngineHub, MineRequest, MiningEngine
 from repro.parallel import ParallelGRMiner
 
 
@@ -77,9 +77,8 @@ def _fresh(network, request: MineRequest):
         push_topk=request.push_topk,
         **dict(request.options),
     )
-    if request.workers is None:
-        return GRMiner(network, **kwargs).mine()
-    return ParallelGRMiner(network, workers=request.workers, **kwargs).mine()
+    # The exact parallel miner: every engine answer must equal it.
+    return ParallelGRMiner(network, workers=request.workers or 1, **kwargs).mine()
 
 
 class TestStoreDelta:
@@ -249,18 +248,39 @@ class TestMigration:
             assert warm.params["branches_mined"] < warm.params["branches_total"]
             assert _signature(warm) == _signature(_fresh(network, request))
 
-    def test_serial_entries_always_purge(self):
-        network = _build(8)
-        request = MineRequest(k=5, min_support=3)  # workers=None -> serial
+    def test_workers_less_entries_migrate(self):
+        # Without ``workers`` a query still mines exactly on the fleet,
+        # so its entry migrates like any other.
+        network = _build(7)
+        request = MineRequest(k=5, min_support=3)
         with MiningEngine(network) as engine:
             engine.mine(request)
             engine.append_edges(*_delta(network, 3, seed=1, concentrated=True))
-            assert engine.stats.migrated_entries == 0
-            assert engine.stats.purged_entries == 1
-            assert engine.stats.migration_fallbacks == 0
+            assert engine.stats.migrated_entries == 1
+            assert engine.stats.purged_entries == 0
             result = engine.mine(request)
-            assert "migrated" not in result.params
+            assert result.params["migrated"] is True
             assert _signature(result) == _signature(_fresh(network, request))
+
+    def test_old_layout_disk_row_misses_and_purges(self, tmp_path):
+        """A disk row keyed with the execution-mode prefix keys used to
+        carry is a miss for the same query, and a delta purges it
+        without decoding it as a config."""
+        network = _build(7)
+        request = MineRequest(k=5, min_support=3)
+        disk = DiskResultCache(tmp_path / "cache.sqlite")
+        with MiningEngine(network, cache=disk) as engine:
+            fingerprint, ckey = engine.query_key(request)
+            stale = _fresh(network, MineRequest(k=1, min_support=3))
+            disk.put((fingerprint, ("sharded",) + ckey), stale)
+            result = engine.mine(request)
+            assert engine.stats.cache_misses == 1 and len(result) == 5
+            engine.append_edges(*_delta(network, 3, seed=1, concentrated=True))
+            assert engine.stats.purged_entries == 1  # the old-layout row
+            assert engine.stats.migration_fallbacks == 0
+            assert engine.stats.migrated_entries == 1  # the mined entry
+            assert len(disk) == 1
+        disk.close()
 
     def test_gain_ranking_always_purges(self):
         network = _build(9)

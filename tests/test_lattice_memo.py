@@ -156,8 +156,8 @@ class TestWarmSkeletonEqualsFresh:
 
 
 def _engine_request(workers, k=6, min_support=2, min_nhp=0.3):
-    # Serial engines run GRMiner(k) unless push_topk is off; sharded
-    # execution is exact either way.  Both then equal the oracle.
+    # Engine answers are exact with or without push_topk, so the two
+    # parametrizations cover both collectors against one oracle.
     return MineRequest.create(
         k=k,
         min_support=min_support,
@@ -271,10 +271,12 @@ class TestByteCap:
 class TestReuseIsExplained:
     @pytest.mark.parametrize("workers", [None, 1])
     def test_engine_params_report_memo_counts_for_mined_jobs(self, workers):
-        # workers=1 runs the shards inline on the engine's skeleton, so
-        # which nodes the second query finds built is deterministic.
+        # On a one-worker fleet every shard runs on the same worker
+        # skeleton, so which nodes the second query finds built is
+        # deterministic.  (With two workers, which worker draws which
+        # shard decides the hits.)
         network = _build(5)
-        with MiningEngine(network, workers=2) as engine:
+        with MiningEngine(network, workers=1) as engine:
             first = engine.mine(_engine_request(workers, min_support=2))
             second = engine.mine(_engine_request(workers, min_support=3))
             again = engine.mine(_engine_request(workers, min_support=3))

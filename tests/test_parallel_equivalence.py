@@ -269,29 +269,30 @@ class TestEngineEquivalence:
             assert _signature(result) == _signature(fresh_serial)[:k]
 
     @pytest.mark.slow
-    def test_engine_serial_mode_matches_fresh_serial_grminer(self):
+    def test_engine_workers_less_requests_match_the_exact_oracle(self):
         from repro.engine import MineRequest, MiningEngine
 
         network = _network(8)
         requests = [MineRequest.create(**params) for params in self._GRID]
-        with MiningEngine(network) as engine:
+        with MiningEngine(network, workers=2) as engine:
             results = engine.sweep(requests)
-            assert engine.stats.exports == 0  # serial mode never exports
+            assert engine.stats.exports == 1  # mined on the fleet
         for params, result in zip(self._GRID, results):
-            assert _signature(result) == _signature(GRMiner(network, **params).mine())
+            exact = GRMiner(network, **dict(params, push_topk=False)).mine()
+            assert _signature(result) == _signature(exact)[: params["k"]]
+            fresh_parallel = ParallelGRMiner(network, workers=2, **params).mine()
+            assert _signature(result) == _signature(fresh_parallel)
 
     @pytest.mark.slow
     def test_engine_answer_independent_of_fleet_size(self):
         from repro.engine import MineRequest, MiningEngine
 
         network = _network(3)
-        request = MineRequest(k=10, min_support=2, min_nhp=0.3, workers=1)
         signatures = []
         for fleet in (1, 2, 4):
             with MiningEngine(network, workers=fleet) as engine:
-                signatures.append(
-                    _signature(engine.mine(request.with_workers(fleet)))
-                )
+                request = MineRequest(k=10, min_support=2, min_nhp=0.3, workers=fleet)
+                signatures.append(_signature(engine.mine(request)))
         assert signatures[0] == signatures[1] == signatures[2]
 
 

@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 
 import repro.parallel.pool as pool_module
-from repro.core.miner import GRMiner
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.engine import EngineHub, MineRequest, MiningEngine
 from repro.parallel import ParallelGRMiner
@@ -58,9 +57,8 @@ def _fresh(network, request: MineRequest):
         push_topk=request.push_topk,
         **dict(request.options),
     )
-    if request.workers is None:
-        return GRMiner(network, **kwargs).mine()
-    return ParallelGRMiner(network, workers=request.workers, **kwargs).mine()
+    # The exact parallel miner: every engine answer must equal it.
+    return ParallelGRMiner(network, workers=request.workers or 1, **kwargs).mine()
 
 
 def _delta(network, count: int, seed: int = 0):
@@ -92,8 +90,8 @@ class TestServeEquivalence:
     REQUESTS = [
         MineRequest(k=10, min_support=2, min_nhp=0.3, workers=2),
         MineRequest(k=5, min_support=1, min_nhp=0.5, rank_by="confidence", workers=2),
-        MineRequest(k=6, min_support=2, min_nhp=0.4),  # serial mode
-        MineRequest(k=4, min_support=2, min_nhp=0.4, workers=1),  # inline mode
+        MineRequest(k=6, min_support=2, min_nhp=0.4),  # the whole fleet
+        MineRequest(k=4, min_support=2, min_nhp=0.4, workers=1),  # one shard
     ]
 
     @pytest.mark.parametrize("order_seed", [0, 1])
@@ -358,7 +356,7 @@ class TestCancellation:
         async def scenario():
             with EngineHub(workers=1) as hub:
                 hub.register("n", _make_network(1))
-                async with Scheduler(hub, prewarm=False) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     job = scheduler.submit("n", k=5, min_support=2, min_nhp=0.4)
                     job.cancel("user asked")
                     with pytest.raises(JobCancelled, match="user asked"):
@@ -371,7 +369,7 @@ class TestCancellation:
         async def scenario():
             with EngineHub(workers=1) as hub:
                 hub.register("n", _make_network(2))
-                async with Scheduler(hub, prewarm=False) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     job = scheduler.submit(
                         "n", k=5, min_support=2, min_nhp=0.4, deadline_s=0.0
                     )
@@ -425,7 +423,7 @@ class TestFairnessWakeClamp:
             with EngineHub(workers=1) as hub:
                 hub.register("stale", _make_network(19))
                 hub.register("fresh", _make_network(20))
-                async with Scheduler(hub, prewarm=False) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     # Simulated history: "stale" served many shards and
                     # idled; "fresh" is active at a much lower vtime.
                     scheduler._vtime = {"stale": 40.0, "fresh": 3.0}
@@ -487,7 +485,7 @@ class TestDeadlineTimerHygiene:
         async def scenario():
             with EngineHub(workers=1) as hub:
                 hub.register("n", _make_network(21))
-                async with Scheduler(hub, prewarm=False) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     job = scheduler.submit(
                         "n", k=3, min_support=2, min_nhp=0.5,
                         deadline_s=3600.0,
@@ -510,7 +508,7 @@ class TestSweepAtomicSubmission:
         async def scenario():
             with EngineHub(workers=1) as hub:
                 hub.register("n", _make_network(22))
-                async with Scheduler(hub, prewarm=False) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     with pytest.raises(ValueError):
                         await scheduler.sweep("n", [
                             {"k": 5, "min_nhp": 0.4},
@@ -541,7 +539,7 @@ class TestSweepAtomicSubmission:
         async def scenario():
             with EngineHub(workers=1) as hub:
                 hub.register("n", _make_network(23))
-                async with Scheduler(hub, prewarm=False) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     requests = [
                         MineRequest(k=5, min_support=2, min_nhp=0.4),
                         MineRequest(k=6, min_support=2, min_nhp=0.4),
@@ -563,7 +561,7 @@ class TestSweepAtomicSubmission:
         async def scenario():
             with EngineHub(workers=1) as hub:
                 hub.register("n", _make_network(24))
-                async with Scheduler(hub, prewarm=False) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     async with ServeHTTP(scheduler, port=0) as server:
                         status, payload = await _http(
                             server.port, "POST", "/networks/n/sweep",
@@ -584,6 +582,62 @@ class TestSweepAtomicSubmission:
                         assert status == 400  # knob must be boolean
 
         asyncio.run(scenario())
+
+
+class TestZeroShardQuery:
+    def test_query_below_every_partition_resolves_empty(self):
+        """Every first-level partition is below minSupp: the execution
+        plans no shard, never enters the ready list, and resolves DONE
+        with an empty answer and no bus left checked out."""
+        from repro.datasets.toy import toy_dating_network
+
+        async def scenario():
+            with EngineHub(workers=2) as hub:
+                hub.register("toy", toy_dating_network())
+                async with Scheduler(hub) as scheduler:
+                    job = scheduler.submit(
+                        "toy", k=5, min_support=10_000, workers=2
+                    )
+                    result = await asyncio.wait_for(job.result(), timeout=30)
+                    assert job.state is JobState.DONE
+                    assert job.shards_total == 0
+                    assert len(result) == 0
+                    assert result.stats.runtime_seconds < 1
+                    assert scheduler.stats()["shards_dispatched"] == 0
+                    buses = hub._buses
+                    assert buses is None or len(buses._free) == len(buses._all)
+                    assert hub._lease_pins == {}
+
+        asyncio.run(scenario())
+
+
+class TestHeadOfLine:
+    def test_cache_hit_does_not_wait_for_another_networks_mine(self):
+        """A cache hit on network B submitted right behind a
+        workers-less cold mine on network A resolves first: the
+        coordinator only plans, merges and caches, while A mines on
+        the fleet (for well over 100 ms at this size)."""
+        from repro.datasets import synthetic_pokec
+
+        big = synthetic_pokec(
+            num_sources=800, num_edges=8_000, num_regions=16, seed=7
+        )
+        hit = MineRequest(k=5, min_support=2, min_nhp=0.3)
+
+        async def scenario():
+            with EngineHub(workers=2) as hub:
+                hub.register("a", big)
+                hub.register("b", _make_network(26))
+                async with Scheduler(hub) as scheduler:
+                    await scheduler.mine("b", hit)  # a cache hit from now on
+                    mine = scheduler.submit("a", k=15, min_support=20, min_nhp=0.4)
+                    cached = scheduler.submit("b", hit)
+                    await asyncio.gather(mine, cached)
+                    assert cached.cached and not mine.cached
+                    return cached.finished_at, mine.finished_at
+
+        cached_done, mine_done = asyncio.run(scenario())
+        assert cached_done < mine_done
 
 
 class TestAppendEdgesBarrier:
@@ -614,10 +668,10 @@ class TestAppendEdgesBarrier:
 
     def test_barrier_reports_migrated_vs_purged_counts(self):
         """The barrier surfaces the delta's cache outcome: one eligible
-        sharded entry migrates, one serial entry purges."""
+        entry migrates, one gain-ranked entry purges."""
         network = _make_network(13)
         eligible = MineRequest(k=5, min_support=3, workers=1)
-        serial = MineRequest(k=5, min_support=3)
+        gain = MineRequest(k=5, min_support=3, rank_by="gain")
         # Concentrated on one source node: only its first-level
         # partitions are touched, so the sharded entry is migratable.
         rng = np.random.default_rng(1)
@@ -633,7 +687,7 @@ class TestAppendEdgesBarrier:
                 hub.register("n", network)
                 async with Scheduler(hub) as scheduler:
                     await scheduler.mine("n", eligible)
-                    await scheduler.mine("n", serial)
+                    await scheduler.mine("n", gain)
                     await scheduler.append_edges("n", src, dst, codes)
                     stats = scheduler.stats()
                     post = _signature(await scheduler.mine("n", eligible))
@@ -654,8 +708,8 @@ class TestLeaseBudgetInterleaved:
         requests = [
             MineRequest(k=8, min_support=2, min_nhp=0.3, workers=2),
             MineRequest(k=5, min_support=1, min_nhp=0.4, workers=2),
-            # Regression: serial and repeat (cache-hit) jobs must also
-            # release their lease pins, or the budget dies by leak.
+            # Regression: workers-less and repeat (cache-hit) jobs must
+            # also release their lease pins, or the budget dies by leak.
             MineRequest(k=6, min_support=2, min_nhp=0.4),
             MineRequest(k=8, min_support=2, min_nhp=0.3, workers=2),
         ]
@@ -716,7 +770,7 @@ class TestCloseGuard:
         # Patching the name run_shard resolves through in the parent
         # propagates to fork children, making task duration controllable.
         monkeypatch.setattr(pool_module, "run_shard", _sleepy_shard)
-        pool = PersistentWorkerPool(None, processes=1, start_method="fork")
+        pool = PersistentWorkerPool(1, start_method="fork")
         yield pool
         if not pool.closed:
             pool.terminate()
@@ -766,9 +820,7 @@ class TestCloseGuard:
         monkeypatch.setattr(pool_module, "run_shard", _sleepy_shard)
         with pytest.raises(ValueError, match="boom"):
             with MiningEngine(_make_network(4), workers=1) as engine:
-                engine._pool = PersistentWorkerPool(
-                    None, processes=1, start_method="fork"
-                )
+                engine._pool = PersistentWorkerPool(1, start_method="fork")
                 engine._pool.submit("shard-0")
                 raise ValueError("boom")
         assert engine.closed  # __exit__ forced the teardown
@@ -897,7 +949,7 @@ class TestHTTPFacade:
         async def scenario():
             with EngineHub(workers=1) as hub:
                 hub.register("n", _make_network(18))
-                async with Scheduler(hub, prewarm=False) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     async with ServeHTTP(scheduler, port=0) as server:
                         reader, writer = await asyncio.open_connection(
                             "127.0.0.1", server.port
@@ -920,7 +972,7 @@ class TestServeValidation:
         async def scenario():
             with EngineHub(workers=1) as hub:
                 hub.register("n", _make_network(14))
-                scheduler = Scheduler(hub, prewarm=False)
+                scheduler = Scheduler(hub)
                 with pytest.raises(RuntimeError, match="not started"):
                     scheduler.submit("n", k=3)
                 async with scheduler:
@@ -1221,7 +1273,7 @@ class TestObservabilityEndpoints:
                     async with ServeHTTP(scheduler, port=0) as server:
                         await scheduler.submit("n", k=3, min_nhp=0.4, workers=2)
                         # Saturate the single coordinator thread the way a
-                        # heavy serial mine would.
+                        # long planning or merge step would.
                         blocker = asyncio.ensure_future(
                             scheduler._run_coord(time.sleep, 0.6)
                         )

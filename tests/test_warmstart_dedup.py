@@ -36,13 +36,13 @@ from repro.core.miner import (
     CKEY_MIN_SCORE,
     CKEY_PUSH_TOPK,
     CKEY_RANK_BY,
-    GRMiner,
     MinerConfig,
+    config_from_canonical_key,
 )
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.engine import EngineHub, MineRequest
 from repro.engine.engine import MiningEngine
-from repro.engine.request import split_canonical_key, warmstart_dominates
+from repro.engine.request import warmstart_dominates
 from repro.parallel import ParallelGRMiner
 from repro.serve import JobCancelled, JobState, Scheduler
 
@@ -70,9 +70,8 @@ def _fresh(network, request: MineRequest):
         push_topk=request.push_topk,
         **dict(request.options),
     )
-    if request.workers is None:
-        return GRMiner(network, **kwargs).mine()
-    return ParallelGRMiner(network, workers=request.workers, **kwargs).mine()
+    # The exact parallel miner: every engine answer must equal it.
+    return ParallelGRMiner(network, workers=request.workers or 1, **kwargs).mine()
 
 
 def _key(network, request: MineRequest):
@@ -113,28 +112,19 @@ class TestCanonicalKeyLayout:
         fractional = MineRequest(k=5, min_support=0.05, min_nhp=0.3, workers=2)
         assert _key(network, absolute) == _key(network, fractional)
 
-    def test_split_canonical_key_round_trips_and_validates(self):
-        """The sanctioned decoder for layers outside the layout owners
-        (the ckey-layout lint rule forbids positional subscripts there)."""
+    def test_request_key_is_the_config_key(self):
+        """A request's key is its config's canonical key whatever its
+        worker count, and decodes through ``config_from_canonical_key``
+        (the ckey-layout lint rule forbids positional subscripts outside
+        the layout owners)."""
         network = _make_network(0)
-        for request in (
-            MineRequest(k=5, min_support=2, min_nhp=0.3),
-            MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2),
-        ):
-            full = _key(network, request)
-            split = split_canonical_key(full)
-            assert split is not None
-            mode, config_key = split
-            assert mode == ("serial" if request.workers is None else "sharded")
-            assert (mode,) + tuple(config_key) == full
-            assert len(config_key) == CKEY_FIELDS
-        # Anything that is not a current-layout key decodes to None —
-        # disk-cache keys may predate the layout.
-        good = _key(network, MineRequest(workers=2))
-        assert split_canonical_key(good[:-1]) is None  # truncated
-        assert split_canonical_key(("pooled",) + good[1:]) is None  # bad mode
-        assert split_canonical_key(list(good)) is None  # not a tuple
-        assert split_canonical_key(None) is None
+        schema, edges = network.schema, network.num_edges
+        request = MineRequest(k=5, min_support=2, min_nhp=0.3)
+        key = _key(network, request)
+        assert len(key) == CKEY_FIELDS
+        assert key == request.to_config().canonical_key(schema, edges)
+        assert key == _key(network, MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2))
+        assert config_from_canonical_key(key).canonical_key(schema, edges) == key
 
 
 class TestDominance:
@@ -184,14 +174,14 @@ class TestDominance:
                           push_topk=False)
         )
 
-    def test_serial_mode_is_ineligible(self):
-        # Serial GRMiner(k) gets no threshold bus (and its index-based
-        # generality check is the §5.5 heuristic): no warm start.
+    def test_workers_less_keys_are_eligible(self):
+        # A request without ``workers`` mines on the fleet through a
+        # threshold bus like any other, so it seeds and takes floors.
         strict = self._k(k=5, min_support=4, min_nhp=0.3)
         lax = self._k(k=5, min_support=1, min_nhp=0.3)
-        assert not warmstart_dominates(strict, lax)
+        assert warmstart_dominates(strict, lax)
         sharded_lax = self._k(k=5, min_support=1, min_nhp=0.3, workers=2)
-        assert not warmstart_dominates(strict, sharded_lax)
+        assert warmstart_dominates(strict, sharded_lax)
 
     def test_untopped_queries_are_ineligible(self):
         strict = self._k(k=None, min_support=4, min_nhp=0.3, workers=2)
