@@ -146,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=W",
         help="fair-share weight for a network (default 1.0; repeatable)",
     )
-    serve.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="default sweep batches to cold floors (a batch passing "
-        '"warm_start": true still opts in)',
-    )
     _add_hub_resource_arguments(serve)
 
     compare = sub.add_parser("compare", help="Table II style nhp-vs-conf comparison")
@@ -606,19 +600,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for name, directory in registrations:
                 hub.register(name, load_network(directory))
                 print(f"registered {name!r} from {directory}")
-            async with Scheduler(
-                hub,
-                max_inflight=args.max_inflight,
-                warm_start=not args.no_warm_start,
-            ) as scheduler:
+            async with Scheduler(hub, max_inflight=args.max_inflight) as scheduler:
                 for name, weight in weights:
                     scheduler.set_weight(name, weight)
                 async with ServeHTTP(scheduler, args.host, args.port) as server:
                     print(
                         f"serving {len(registrations)} network(s) on "
                         f"http://{args.host}:{server.port} "
-                        f"({hub.workers} workers, {scheduler.slots} slots, "
-                        f"warm-start={'off' if args.no_warm_start else 'on'}) — "
+                        f"({hub.workers} workers, {scheduler.slots} slots) — "
                         "Ctrl-C to stop"
                     )
                     try:

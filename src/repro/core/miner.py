@@ -60,30 +60,13 @@ from .topk import GeneralityIndex, TopKCollector
 __all__ = [
     "BranchPlan",
     "BranchSpec",
-    "CKEY_ABS_SUPPORT",
-    "CKEY_APPLY_GENERALITY",
     "CKEY_FIELDS",
-    "CKEY_K",
-    "CKEY_MIN_SCORE",
-    "CKEY_PUSH_TOPK",
-    "CKEY_RANK_BY",
     "GRMiner",
     "MinerConfig",
     "config_from_canonical_key",
     "mine_top_k",
 ]
 
-#: Positions of individual fields inside the tuple returned by
-#: :meth:`MinerConfig.canonical_key`.  Kept adjacent to that method so
-#: the two cannot drift apart silently; consumers (the warm-start
-#: dominance check in :mod:`repro.engine.request`) index canonical keys
-#: through these names instead of magic numbers.
-CKEY_ABS_SUPPORT = 0
-CKEY_MIN_SCORE = 1
-CKEY_K = 2
-CKEY_RANK_BY = 3
-CKEY_PUSH_TOPK = 4
-CKEY_APPLY_GENERALITY = 13
 #: Total field count of :meth:`MinerConfig.canonical_key` — the length
 #: every well-formed config key must have.  Validators (e.g. the delta
 #: migrator's eligibility check in :mod:`repro.engine.delta`) compare
@@ -346,12 +329,11 @@ class MinerConfig:
         off-``gain``, ``verify_generality`` without a dynamic top-k) are
         masked out.  ``kernel`` is excluded entirely: the execution tier
         never changes the answer, so queries differing only in kernel
-        share one cache entry, dedup against each other and trade
-        warm-start floors freely.  The engine's result cache is keyed by
-        this.
+        share one cache entry and dedup against each other.  The
+        engine's result cache is keyed by this.
 
-        The field order is part of the contract: the module-level
-        ``CKEY_*`` constants name the positions other layers index.
+        The field order is part of the contract:
+        :func:`config_from_canonical_key` decodes it.
         """
         node_attributes = (
             self.node_attributes

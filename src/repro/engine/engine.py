@@ -70,10 +70,6 @@ from .request import MineRequest
 
 __all__ = ["EngineStats", "Execution", "MiningEngine"]
 
-_WARM_STARTS = REGISTRY.counter(
-    "repro_warm_starts_total",
-    "Mined queries whose bus was checked out pre-seeded with a warm-start floor.",
-)
 _LEASE_EXPORTS = REGISTRY.counter(
     "repro_lease_exports_total",
     "Shared-memory store exports (leases opened).",
@@ -119,9 +115,6 @@ class EngineStats:
     #: Migration attempts that failed a safety check and degraded to a
     #: purge (a subset of ``purged_entries``).
     migration_fallbacks: int = 0
-    #: Mined queries whose threshold bus was checked out pre-seeded
-    #: with a warm-start floor (see :meth:`MiningEngine.prepare`).
-    warm_starts: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -134,7 +127,6 @@ class EngineStats:
             "purged_entries": self.purged_entries,
             "migrated_entries": self.migrated_entries,
             "migration_fallbacks": self.migration_fallbacks,
-            "warm_starts": self.warm_starts,
         }
 
 
@@ -292,9 +284,7 @@ class MiningEngine:
         ))
 
     @coordinator_only
-    def prepare(
-        self, request: MineRequest, floor: float | None = None
-    ) -> MiningResult | Execution:
+    def prepare(self, request: MineRequest) -> MiningResult | Execution:
         """The front half of one query: cache lookup, then planning.
 
         A cache hit returns the answer itself — a private snapshot
@@ -303,16 +293,6 @@ class MiningEngine:
         :meth:`plan_query` built.  Stats are counted here, so a
         scheduler-served query shows up in :class:`EngineStats` exactly
         like a ``sweep()``-served one.
-
-        ``floor`` is an optional *warm-start* threshold: the query's
-        threshold bus is checked out pre-seeded with it, so every shard
-        starts its dynamic minNhp there instead of at −inf.  The caller
-        guarantees soundness — the floor must certify ≥ k valid results
-        of **this** query scoring at least it (derived in
-        :func:`repro.engine.request.warmstart_dominates`; the
-        :mod:`repro.serve` admission planner computes such floors from
-        dominating sweep points).  A query without a dynamic top-k, or
-        one that plans no shard, ignores it.
         """
         self._ensure_open()
         self.stats.queries += 1
@@ -326,18 +306,16 @@ class MiningEngine:
             cached.params["cached"] = True
             return cached
         self.stats.cache_misses += 1
-        return self.plan_query(request, key, floor=floor)
+        return self.plan_query(request, key)
 
     @coordinator_only
-    def plan_query(
-        self, request: MineRequest, key: tuple, floor: float | None = None
-    ) -> Execution:
+    def plan_query(self, request: MineRequest, key: tuple) -> Execution:
         """Plan one cache-missed query into an :class:`Execution`.
 
         Pays branch planning, sharding, the bus checkout and the
         store-handle resolution here, so the tasks can be dispatched to
-        the fleet without touching the engine again.  ``floor`` seeds
-        the bus as on :meth:`prepare`.
+        the fleet without touching the engine again.  The bus starts at
+        −inf: only the query's own shards raise it.
         """
         config = request.to_config()
         plan = self._armed_skeleton(config).plan_branches()
@@ -359,16 +337,11 @@ class MiningEngine:
         if not shards:  # every first-level partition is below minSupp
             return Execution(config=config, key=key, plan=plan)
         bus = None
-        applied_floor = None
         timings: dict = {}
         if config.push_topk and config.k is not None:
             acquire_started = time.perf_counter()
-            bus = self._bus_pool().acquire(floor=floor)
+            bus = self._bus_pool().acquire()
             timings["bus_acquire"] = (acquire_started, time.perf_counter())
-            if floor is not None:
-                applied_floor = float(floor)
-                self.stats.warm_starts += 1
-                _WARM_STARTS.inc()
         # Tasks carry the lease handle so the store-agnostic fleet can
         # attach the right data.  The store export can fail (e.g.
         # /dev/shm exhaustion) *after* the bus checkout above; the
@@ -386,7 +359,6 @@ class MiningEngine:
             plan=plan,
             tasks=shard_tasks(shards, config, bus, store_handle),
             bus=bus,
-            floor=applied_floor,
             timings=timings,
         )
 
@@ -402,7 +374,6 @@ class MiningEngine:
             shards=len(execution.tasks),
             start_method=self.start_method,
             engine=self.fingerprint,
-            warm_floor=execution.floor,
             **memo_counts(execution.results),
         )
         result = MiningResult(grs=entries, stats=stats, params=params)

@@ -14,16 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.miner import (
-    CKEY_ABS_SUPPORT,
-    CKEY_APPLY_GENERALITY,
-    CKEY_K,
-    CKEY_MIN_SCORE,
-    CKEY_PUSH_TOPK,
-    MinerConfig,
-)
+from ..core.miner import MinerConfig
 
-__all__ = ["MineRequest", "warmstart_dominates"]
+__all__ = ["MineRequest"]
 
 #: MineRequest fields that are *not* forwarded as MinerConfig options.
 _OWN_FIELDS = frozenset({"k", "min_support", "min_nhp", "rank_by", "push_topk", "workers"})
@@ -135,80 +128,3 @@ class MineRequest:
         parts.extend(f"{name}={value}" for name, value in self.options)
         return " ".join(parts)
 
-
-#: Canonical-key positions masked by the warm-start dominance check —
-#: the two threshold fields that may differ between seed and dependent.
-_THRESHOLD_SLOTS = frozenset({CKEY_ABS_SUPPORT, CKEY_MIN_SCORE})
-
-
-def _invariant_part(config_key: tuple) -> tuple:
-    return tuple(
-        value for i, value in enumerate(config_key) if i not in _THRESHOLD_SLOTS
-    )
-
-
-def warmstart_dominates(seed: tuple, dependent: tuple) -> bool:
-    """Whether mining ``seed``'s query first yields a *sound*
-    warm-start floor for ``dependent``'s query.
-
-    Both arguments are :meth:`MineRequest.canonical_key` tuples over the
-    **same store fingerprint** — the caller is responsible for the
-    fingerprint check, since the keys themselves do not carry it.
-
-    Soundness derivation
-    --------------------
-    A threshold floor ``t`` may seed a query Q's dynamic minNhp iff Q
-    has at least ``k`` valid results scoring ``>= t``: then any GR
-    scoring strictly below ``t`` is outside Q's top-k (score is the
-    primary rank key), so rejecting it early — exactly what the
-    :class:`~repro.parallel.bus.ThresholdBus` floor does, with a strict
-    comparison — can never change Q's answer.  The candidate floor is
-    the seed's k-th-best score, which certifies ``k`` seed results
-    scoring ``>= t``.  Those results carry over to the dependent when:
-
-    * **Every non-threshold field coincides** (k, rank_by, push_topk,
-      attribute lists, caps, ...): the two queries then enumerate the
-      same GR space and rank it identically, differing only in which
-      GRs *qualify*.
-    * **The seed's thresholds are at least as strict**:
-      ``abs_min_support(seed) >= abs_min_support(dep)`` and
-      ``min_score(seed) >= min_score(dep)``.  Each seed result then
-      meets the dependent's condition (1) too (its support and score
-      clear the seed's higher bars).
-
-    With generality verification **off** (``apply_generality=False``),
-    condition (1) is the whole story and both threshold axes may relax
-    monotonically.
-
-    With generality verification **on**, Definition 5(2) adds a trap:
-    a seed result ``e`` is only a *valid* dependent result if no more
-    general GR with the same RHS qualifies under the **dependent's**
-    thresholds.  A generalization ``g`` of ``e`` always has
-    ``supp(g) >= supp(e)`` (its edge set is a superset — Theorem 2(1)),
-    so relaxing ``min_support`` can never newly qualify a blocker: any
-    ``g`` qualifying under the dependent's laxer support bound already
-    had ``supp(g) >= supp(e) >= abs_min_support(seed)`` and would have
-    blocked ``e`` in the seed run — contradiction.  But ``score(g)`` is
-    **not** monotone under generalization, so relaxing ``min_nhp`` can
-    qualify a blocker with ``min_nhp(dep) <= score(g) <
-    min_nhp(seed)``, silently removing ``e`` from the dependent's valid
-    set and breaking the "k results >= t" certificate.  Hence with
-    generality on, only the support axis may relax; ``min_score`` must
-    be equal.
-
-    Only keys with a dynamic top-k (``push_topk`` and a finite ``k``)
-    are eligible: the floor is delivered through the query's threshold
-    bus, whose shards' per-candidate direct generality verification
-    makes the argument above exact.  Identical keys are *not* dominance
-    — they are the single-flight dedup case.
-    """
-    if seed == dependent:
-        return False
-    if seed[CKEY_K] is None or not seed[CKEY_PUSH_TOPK]:
-        return False
-    if _invariant_part(seed) != _invariant_part(dependent):
-        return False
-    support_ok = seed[CKEY_ABS_SUPPORT] >= dependent[CKEY_ABS_SUPPORT]
-    if seed[CKEY_APPLY_GENERALITY]:
-        return support_ok and seed[CKEY_MIN_SCORE] == dependent[CKEY_MIN_SCORE]
-    return support_ok and seed[CKEY_MIN_SCORE] >= dependent[CKEY_MIN_SCORE]

@@ -163,23 +163,23 @@ class LeaseLifecycle(Rule):
 
 class CkeyLayout(Rule):
     """Integer subscripts into canonical-key tuples are forbidden
-    outside ``repro/engine/request.py`` and ``repro/core/miner.py``.
+    outside ``repro/core/miner.py``.
 
     Invariant (PR 2, frozen in PRs 5–6): the canonical key —
     ``MinerConfig.canonical_key`` — is the stack-wide cache/dedup
-    identity, and its field order is decoded by warm-start dominance
-    and delta migration.  Positional pokes like ``ckey[4]`` scattered
-    across layers make the layout impossible to evolve; all decoding
-    must go through the ``CKEY_*`` constants or
-    ``config_from_canonical_key`` in the two layout-owning modules.  Detection is name-based: subscripts
-    with a literal integer index (or slice) on names matching
-    ``ckey``/``canonical_key`` (with ``*_``/``_*`` variants) or on a
-    direct ``.canonical_key`` call result.
+    identity, and its field order is decoded by delta migration.
+    Positional pokes like ``ckey[4]`` scattered across layers make the
+    layout impossible to evolve; all decoding must go through
+    ``config_from_canonical_key`` in the layout-owning module.
+    Detection is name-based: subscripts with a literal integer index
+    (or slice) on names matching ``ckey``/``canonical_key`` (with
+    ``*_``/``_*`` variants) or on a direct ``.canonical_key`` call
+    result.
     """
 
     name = "ckey-layout"
 
-    _ALLOWED = frozenset({"repro/engine/request.py", "repro/core/miner.py"})
+    _ALLOWED = frozenset({"repro/core/miner.py"})
 
     @staticmethod
     def _is_ckey_name(name: str) -> bool:
@@ -229,8 +229,7 @@ class CkeyLayout(Rule):
                     yield self.finding(
                         file, node,
                         "integer subscript into a canonical key outside the "
-                        "layout-owning modules; use CKEY_* constants or "
-                        "config_from_canonical_key",
+                        "layout-owning module; use config_from_canonical_key",
                     )
 
 

@@ -5,7 +5,9 @@ makes top-k pushdown fast — but a worker that only sees its own shard
 only knows its *local* k-th best score.  The :class:`ThresholdBus` is a
 tiny lock-free shared-memory array with one float64 slot per shard: a
 worker publishes its local k-th best whenever its collector is full, and
-siblings fold the bus maximum into their pruning threshold.
+siblings fold the bus maximum into their pruning threshold.  Every
+query checks its bus out with all slots at −inf: only its own shards
+raise them.
 
 Soundness: a published value ``t`` certifies that its shard already
 holds k verified results scoring ≥ t, so *any* GR scoring strictly below
@@ -32,10 +34,6 @@ _FLOOR_UPGRADES = REGISTRY.counter(
     "repro_bus_floor_upgrades_total",
     "ThresholdBus slot raises (per-process: publishes made inside mining "
     "workers land in the worker's own registry).",
-)
-_SEEDS = REGISTRY.counter(
-    "repro_bus_seeds_total",
-    "Warm-start floors seeded into a bus's reserved slot.",
 )
 
 #: Picklable bus address: (shared-memory name, slot count).
@@ -76,21 +74,6 @@ class ThresholdBus:
     def best_floor(self) -> float:
         """The highest published local k-th best (−inf when none yet)."""
         return float(self._scores.max())
-
-    def seed(self, score: float) -> None:
-        """Publish a warm-start floor into the *last* slot.
-
-        The single-writer-per-slot discipline holds only if no shard is
-        assigned that slot — callers reserving a seed slot must size the
-        bus one slot beyond the shard count (:class:`~repro.parallel.pool.BusPool`
-        does).  Soundness is the caller's: the score must certify ≥ k
-        results of *this* query scoring at least it (see
-        :func:`repro.engine.request.warmstart_dominates`); workers then
-        fold it into their pruning exactly as they would a sibling's
-        published k-th best.
-        """
-        _SEEDS.inc()
-        self.publish(self.num_slots - 1, float(score))
 
     def reset(self) -> None:
         """Clear every slot back to −inf, readying the bus for reuse.

@@ -189,8 +189,6 @@ class Execution:
     plan: BranchPlan | None = None
     tasks: tuple[ShardTask, ...] = ()
     bus: ThresholdBus | None = None
-    #: Warm-start floor the bus was seeded with (``None`` = cold).
-    floor: float | None = None
     #: Named coordinator-side phases as ``{name: (start, end)}``
     #: ``perf_counter`` seconds — the raw material of trace spans.
     timings: dict = field(default_factory=dict)

@@ -198,13 +198,9 @@ class BusPool:
     One bus per *in-flight* query: sequential queries reuse a single
     segment, a batched sweep checks out as many as it overlaps.  Workers
     cache their attachments by segment name, so reuse also keeps the
-    per-worker attachment table bounded.
-
-    Buses are allocated with ``num_slots + 1`` slots: slots
-    ``0..num_slots-1`` belong to shards (single writer each), the extra
-    last slot is reserved for a *warm-start seed* published by the
-    coordinator before any shard is dispatched
-    (:meth:`ThresholdBus.seed`), so seeding never races a worker.
+    per-worker attachment table bounded.  A bus has one slot per shard
+    a query can plan (``num_slots``, the fleet size), each with a single
+    writer.
     """
 
     def __init__(self, num_slots: int) -> None:
@@ -214,24 +210,16 @@ class BusPool:
         self._closed = False
 
     @coordinator_only
-    def acquire(self, floor: float | None = None) -> ThresholdBus:
-        """Check out a clean bus (all slots at −inf), optionally seeded.
-
-        ``floor`` is a warm-start threshold published into the reserved
-        seed slot before the bus is handed out; every shard of the query
-        then starts pruning from it instead of from −inf.  The caller
-        guarantees soundness (see :meth:`ThresholdBus.seed`).
-        """
+    def acquire(self) -> ThresholdBus:
+        """Check out a clean bus (all slots at −inf)."""
         if self._closed:
             raise RuntimeError("bus pool is closed")
         if self._free:
             bus = self._free.pop()
         else:
-            bus = ThresholdBus(num_slots=self.num_slots + 1)
+            bus = ThresholdBus(num_slots=self.num_slots)
             self._all.append(bus)
         bus.reset()
-        if floor is not None and floor == floor:  # NaN-safe
-            bus.seed(floor)
         return bus
 
     @coordinator_only

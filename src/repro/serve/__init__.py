@@ -12,12 +12,9 @@ in-flight shards and recycles its bus); answers stay GR-for-GR equal to
 a direct ``hub.mine()`` under any interleaving because the execution
 machinery — prepare, shard, merge, cache — is the engine's own.
 
-A query-admission planner rides in front: identical concurrent jobs
-attach to one *single-flight* execution and share its outcome, and
-dominance-related sweep batches mine their seed point first,
-warm-starting the dominated points' threshold buses with its
-k-th-best score (:func:`~repro.engine.request.warmstart_dominates`
-derives the sound direction; unsound pairs fall back to cold floors).
+Identical concurrent jobs attach to one *single-flight* execution and
+share its outcome; a sweep batch is one job per point, admitted
+all-or-nothing at the batch's priority.
 
 :class:`ServeHTTP` puts the scheduler on a wire (stdlib-only HTTP/JSON:
 mine, sweep, append_edges, job status/cancel, stats); ``repro serve``

@@ -38,11 +38,10 @@ Endpoints
     ``deadline_s`` and ``mode`` (``"sync"`` waits and returns the
     result; ``"async"`` returns ``{"job": {...}}`` immediately).
 ``POST /networks/{name}/sweep``
-    Body: ``{"requests": [{...}, ...], "priority": ..., "mode": ...,
-    "warm_start": ...}`` (``warm_start`` overrides the scheduler's
-    speculative-floor default for this batch).  Specs are validated
-    before any job is admitted — a bad spec rejects the whole batch
-    without leaving earlier specs mining.
+    Body: ``{"requests": [{...}, ...], "priority": ..., "deadline_s":
+    ..., "mode": ...}``; every spec becomes one job at the batch's
+    priority.  Specs are validated before any job is admitted — a bad
+    spec rejects the whole batch without leaving earlier specs mining.
 ``POST /networks/{name}/append_edges``
     Body: ``{"src": [...], "dst": [...], "edge_codes": {attr: [...]}}``;
     drains the network's in-flight jobs, applies the delta, returns the
@@ -414,9 +413,12 @@ class ServeHTTP:
     def _serve_args(self, body: dict) -> dict:
         priority = body.get("priority", 0)
         deadline_s = body.get("deadline_s")
-        if not isinstance(priority, int):
+        # bool is an int subclass: ``true`` must not pass as priority 1.
+        if isinstance(priority, bool) or not isinstance(priority, int):
             raise _BadRequest("'priority' must be an integer")
-        if deadline_s is not None and not isinstance(deadline_s, (int, float)):
+        if deadline_s is not None and (
+            isinstance(deadline_s, bool) or not isinstance(deadline_s, (int, float))
+        ):
             raise _BadRequest("'deadline_s' must be a number")
         return {"priority": priority, "deadline_s": deadline_s}
 
@@ -436,17 +438,12 @@ class ServeHTTP:
         if not isinstance(specs, list) or not specs:
             raise _BadRequest("'requests' must be a non-empty list")
         serve_args = self._serve_args(body)
-        warm_start = body.get("warm_start")
-        if warm_start is not None and not isinstance(warm_start, bool):
-            raise _BadRequest("'warm_start' must be a boolean")
         # Every spec is validated before any job is admitted: a bad spec
         # at position i must not leave the i-1 earlier ones mining (and
         # holding fleet slots) behind the client's 400.  submit_sweep
         # additionally cancels the batch if a later *submission* fails.
         requests = [request_from_body(spec) for spec in specs]
-        jobs = self.scheduler.submit_sweep(
-            name, requests, warm_start=warm_start, **serve_args
-        )
+        jobs = self.scheduler.submit_sweep(name, requests, **serve_args)
         if body.get("mode") == "async":
             return 200, {"jobs": [job.describe() for job in jobs]}
         await asyncio.gather(*(job.future for job in jobs), return_exceptions=True)

@@ -12,8 +12,8 @@ raises :class:`JobCancelled` instead.
 The mining itself is not the job's: it belongs to an
 :class:`~repro.parallel.Execution`, one per distinct query in flight
 (same network, store fingerprint and canonical request), which every
-identical job *attaches* to.  A job reads its live state, shard
-progress and warm-start floor from its execution.  Jobs move through
+identical job *attaches* to.  A job reads its live state and shard
+progress from its execution.  Jobs move through
 :class:`JobState`:
 
 ``PENDING`` (queued, or being planned) → ``READY`` (attached; shard
@@ -30,12 +30,6 @@ threshold bus and lease pin released, the settle-before-release
 invariant that keeps a dead query's stale floors out of whichever query
 checks the bus out next.  That last job resolves once the release is
 done.
-
-A job submitted with ``floor_from=seed`` (see
-:meth:`Scheduler.submit_sweep`) parks until the seed resolves, then
-admits with the seed's k-th-best score as its threshold-bus floor —
-cold when dominance does not hold; ``warm_floor`` records what its
-execution applied.
 """
 
 from __future__ import annotations
@@ -115,14 +109,6 @@ class ServeJob:
         #: ``PENDING`` until resolved, then the terminal state; the live
         #: states in between come from the execution.
         self._state = JobState.PENDING
-        #: Warm-start seed whose resolution this job waits for.
-        self._floor_source: "ServeJob | None" = None
-        #: True while parked in the seed's dependent list (pre-admission;
-        #: such a job holds no shards, pins or buses, so the append-edge
-        #: barrier does not wait for it).
-        self._parked_for_floor: bool = False
-        #: Jobs parked on *this* job's resolution for their floors.
-        self._dependents: list["ServeJob"] = []
         #: Deadline timer armed at submit; cancelled on resolution so a
         #: long-deadline job does not leak a live TimerHandle.
         self._deadline_handle = None
@@ -152,11 +138,6 @@ class ServeJob:
     @property
     def shards_done(self) -> int:
         return self.execution.shards_done if self.execution is not None else 0
-
-    @property
-    def warm_floor(self) -> float | None:
-        """Warm-start floor the execution's threshold bus was seeded with."""
-        return self.execution.floor if self.execution is not None else None
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Request cooperative cancellation (idempotent, thread-safe).
@@ -188,7 +169,6 @@ class ServeJob:
             "state": self.state.value,
             "cached": self.cached,
             "deduped": self.deduped,
-            "warm_floor": self.warm_floor,
             "shards_total": self.shards_total,
             "shards_done": self.shards_done,
             "cancel_reason": self.cancel_reason,

@@ -37,19 +37,6 @@ holding its plan, shard tasks, bus, lease pin and settled results.  A
   deadline) detaches and the execution runs on for the rest; when its
   last job leaves, the execution cancels itself.  N identical
   concurrent jobs thus cost one mining pass instead of N.
-* **Speculative warm-start floors.**  :meth:`Scheduler.submit_sweep`
-  inspects a co-admitted batch for the provable dominance relation of
-  :func:`~repro.engine.request.warmstart_dominates` (same query up to
-  monotone thresholds), mines the dominating *seed* point first at
-  boosted priority, and admits the dominated points only once the seed
-  resolved — their threshold buses are then checked out pre-seeded
-  with the seed's k-th-best score, so every shard starts pruning from
-  a proven floor instead of −inf.  Dominance is re-verified against
-  live fingerprints at admission; when it no longer holds (store
-  delta, seed cancelled, seed returned fewer than k results) the
-  dependent falls back to a cold floor.  Answers stay GR-for-GR equal
-  to cold execution either way — the floor only rejects GRs that
-  provably cannot enter the top-k.
 
 Exactness is inherited, not reimplemented: executions are planned by
 :meth:`~repro.engine.MiningEngine.prepare` and merged by
@@ -80,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import pickle
 import time
 from collections import deque
@@ -88,7 +76,7 @@ from typing import Iterable, Mapping
 
 from ..core.results import MiningResult
 from ..engine.hub import EngineHub
-from ..engine.request import MineRequest, warmstart_dominates
+from ..engine.request import MineRequest
 from ..parallel.miner import Execution
 from ..obs.metrics import REGISTRY
 from ..obs.trace import NullTracer, Tracer
@@ -108,10 +96,6 @@ _M_RESOLVED = REGISTRY.counter(
 _M_DEDUPED = REGISTRY.counter(
     "repro_scheduler_jobs_deduped_total",
     "Jobs attached to an identical in-flight execution (single-flight).",
-)
-_M_WARM_STARTED = REGISTRY.counter(
-    "repro_scheduler_jobs_warm_started_total",
-    "Jobs whose bus was checked out with a warm-start floor.",
 )
 _M_CACHE_HIT_JOBS = REGISTRY.counter(
     "repro_scheduler_cache_hit_jobs_total",
@@ -147,11 +131,6 @@ class Scheduler:
         shard tasks in flight at once; defaults to the hub's worker
         count (one shard per worker — more would just queue inside the
         pool, outside the scheduler's control).
-    warm_start:
-        Default for speculative warm-start floors (on);
-        :meth:`submit_sweep` / :meth:`sweep` accept a per-batch
-        override in either direction, and an explicit ``floor_from=``
-        on :meth:`submit` is always honored.
     observe:
         Record per-job trace spans (plan → bus acquire → per-shard
         dispatch/complete → merge → finalize) into :attr:`tracer`, a
@@ -174,13 +153,11 @@ class Scheduler:
         self,
         hub: EngineHub,
         max_inflight: int | None = None,
-        warm_start: bool = True,
         observe: bool = True,
     ) -> None:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be positive (or None)")
         self.hub = hub
-        self.warm_start = warm_start
         self.observe = observe
         self.tracer = Tracer() if observe else NullTracer()
         #: Snapshot age past which :meth:`hub_stats` kicks a background
@@ -230,10 +207,6 @@ class Scheduler:
             "shards_completed": 0,
             #: Jobs that attached to an identical in-flight execution.
             "deduped": 0,
-            #: Sweep points submitted as boosted-priority dominance seeds.
-            "warm_seeds": 0,
-            #: Jobs whose bus was checked out with a warm-start floor.
-            "warm_started": 0,
             #: Cache entries migrated across append_edges barriers
             #: (carried to the new fingerprint, touched branches re-mined).
             "delta_migrated_entries": 0,
@@ -315,7 +288,6 @@ class Scheduler:
         *,
         priority: int = 0,
         deadline_s: float | None = None,
-        floor_from: ServeJob | None = None,
         **kwargs,
     ) -> ServeJob:
         """Admit one request; returns its :class:`ServeJob` immediately.
@@ -324,18 +296,16 @@ class Scheduler:
         is relative seconds after which the job self-cancels with state
         ``EXPIRED``.  Keywords build the request inline, as on
         ``engine.mine``.
-
-        ``floor_from`` names a *seed* job: this job then parks until the
-        seed resolves and admits with the seed's k-th-best score as its
-        warm-start threshold floor — applied only if the dominance
-        relation of :func:`~repro.engine.request.warmstart_dominates`
-        holds between the two (same network and fingerprint included);
-        otherwise the job admits cold.  :meth:`submit_sweep` wires this
-        automatically for dominance-related batches.
         """
         self._ensure_serving()
-        if deadline_s is not None and deadline_s < 0:
-            raise ValueError("deadline_s must be non-negative (or None)")
+        # NaN compares false against everything, and call_later(nan)
+        # fires at once: only a finite, non-negative deadline arms.
+        if deadline_s is not None and not (
+            math.isfinite(deadline_s) and deadline_s >= 0
+        ):
+            raise ValueError(
+                "deadline_s must be a finite, non-negative number (or None)"
+            )
         if request is None:
             request = MineRequest.create(**kwargs)
         elif kwargs:
@@ -360,14 +330,7 @@ class Scheduler:
         self._active_by_network[network] = (
             self._active_by_network.get(network, 0) + 1
         )
-        job._floor_source = floor_from
-        if floor_from is not None and not floor_from.done:
-            # Park on the seed: released (through the admit queue, so
-            # the mutation-barrier check still applies) when it
-            # resolves.  Parked jobs hold no shards, pins or buses.
-            job._parked_for_floor = True
-            floor_from._dependents.append(job)
-        elif network in self._paused:
+        if network in self._paused:
             self._backlog.setdefault(network, deque()).append(job)
         else:
             self._admit.put_nowait(job)
@@ -401,24 +364,16 @@ class Scheduler:
         *,
         priority: int = 0,
         deadline_s: float | None = None,
-        warm_start: bool | None = None,
     ) -> list[MiningResult]:
         """Submit a batch against one network and await all results.
 
         Unlike the blocking ``hub.sweep``, the batch holds no monopoly
         on the fleet: its shards interleave with every other admitted
-        job under the fairness policy.  The batch runs through the
-        admission planner (:meth:`submit_sweep`): dominance seeds are
-        mined first at boosted priority and warm-start the points they
-        dominate, unless ``warm_start`` (or the scheduler-wide switch)
-        turns that off.
+        job under the fairness policy.  Admission is all-or-nothing, as
+        on :meth:`submit_sweep`.
         """
         jobs = self.submit_sweep(
-            network,
-            requests,
-            priority=priority,
-            deadline_s=deadline_s,
-            warm_start=warm_start,
+            network, requests, priority=priority, deadline_s=deadline_s
         )
         return list(await asyncio.gather(*jobs))
 
@@ -429,111 +384,34 @@ class Scheduler:
         *,
         priority: int = 0,
         deadline_s: float | None = None,
-        warm_start: bool | None = None,
     ) -> list[ServeJob]:
-        """Plan and admit a co-submitted batch; returns jobs in order.
+        """Admit a co-submitted batch at once; returns jobs in order.
 
-        Two guarantees beyond a loop of :meth:`submit`:
-
-        * **All-or-nothing admission.**  Every request is validated
-          before any is submitted, and if a later submission still
-          fails, the already-admitted jobs of this batch are cancelled
-          — a rejected batch never leaves orphan jobs mining behind the
-          caller's error.
-        * **Warm-start planning.**  The batch is scanned for the
-          dominance relation of
-          :func:`~repro.engine.request.warmstart_dominates`.  For each
-          dominance group the point that dominates the most others is
-          submitted first at ``priority + 1`` (the *seed*); the points
-          it dominates park until the seed resolves and then admit with
-          its k-th-best score as their threshold-bus floor.  Points in
-          no dominance relation — and the whole batch when warm-start
-          is off — admit immediately with cold floors.
+        Every point is one :meth:`submit` at the batch's priority, and
+        admission is all-or-nothing: every request is validated before
+        any is submitted, and if a later submission still fails, the
+        already-admitted jobs of this batch are cancelled — a rejected
+        batch never leaves orphan jobs mining behind the caller's error.
         """
         self._ensure_serving()
         requests = [
             req if isinstance(req, MineRequest) else MineRequest.create(**dict(req))
             for req in requests
         ]
-        engine = self.hub.engine(network)
-        use_warm = self.warm_start if warm_start is None else warm_start
-        seed_of: dict[int, int] = {}
-        seeds: list[int] = []
-        if use_warm and len(requests) > 1:
-            keys = [
-                request.canonical_key(
-                    engine.network.schema, engine.network.num_edges
-                )
-                for request in requests
-            ]
-            seeds, seed_of = self._plan_warmstart(keys)
-        jobs: list[ServeJob | None] = [None] * len(requests)
+        jobs: list[ServeJob] = []
         try:
-            for i in seeds:
-                # The seed's k-th best gates its dependents, so it goes
-                # first: one priority level above the batch.
-                jobs[i] = self.submit(
-                    network,
-                    requests[i],
-                    priority=priority + 1,
-                    deadline_s=deadline_s,
-                )
-                self._counters["warm_seeds"] += 1
-            for i, request in enumerate(requests):
-                if jobs[i] is not None:
-                    continue
-                source = jobs[seed_of[i]] if i in seed_of else None
-                jobs[i] = self.submit(
-                    network,
-                    request,
-                    priority=priority,
-                    deadline_s=deadline_s,
-                    floor_from=source,
+            for request in requests:
+                jobs.append(
+                    self.submit(
+                        network, request, priority=priority, deadline_s=deadline_s
+                    )
                 )
         except BaseException:
             for job in jobs:
-                if job is not None and not job.done:
+                if not job.done:
                     job.cancel("sweep submission failed")
             raise
         return jobs
-
-    @staticmethod
-    def _plan_warmstart(keys: list[tuple]) -> tuple[list[int], dict[int, int]]:
-        """Pick dominance seeds for a batch of canonical keys.
-
-        Greedy single-level cover: repeatedly promote the unassigned
-        point that dominates the most still-unassigned others to a
-        seed, until no point dominates anything.  Identical keys never
-        dominate each other (they share one execution), and points under
-        no dominance run cold.
-        """
-        n = len(keys)
-        dominated = {
-            i: [
-                j
-                for j in range(n)
-                if j != i and warmstart_dominates(keys[i], keys[j])
-            ]
-            for i in range(n)
-        }
-        seeds: list[int] = []
-        seed_of: dict[int, int] = {}
-        taken: set[int] = set()
-        while True:
-            best, best_cover = None, []
-            for i in range(n):
-                if i in taken:
-                    continue
-                cover = [j for j in dominated[i] if j not in taken]
-                if len(cover) > len(best_cover):
-                    best, best_cover = i, cover
-            if best is None or not best_cover:
-                return seeds, seed_of
-            seeds.append(best)
-            taken.add(best)
-            for j in best_cover:
-                taken.add(j)
-                seed_of[j] = best
 
     def job(self, job_id: str) -> ServeJob:
         """Look up a (recent) job by id."""
@@ -612,19 +490,11 @@ class Scheduler:
         await waiter
 
     def _drainable_active(self, network: str) -> int:
-        """Live jobs the barrier must wait for: active minus parked ones
-        (backlogged jobs and warm-start dependents still parked on their
-        seed hold no shard tasks, pins or buses — they were never
-        prepared — so the delta may safely run over them; a parked
-        dependent whose seed lands in the backlog would otherwise
-        deadlock the barrier against itself)."""
+        """Live jobs the barrier must wait for: active minus backlogged
+        ones (those hold no shard tasks, pins or buses — they were never
+        prepared — so the delta may safely run over them)."""
         parked = sum(
             1 for j in self._backlog.get(network, ()) if not j.done
-        )
-        parked += sum(
-            1
-            for j in self._jobs.values()
-            if j.network == network and j._parked_for_floor and not j.done
         )
         return self._active_by_network.get(network, 0) - parked
 
@@ -674,11 +544,8 @@ class Scheduler:
             _M_DEDUPED.inc()
             self._attach(job, shared)
             return
-        floor = self._floor_for(job)
         plan_started = time.perf_counter()
-        prepared = await self._run_coord(
-            self._prepare_sync, engine, job.request, floor
-        )
+        prepared = await self._run_coord(self._prepare_sync, engine, job.request)
         self.tracer.span(job.id, "plan", plan_started, time.perf_counter())
         if isinstance(prepared, MiningResult):
             if not job.done:
@@ -690,9 +557,6 @@ class Scheduler:
         execution = prepared
         for name, (span_start, span_end) in execution.timings.items():
             self.tracer.span(job.id, name, span_start, span_end)
-        if execution.floor is not None:
-            self._counters["warm_started"] += 1
-            _M_WARM_STARTED.inc()
         if job.done:  # cancelled while being planned: nothing went out
             await self._run_coord(self._release_sync, engine, execution)
             return
@@ -707,14 +571,14 @@ class Scheduler:
             self._finalize_soon(execution)
 
     @coordinator_only
-    def _prepare_sync(self, engine, request: MineRequest, floor=None):
+    def _prepare_sync(self, engine, request: MineRequest):
         # Runs on the coordinator thread.  The pin must precede the
         # prepare: prepare resolves the store handle (possibly exporting
         # a lease), and an interleaved prepare for another network must
         # not budget-evict it while this execution's tasks address it.
         self.hub.pin_lease(engine.name)
         try:
-            prepared = engine.prepare(request, floor=floor)
+            prepared = engine.prepare(request)
         except BaseException:
             self.hub.unpin_lease(engine.name)
             raise
@@ -730,43 +594,6 @@ class Scheduler:
         job.execution = execution
         execution.jobs.append(job)
         self._publish_progress(job)
-
-    def _floor_for(self, job: ServeJob) -> float | None:
-        """The warm-start floor this job admits with, or ``None``.
-
-        Dominance is decided *now*, against live canonical keys — the
-        plan made at submit time is only a hint.  A seed that was
-        cancelled, failed, returned fewer than ``k`` results, or ran
-        over a different store version (fingerprint mismatch after an
-        append-edge delta) degrades to a cold floor, never to an
-        unsound one.
-
-        No master-switch check here: a floor source is only ever set by
-        an explicit ``floor_from=`` or by batch planning that was
-        already gated on the switch/override — vetoing it again would
-        silently strip the floor from a ``warm_start=True`` batch on a
-        default-off scheduler after it paid the seed-first serialization.
-        """
-        source, job._floor_source = job._floor_source, None
-        if source is None:
-            return None
-        if source.state is not JobState.DONE:
-            return None
-        if source.dedup_key is None or job.dedup_key is None:
-            return None
-        seed_net, seed_fp, seed_ck = source.dedup_key
-        dep_net, dep_fp, dep_ck = job.dedup_key
-        if seed_net != dep_net or seed_fp != dep_fp:
-            return None
-        if not warmstart_dominates(seed_ck, dep_ck):
-            return None
-        result = source.future.result()
-        k = job.request.k
-        if k is None or len(result.grs) != k:
-            # Fewer than k seed results certify fewer than k dependent
-            # results — not enough to bound the dependent's top-k.
-            return None
-        return float(result.grs[-1].score)
 
     def _run_coord(self, fn, *args):
         return self._loop.run_in_executor(self._coordinator, lambda: fn(*args))
@@ -893,14 +720,12 @@ class Scheduler:
         """
         execution = job.execution
         bus = execution.bus if execution is not None else None
-        floor = job.warm_floor
         if bus is not None:
-            raw = bus.best_floor()
-            floor = raw if raw != float("-inf") else None
-        if floor is not None and (
-            job._floor_seen is None or floor > job._floor_seen
-        ):
-            job._floor_seen = floor
+            floor = bus.best_floor()
+            if floor != float("-inf") and (
+                job._floor_seen is None or floor > job._floor_seen
+            ):
+                job._floor_seen = floor
         k = job.request.k
         keep = k if k is not None else 10
         results = execution.results if execution is not None else ()
@@ -1047,15 +872,6 @@ class Scheduler:
                     # Cancellation is a normal outcome the caller may
                     # never await; don't log it as an unretrieved error.
                     job.future.exception()
-        # Warm-start fan-out: dependents parked on this job re-enter
-        # admission (their floor — or a cold fallback — is decided
-        # there, against live fingerprints).
-        dependents, job._dependents = job._dependents, []
-        for dependent in dependents:
-            if dependent.done:
-                continue
-            dependent._parked_for_floor = False
-            self._admit.put_nowait(dependent)
         remaining = self._active_by_network.get(job.network, 1) - 1
         if remaining > 0:
             self._active_by_network[job.network] = remaining

@@ -8,7 +8,7 @@ replay the reference traversal exactly, not merely to reach the same
 answer.
 
 The tier is also asserted to be a pure execution detail: canonical
-cache keys, engine result caching, warm-start dominance and delta
+cache keys, engine result caching, single-flight dedup and delta
 migration all behave identically whichever tier computed the entries.
 """
 
@@ -191,7 +191,7 @@ class TestNumbaTier:
 
 
 class TestTierIsExecutionDetail:
-    """Cache keys, dedup, warm start and deltas are tier-blind."""
+    """Cache keys, dedup and deltas are tier-blind."""
 
     def test_canonical_keys_equal_across_tiers(self):
         network = toy_dating_network()
@@ -218,27 +218,26 @@ class TestTierIsExecutionDetail:
             assert engine.stats.cache_hits == hits_before + 1
         assert _signature(first) == _signature(second)
 
-    def test_warmstart_dominance_is_tier_blind(self):
-        from repro.engine.request import MineRequest, warmstart_dominates
+    def test_request_canonical_key_is_tier_blind(self):
+        """Requests differing only in tier share one key, so they dedup
+        against each other; a differing threshold still splits them."""
+        from repro.engine.request import MineRequest
 
         network = _network(4)
         schema, num_edges = network.schema, network.num_edges
-        seed = MineRequest.create(
+        reference = MineRequest.create(
             k=5, min_support=4, min_nhp=0.5, workers=2, kernel="reference"
         )
-        dependent = MineRequest.create(
-            k=5, min_support=2, min_nhp=0.5, workers=2, kernel="vector"
-        )
-        assert warmstart_dominates(
-            seed.canonical_key(schema, num_edges),
-            dependent.canonical_key(schema, num_edges),
-        )
-        # Same thresholds under different tiers is the dedup case, not
-        # dominance: the canonical keys coincide exactly.
         twin = MineRequest.create(
             k=5, min_support=4, min_nhp=0.5, workers=2, kernel="vector"
         )
-        assert twin.canonical_key(schema, num_edges) == seed.canonical_key(
+        laxer = MineRequest.create(
+            k=5, min_support=2, min_nhp=0.5, workers=2, kernel="vector"
+        )
+        assert twin.canonical_key(schema, num_edges) == reference.canonical_key(
+            schema, num_edges
+        )
+        assert laxer.canonical_key(schema, num_edges) != reference.canonical_key(
             schema, num_edges
         )
 

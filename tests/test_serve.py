@@ -574,12 +574,6 @@ class TestSweepAtomicSubmission:
                         )
                         assert status == 400
                         assert scheduler.stats()["submitted"] == 0
-                        status, _ = await _http(
-                            server.port, "POST", "/networks/n/sweep",
-                            {"requests": [{"k": 4, "min_nhp": 0.4}],
-                             "warm_start": "yes"},
-                        )
-                        assert status == 400  # knob must be boolean
 
         asyncio.run(scenario())
 
@@ -991,6 +985,48 @@ class TestServeValidation:
 
         asyncio.run(scenario())
 
+    def test_submit_rejects_non_finite_deadline(self):
+        """``call_later(nan)`` fires at once, so a NaN deadline would
+        expire the job on arrival; it is rejected like a negative one."""
+        async def scenario():
+            with EngineHub(workers=1) as hub:
+                hub.register("n", _make_network(14))
+                async with Scheduler(hub) as scheduler:
+                    for bad in (float("nan"), float("inf"), -1.0):
+                        with pytest.raises(ValueError, match="deadline_s"):
+                            scheduler.submit("n", k=3, deadline_s=bad)
+                    return scheduler.stats()["submitted"]
+
+        assert asyncio.run(scenario()) == 0
+
+    def test_http_rejects_nan_deadline_and_boolean_controls(self):
+        """Python's json reads ``NaN``, and ``true`` is an int to
+        ``isinstance``: none of these bodies may admit a job."""
+        bodies = [
+            ("mine", {"k": 3, "deadline_s": float("nan")}),
+            ("mine", {"k": 3, "priority": True}),
+            ("mine", {"k": 3, "deadline_s": True}),
+            ("sweep", {"requests": [{"k": 3}], "deadline_s": float("nan")}),
+            ("sweep", {"requests": [{"k": 3}], "priority": False}),
+        ]
+
+        async def scenario():
+            with EngineHub(workers=1) as hub:
+                hub.register("n", _make_network(14))
+                async with Scheduler(hub) as scheduler:
+                    async with ServeHTTP(scheduler, port=0) as server:
+                        outcomes = []
+                        for action, body in bodies:
+                            status, _ = await _http(
+                                server.port, "POST", f"/networks/n/{action}", body
+                            )
+                            outcomes.append(
+                                (status, scheduler.stats()["submitted"])
+                            )
+                        return outcomes
+
+        assert asyncio.run(scenario()) == [(400, 0)] * len(bodies)
+
     def test_serve_cli_parser(self):
         from repro.cli import build_parser
 
@@ -1006,11 +1042,12 @@ class TestServeValidation:
         assert args.register == ["a=/tmp/x", "b=/tmp/y"]
         assert args.max_inflight == 3 and args.weight == ["a=2.5"]
         assert args.disk_cache_max_bytes == 1000 and args.disk_cache_ttl == 60.0
-        assert not args.no_warm_start  # default on
-        args = build_parser().parse_args(
-            ["serve", "--register", "a=/tmp/x", "--no-warm-start"]
-        )
-        assert args.no_warm_start
+        # Sweeps always admit cold: there is no warm-start switch.
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(
+                ["serve", "--register", "a=/tmp/x", "--no-warm-start"]
+            )
+        assert usage.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,15 @@
-"""Admission planner: warm-start dominance floors and single-flight dedup.
+"""Sweep admission and single-flight dedup through the scheduler.
 
-The planner's contract, on top of the serving layer's:
+The contract, on top of the serving layer's:
 
-1. **Dominance soundness** — :func:`repro.engine.request.warmstart_dominates`
-   admits exactly the provable direction: all non-threshold fields
-   equal, seed thresholds at least as strict, and — with generality
-   verification on — ``min_nhp`` *equal* (a laxer dependent score
-   threshold can newly qualify a lower-scoring generality blocker,
-   which would invalidate the seed's k-results-above-the-floor
-   certificate; see the function's docstring for the derivation).
-2. **Warm equals cold, GR for GR** — a warm-started sweep returns
-   byte-identical results to fresh one-shot miners, across
-   dominance-holding and dominance-violating grids (the latter must
-   simply fall back to cold floors).
+1. **Canonical keys** — a request's cache and dedup identity is its
+   config's canonical key, whatever its worker count, and decodes back
+   through ``config_from_canonical_key``.
+2. **Sweeps equal fresh miners, GR for GR** — a batch through
+   :meth:`Scheduler.submit_sweep` is one job per point, all admitted at
+   once at the batch's priority with every threshold bus at −inf, and
+   returns the fresh one-shot miners' answers whatever the points'
+   thresholds.
 3. **Single-flight** — N identical concurrent jobs trigger exactly one
    planned mining execution; every attached future resolves to an
    equal (but private) result, and every attached job reports the
@@ -28,21 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.miner import (
-    CKEY_ABS_SUPPORT,
-    CKEY_APPLY_GENERALITY,
-    CKEY_FIELDS,
-    CKEY_K,
-    CKEY_MIN_SCORE,
-    CKEY_PUSH_TOPK,
-    CKEY_RANK_BY,
-    MinerConfig,
-    config_from_canonical_key,
-)
+from repro.core.miner import CKEY_FIELDS, config_from_canonical_key
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.engine import EngineHub, MineRequest
 from repro.engine.engine import MiningEngine
-from repro.engine.request import warmstart_dominates
 from repro.parallel import ParallelGRMiner
 from repro.serve import JobCancelled, JobState, Scheduler
 
@@ -87,25 +73,6 @@ async def _until(predicate, timeout: float = 30.0):
 
 
 class TestCanonicalKeyLayout:
-    """The CKEY_* constants must keep pointing at the fields they name —
-    the dominance check indexes canonical keys through them."""
-
-    def test_constants_address_the_intended_fields(self):
-        schema = _make_network(0).schema
-        config = MinerConfig(min_support=7, min_score=0.25, k=9, rank_by="confidence")
-        key = config.canonical_key(schema, num_edges=100)
-        assert key[CKEY_ABS_SUPPORT] == 7
-        assert key[CKEY_MIN_SCORE] == 0.25
-        assert key[CKEY_K] == 9
-        assert key[CKEY_RANK_BY] == "confidence"
-        assert key[CKEY_PUSH_TOPK] is True
-        base = MinerConfig(k=5).canonical_key(schema, 100)
-        flipped = MinerConfig(k=5, apply_generality=False).canonical_key(schema, 100)
-        diffs = [i for i, (a, b) in enumerate(zip(base, flipped)) if a != b]
-        # apply_generality itself, plus verify_generality (masked to
-        # None once generality is off).
-        assert CKEY_APPLY_GENERALITY in diffs
-
     def test_fractional_support_resolves_before_comparison(self):
         network = _make_network(1)  # 100 edges
         absolute = MineRequest(k=5, min_support=5, min_nhp=0.3, workers=2)
@@ -116,7 +83,7 @@ class TestCanonicalKeyLayout:
         """A request's key is its config's canonical key whatever its
         worker count, and decodes through ``config_from_canonical_key``
         (the ckey-layout lint rule forbids positional subscripts outside
-        the layout owners)."""
+        the layout owner)."""
         network = _make_network(0)
         schema, edges = network.schema, network.num_edges
         request = MineRequest(k=5, min_support=2, min_nhp=0.3)
@@ -127,118 +94,61 @@ class TestCanonicalKeyLayout:
         assert config_from_canonical_key(key).canonical_key(schema, edges) == key
 
 
-class TestDominance:
-    NETWORK = _make_network(2)
+class TestSweepEquivalence:
+    """Acceptance: a sweep through the scheduler is GR-for-GR equal to
+    fresh one-shot miners, whatever its points' thresholds."""
 
-    def _k(self, **kwargs):
-        return _key(self.NETWORK, MineRequest.create(**kwargs))
-
-    def test_identical_keys_never_dominate(self):
-        key = self._k(k=5, min_support=2, min_nhp=0.3, workers=2)
-        assert not warmstart_dominates(key, key)
-
-    def test_support_monotone_with_generality_on(self):
-        strict = self._k(k=5, min_support=4, min_nhp=0.3, workers=2)
-        lax = self._k(k=5, min_support=1, min_nhp=0.3, workers=2)
-        assert warmstart_dominates(strict, lax)
-        assert not warmstart_dominates(lax, strict)  # wrong direction
-
-    def test_score_relaxation_is_unsound_under_generality(self):
-        """The derived trap: a laxer dependent min_nhp can newly qualify
-        a lower-scoring generality blocker, so this pair must NOT warm
-        start even though the thresholds are monotone."""
-        strict = self._k(k=5, min_support=2, min_nhp=0.6, workers=2)
-        lax = self._k(k=5, min_support=2, min_nhp=0.2, workers=2)
-        assert not warmstart_dominates(strict, lax)
-
-    def test_both_axes_relax_without_generality(self):
-        strict = self._k(
-            k=5, min_support=4, min_nhp=0.6, workers=2, apply_generality=False
-        )
-        lax = self._k(
-            k=5, min_support=1, min_nhp=0.2, workers=2, apply_generality=False
-        )
-        assert warmstart_dominates(strict, lax)
-        assert not warmstart_dominates(lax, strict)
-
-    def test_invariant_fields_must_coincide(self):
-        base = dict(min_support=4, min_nhp=0.3, workers=2)
-        seed = self._k(k=5, **base)
-        assert not warmstart_dominates(seed, self._k(k=6, **base))
-        assert not warmstart_dominates(
-            seed, self._k(k=5, min_support=1, min_nhp=0.3, workers=2,
-                          rank_by="confidence")
-        )
-        assert not warmstart_dominates(
-            seed, self._k(k=5, min_support=1, min_nhp=0.3, workers=2,
-                          push_topk=False)
-        )
-
-    def test_workers_less_keys_are_eligible(self):
-        # A request without ``workers`` mines on the fleet through a
-        # threshold bus like any other, so it seeds and takes floors.
-        strict = self._k(k=5, min_support=4, min_nhp=0.3)
-        lax = self._k(k=5, min_support=1, min_nhp=0.3)
-        assert warmstart_dominates(strict, lax)
-        sharded_lax = self._k(k=5, min_support=1, min_nhp=0.3, workers=2)
-        assert warmstart_dominates(strict, sharded_lax)
-
-    def test_untopped_queries_are_ineligible(self):
-        strict = self._k(k=None, min_support=4, min_nhp=0.3, workers=2)
-        lax = self._k(k=None, min_support=1, min_nhp=0.3, workers=2)
-        assert not warmstart_dominates(strict, lax)
-
-
-class TestWarmStartEquivalence:
-    """Acceptance: warm-started sweeps are GR-for-GR equal to fresh
-    one-shot miners — dominance-holding and dominance-violating grids."""
-
-    def _sweep(self, network, requests, warm_start: bool):
+    def _sweep(self, network, requests):
         async def scenario():
             with EngineHub(workers=2) as hub:
                 hub.register("n", network)
-                async with Scheduler(hub, warm_start=warm_start) as scheduler:
+                async with Scheduler(hub) as scheduler:
                     jobs = scheduler.submit_sweep("n", requests)
-                    results = [await job for job in jobs]
-                    return (
-                        [_signature(r) for r in results],
-                        [job.warm_floor for job in jobs],
-                        dict(scheduler._counters),
-                    )
+                    return [_signature(await job) for job in jobs]
 
         return asyncio.run(scenario())
 
-    def test_dominance_grid_matches_cold_and_fresh(self):
+    def test_grid_matches_fresh(self):
         network = _make_network(3)
+        # Nested supports at one min_nhp, plus points that differ in
+        # min_nhp under generality verification.
         requests = [
             MineRequest(k=6, min_support=s, min_nhp=0.3, workers=2)
             for s in (4, 1, 2, 3)
-        ]
-        fresh = [_signature(_fresh(network, r)) for r in requests]
-        warm_sigs, floors, counters = self._sweep(network, requests, warm_start=True)
-        cold_sigs, cold_floors, cold_counters = self._sweep(
-            network, requests, warm_start=False
-        )
-        assert warm_sigs == fresh
-        assert cold_sigs == fresh
-        assert counters["warm_seeds"] == 1
-        assert all(floor is None for floor in cold_floors)
-        assert cold_counters["warm_seeds"] == 0
-
-    def test_violating_grid_falls_back_to_cold(self):
-        network = _make_network(4)
-        # Generality on + differing min_nhp: monotone thresholds, but
-        # provably NOT warm-startable — the planner must run every
-        # point cold and still return exact answers.
-        requests = [
+        ] + [
             MineRequest(k=6, min_support=2, min_nhp=nhp, workers=2)
             for nhp in (0.5, 0.2, 0.35)
         ]
         fresh = [_signature(_fresh(network, r)) for r in requests]
-        sigs, floors, counters = self._sweep(network, requests, warm_start=True)
-        assert sigs == fresh
-        assert counters["warm_seeds"] == 0 and counters["warm_started"] == 0
-        assert all(floor is None for floor in floors)
+        assert self._sweep(network, requests) == fresh
+
+    def test_batch_admits_every_point_at_batch_priority(self):
+        """Nested supports at one min_nhp: every point is its own job at
+        the batch's priority, handed to admission at once — none waits
+        for another's answer."""
+        network = _make_network(3)
+        requests = [
+            MineRequest(k=6, min_support=s, min_nhp=0.3, workers=2)
+            for s in (4, 1, 2)
+        ]
+        fresh = [_signature(_fresh(network, r)) for r in requests]
+
+        async def scenario():
+            with EngineHub(workers=2) as hub:
+                hub.register("n", network)
+                async with Scheduler(hub) as scheduler:
+                    jobs = scheduler.submit_sweep("n", requests, priority=3)
+                    # Nothing has awaited since the submit, so the
+                    # admission queue holds exactly the jobs that wait
+                    # on nothing.
+                    queued = scheduler._admit.qsize()
+                    results = [_signature(await job) for job in jobs]
+                    return [job.priority for job in jobs], queued, results
+
+        priorities, queued, results = asyncio.run(scenario())
+        assert priorities == [3, 3, 3]
+        assert queued == len(requests)
+        assert results == fresh
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -254,10 +164,10 @@ class TestWarmStartEquivalence:
             unique=True,
         ),
     )
-    def test_property_warm_equals_fresh(
+    def test_property_sweep_equals_fresh(
         self, seed, supports, nhp, generality, extra_nhps
     ):
-        """Mixed grids — dominance chains, violating pairs, off-axis
+        """Mixed grids — nested supports, differing min_nhp, off-axis
         points — always resolve to the fresh miners' answers."""
         network = _make_network(seed, num_edges=60, num_nodes=14)
         requests = [
@@ -274,106 +184,16 @@ class TestWarmStartEquivalence:
             for extra in extra_nhps
         ]
         fresh = [_signature(_fresh(network, r)) for r in requests]
-        sigs, _, _ = self._sweep(network, requests, warm_start=True)
-        assert sigs == fresh
-
-
-class TestWarmStartReducesWork:
-    def test_seeded_floor_prunes_strictly_more(self):
-        """The whole point: a dominated point mined under the seed's
-        k-th-best floor examines strictly fewer RIGHT nodes than the
-        same point mined cold (generality off, so the score axis may
-        relax — the floor then towers over the dependent's own 0.0
-        threshold)."""
-        network = _make_network(5, num_edges=200, num_nodes=25)
-        seed_request = MineRequest.create(
-            k=3, min_support=3, min_nhp=0.5, workers=2, apply_generality=False
-        )
-        dependents = [
-            MineRequest.create(
-                k=3, min_support=s, min_nhp=0.0, workers=2, apply_generality=False
-            )
-            for s in (1, 2)
-        ]
-        requests = [seed_request] + dependents
-
-        async def scenario(warm_start):
-            with EngineHub(workers=2) as hub:
-                hub.register("n", network)
-                async with Scheduler(hub, warm_start=warm_start) as scheduler:
-                    jobs = scheduler.submit_sweep("n", requests)
-                    results = [await job for job in jobs]
-                    return results, [job.warm_floor for job in jobs]
-
-        warm_results, warm_floors = asyncio.run(scenario(True))
-        cold_results, cold_floors = asyncio.run(scenario(False))
-        assert [_signature(r) for r in warm_results] == [
-            _signature(r) for r in cold_results
-        ]
-        assert warm_floors[0] is None  # the seed itself runs cold
-        assert all(f is not None for f in warm_floors[1:]), (
-            "dependents were not warm-started — seed returned "
-            f"{len(warm_results[0])} GRs, floors {warm_floors}"
-        )
-        warm_examined = sum(r.stats.grs_examined for r in warm_results[1:])
-        cold_examined = sum(r.stats.grs_examined for r in cold_results[1:])
-        assert warm_examined < cold_examined
-        assert all(
-            r.params.get("warm_floor") is not None for r in warm_results[1:]
-        )
-
-    def test_batch_override_enables_on_default_off_scheduler(self):
-        """The per-batch ``warm_start=True`` override must actually
-        floor the dependents on a ``Scheduler(warm_start=False)`` — not
-        just pay the seed-first serialization and then run cold."""
-        network = _make_network(6)
-        requests = [
-            MineRequest.create(
-                k=3, min_support=3, min_nhp=0.4, workers=2, apply_generality=False
-            ),
-            MineRequest.create(
-                k=3, min_support=1, min_nhp=0.0, workers=2, apply_generality=False
-            ),
-        ]
-
-        async def scenario():
-            with EngineHub(workers=2) as hub:
-                hub.register("n", network)
-                async with Scheduler(hub, warm_start=False) as scheduler:
-                    jobs = scheduler.submit_sweep("n", requests, warm_start=True)
-                    await asyncio.gather(*jobs)
-                    return [job.warm_floor for job in jobs]
-
-        floors = asyncio.run(scenario())
-        assert floors[0] is None and floors[1] is not None
-
-    def test_floor_survives_via_engine_stats(self):
-        network = _make_network(6)
-        request = MineRequest.create(
-            k=3, min_support=1, min_nhp=0.0, workers=2, apply_generality=False
-        )
-        seed = MineRequest.create(
-            k=3, min_support=3, min_nhp=0.4, workers=2, apply_generality=False
-        )
-
-        async def scenario():
-            with EngineHub(workers=2) as hub:
-                hub.register("n", network)
-                async with Scheduler(hub) as scheduler:
-                    jobs = scheduler.submit_sweep("n", [seed, request])
-                    await asyncio.gather(*jobs)
-                    return hub.engine("n").stats.warm_starts
-
-        assert asyncio.run(scenario()) >= 1
+        assert self._sweep(network, requests) == fresh
 
 
 class TestSingleFlight:
     def _count_plans(self, monkeypatch, seen):
         original = MiningEngine.plan_query
 
-        def counting(self, request, key, floor=None):
+        def counting(self, request, key):
             seen.append(request)
-            return original(self, request, key, floor=floor)
+            return original(self, request, key)
 
         monkeypatch.setattr(MiningEngine, "plan_query", counting)
 
