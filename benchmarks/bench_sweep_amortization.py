@@ -111,7 +111,7 @@ def _run_side(network, grid, workers: int) -> tuple[list[dict], dict]:
             if _signature(result) != _signature(cold):
                 row["=="] = "NO"
                 mismatches += 1
-        stats = engine.stats.as_dict()
+        stats = engine.hub.aggregate_stats()
 
     summary = {
         "workers": workers,

@@ -476,7 +476,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "cached": cached,
                 }
             )
-        stats = engine.stats.as_dict()
+        stats = engine.hub.aggregate_stats()
     print(format_series(rows, title=f"Sweep of {len(requests)} queries — {network}"))
     print(
         f"\n[engine: {stats['exports']} store export(s), "

@@ -130,6 +130,18 @@ class SocialNetwork:
             self._check_codes(name, col, attr.domain_size)
 
     @staticmethod
+    def _int_column(values, what: str) -> np.ndarray:
+        # A plain int64 cast would truncate 1.9 to 1, read True as 1 and
+        # parse "3" as 3: a batch naming anything but integers is refused.
+        col = np.asarray(values)
+        if col.size and (col.dtype.kind not in "iu" or (
+            not isinstance(values, np.ndarray)
+            and any(isinstance(v, (bool, np.bool_)) for v in values)
+        )):
+            raise NetworkError(f"appended {what} must be integers")
+        return np.ascontiguousarray(col, dtype=np.int64)
+
+    @staticmethod
     def _check_codes(name: str, col: np.ndarray, domain_size: int) -> None:
         if col.size and (col.min() < NULL or col.max() > domain_size):
             raise NetworkError(
@@ -316,8 +328,8 @@ class SocialNetwork:
             raise ValueError(
                 f"on_duplicate must be 'allow' or 'reject'; got {on_duplicate!r}"
             )
-        new_src = np.ascontiguousarray(np.asarray(src, dtype=np.int64))
-        new_dst = np.ascontiguousarray(np.asarray(dst, dtype=np.int64))
+        new_src = self._int_column(src, "edge endpoints")
+        new_dst = self._int_column(dst, "edge endpoints")
         if new_src.shape != new_dst.shape or new_src.ndim != 1:
             raise NetworkError("src and dst must be 1-D arrays of equal length")
         count = int(new_src.shape[0])
@@ -338,7 +350,7 @@ class SocialNetwork:
             )
         new_edge_codes: dict[str, np.ndarray] = {}
         for name in expected:
-            col = np.ascontiguousarray(np.asarray(edge_codes[name], dtype=np.int64))
+            col = self._int_column(edge_codes[name], f"edge attribute {name!r} codes")
             if col.shape != (count,):
                 raise NetworkError(
                     f"appended edge attribute {name!r} has {col.shape[0]} entries "

@@ -12,10 +12,14 @@ query stream:
 
 * the :class:`~repro.data.store.CompactStore` is built **once** and
   fingerprinted (the cache identity of the data);
-* the shared-memory export happens **once**, under a guaranteed-unlink
-  :class:`~repro.data.store.SharedStoreLease`;
-* the worker fleet is spawned **once** (lazily, on the first mined
-  query) and re-armed per query via self-describing shard tasks;
+* the worker fleet, the threshold buses and the store leases belong to
+  the engine's :attr:`~MiningEngine.hub`: a standalone engine builds a
+  private :class:`~repro.engine.EngineHub` of one network and closes it
+  with itself, a hub-registered one shares its hub's.  Either way the
+  shared-memory export happens **once** per store version, under a
+  guaranteed-unlink :class:`~repro.data.store.SharedStoreLease`, and the
+  fleet is spawned **once** (lazily, on the first mined query) and
+  re-armed per query via self-describing shard tasks;
 * one miner skeleton on the coordinator plans every query, re-targeted
   per query with :meth:`GRMiner.rearm`; it mines nothing but a migrated
   cache entry's touched branches (:mod:`repro.engine.delta`);
@@ -26,11 +30,14 @@ A cache miss is planned into an :class:`~repro.parallel.Execution`
 (:meth:`MiningEngine.prepare`) whose shard tasks all run on the fleet:
 one, many, or none when every first-level partition falls below
 minSupp.  A request's ``workers`` caps how many fleet workers its
-shards spread over; ``None`` means the whole fleet.
+shards spread over; ``None`` means the whole fleet.  A planned
+execution holds a bus checkout and a pin on the lease its tasks address,
+so no other network's export can budget-evict that lease before
+:meth:`MiningEngine.release` returns both.
 :meth:`MiningEngine.sweep` drives a batch of executions itself; the
 :mod:`repro.serve` scheduler drives the same executions through the
 same steps and hands them back to :meth:`MiningEngine.finish` and
-:meth:`MiningEngine.release_bus`.
+:meth:`MiningEngine.release`.
 
 Semantics are inherited, not reimplemented: every query runs through the
 exact same :func:`~repro.parallel.worker.mine_shard` /
@@ -44,16 +51,15 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from ..core.miner import GRMiner, MinerConfig
 from ..core.results import MiningResult
 from ..data.network import SocialNetwork
-from ..data.store import CompactStore, SharedStoreHandle, SharedStoreLease, StoreDelta
+from ..data.store import CompactStore, StoreDelta
 from ..parallel.miner import (
     Execution,
-    check_worker_count,
     dispatch,
     gather,
     memo_counts,
@@ -62,18 +68,13 @@ from ..parallel.miner import (
 )
 from ..obs.metrics import REGISTRY
 from ..parallel.planner import plan_shards
-from ..parallel.pool import BusPool, PersistentWorkerPool, default_start_method
+from ..parallel.pool import default_start_method
 from ..serve.markers import coordinator_only
-from .cache import ResultCache
 from .delta import migrate_fingerprint
 from .request import MineRequest
 
 __all__ = ["EngineStats", "Execution", "MiningEngine"]
 
-_LEASE_EXPORTS = REGISTRY.counter(
-    "repro_lease_exports_total",
-    "Shared-memory store exports (leases opened).",
-)
 _INVALIDATIONS = REGISTRY.counter(
     "repro_store_invalidations_total",
     "Store-delta invalidation events (fingerprint changes).",
@@ -95,9 +96,6 @@ class EngineStats:
     #: Shared-memory store exports performed (≤ 1 per engine *version*:
     #: an append-edge delta retires the old export and pays a new one).
     exports: int = 0
-    #: Worker pools spawned (≤ 1 per engine; 0 for hub-managed engines,
-    #: whose fleet is shared and counted on the hub).
-    pool_spawns: int = 0
     #: Queries answered, including cache hits.
     queries: int = 0
     #: Queries served straight from the result cache.
@@ -117,17 +115,7 @@ class EngineStats:
     migration_fallbacks: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "exports": self.exports,
-            "pool_spawns": self.pool_spawns,
-            "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "invalidations": self.invalidations,
-            "purged_entries": self.purged_entries,
-            "migrated_entries": self.migrated_entries,
-            "migration_fallbacks": self.migration_fallbacks,
-        }
+        return asdict(self)
 
 
 class MiningEngine:
@@ -142,8 +130,6 @@ class MiningEngine:
         on; ``None`` uses ``os.cpu_count()``.  Individual requests may
         ask for fewer workers; requests asking for more are clamped with
         a warning.
-    start_method, threshold_refresh:
-        As on :class:`~repro.parallel.ParallelGRMiner`.
     cache_size:
         LRU capacity of the result cache (``0`` disables caching).
     store:
@@ -151,10 +137,14 @@ class MiningEngine:
         building one from the network.
     cache:
         An externally owned result-cache object (any of the
-        :mod:`repro.engine.cache` tiers).  When given, ``cache_size`` is
-        ignored and ``close()`` leaves the cache alone — the mechanism
-        by which an :class:`~repro.engine.hub.EngineHub` shares one
-        (possibly disk-backed) cache across all of its networks.
+        :mod:`repro.engine.cache` tiers), used instead of a cache of
+        ``cache_size``; ``close()`` leaves it alone.
+
+    The fleet, the buses and the store lease live on :attr:`hub`, a
+    private one-network :class:`~repro.engine.EngineHub` that
+    :meth:`close` closes with the engine.  :meth:`EngineHub.register
+    <repro.engine.EngineHub.register>` builds engines on a shared hub
+    instead.
 
     Examples
     --------
@@ -173,30 +163,37 @@ class MiningEngine:
         self,
         network: SocialNetwork,
         workers: int | None = None,
-        start_method: str | None = None,
-        threshold_refresh: int = 64,
         cache_size: int = 128,
         store: CompactStore | None = None,
         cache=None,
     ) -> None:
+        from .hub import EngineHub  # the hub module imports this one
+
+        self._serve_on(
+            EngineHub(workers, cache_size=cache_size), "engine", network, store, cache
+        )
+        self._owns_hub = True
+
+    def _serve_on(self, hub, name: str, network: SocialNetwork,
+                  store: CompactStore | None = None, cache=None) -> None:
+        """Serve ``network`` as ``hub``'s network ``name``: the one set-up
+        both a standalone engine and :meth:`EngineHub.register` run."""
+        self.hub = hub
+        self.name = name
         self.network = network
         self.store = store if store is not None else CompactStore(network)
         self.fingerprint = self.store.fingerprint()
-        self.workers = check_worker_count(workers)
-        self.start_method = start_method or default_start_method()
-        self.threshold_refresh = threshold_refresh
+        self.workers = hub.workers
         self.stats = EngineStats()
-        self._owns_cache = cache is None
-        self._cache = cache if cache is not None else ResultCache(cache_size)
+        self._cache = cache if cache is not None else hub.cache
+        self._owns_hub = False
         self._skeleton: GRMiner | None = None
-        self._lease: SharedStoreLease | None = None
-        self._pool: PersistentWorkerPool | None = None
-        self._buses: BusPool | None = None
         self._warned_clamp = False
         self._closed = False
         #: Non-None after a failed (and unrecovered) append_edges: the
         #: reason queries must fail loudly instead of serving stale data.
         self._poisoned: str | None = None
+        hub._engines[name] = self
 
     # ------------------------------------------------------------------
     # Serving
@@ -243,14 +240,14 @@ class MiningEngine:
                     executions[key] = answer
                 answers.append(answer)
             pending = [e for e in executions.values() if e.queue]
-            handles = dispatch(pending, self._ensure_pool()) if pending else []
+            handles = dispatch(pending, self.hub._ensure_pool()) if pending else []
         except BaseException:
-            # A bus is only recyclable while none of its query's shards
-            # reached the fleet; the others stay checked out (reclaimed
-            # at close()).
+            # A bus and a pin are only returnable while none of the
+            # query's shards reached the fleet; the others stay out
+            # (reclaimed at close()).
             for execution in executions.values():
                 if execution.inflight == 0:
-                    self.release_bus(execution)
+                    self.release(execution)
             raise
 
         # One failing query must not stop the others: every execution is
@@ -261,7 +258,7 @@ class MiningEngine:
         results: dict[tuple, MiningResult] = {}
         errors: list[BaseException] = []
         for execution in executions.values():
-            self.release_bus(execution)
+            self.release(execution)
             try:
                 if execution.error is not None:
                     raise execution.error
@@ -315,7 +312,9 @@ class MiningEngine:
         Pays branch planning, sharding, the bus checkout and the
         store-handle resolution here, so the tasks can be dispatched to
         the fleet without touching the engine again.  The bus starts at
-        −inf: only the query's own shards raise it.
+        −inf: only the query's own shards raise it.  The lease the tasks
+        address stays pinned (:meth:`EngineHub.pin_lease
+        <repro.engine.EngineHub.pin_lease>`) until :meth:`release`.
         """
         config = request.to_config()
         plan = self._armed_skeleton(config).plan_branches()
@@ -335,12 +334,12 @@ class MiningEngine:
             warn_if_overprovisioned(workers, len(plan.branches))
         shards = plan_shards(plan.branches, workers)
         if not shards:  # every first-level partition is below minSupp
-            return Execution(config=config, key=key, plan=plan)
+            return Execution(config=config, key=key, plan=plan, network=self.name)
         bus = None
         timings: dict = {}
         if config.push_topk and config.k is not None:
             acquire_started = time.perf_counter()
-            bus = self._bus_pool().acquire()
+            bus = self.hub._bus_pool().acquire()
             timings["bus_acquire"] = (acquire_started, time.perf_counter())
         # Tasks carry the lease handle so the store-agnostic fleet can
         # attach the right data.  The store export can fail (e.g.
@@ -348,11 +347,12 @@ class MiningEngine:
         # checkout is still clean — no task has been submitted — so it
         # must go back to the pool, not strand.
         try:
-            store_handle = self._task_store_handle()
+            store_handle = self.hub._touch_lease(self).handle
         except BaseException:
             if bus is not None:
-                self._bus_pool().release(bus)
+                self.hub._bus_pool().release(bus)
             raise
+        self.hub.pin_lease(self.name)
         return Execution(
             config=config,
             key=key,
@@ -360,6 +360,8 @@ class MiningEngine:
             tasks=shard_tasks(shards, config, bus, store_handle),
             bus=bus,
             timings=timings,
+            network=self.name,
+            pinned=True,
         )
 
     @coordinator_only
@@ -372,7 +374,7 @@ class MiningEngine:
         params.update(
             workers=len(execution.tasks),
             shards=len(execution.tasks),
-            start_method=self.start_method,
+            start_method=default_start_method(),
             engine=self.fingerprint,
             **memo_counts(execution.results),
         )
@@ -381,15 +383,18 @@ class MiningEngine:
         return result
 
     @coordinator_only
-    def release_bus(self, execution: Execution) -> None:
-        """Return an execution's bus checkout (idempotent).
+    def release(self, execution: Execution) -> None:
+        """Return an execution's bus checkout and lease pin (idempotent).
 
         Only safe once the execution drained — or before any of its
         shards was dispatched at all.
         """
         if execution.bus is not None:
-            self._bus_pool().release(execution.bus)
+            self.hub._bus_pool().release(execution.bus)
             execution.bus = None
+        if execution.pinned:
+            execution.pinned = False
+            self.hub.unpin_lease(self.name)
 
     # ------------------------------------------------------------------
     # The planning skeleton
@@ -489,7 +494,7 @@ class MiningEngine:
         if self._skeleton is not None:
             self._skeleton.clear_memo()
         self._skeleton = None
-        self._release_lease()
+        self.hub._drop_lease(self.name)
         report = migrate_fingerprint(self, old, delta)
         self.stats.migrated_entries += report.migrated
         self.stats.purged_entries += report.purged
@@ -502,44 +507,6 @@ class MiningEngine:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @coordinator_only
-    def _ensure_lease(self) -> SharedStoreLease:
-        """The live export of the *current* store version (kept until
-        :meth:`refresh_store` retires it)."""
-        if self._lease is None or self._lease.closed:
-            self._lease = self.store.lease_shared()
-            self.stats.exports += 1
-            _LEASE_EXPORTS.inc()
-        return self._lease
-
-    @coordinator_only
-    def _release_lease(self) -> None:
-        if self._lease is not None:
-            self._lease.close()
-            self._lease = None
-
-    @coordinator_only
-    def _task_store_handle(self) -> SharedStoreHandle:
-        """The store handle every shard task must carry."""
-        return self._ensure_lease().handle
-
-    @coordinator_only
-    def _ensure_pool(self) -> PersistentWorkerPool:
-        if self._pool is None:
-            self._pool = PersistentWorkerPool(
-                self.workers,
-                start_method=self.start_method,
-                threshold_refresh=self.threshold_refresh,
-            )
-            self.stats.pool_spawns += 1
-        return self._pool
-
-    @coordinator_only
-    def _bus_pool(self) -> BusPool:
-        if self._buses is None:
-            self._buses = BusPool(num_slots=self.workers)
-        return self._buses
-
     def _ensure_open(self) -> None:
         if self._closed:
             raise RuntimeError("MiningEngine is closed")
@@ -551,44 +518,24 @@ class MiningEngine:
         return self._closed
 
     def close(self, force: bool = False) -> None:
-        """Release the pool, the buses and the store lease (idempotent).
+        """Stop serving (idempotent).
 
-        Closing while shard tasks are still in flight fails fast
-        with a :class:`RuntimeError` instead of tearing the fleet down
-        under a gatherer: terminating the pool would leave whoever is
-        blocked in ``AsyncResult.get()`` waiting forever and strand the
-        query's bus checkout.  Drain or cancel the in-flight queries
-        first, or pass ``force=True`` to accept the hard teardown (the
-        path ``__exit__`` takes when an exception is already unwinding —
-        after a worker crash mid-query the pool is torn down hard and
-        the lease's guaranteed unlink keeps ``/dev/shm`` clean).
+        A standalone engine closes its private hub with it — the pool,
+        the buses and the store lease — under :meth:`EngineHub.close
+        <repro.engine.EngineHub.close>`'s in-flight guard: with shard
+        tasks still in flight it raises and leaves the engine serving,
+        unless ``force=True`` (the path ``__exit__`` takes when an
+        exception is already unwinding).  A hub-registered engine only
+        retires its own lease; the fleet and the hub's other networks
+        keep serving.
         """
         if self._closed:
             return
-        self._guard_inflight(force, "MiningEngine")
-        self._closed = True
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool = None
-        if self._buses is not None:
-            self._buses.close()
-            self._buses = None
-        self._release_lease()
-        if self._owns_cache:
-            self._cache.close()
-
-    def _guard_inflight(self, force: bool, who: str) -> None:
-        if force or self._pool is None:
+        if self._owns_hub:
+            self.hub.close(force)  # marks this engine closed with its hub
             return
-        inflight = self._pool.inflight
-        if inflight > 0:
-            raise RuntimeError(
-                f"{who}.close() with {inflight} shard task(s) still "
-                "in flight — terminating the fleet now would block their "
-                "gatherer forever and leak the query's threshold bus; "
-                "drain or cancel the in-flight queries first, or call "
-                "close(force=True) for a hard teardown"
-            )
+        self._closed = True
+        self.hub._drop_lease(self.name)
 
     def __enter__(self) -> "MiningEngine":
         return self
@@ -600,10 +547,10 @@ class MiningEngine:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else (
-            "pooled" if self._pool is not None else "idle"
+            "pooled" if self.hub._pool is not None else "idle"
         )
         return (
-            f"MiningEngine(fingerprint={self.fingerprint[:12]}, "
+            f"MiningEngine({self.name!r}, fingerprint={self.fingerprint[:12]}, "
             f"workers={self.workers}, {state}, "
             f"queries={self.stats.queries}, cache_hits={self.stats.cache_hits})"
         )

@@ -1,8 +1,13 @@
 """EngineHub — many named networks served through one shared fleet.
 
-A :class:`~repro.engine.MiningEngine` amortizes per-query setup for one
-immutable network; the hub amortizes the *fleet* across many networks
-and makes the networks mutable:
+The hub is the one long-lived owner of what serving needs beyond a
+network's own store and skeleton: the worker fleet, the threshold
+buses, the store leases with their budget and pins, and the result
+cache.  A :class:`~repro.engine.MiningEngine` amortizes per-query setup
+for one network on these resources — a standalone engine on a private
+hub of one network, a registered one on a shared hub — and the hub
+amortizes the *fleet* across many networks and makes the networks
+mutable:
 
 * **One pool, one bus pool.**  The worker fleet is spawned once and is
   store-agnostic, like every :class:`PersistentWorkerPool`: each shard
@@ -14,9 +19,10 @@ and makes the networks mutable:
   :class:`~repro.data.store.SharedStoreLease`\\ s.  Attaching a lease
   that would push the total mapped bytes over ``lease_budget_bytes``
   evicts the least-recently-served network's lease (never the one being
-  served).  Workers that already mapped an evicted segment keep their
-  mapping (POSIX unlink semantics); the next query for that network
-  simply pays a fresh export.
+  served, nor one a planned execution pins).  Workers that already
+  mapped an evicted segment keep their mapping (POSIX unlink
+  semantics); the next query for that network simply pays a fresh
+  export.
 * **Append-edge deltas with incremental cache migration.**
   :meth:`append_edges` mutates the named network in place, rebuilds the
   store's edge-derived arrays, recomputes the fingerprint and retires
@@ -34,8 +40,7 @@ and makes the networks mutable:
   re-mining.
 
 Semantics are inherited from the engine layer: each network is served
-by a hub-managed :class:`MiningEngine` subclass whose only deviations
-are *where* the pool, buses, lease and cache come from.  The hub is not
+by a plain :class:`MiningEngine` on the hub's resources.  The hub is not
 thread-safe; serve it from one coordinator (queries themselves still
 fan out over the worker fleet).
 
@@ -61,7 +66,7 @@ from ..data.network import SocialNetwork
 from ..data.store import CompactStore, SharedStoreLease
 from ..obs.metrics import REGISTRY
 from ..parallel.miner import check_worker_count
-from ..parallel.pool import BusPool, PersistentWorkerPool, default_start_method
+from ..parallel.pool import BusPool, PersistentWorkerPool
 from ..serve.markers import coordinator_only
 from .cache import DiskResultCache, ResultCache, TieredResultCache
 from .engine import MiningEngine
@@ -79,50 +84,6 @@ _LEASE_EVICTIONS = REGISTRY.counter(
 )
 
 
-class _HubEngine(MiningEngine):
-    """A MiningEngine whose fleet, buses, lease and cache are hub-owned.
-
-    ``self._pool`` / ``self._buses`` are never populated, so the base
-    ``close()`` cannot tear down shared resources; the lease lives in
-    the hub's LRU instead of ``self._lease``.
-    """
-
-    def __init__(self, hub: "EngineHub", name: str, network: SocialNetwork,
-                 store: CompactStore | None = None) -> None:
-        self._hub = hub
-        self.name = name
-        super().__init__(
-            network,
-            workers=hub.workers,
-            start_method=hub.start_method,
-            threshold_refresh=hub.threshold_refresh,
-            store=store,
-            cache=hub.cache,
-        )
-
-    @coordinator_only
-    def _ensure_lease(self) -> SharedStoreLease:
-        return self._hub._touch_lease(self)
-
-    @coordinator_only
-    def _release_lease(self) -> None:
-        self._hub._drop_lease(self.name)
-
-    @coordinator_only
-    def _ensure_pool(self) -> PersistentWorkerPool:
-        return self._hub._ensure_pool()
-
-    @coordinator_only
-    def _bus_pool(self) -> BusPool:
-        return self._hub._bus_pool()
-
-    def __repr__(self) -> str:
-        return (
-            f"_HubEngine({self.name!r}, fingerprint={self.fingerprint[:12]}, "
-            f"queries={self.stats.queries})"
-        )
-
-
 class EngineHub:
     """Serve mining queries against many named networks from one fleet.
 
@@ -131,8 +92,6 @@ class EngineHub:
     workers:
         Shared fleet size (``None`` uses ``os.cpu_count()``).  Every
         network's mined queries run on this one fleet.
-    start_method, threshold_refresh:
-        As on :class:`~repro.engine.MiningEngine`, applied hub-wide.
     cache_size:
         Capacity of the shared in-memory result LRU (``0`` disables the
         memory tier).
@@ -154,8 +113,6 @@ class EngineHub:
     def __init__(
         self,
         workers: int | None = None,
-        start_method: str | None = None,
-        threshold_refresh: int = 64,
         cache_size: int = 256,
         disk_cache: str | os.PathLike | None = None,
         disk_cache_max_bytes: int | None = None,
@@ -165,8 +122,6 @@ class EngineHub:
         if lease_budget_bytes is not None and lease_budget_bytes <= 0:
             raise ValueError("lease_budget_bytes must be positive (or None)")
         self.workers = check_worker_count(workers)
-        self.start_method = start_method or default_start_method()
-        self.threshold_refresh = threshold_refresh
         self.lease_budget_bytes = lease_budget_bytes
         memory = ResultCache(cache_size)
         self.cache = (
@@ -181,7 +136,7 @@ class EngineHub:
             if disk_cache is not None
             else memory
         )
-        self._engines: dict[str, _HubEngine] = {}
+        self._engines: dict[str, MiningEngine] = {}
         self._leases: "OrderedDict[str, SharedStoreLease]" = OrderedDict()
         #: Pin refcounts per network (see :meth:`pin_lease`) — pinned
         #: leases are exempt from budget eviction.
@@ -202,8 +157,9 @@ class EngineHub:
         name: str,
         network: SocialNetwork,
         store: CompactStore | None = None,
-    ) -> _HubEngine:
-        """Add a named network; returns its hub-managed engine.
+    ) -> MiningEngine:
+        """Add a named network; returns the engine serving it on this
+        hub's fleet, buses, leases and cache.
 
         The compact store is built (or adopted) and fingerprinted now;
         the shared-memory export is deferred until the first mined
@@ -212,12 +168,12 @@ class EngineHub:
         self._ensure_open()
         if name in self._engines:
             raise ValueError(f"network {name!r} is already registered")
-        engine = _HubEngine(self, name, network, store=store)
-        self._engines[name] = engine
+        engine = MiningEngine.__new__(MiningEngine)
+        engine._serve_on(self, name, network, store)
         return engine
 
-    def engine(self, name: str) -> _HubEngine:
-        """The hub-managed engine serving ``name``."""
+    def engine(self, name: str) -> MiningEngine:
+        """The engine serving ``name``."""
         try:
             return self._engines[name]
         except KeyError:
@@ -280,16 +236,12 @@ class EngineHub:
         )
 
     # ------------------------------------------------------------------
-    # Shared resources (called by _HubEngine)
+    # Shared resources (called by the hub's engines)
     # ------------------------------------------------------------------
     @coordinator_only
     def _ensure_pool(self) -> PersistentWorkerPool:
         if self._pool is None:
-            self._pool = PersistentWorkerPool(
-                self.workers,
-                start_method=self.start_method,
-                threshold_refresh=self.threshold_refresh,
-            )
+            self._pool = PersistentWorkerPool(self.workers)
             self.pool_spawns += 1
         return self._pool
 
@@ -300,7 +252,7 @@ class EngineHub:
         return self._buses
 
     @coordinator_only
-    def _touch_lease(self, engine: _HubEngine) -> SharedStoreLease:
+    def _touch_lease(self, engine: MiningEngine) -> SharedStoreLease:
         """The live lease for ``engine``, freshly exported if needed,
         promoted to most-recently-served, with the budget enforced."""
         lease = self._leases.get(engine.name)
@@ -351,11 +303,12 @@ class EngineHub:
     def pin_lease(self, name: str) -> None:
         """Exempt ``name``'s lease from budget eviction (refcounted).
 
-        The :mod:`repro.serve` scheduler pins a network while it has
-        admitted jobs: their already-built shard tasks carry the current
-        lease's segment name, and an eviction in between — triggered by
-        an interleaved job *preparing* on another network — would unlink
-        the segment out from under them.  Pins nest; they do not create
+        The engine that resolves an execution's store handle pins its
+        lease in :meth:`MiningEngine.plan_query` and unpins it in
+        :meth:`MiningEngine.release`: the execution's shard tasks carry
+        the lease's segment name, and an eviction in between — triggered
+        by another network's query being planned — would unlink the
+        segment out from under them.  Pins nest; they do not create
         leases and survive ``append_edges`` retiring one (the pin then
         guards whatever lease the network's next export produces).
         """
@@ -392,8 +345,7 @@ class EngineHub:
         }
         for engine in self._engines.values():
             for key, value in engine.stats.as_dict().items():
-                if key != "pool_spawns":  # hub engines never spawn pools
-                    totals[key] = totals.get(key, 0) + value
+                totals[key] = totals.get(key, 0) + value
         return totals
 
     # ------------------------------------------------------------------
@@ -408,26 +360,32 @@ class EngineHub:
         return self._closed
 
     def close(self, force: bool = False) -> None:
-        """Release the fleet, buses, every lease and the cache (idempotent).
+        """Release the fleet, buses, every lease and the cache, and close
+        every engine (idempotent).
 
-        Like :meth:`MiningEngine.close`, closing while shard tasks are
-        in flight on the shared fleet raises instead of deadlocking
-        their gatherer; ``force=True`` (and the exception-unwinding
-        ``with`` exit) tears down hard regardless.
+        Closing while shard tasks are still in flight fails fast with a
+        :class:`RuntimeError` and leaves the hub serving: terminating the
+        pool would leave whoever is blocked in ``AsyncResult.get()``
+        waiting forever and strand the query's bus checkout.  Drain or
+        cancel the in-flight queries first, or pass ``force=True`` to
+        accept the hard teardown (the path ``__exit__`` takes when an
+        exception is already unwinding — after a worker crash mid-query
+        the pool is torn down hard and the leases' guaranteed unlink
+        keeps ``/dev/shm`` clean).
         """
         if self._closed:
             return
         if not force and self._pool is not None and self._pool.inflight > 0:
             raise RuntimeError(
-                f"EngineHub.close() with {self._pool.inflight} shard "
-                "task(s) still in flight — terminating the shared fleet now "
-                "would block their gatherer forever and leak the query's "
-                "threshold bus; drain or cancel the in-flight queries "
-                "first, or call close(force=True) for a hard teardown"
+                f"close() with {self._pool.inflight} shard task(s) still "
+                "in flight — terminating the fleet now would block their "
+                "gatherer forever and leak the query's threshold bus; "
+                "drain or cancel the in-flight queries first, or call "
+                "close(force=True) for a hard teardown"
             )
         self._closed = True
         for engine in self._engines.values():
-            engine.close(force=True)  # per-engine state; shared resources below
+            engine._closed = True
         if self._pool is not None:
             self._pool.terminate()
             self._pool = None

@@ -39,6 +39,11 @@ _FLOOR_UPGRADES = REGISTRY.counter(
 #: Picklable bus address: (shared-memory name, slot count).
 BusHandle = tuple[str, int]
 
+#: Threshold consultations a collector serves from its cached bus floor
+#: before re-reading the bus.  The exchange is best-effort: a stale floor
+#: only costs pruning opportunity, never correctness.
+REFRESH_EVERY = 64
+
 
 class ThresholdBus:
     """One float64 slot per shard, monotonically raised, max-reduced."""
@@ -102,30 +107,21 @@ class SharedThresholdCollector(TopKCollector):
     Publishing happens after every successful insert while full; the bus
     maximum is folded into :attr:`effective_threshold` (pruning) and
     :meth:`would_admit` (early rejection).  Bus reads are refreshed only
-    every ``refresh_every`` consultations — threshold exchange is
+    every :data:`REFRESH_EVERY` consultations — threshold exchange is
     best-effort, and a stale floor is merely conservative.
     """
 
-    def __init__(
-        self,
-        k: int,
-        min_score: float,
-        bus: ThresholdBus,
-        slot: int,
-        refresh_every: int = 64,
-    ) -> None:
+    def __init__(self, k: int, min_score: float, bus: ThresholdBus, slot: int) -> None:
         super().__init__(k=k, min_score=min_score)
         self._bus = bus
         self._slot = slot
-        self._refresh_every = max(1, refresh_every)
         self._floor = float("-inf")
         self._consultations = 0
 
     def _current_floor(self) -> float:
         # The counter starts at 0 and is post-incremented, so the bus is
-        # re-read on consultations 0, n, 2n, … — including the first one,
-        # for every n ≥ 1.
-        if self._consultations % self._refresh_every == 0:
+        # re-read on consultations 0, n, 2n, … — including the first one.
+        if self._consultations % REFRESH_EVERY == 0:
             published = self._bus.best_floor()
             if published > self._floor:
                 self._floor = published

@@ -37,16 +37,17 @@ through the same steps — :meth:`Execution.next_task`,
 :func:`~repro.parallel.worker.mine_shard` for one shard or
 ``workers=1``;
 :meth:`repro.engine.MiningEngine.sweep` runs a batch of them
-round-robin over its long-lived fleet (:func:`dispatch`, then
+round-robin over its hub's long-lived fleet (:func:`dispatch`, then
 :func:`gather`); the :mod:`repro.serve` scheduler feeds their tasks to
 the fleet one slot at a time.  A stream of queries over one network
-should go through :class:`repro.engine.MiningEngine`, which keeps the
-export and the fleet alive across them.
+should go through :class:`repro.engine.MiningEngine`, whose hub keeps
+the export and the fleet alive across them.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
 import warnings
 from collections import deque
@@ -81,7 +82,10 @@ def check_worker_count(workers: int | None) -> int:
     ``None`` means ``os.cpu_count()``.  A request above the machine's
     CPU count is allowed — shards then time-slice — but it is almost
     never what the caller wants, so it warns instead of crashing
-    (mirrors the CLI ``--workers`` passthrough contract).
+    (mirrors the CLI ``--workers`` passthrough contract).  The warning
+    names the first caller outside ``repro.engine`` and
+    ``repro.parallel``: ``MiningEngine(...)`` reaches here through the
+    ``EngineHub`` it builds.
     """
     cpus = os.cpu_count() or 1
     if workers is None:
@@ -89,10 +93,15 @@ def check_worker_count(workers: int | None) -> int:
     if workers < 1:
         raise ValueError("workers must be a positive process count")
     if workers > cpus:
+        level, frame = 1, sys._getframe()
+        while frame.f_globals.get("__name__", "").startswith(
+            ("repro.engine.", "repro.parallel.")
+        ):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"workers={workers} exceeds os.cpu_count()={cpus}; the extra "
             "processes will time-slice rather than run concurrently",
-            stacklevel=3,
+            stacklevel=level,
         )
     return workers
 
@@ -200,7 +209,9 @@ class Execution:
     results: list = field(default_factory=list)
     #: The first shard failure; nothing more is handed out after it.
     error: BaseException | None = None
-    #: Served network whose lease this execution pins (``repro.serve``).
+    #: The engine's network name (engine-planned executions), and whether
+    #: the execution holds a pin on that network's lease: the engine
+    #: pins it in ``plan_query`` and unpins it in ``release``.
     network: str | None = None
     pinned: bool = False
     #: The jobs sharing this execution (``repro.serve``).
@@ -306,28 +317,17 @@ class ParallelGRMiner:
         guarantee that the answer never depends on the worker count.
         Requests above the CPU count or the planned branch count warn
         (and proceed) rather than crash.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheapest on Linux) and ``spawn`` elsewhere.
-    threshold_refresh:
-        How many threshold consultations a worker serves from its cached
-        bus floor before re-reading the bus (the exchange is best-effort;
-        staleness only costs pruning opportunity, never correctness).
     """
 
     def __init__(
         self,
         network: SocialNetwork,
         workers: int | None = None,
-        start_method: str | None = None,
-        threshold_refresh: int = 64,
         store=None,
         **miner_kwargs,
     ) -> None:
         self.network = network
         self.workers = check_worker_count(workers)
-        self.start_method = start_method or default_start_method()
-        self.threshold_refresh = threshold_refresh
         self._config = MinerConfig(**miner_kwargs)
         # The coordinator's miner: validates parameters eagerly, owns the
         # compact store that gets exported, and does the branch planning.
@@ -360,11 +360,7 @@ class ParallelGRMiner:
                 started=started,
             )
             if pooled:
-                with PersistentWorkerPool(
-                    len(shards),
-                    start_method=self.start_method,
-                    threshold_refresh=self.threshold_refresh,
-                ) as pool:
+                with PersistentWorkerPool(len(shards)) as pool:
                     gather(dispatch([execution], pool))
             else:
                 # One shard, or workers=1: no pool and no bus, the shards
@@ -385,7 +381,7 @@ class ParallelGRMiner:
         params.update(
             workers=self.workers,
             shards=len(shards),
-            start_method=self.start_method,
+            start_method=default_start_method(),
             **memo_counts(execution.results),
         )
         return MiningResult(grs=entries, stats=stats, params=params)

@@ -4,15 +4,17 @@ PR 1's flow was build-use-discard: every ``ParallelGRMiner.mine()``
 exported the store, spawned a pool, ran one query and tore everything
 down.  This module separates the *expensive* setup (the spawn) from the
 *cheap, per-query* work (sharding + task dispatch) so a long-lived
-:class:`~repro.engine.MiningEngine` or
-:class:`~repro.engine.EngineHub` pays the former once:
+:class:`~repro.engine.EngineHub` — the one long-lived owner of both
+pools, whether shared by many networks or private to a standalone
+:class:`~repro.engine.MiningEngine` — pays the former once:
 
 * :class:`PersistentWorkerPool` — a ``multiprocessing`` pool whose
   workers hold no store and no query.  Tasks are self-describing
   (:class:`~repro.parallel.worker.ShardTask` carries the query config,
   the store handle and the bus address), so the same fleet serves any
   number of queries over any number of stores, interleaved or
-  sequential.  Context-manager semantics:
+  sequential.  Workers start with :func:`default_start_method`.
+  Context-manager semantics:
   graceful ``close()`` + join on clean exit, ``terminate()`` when an
   exception unwinds.
 * :class:`BusPool` — a free list of :class:`ThresholdBus` segments,
@@ -68,30 +70,14 @@ class PersistentWorkerPool:
     processes:
         Fleet size.  A query may use fewer workers (its planner simply
         emits fewer shards) but never more.
-    start_method:
-        ``multiprocessing`` start method; defaults to
-        :func:`default_start_method`.
-    threshold_refresh:
-        Bus re-read cadence forwarded to every worker (see
-        :class:`~repro.parallel.bus.SharedThresholdCollector`).
     """
 
-    def __init__(
-        self,
-        processes: int,
-        start_method: str | None = None,
-        threshold_refresh: int = 64,
-    ) -> None:
+    def __init__(self, processes: int) -> None:
         if processes < 1:
             raise ValueError("processes must be a positive process count")
         self.processes = processes
-        self.start_method = start_method or default_start_method()
-        self.threshold_refresh = threshold_refresh
-        ctx = mp.get_context(self.start_method)
-        self._pool = ctx.Pool(
-            processes=processes,
-            initializer=initialize_worker,
-            initargs=(threshold_refresh,),
+        self._pool = mp.get_context(default_start_method()).Pool(
+            processes=processes, initializer=initialize_worker
         )
         self._inflight = 0
         self._inflight_lock = threading.Lock()
@@ -106,7 +92,7 @@ class PersistentWorkerPool:
         whether or not anyone has ``get()``'d it.  A nonzero count at
         ``close()`` time means someone is still waiting on the pool —
         tearing it down then would leave that waiter blocked forever,
-        which is why the engine and hub fail fast instead.
+        which is why the hub fails fast instead.
         """
         with self._inflight_lock:
             return self._inflight
@@ -186,10 +172,7 @@ class PersistentWorkerPool:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return (
-            f"PersistentWorkerPool(processes={self.processes}, "
-            f"start_method={self.start_method!r}, {state})"
-        )
+        return f"PersistentWorkerPool(processes={self.processes}, {state})"
 
 
 class BusPool:

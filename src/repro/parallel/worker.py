@@ -113,7 +113,6 @@ class StoreAttachment:
 class WorkerState:
     """Everything a worker keeps between tasks."""
 
-    refresh_every: int
     #: Per-task store attachments keyed by segment name, LRU-bounded by
     #: ``max_attachments`` (a hub evicts leases under a memory budget
     #: and re-exports post-delta stores, so stale names do turn over).
@@ -131,7 +130,7 @@ class WorkerState:
 _STATE: list[WorkerState] = []
 
 
-def initialize_worker(refresh_every: int) -> None:
+def initialize_worker() -> None:
     """Pool initializer: a fresh, store-agnostic worker state.
 
     Deliberately query- and store-agnostic — no miner parameters, no
@@ -140,7 +139,7 @@ def initialize_worker(refresh_every: int) -> None:
     the store handles the worker attaches.
     """
     _STATE.clear()
-    _STATE.append(WorkerState(refresh_every=refresh_every))
+    _STATE.append(WorkerState())
 
 
 class CrossShardGeneralityVerifier:
@@ -260,32 +259,22 @@ def run_shard(task: ShardTask) -> ShardResult:
         raise RuntimeError("worker not initialized — call initialize_worker first")
     state = _STATE[0]
     miner = _shard_miner(_task_attachment(state, task.store_handle), task.config)
-    return mine_shard(
-        miner, task, _task_bus(state, task.bus_handle), state.refresh_every
-    )
+    return mine_shard(miner, task, _task_bus(state, task.bus_handle))
 
 
 def mine_shard(
-    miner: GRMiner,
-    task: ShardTask,
-    bus: ThresholdBus | None,
-    refresh_every: int = 64,
+    miner: GRMiner, task: ShardTask, bus: ThresholdBus | None
 ) -> ShardResult:
     """Mine one shard's branches on ``miner`` and return its verified
     entries.
 
     ``miner`` must already be armed with ``task.config``; the task's
     store handle is not consulted.  With a ``bus`` (and a dynamic
-    top-k) the collector trades k-th-best scores over it, re-reading
-    the bus every ``refresh_every`` consultations.
+    top-k) the collector trades k-th-best scores over it.
     """
     if bus is not None and miner.push_topk and miner.k is not None:
         collector: TopKCollector = SharedThresholdCollector(
-            k=miner.k,
-            min_score=miner.min_score,
-            bus=bus,
-            slot=task.shard_id,
-            refresh_every=refresh_every,
+            k=miner.k, min_score=miner.min_score, bus=bus, slot=task.shard_id
         )
     else:
         collector = TopKCollector(

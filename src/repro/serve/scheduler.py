@@ -572,22 +572,12 @@ class Scheduler:
 
     @coordinator_only
     def _prepare_sync(self, engine, request: MineRequest):
-        # Runs on the coordinator thread.  The pin must precede the
-        # prepare: prepare resolves the store handle (possibly exporting
-        # a lease), and an interleaved prepare for another network must
-        # not budget-evict it while this execution's tasks address it.
-        self.hub.pin_lease(engine.name)
-        try:
-            prepared = engine.prepare(request)
-        except BaseException:
-            self.hub.unpin_lease(engine.name)
-            raise
-        if isinstance(prepared, Execution):
-            prepared.network = engine.name
-            prepared.pinned = True
-            return prepared
-        self.hub.unpin_lease(engine.name)  # a cache hit addresses no lease
-        self._publish_hub_stats()
+        # Runs on the coordinator thread.  A miss comes back as an
+        # execution whose engine pinned the lease its tasks address
+        # (released with its bus in _release_sync); a hit addresses none.
+        prepared = engine.prepare(request)
+        if isinstance(prepared, MiningResult):
+            self._publish_hub_stats()
         return prepared
 
     def _attach(self, job: ServeJob, execution) -> None:
@@ -818,10 +808,7 @@ class Scheduler:
     def _release_sync(self, engine, execution) -> None:
         # Coordinator thread.  Safe exactly because an execution is only
         # released once drained, or before any of its shards went out.
-        engine.release_bus(execution)
-        if execution.pinned:
-            execution.pinned = False
-            self.hub.unpin_lease(execution.network)
+        engine.release(execution)
         self._publish_hub_stats()
 
     @coordinator_only

@@ -203,6 +203,9 @@ class TestMine:
         payload = json.loads(out_path.read_text())
         assert len(payload["rows"]) == 4
         assert payload["engine"]["queries"] == 4
+        # The block is the engine's private hub's aggregate stats.
+        assert payload["engine"]["networks"] == 1
+        assert payload["engine"]["pool_spawns"] == 1
         # Every grid point must equal the exact answer of the same params.
         from repro.core.miner import GRMiner
         from repro.io.loaders import load_network

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.core.miner import GRMiner, MinerConfig
 from repro.datasets.random_graphs import random_attributed_network, random_schema
-from repro.engine import MineRequest, MiningEngine, ResultCache
-from repro.parallel import ParallelGRMiner
+from repro.engine import EngineHub, MineRequest, MiningEngine, ResultCache
+from repro.parallel import ParallelGRMiner, PersistentWorkerPool
 
 
 def _signature(result):
@@ -228,11 +228,11 @@ class TestEngineAmortization:
         with MiningEngine(network, workers=2) as engine:
             results = engine.sweep(requests)
             assert engine.stats.exports == 1
-            assert engine.stats.pool_spawns == 1
+            assert engine.hub.pool_spawns == 1
             # A follow-up single query still reuses the same fleet.
             engine.mine(MineRequest(k=4, min_support=2, min_nhp=0.6, workers=2))
             assert engine.stats.exports == 1
-            assert engine.stats.pool_spawns == 1
+            assert engine.hub.pool_spawns == 1
         for request, result in zip(requests, results):
             assert _signature(result) == _signature(_fresh(network, request))
 
@@ -240,7 +240,7 @@ class TestEngineAmortization:
         network = _network(1)
         with MiningEngine(network, workers=2) as engine:
             result = engine.mine(k=8, min_support=2, min_nhp=0.3)
-            assert engine.stats.exports == 1 and engine.stats.pool_spawns == 1
+            assert engine.stats.exports == 1 and engine.hub.pool_spawns == 1
             assert result.params["shards"] == 2
         exact = GRMiner(
             network, k=8, min_support=2, min_score=0.3, push_topk=False
@@ -266,7 +266,7 @@ class TestEngineAmortization:
         )
         network = random_attributed_network(schema, num_nodes=5, num_edges=12, seed=9)
         with MiningEngine(network, workers=2) as engine:
-            engine._ensure_pool()  # forked before the patch: workers mine
+            engine.hub._ensure_pool()  # forked before the patch: workers mine
 
             def _no_mining(*args, **kwargs):
                 raise AssertionError("the coordinator must not mine")
@@ -288,8 +288,8 @@ class TestEngineAmortization:
             [result] = engine.sweep([request])
             assert len(result) == 0 and result.params["shards"] == 0
             assert result.stats.runtime_seconds < 1
-            assert engine.stats.pool_spawns == 0
-            buses = engine._buses
+            assert engine.hub.pool_spawns == 0
+            buses = engine.hub._buses
             assert buses is None or len(buses._free) == len(buses._all)
 
 
@@ -420,7 +420,7 @@ class TestEngineLifecycle:
     def test_close_unlinks_the_store_segment(self):
         engine = MiningEngine(_network(0), workers=2)
         engine.mine(k=5, min_support=2, min_nhp=0.3, workers=2)
-        name = engine._lease.name
+        name = engine.hub._leases[engine.name].name
         engine.close()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -480,7 +480,7 @@ class TestEngineLifecycle:
             with pytest.raises(TypeError):
                 engine.sweep([bad, good])
             # every bus back on the free list
-            assert len(engine._buses._free) == len(engine._buses._all)
+            assert len(engine.hub._buses._free) == len(engine.hub._buses._all)
             again = engine.mine(good)
             assert engine.stats.cache_hits == 1  # the sweep cached it
         assert _signature(again) == _signature(_fresh(network, good))
@@ -494,12 +494,12 @@ class TestEngineLifecycle:
         network = _network(0)
         request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
         with MiningEngine(network, workers=2) as engine:
-            def boom():
+            def boom(_engine):
                 raise OSError("no space left on /dev/shm")
-            monkeypatch.setattr(engine, "_task_store_handle", boom)
+            monkeypatch.setattr(engine.hub, "_touch_lease", boom)
             with pytest.raises(OSError):
                 engine.plan_query(request, engine.query_key(request))
-            buses = engine._buses
+            buses = engine.hub._buses
             assert buses is not None  # the checkout happened...
             assert len(buses._free) == len(buses._all) == 1  # ...and returned
             monkeypatch.undo()
@@ -540,6 +540,32 @@ class TestWorkerValidation:
             ParallelGRMiner(_network(0), workers=16, k=5, min_support=2)
         with pytest.warns(UserWarning, match="cpu_count"):
             MiningEngine(_network(0), workers=16)
+
+    def test_oversubscription_warning_names_the_callers_file(self, monkeypatch):
+        # MiningEngine(...) validates through the private hub it builds;
+        # the warning must still point at the line that asked.
+        import repro.parallel.miner as pm
+
+        monkeypatch.setattr(pm.os, "cpu_count", lambda: 2)
+        with pytest.warns(UserWarning, match="cpu_count") as record:
+            engine = MiningEngine(_network(0), workers=16)
+        engine.close()
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize(
+        "knob", [{"start_method": "fork"}, {"threshold_refresh": 8}]
+    )
+    def test_no_constructor_takes_a_start_method_or_refresh_knob(self, knob):
+        network = _network(0)
+        makers = [
+            lambda: MiningEngine(network, workers=1, **knob),
+            lambda: EngineHub(workers=1, **knob),
+            lambda: ParallelGRMiner(network, workers=1, k=3, **knob),
+            lambda: PersistentWorkerPool(1, **knob),
+        ]
+        for make in makers:
+            with pytest.raises(TypeError):
+                make()
 
     def test_workers_above_branch_count_warns_not_crashes(self):
         schema = random_schema(

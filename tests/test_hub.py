@@ -96,6 +96,24 @@ class TestHubRegistry:
         with pytest.raises(RuntimeError):
             hub.register("b", _make_network(2))
 
+    def test_closing_a_registered_engine_leaves_the_hub_serving(self):
+        nets = {"a": _make_network(1), "b": _make_network(2)}
+        request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
+        fresh_request = MineRequest(k=4, min_support=2, min_nhp=0.4, workers=2)
+        with EngineHub(workers=2) as hub:
+            for name, network in nets.items():
+                hub.register(name, network)
+                hub.mine(name, request)
+            hub.engine("a").close()
+            assert hub.engine("a").closed and not hub.closed
+            assert hub.resident_networks() == ["b"]  # only a's lease went
+            with pytest.raises(RuntimeError, match="closed"):
+                hub.mine("a", request)
+            result = hub.mine("b", fresh_request)  # a miss: mined on the fleet
+            assert hub.stats("b").cache_misses == 2
+            assert hub.pool_spawns == 1 and not hub._pool.closed
+        assert _signature(result) == _signature(_fresh(nets["b"], fresh_request))
+
 
 class TestHubEquivalence:
     """Acceptance: hub answers equal fresh one-shot miners, with one
@@ -121,7 +139,6 @@ class TestHubEquivalence:
                         _fresh(nets[name], request)
                     ), f"hub diverged on {name}: {request.describe()}"
             assert hub.pool_spawns == 1
-            assert hub.stats("a").pool_spawns == 0  # fleet is hub-owned
             # One live lease per resident network, nothing orphaned.
             assert sorted(hub.resident_networks()) == ["a", "b"]
             assert len(hub._leases) == 2
@@ -248,6 +265,28 @@ class TestLeaseBudget:
             assert hub.stats("a").exports == 2
             assert hub.lease_evictions == 2
         assert hub.resident_networks() == []
+
+    def test_engine_steps_pin_what_they_plan(self):
+        """Planning on a second network must not budget-evict the lease
+        the first network's planned tasks address: the engine pins it
+        in ``prepare`` and unpins it in ``release``."""
+        from repro.parallel.miner import dispatch, gather
+
+        nets = {"a": _make_network(1), "b": _make_network(2)}
+        request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
+        with EngineHub(workers=2, lease_budget_bytes=1) as hub:
+            engines = {name: hub.register(name, net) for name, net in nets.items()}
+            executions = {name: engines[name].prepare(request) for name in ("a", "b")}
+            assert sorted(hub.resident_networks()) == ["a", "b"]
+            gather(dispatch(list(executions.values()), hub._ensure_pool()))
+            results = {}
+            for name, execution in executions.items():
+                assert execution.error is None
+                results[name] = engines[name].finish(execution)
+                engines[name].release(execution)
+            assert hub._lease_pins == {}
+        for name, result in results.items():
+            assert _signature(result) == _signature(_fresh(nets[name], request))
 
     def test_unbudgeted_hub_keeps_all_leases(self):
         request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
@@ -501,7 +540,7 @@ class TestWorkerStoreRotation:
         from repro.parallel.worker import StoreAttachment, WorkerState, _task_attachment
         from repro.data.store import CompactStore
 
-        state = WorkerState(refresh_every=64, max_attachments=2)
+        state = WorkerState(max_attachments=2)
         leases = []
         try:
             for seed in (1, 2, 3):
@@ -528,7 +567,7 @@ class TestWorkerStoreRotation:
         from repro.parallel.worker import WorkerState, _task_attachment
 
         with pytest.raises(RuntimeError, match="carries no store handle"):
-            _task_attachment(WorkerState(refresh_every=64), None)
+            _task_attachment(WorkerState(), None)
         task = ShardTask(shard_id=0, branches=(), config=MinerConfig(k=3))
         with PersistentWorkerPool(1) as pool:
             with pytest.raises(RuntimeError, match="carries no store handle"):

@@ -210,7 +210,7 @@ class TestStoreDeltaDropsTheMemo:
         from repro.data.store import CompactStore
         from repro.parallel.worker import WorkerState, _shard_miner, _task_attachment
 
-        state = WorkerState(refresh_every=64, max_attachments=1)
+        state = WorkerState(max_attachments=1)
         leases = [CompactStore(_build(seed)).lease_shared() for seed in (1, 2)]
         try:
             attachment = _task_attachment(state, leases[0].handle)

@@ -205,6 +205,24 @@ class TestAppendEdges:
             small_network.append_edges([0, 1], [2], {"W": [1]})
         assert small_network.num_edges == before
 
+    @pytest.mark.parametrize(
+        "src, dst, codes",
+        [
+            ([1.5], [2], [1]),  # fractional endpoint
+            ([0], [True], [1]),  # boolean endpoint
+            (["3"], [2], [1]),  # string endpoint
+            ([0], [2], [1.9]),  # fractional code
+        ],
+        ids=["fractional-endpoint", "boolean-endpoint", "string-endpoint",
+             "fractional-code"],
+    )
+    def test_non_integer_batches_are_refused(self, small_network, src, dst, codes):
+        # An int64 cast would have appended 1→2, 0→1, 3→2 and code 1.
+        before = small_network.num_edges
+        with pytest.raises(NetworkError, match="must be integers"):
+            small_network.append_edges(src, dst, {"W": codes})
+        assert small_network.num_edges == before
+
     def test_appended_edges_reach_the_miners(self, small_network):
         from repro.core.miner import GRMiner
 

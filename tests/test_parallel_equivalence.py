@@ -257,7 +257,7 @@ class TestEngineEquivalence:
         with MiningEngine(network, workers=2) as engine:
             results = engine.sweep(requests)
             assert engine.stats.exports == 1
-            assert engine.stats.pool_spawns == 1
+            assert engine.hub.pool_spawns == 1
         for params, result in zip(self._GRID, results):
             fresh_parallel = ParallelGRMiner(network, workers=2, **params).mine()
             assert _signature(result) == _signature(fresh_parallel)

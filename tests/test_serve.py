@@ -764,7 +764,7 @@ class TestCloseGuard:
         # Patching the name run_shard resolves through in the parent
         # propagates to fork children, making task duration controllable.
         monkeypatch.setattr(pool_module, "run_shard", _sleepy_shard)
-        pool = PersistentWorkerPool(1, start_method="fork")
+        pool = PersistentWorkerPool(1)
         yield pool
         if not pool.closed:
             pool.terminate()
@@ -780,7 +780,7 @@ class TestCloseGuard:
 
     def test_engine_close_fails_fast_with_inflight_shards(self, slow_pool):
         engine = MiningEngine(_make_network(1), workers=1)
-        engine._pool = slow_pool
+        engine.hub._pool = slow_pool
         handles = [slow_pool.submit("shard-0")]
         with pytest.raises(RuntimeError, match="in flight"):
             engine.close()
@@ -803,7 +803,7 @@ class TestCloseGuard:
 
     def test_force_close_and_exception_exit_still_tear_down(self, slow_pool):
         engine = MiningEngine(_make_network(3), workers=1)
-        engine._pool = slow_pool
+        engine.hub._pool = slow_pool
         slow_pool.submit("shard-0")
         engine.close(force=True)  # explicit override: hard teardown
         assert engine.closed and slow_pool.closed
@@ -814,8 +814,8 @@ class TestCloseGuard:
         monkeypatch.setattr(pool_module, "run_shard", _sleepy_shard)
         with pytest.raises(ValueError, match="boom"):
             with MiningEngine(_make_network(4), workers=1) as engine:
-                engine._pool = PersistentWorkerPool(1, start_method="fork")
-                engine._pool.submit("shard-0")
+                engine.hub._pool = PersistentWorkerPool(1)
+                engine.hub._pool.submit("shard-0")
                 raise ValueError("boom")
         assert engine.closed  # __exit__ forced the teardown
 
@@ -1026,6 +1026,28 @@ class TestServeValidation:
                         return outcomes
 
         assert asyncio.run(scenario()) == [(400, 0)] * len(bodies)
+
+    def test_http_rejects_non_integer_edges(self):
+        """``1.5``, ``true`` and ``1.9`` would cast to 1; the delta must
+        get a 400 and leave the network's edges and fingerprint alone."""
+        from repro.datasets.toy import toy_dating_network
+
+        body = {"src": [1.5], "dst": [True], "edge_codes": {"TYPE": [1.9]}}
+
+        async def scenario():
+            with EngineHub(workers=1) as hub:
+                engine = hub.register("toy", toy_dating_network())
+                before = (engine.fingerprint, engine.network.num_edges)
+                async with Scheduler(hub) as scheduler:
+                    async with ServeHTTP(scheduler, port=0) as server:
+                        status, _ = await _http(
+                            server.port, "POST", "/networks/toy/append_edges", body
+                        )
+                return status, before, (engine.fingerprint, engine.network.num_edges)
+
+        status, before, after = asyncio.run(scenario())
+        assert status == 400
+        assert after == before
 
     def test_serve_cli_parser(self):
         from repro.cli import build_parser
