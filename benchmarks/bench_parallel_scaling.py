@@ -60,7 +60,8 @@ def _consistency(serial_sig, parallel_sig) -> str:
 
     ``yes`` — identical lists.  ``sub`` — the serial heuristic returned
     an order-preserving subsequence (it may legitimately hold fewer than
-    k entries, DESIGN.md §5.5).  ``NO`` — a genuine divergence.
+    k entries; see ``verify_generality`` in ``GRMiner``).  ``NO`` — a
+    genuine divergence.
     """
     if serial_sig == parallel_sig:
         return "yes"

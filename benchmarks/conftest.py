@@ -1,6 +1,6 @@
 """Shared datasets and helpers for the benchmark suite.
 
-All benches run on fixed-seed synthetic datasets (DESIGN.md §3).  The
+All benches run on fixed-seed synthetic datasets (``repro.datasets``).  The
 Pokec-style network is scaled to laptop size; the DBLP-style network is
 at the paper's original scale.  Generated artifacts (the Table II
 texts, the Fig. 4 series) are written to ``benchmarks/out/``.

@@ -51,9 +51,8 @@ Package map
                     over one hub fleet, with a stdlib HTTP facade
                     (``repro serve``).
 ``repro.parallel``  Sharded multi-process mining: shard planner,
-                    shared-memory store export, threshold bus, pool
-                    lifecycle, and the deterministic merge
-                    (ParallelGRMiner).
+                    shared-memory store export, pool lifecycle, and
+                    the deterministic merge (ParallelGRMiner).
 ``repro.data``      Schemas, networks, the compact LArray/EArray/RArray
                     store (including its shared-memory export) and the
                     single-table model.

@@ -491,7 +491,9 @@ class GRMiner:
         ranking (the paper mines *non-trivial* GRs) and ``True`` for
         confidence ranking (Table II's conf column keeps homophilic GRs).
     allow_empty_lhs:
-        Admit GRs with an empty LHS.  Off by default; see DESIGN.md §5.
+        Admit GRs with an empty LHS.  Off by default; when on, the
+        root RIGHT/EDGE subtrees are mined too (the ``"root"``
+        :class:`BranchSpec`).
     max_lhs_attrs, max_rhs_attrs, max_edge_attrs:
         Optional caps on descriptor lengths — practical guards for very
         high-dimensional schemas; ``None`` means unbounded.
@@ -509,12 +511,12 @@ class GRMiner:
         Only meaningful for GRMiner(k).  The published dynamic-threshold
         upgrade can prune a subtree containing a *generality blocker*
         whose score lies between the user threshold and the current k-th
-        best, letting a redundant specialization into the result
-        (DESIGN.md §5.5).  With this flag (default) the final top-k list
-        is re-verified by direct evaluation of each entry's
-        generalizations — at most ``k · 2^(|l|+|w|)`` metric queries —
-        and blocked entries are dropped (the list may then hold fewer
-        than k GRs).  Set ``push_topk=False`` for fully exact Definition
+        best, letting a redundant specialization into the result (the
+        blocker-in-pruned-subtree case).  With this flag (default) the
+        final top-k list is re-verified by direct evaluation of each
+        entry's generalizations — at most ``k · 2^(|l|+|w|)`` metric
+        queries — and blocked entries are dropped (the list may then
+        hold fewer than k GRs).  Set ``push_topk=False`` for fully exact Definition
         5 semantics.
     """
 
@@ -756,8 +758,8 @@ class GRMiner:
         """Decompose the run into its independent first-level branches.
 
         Mirrors the main procedure (Algorithm 1 lines 2-5): the root
-        RIGHT/EDGE subtrees (empty-LHS GRs, emitted only when those are
-        admissible — DESIGN.md §5.4) followed by the first-level LEFT
+        RIGHT/EDGE subtrees (empty-LHS GRs, emitted only when
+        ``allow_empty_lhs`` admits them) followed by the first-level LEFT
         value partitions in τ order.  Sub-threshold partitions are
         counted, not emitted.
         """
@@ -900,7 +902,7 @@ class GRMiner:
         return edges[self._kernel_ops.argsort(keys, domain)], ends
 
     def _verify_generality(self, results: list) -> list:
-        """Drop top-k entries whose generalization qualifies (DESIGN §5.5).
+        """Drop top-k entries whose generalization qualifies.
 
         GRMiner(k)'s dynamic threshold may have pruned the node where a
         blocker would have been examined; this post-pass re-checks each
@@ -1432,7 +1434,7 @@ class GRMiner:
             # Every GR satisfying conditions (1) and (2) enters the index
             # — including ones the dynamic top-k threshold will not admit
             # — so that later, more special GRs are still recognized as
-            # redundant (DESIGN.md §5.5).
+            # redundant (see ``verify_generality`` in the class docstring).
             self._index.add(l_key, w_key, r_key)
         self._stats.candidates += 1
         if self._collector.would_admit(score):

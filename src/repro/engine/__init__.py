@@ -10,10 +10,10 @@ over them with an LRU result cache.  The one-shot entry points
 anything that asks twice should hold an engine.
 
 One :class:`EngineHub` per *process*, and the only long-lived owner of
-the worker fleet, the threshold buses and the store leases: many named
-(and mutable — ``hub.append_edges``) networks served through one shared
-fleet, per-network leases evicted LRU-style under a memory budget, and
-a result cache that can persist to disk between processes
+the worker fleet and the store leases: many named (and mutable —
+``hub.append_edges``) networks served through one shared fleet,
+per-network leases evicted LRU-style under a memory budget, and a
+result cache that can persist to disk between processes
 (:class:`DiskResultCache` / :class:`TieredResultCache`).  A standalone
 ``MiningEngine(network)`` is a hub of one: it builds a private hub
 (``engine.hub``) and closes it with itself.

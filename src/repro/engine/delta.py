@@ -234,7 +234,7 @@ def _migrate_entry(
         if b.kind == "root" or (b.attr, b.value) in touched
     )
     mined = mine_shard(
-        skeleton, ShardTask(shard_id=1, branches=touched_branches, config=config), None
+        skeleton, ShardTask(shard_id=1, branches=touched_branches, config=config)
     )
     carried = ShardResult(shard_id=0, entries=survivors, stats=MiningStats())
     entries, stats = merge_shard_results(

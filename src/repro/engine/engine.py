@@ -12,10 +12,10 @@ query stream:
 
 * the :class:`~repro.data.store.CompactStore` is built **once** and
   fingerprinted (the cache identity of the data);
-* the worker fleet, the threshold buses and the store leases belong to
-  the engine's :attr:`~MiningEngine.hub`: a standalone engine builds a
-  private :class:`~repro.engine.EngineHub` of one network and closes it
-  with itself, a hub-registered one shares its hub's.  Either way the
+* the worker fleet and the store leases belong to the engine's
+  :attr:`~MiningEngine.hub`: a standalone engine builds a private
+  :class:`~repro.engine.EngineHub` of one network and closes it with
+  itself, a hub-registered one shares its hub's.  Either way the
   shared-memory export happens **once** per store version, under a
   guaranteed-unlink :class:`~repro.data.store.SharedStoreLease`, and the
   fleet is spawned **once** (lazily, on the first mined query) and
@@ -31,9 +31,9 @@ A cache miss is planned into an :class:`~repro.parallel.Execution`
 one, many, or none when every first-level partition falls below
 minSupp.  A request's ``workers`` caps how many fleet workers its
 shards spread over; ``None`` means the whole fleet.  A planned
-execution holds a bus checkout and a pin on the lease its tasks address,
-so no other network's export can budget-evict that lease before
-:meth:`MiningEngine.release` returns both.
+execution holds a pin on the lease its tasks address, so no other
+network's export can budget-evict that lease before
+:meth:`MiningEngine.release` returns the pin.
 :meth:`MiningEngine.sweep` drives a batch of executions itself; the
 :mod:`repro.serve` scheduler drives the same executions through the
 same steps and hands them back to :meth:`MiningEngine.finish` and
@@ -64,6 +64,7 @@ from ..parallel.miner import (
     gather,
     memo_counts,
     shard_tasks,
+    warn_at_caller,
     warn_if_overprovisioned,
 )
 from ..obs.metrics import REGISTRY
@@ -140,8 +141,8 @@ class MiningEngine:
         :mod:`repro.engine.cache` tiers), used instead of a cache of
         ``cache_size``; ``close()`` leaves it alone.
 
-    The fleet, the buses and the store lease live on :attr:`hub`, a
-    private one-network :class:`~repro.engine.EngineHub` that
+    The fleet and the store lease live on :attr:`hub`, a private
+    one-network :class:`~repro.engine.EngineHub` that
     :meth:`close` closes with the engine.  :meth:`EngineHub.register
     <repro.engine.EngineHub.register>` builds engines on a shared hub
     instead.
@@ -242,16 +243,16 @@ class MiningEngine:
             pending = [e for e in executions.values() if e.queue]
             handles = dispatch(pending, self.hub._ensure_pool()) if pending else []
         except BaseException:
-            # A bus and a pin are only returnable while none of the
-            # query's shards reached the fleet; the others stay out
-            # (reclaimed at close()).
+            # A pin is only returnable while none of the query's shards
+            # reached the fleet; the others stay out (reclaimed at
+            # close()).
             for execution in executions.values():
                 if execution.inflight == 0:
                     self.release(execution)
             raise
 
         # One failing query must not stop the others: every execution is
-        # always gathered (its bus may only be recycled once all of its
+        # always gathered (its pin may only be returned once all of its
         # shards settled), completed work is cached, and the first error
         # is re-raised at the end.
         gather(handles)
@@ -309,11 +310,10 @@ class MiningEngine:
     def plan_query(self, request: MineRequest, key: tuple) -> Execution:
         """Plan one cache-missed query into an :class:`Execution`.
 
-        Pays branch planning, sharding, the bus checkout and the
-        store-handle resolution here, so the tasks can be dispatched to
-        the fleet without touching the engine again.  The bus starts at
-        −inf: only the query's own shards raise it.  The lease the tasks
-        address stays pinned (:meth:`EngineHub.pin_lease
+        Pays branch planning, sharding and the store-handle resolution
+        here, so the tasks can be dispatched to the fleet without
+        touching the engine again.  The lease the tasks address stays
+        pinned (:meth:`EngineHub.pin_lease
         <repro.engine.EngineHub.pin_lease>`) until :meth:`release`.
         """
         config = request.to_config()
@@ -325,41 +325,24 @@ class MiningEngine:
                 # Once per engine (and per hub network): a sweep of N
                 # over-asking requests is one misconfiguration, not N.
                 self._warned_clamp = True
-                warnings.warn(
+                warn_at_caller(
                     f"request asked for workers={request.workers} but the "
                     f"engine's fleet has {self.workers}; clamping (further "
-                    "clamped requests on this engine stay silent)",
-                    stacklevel=3,
+                    "clamped requests on this engine stay silent)"
                 )
             warn_if_overprovisioned(workers, len(plan.branches))
         shards = plan_shards(plan.branches, workers)
         if not shards:  # every first-level partition is below minSupp
             return Execution(config=config, key=key, plan=plan, network=self.name)
-        bus = None
-        timings: dict = {}
-        if config.push_topk and config.k is not None:
-            acquire_started = time.perf_counter()
-            bus = self.hub._bus_pool().acquire()
-            timings["bus_acquire"] = (acquire_started, time.perf_counter())
         # Tasks carry the lease handle so the store-agnostic fleet can
-        # attach the right data.  The store export can fail (e.g.
-        # /dev/shm exhaustion) *after* the bus checkout above; the
-        # checkout is still clean — no task has been submitted — so it
-        # must go back to the pool, not strand.
-        try:
-            store_handle = self.hub._touch_lease(self).handle
-        except BaseException:
-            if bus is not None:
-                self.hub._bus_pool().release(bus)
-            raise
+        # attach the right data.
+        store_handle = self.hub._touch_lease(self).handle
         self.hub.pin_lease(self.name)
         return Execution(
             config=config,
             key=key,
             plan=plan,
-            tasks=shard_tasks(shards, config, bus, store_handle),
-            bus=bus,
-            timings=timings,
+            tasks=shard_tasks(shards, config, store_handle),
             network=self.name,
             pinned=True,
         )
@@ -384,14 +367,11 @@ class MiningEngine:
 
     @coordinator_only
     def release(self, execution: Execution) -> None:
-        """Return an execution's bus checkout and lease pin (idempotent).
+        """Return an execution's lease pin (idempotent).
 
         Only safe once the execution drained — or before any of its
         shards was dispatched at all.
         """
-        if execution.bus is not None:
-            self.hub._bus_pool().release(execution.bus)
-            execution.bus = None
         if execution.pinned:
             execution.pinned = False
             self.hub.unpin_lease(self.name)
@@ -520,20 +500,30 @@ class MiningEngine:
     def close(self, force: bool = False) -> None:
         """Stop serving (idempotent).
 
-        A standalone engine closes its private hub with it — the pool,
-        the buses and the store lease — under :meth:`EngineHub.close
+        A standalone engine closes its private hub with it — the pool and
+        the store lease — under :meth:`EngineHub.close
         <repro.engine.EngineHub.close>`'s in-flight guard: with shard
         tasks still in flight it raises and leaves the engine serving,
         unless ``force=True`` (the path ``__exit__`` takes when an
         exception is already unwinding).  A hub-registered engine only
         retires its own lease; the fleet and the hub's other networks
-        keep serving.
+        keep serving.  Its guard is the lease pin: while a planned
+        execution pins the lease (:meth:`release` not yet called), its
+        tasks still address the segment, so closing raises and leaves
+        the engine serving unless ``force=True``.
         """
         if self._closed:
             return
         if self._owns_hub:
             self.hub.close(force)  # marks this engine closed with its hub
             return
+        pins = self.hub._lease_pins.get(self.name, 0)
+        if pins and not force:
+            raise RuntimeError(
+                f"close() with {pins} planned execution(s) still pinning "
+                f"{self.name!r}'s lease — unlinking it now would fail their "
+                "shards; release them first, or call close(force=True)"
+            )
         self._closed = True
         self.hub._drop_lease(self.name)
 

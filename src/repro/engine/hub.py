@@ -1,19 +1,18 @@
 """EngineHub — many named networks served through one shared fleet.
 
 The hub is the one long-lived owner of what serving needs beyond a
-network's own store and skeleton: the worker fleet, the threshold
-buses, the store leases with their budget and pins, and the result
-cache.  A :class:`~repro.engine.MiningEngine` amortizes per-query setup
-for one network on these resources — a standalone engine on a private
-hub of one network, a registered one on a shared hub — and the hub
-amortizes the *fleet* across many networks and makes the networks
-mutable:
+network's own store and skeleton: the worker fleet, the store leases
+with their budget and pins, and the result cache.  A
+:class:`~repro.engine.MiningEngine` amortizes per-query setup for one
+network on these resources — a standalone engine on a private hub of
+one network, a registered one on a shared hub — and the hub amortizes
+the *fleet* across many networks and makes the networks mutable:
 
-* **One pool, one bus pool.**  The worker fleet is spawned once and is
-  store-agnostic, like every :class:`PersistentWorkerPool`: each shard
-  task carries its network's store handle and workers attach the export
-  on demand (LRU-bounded per worker).  Threshold-bus segments come from
-  one shared free list.
+* **One pool.**  The worker fleet is spawned once and is store-agnostic,
+  like every :class:`PersistentWorkerPool`: each shard task carries its
+  network's store handle and workers attach the export on demand
+  (LRU-bounded per worker).  Store leases are the only shared-memory
+  segments the fleet maps.
 * **Per-network leases under a memory budget.**  Each registered
   network's shared-memory export lives in an LRU of
   :class:`~repro.data.store.SharedStoreLease`\\ s.  Attaching a lease
@@ -66,7 +65,7 @@ from ..data.network import SocialNetwork
 from ..data.store import CompactStore, SharedStoreLease
 from ..obs.metrics import REGISTRY
 from ..parallel.miner import check_worker_count
-from ..parallel.pool import BusPool, PersistentWorkerPool
+from ..parallel.pool import PersistentWorkerPool
 from ..serve.markers import coordinator_only
 from .cache import DiskResultCache, ResultCache, TieredResultCache
 from .engine import MiningEngine
@@ -142,7 +141,6 @@ class EngineHub:
         #: leases are exempt from budget eviction.
         self._lease_pins: dict[str, int] = {}
         self._pool: PersistentWorkerPool | None = None
-        self._buses: BusPool | None = None
         #: Fleet spawns performed (≤ 1 per hub lifetime).
         self.pool_spawns = 0
         #: Leases closed by the memory budget (not by deltas or close()).
@@ -159,7 +157,7 @@ class EngineHub:
         store: CompactStore | None = None,
     ) -> MiningEngine:
         """Add a named network; returns the engine serving it on this
-        hub's fleet, buses, leases and cache.
+        hub's fleet, leases and cache.
 
         The compact store is built (or adopted) and fingerprinted now;
         the shared-memory export is deferred until the first mined
@@ -244,12 +242,6 @@ class EngineHub:
             self._pool = PersistentWorkerPool(self.workers)
             self.pool_spawns += 1
         return self._pool
-
-    @coordinator_only
-    def _bus_pool(self) -> BusPool:
-        if self._buses is None:
-            self._buses = BusPool(num_slots=self.workers)
-        return self._buses
 
     @coordinator_only
     def _touch_lease(self, engine: MiningEngine) -> SharedStoreLease:
@@ -360,18 +352,17 @@ class EngineHub:
         return self._closed
 
     def close(self, force: bool = False) -> None:
-        """Release the fleet, buses, every lease and the cache, and close
-        every engine (idempotent).
+        """Release the fleet, every lease and the cache, and close every
+        engine (idempotent).
 
         Closing while shard tasks are still in flight fails fast with a
         :class:`RuntimeError` and leaves the hub serving: terminating the
         pool would leave whoever is blocked in ``AsyncResult.get()``
-        waiting forever and strand the query's bus checkout.  Drain or
-        cancel the in-flight queries first, or pass ``force=True`` to
-        accept the hard teardown (the path ``__exit__`` takes when an
-        exception is already unwinding — after a worker crash mid-query
-        the pool is torn down hard and the leases' guaranteed unlink
-        keeps ``/dev/shm`` clean).
+        waiting forever.  Drain or cancel the in-flight queries first, or
+        pass ``force=True`` to accept the hard teardown (the path
+        ``__exit__`` takes when an exception is already unwinding — after
+        a worker crash mid-query the pool is torn down hard and the
+        leases' guaranteed unlink keeps ``/dev/shm`` clean).
         """
         if self._closed:
             return
@@ -379,9 +370,8 @@ class EngineHub:
             raise RuntimeError(
                 f"close() with {self._pool.inflight} shard task(s) still "
                 "in flight — terminating the fleet now would block their "
-                "gatherer forever and leak the query's threshold bus; "
-                "drain or cancel the in-flight queries first, or call "
-                "close(force=True) for a hard teardown"
+                "gatherer forever; drain or cancel the in-flight queries "
+                "first, or call close(force=True) for a hard teardown"
             )
         self._closed = True
         for engine in self._engines.values():
@@ -389,9 +379,6 @@ class EngineHub:
         if self._pool is not None:
             self._pool.terminate()
             self._pool = None
-        if self._buses is not None:
-            self._buses.close()
-            self._buses = None
         for lease in self._leases.values():
             lease.close()
         self._leases.clear()

@@ -3,7 +3,7 @@
 Seven PRs grew the reproduction into a multi-layer concurrent system
 whose correctness rests on conventions a type checker cannot see: one
 coordinator thread owns the engine internals, shared-memory leases and
-bus checkouts must be released, shard tasks must pickle, the canonical
+pool checkouts must be released, shard tasks must pickle, the canonical
 cache-key layout is frozen, and worker errors must never be silently
 swallowed.  This package turns those conventions into machine-checked
 rules (stdlib :mod:`ast` only — no new dependencies) so they fail at

@@ -236,8 +236,8 @@ class CoordinatorOwnership(Rule):
     synchronous call chain from an event-loop entry.
 
     Invariant: one coordinator thread owns every engine/hub/cache
-    internal — planning, bus checkouts, leases and pins, result caches,
-    serial execution.  The event loop reaches them exclusively by
+    internal — planning, leases and pins, result caches, serial
+    execution.  The event loop reaches them exclusively by
     handing a function *reference* to ``Scheduler._run_coord``, so a
     serve coroutine that reaches a marked engine internal through an
     unmarked wrapper in *any* layer fires, with the full chain printed.

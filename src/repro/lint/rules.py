@@ -53,11 +53,11 @@ def _func_scopes(tree: ast.Module) -> Iterator[ast.AST]:
 
 
 class LeaseLifecycle(Rule):
-    """Shared-memory leases and bus checkouts must have an owner.
+    """Shared-memory leases and pool checkouts must have an owner.
 
     Invariant (PRs 1–3): ``export_shared()`` / ``lease_shared()`` /
     ``SharedStoreLease(...)`` pin POSIX shared-memory segments and
-    ``*.acquire(...)`` checks a ThresholdBus out of its pool; each
+    ``*.acquire(...)`` checks a resource out of its pool; each
     result must be bound into a ``with`` block, released/closed in the
     binding scope, handed to another call or object that owns its close
     path, returned/yielded to the caller, or referenced from a
@@ -119,7 +119,7 @@ class LeaseLifecycle(Rule):
                         file, node,
                         f"'{target.id}' = {acq}(...) is never entered, "
                         "released, returned, stored, or passed on in this "
-                        "scope — the lease/bus leaks",
+                        "scope — the lease/checkout leaks",
                     )
 
     def _escapes(

@@ -5,16 +5,15 @@ engine, serve — registers metrics here without creating cycles, the same
 way ``repro.serve.markers`` stays a leaf.
 
 Counters and gauges use plain ``+=`` on a float attribute: increments
-from multiple threads may race, but like the ThresholdBus slots the race
-is benign (a lost increment, never a crash or corruption), which keeps
+from multiple threads may race, but the race is benign (a lost
+increment, never a crash or corruption), which keeps
 the hot-path cost to an attribute load, a branch, and a float add.
 Histograms take a per-child lock because a bucket update is a
 read-modify-write across several fields.
 
 Registries are per-process. Worker processes inherit the parent registry
 at fork time and then diverge: increments made inside a mining worker
-(e.g. bus publishes from a ``SharedThresholdCollector``) land in that
-worker's copy and are invisible to the serving process. The ``/metrics``
+land in that worker's copy and are invisible to the serving process. The ``/metrics``
 endpoint therefore reports the coordinator/serving process only; this is
 documented rather than solved (a push gateway belongs to the multi-host
 transport work).

@@ -12,10 +12,9 @@ parallelizes by branch with *no* shared mutable state on the hot path:
    read-only views.
 3. **Mine** — each worker replays the serial recursion over its
    branches.  Candidate validity (thresholds, triviality, Definition
-   5(2) generality) is decided per-shard from first principles (see
-   :mod:`repro.parallel.worker`), and local k-th best scores are traded
-   over a :class:`~repro.parallel.bus.ThresholdBus` so every worker's
-   dynamic ``minNhp`` keeps rising as the fleet fills up.
+   5(2) generality) is decided per-shard from first principles, and
+   each shard's dynamic ``minNhp`` is its own k-th best score (see
+   :mod:`repro.parallel.worker`).
 4. **Merge** — per-shard top-k lists are folded through
    :meth:`TopKCollector.merge`; the total rank order makes the outcome
    byte-identical for any worker count, including ``workers=1``.
@@ -23,7 +22,8 @@ parallelizes by branch with *no* shared mutable state on the hot path:
 The result carries *exact* Definition 5 semantics: it equals serial
 ``GRMiner(..., push_topk=False)`` truncated to k, and the brute-force
 reference miner, GR for GR.  (Serial ``GRMiner(k)`` agrees too except in
-the rare blocker-in-pruned-subtree case of DESIGN.md §5.5, where the
+the rare blocker-in-pruned-subtree case described under
+``verify_generality`` in :class:`~repro.core.miner.GRMiner`, where the
 parallel result is the more faithful one.)
 
 One sharded query is an :class:`Execution`: the plan and its shard
@@ -58,7 +58,6 @@ from ..core.miner import BranchPlan, GRMiner, MinerConfig
 from ..core.results import MiningResult, MiningStats
 from ..core.topk import TopKCollector
 from ..data.network import SocialNetwork
-from .bus import ThresholdBus
 from .planner import plan_shards
 from .pool import PersistentWorkerPool, default_start_method
 from .worker import ShardResult, ShardTask, mine_shard
@@ -72,8 +71,23 @@ __all__ = [
     "memo_counts",
     "merge_shard_results",
     "shard_tasks",
+    "warn_at_caller",
     "warn_if_overprovisioned",
 ]
+
+
+def warn_at_caller(message: str) -> None:
+    """Warn from the first caller outside ``repro.engine`` and
+    ``repro.parallel``, however deep inside them the warning is raised:
+    ``engine.mine(...)`` reaches the clamp warning through ``sweep``,
+    ``prepare`` and ``plan_query``, and ``MiningEngine(...)`` reaches
+    :func:`check_worker_count` through the ``EngineHub`` it builds."""
+    level, frame = 1, sys._getframe()
+    while frame.f_globals.get("__name__", "").startswith(
+        ("repro.engine.", "repro.parallel.")
+    ):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
 
 
 def check_worker_count(workers: int | None) -> int:
@@ -82,10 +96,7 @@ def check_worker_count(workers: int | None) -> int:
     ``None`` means ``os.cpu_count()``.  A request above the machine's
     CPU count is allowed — shards then time-slice — but it is almost
     never what the caller wants, so it warns instead of crashing
-    (mirrors the CLI ``--workers`` passthrough contract).  The warning
-    names the first caller outside ``repro.engine`` and
-    ``repro.parallel``: ``MiningEngine(...)`` reaches here through the
-    ``EngineHub`` it builds.
+    (mirrors the CLI ``--workers`` passthrough contract).
     """
     cpus = os.cpu_count() or 1
     if workers is None:
@@ -93,15 +104,9 @@ def check_worker_count(workers: int | None) -> int:
     if workers < 1:
         raise ValueError("workers must be a positive process count")
     if workers > cpus:
-        level, frame = 1, sys._getframe()
-        while frame.f_globals.get("__name__", "").startswith(
-            ("repro.engine.", "repro.parallel.")
-        ):
-            level, frame = level + 1, frame.f_back
-        warnings.warn(
+        warn_at_caller(
             f"workers={workers} exceeds os.cpu_count()={cpus}; the extra "
-            "processes will time-slice rather than run concurrently",
-            stacklevel=level,
+            "processes will time-slice rather than run concurrently"
         )
     return workers
 
@@ -114,11 +119,10 @@ def warn_if_overprovisioned(workers: int, num_branches: int) -> None:
     miner and the engine diagnostics identical.
     """
     if 0 < num_branches < workers:
-        warnings.warn(
+        warn_at_caller(
             f"workers={workers} exceeds the {num_branches} first-level "
             f"branches planned for this query; only {num_branches} "
-            "shards can run",
-            stacklevel=3,
+            "shards can run"
         )
 
 
@@ -158,17 +162,12 @@ def memo_counts(shard_results: Sequence[ShardResult]) -> dict:
 
 
 def shard_tasks(
-    shards: Sequence[tuple], config: MinerConfig, bus=None, store_handle=None
+    shards: Sequence[tuple], config: MinerConfig, store_handle=None
 ) -> tuple[ShardTask, ...]:
-    """One :class:`ShardTask` per planned shard, all on one bus and store."""
-    bus_handle = bus.handle() if bus is not None else None
+    """One :class:`ShardTask` per planned shard, all on one store."""
     return tuple(
         ShardTask(
-            shard_id=j,
-            branches=branches,
-            config=config,
-            bus_handle=bus_handle,
-            store_handle=store_handle,
+            shard_id=j, branches=branches, config=config, store_handle=store_handle
         )
         for j, branches in enumerate(shards)
     )
@@ -185,9 +184,9 @@ class Execution:
     shard at all: it is drained from the start and merges to an empty
     answer.
 
-    An execution holding a ``bus`` owns that checkout until it drained:
-    a straggler shard would otherwise publish stale floors into
-    whichever query checks the segment out next.  Several
+    An execution that pins its network's lease (``pinned``) keeps the
+    pin until it drained: a shard still in flight may yet attach the
+    segment the pin keeps from budget eviction.  Several
     :class:`~repro.serve.ServeJob`\\ s may share one execution
     (``jobs``); it runs at the highest priority among them.
     """
@@ -197,7 +196,6 @@ class Execution:
     key: tuple = ()
     plan: BranchPlan | None = None
     tasks: tuple[ShardTask, ...] = ()
-    bus: ThresholdBus | None = None
     #: Named coordinator-side phases as ``{name: (start, end)}``
     #: ``perf_counter`` seconds — the raw material of trace spans.
     timings: dict = field(default_factory=dict)
@@ -346,32 +344,23 @@ class ParallelGRMiner:
         # A one-query pool mines over this store's export, and both are
         # torn down with the query.
         lease = self._serial.store.lease_shared() if pooled else None
-        bus = None
         try:
-            if pooled and config.push_topk and config.k is not None:
-                bus = ThresholdBus(num_slots=len(shards))
             execution = Execution(
                 config=config,
                 plan=plan,
-                tasks=shard_tasks(
-                    shards, config, bus, lease.handle if pooled else None
-                ),
-                bus=bus,
+                tasks=shard_tasks(shards, config, lease.handle if pooled else None),
                 started=started,
             )
             if pooled:
                 with PersistentWorkerPool(len(shards)) as pool:
                     gather(dispatch([execution], pool))
             else:
-                # One shard, or workers=1: no pool and no bus, the shards
-                # run on the coordinator's own miner.
+                # One shard, or workers=1: no pool, the shards run on the
+                # coordinator's own miner.
                 execution.results = [
-                    mine_shard(self._serial, task, None)
-                    for task in execution.tasks
+                    mine_shard(self._serial, task) for task in execution.tasks
                 ]
         finally:
-            if bus is not None:
-                bus.release()
             if lease is not None:
                 lease.close()
         if execution.error is not None:

@@ -4,36 +4,31 @@ PR 1's flow was build-use-discard: every ``ParallelGRMiner.mine()``
 exported the store, spawned a pool, ran one query and tore everything
 down.  This module separates the *expensive* setup (the spawn) from the
 *cheap, per-query* work (sharding + task dispatch) so a long-lived
-:class:`~repro.engine.EngineHub` — the one long-lived owner of both
-pools, whether shared by many networks or private to a standalone
-:class:`~repro.engine.MiningEngine` — pays the former once:
+:class:`~repro.engine.EngineHub` — the one long-lived owner of the
+fleet, whether shared by many networks or private to a standalone
+:class:`~repro.engine.MiningEngine` — pays the former once.
 
-* :class:`PersistentWorkerPool` — a ``multiprocessing`` pool whose
-  workers hold no store and no query.  Tasks are self-describing
-  (:class:`~repro.parallel.worker.ShardTask` carries the query config,
-  the store handle and the bus address), so the same fleet serves any
-  number of queries over any number of stores, interleaved or
-  sequential.  Workers start with :func:`default_start_method`.
-  Context-manager semantics:
-  graceful ``close()`` + join on clean exit, ``terminate()`` when an
-  exception unwinds.
-* :class:`BusPool` — a free list of :class:`ThresholdBus` segments,
-  ``reset()`` on every checkout so a k-th-best score published during
-  query N can never tighten query N+1's dynamic minNhp.
+:class:`PersistentWorkerPool` is a ``multiprocessing`` pool whose
+workers hold no store and no query.  Tasks are self-describing
+(:class:`~repro.parallel.worker.ShardTask` carries the query config and
+the store handle), so the same fleet serves any number of queries over
+any number of stores, interleaved or sequential.  Workers start with
+:func:`default_start_method`.  Context-manager semantics: graceful
+``close()`` + join on clean exit, ``terminate()`` when an exception
+unwinds.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import threading
+from multiprocessing import resource_tracker
 from typing import Callable
 
 from ..obs.metrics import REGISTRY
-from ..serve.markers import coordinator_only
-from .bus import ThresholdBus
 from .worker import ShardTask, initialize_worker, run_shard
 
-__all__ = ["BusPool", "PersistentWorkerPool", "default_start_method"]
+__all__ = ["PersistentWorkerPool", "default_start_method"]
 
 _TASKS_DISPATCHED = REGISTRY.counter(
     "repro_pool_tasks_dispatched_total",
@@ -76,6 +71,12 @@ class PersistentWorkerPool:
         if processes < 1:
             raise ValueError("processes must be a positive process count")
         self.processes = processes
+        # Forked workers must inherit the coordinator's resource tracker.
+        # Without one to inherit, a worker's first shared-memory attach
+        # (which registers the segment) starts a tracker of its own, and
+        # that tracker unlinks every segment the worker attached when the
+        # worker exits: leases their owner still serves.
+        resource_tracker.ensure_running()
         self._pool = mp.get_context(default_start_method()).Pool(
             processes=processes, initializer=initialize_worker
         )
@@ -173,54 +174,3 @@ class PersistentWorkerPool:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return f"PersistentWorkerPool(processes={self.processes}, {state})"
-
-
-class BusPool:
-    """Free list of threshold buses, reset between checkouts.
-
-    One bus per *in-flight* query: sequential queries reuse a single
-    segment, a batched sweep checks out as many as it overlaps.  Workers
-    cache their attachments by segment name, so reuse also keeps the
-    per-worker attachment table bounded.  A bus has one slot per shard
-    a query can plan (``num_slots``, the fleet size), each with a single
-    writer.
-    """
-
-    def __init__(self, num_slots: int) -> None:
-        self.num_slots = num_slots
-        self._free: list[ThresholdBus] = []
-        self._all: list[ThresholdBus] = []
-        self._closed = False
-
-    @coordinator_only
-    def acquire(self) -> ThresholdBus:
-        """Check out a clean bus (all slots at −inf)."""
-        if self._closed:
-            raise RuntimeError("bus pool is closed")
-        if self._free:
-            bus = self._free.pop()
-        else:
-            bus = ThresholdBus(num_slots=self.num_slots)
-            self._all.append(bus)
-        bus.reset()
-        return bus
-
-    @coordinator_only
-    def release(self, bus: ThresholdBus) -> None:
-        """Return a bus once its query has been fully gathered."""
-        if not self._closed:
-            self._free.append(bus)
-
-    def close(self) -> None:
-        """Unlink every segment ever created (idempotent)."""
-        self._closed = True
-        for bus in self._all:
-            bus.release()
-        self._all.clear()
-        self._free.clear()
-
-    def __enter__(self) -> "BusPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

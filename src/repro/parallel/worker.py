@@ -2,10 +2,9 @@
 
 A worker process is initialized once (:func:`initialize_worker`) and
 holds no store of its own.  Each :class:`ShardTask` is *self-describing*
-— it carries the query's :class:`~repro.core.miner.MinerConfig`, the
-handle of the store export it mines over and (optionally) the address
-of the threshold bus to trade k-th-best scores over — so one long-lived
-worker serves any stream of queries over any number of stores.  Each
+— it carries the query's :class:`~repro.core.miner.MinerConfig` and the
+handle of the store export it mines over — so one long-lived worker
+serves any stream of queries over any number of stores.  Each
 attached store (LRU-bounded) keeps one :class:`~repro.core.miner.GRMiner`
 skeleton, re-armed (:meth:`GRMiner.rearm`) whenever a task's config
 differs, while its per-edge column gathers and enumeration-lattice memo
@@ -13,6 +12,11 @@ persist for the attachment's lifetime.  :func:`mine_shard` replays the
 serial miner's recursion over a task's slice of first-level branches
 and returns a :class:`ShardResult` of mined entries plus effort
 counters; :func:`run_shard` is the pool's entry around it.
+
+A shard prunes on its own collector's k-th best score (Algorithm 1
+line 28) and nothing else: under the total rank order, a GR in the
+global top-k is also in the top-k of the shard that enumerated it, so
+the per-shard lists the merge folds always contain the global answer.
 
 Cross-shard generality
 ----------------------
@@ -31,8 +35,9 @@ shard happened to enumerate.  This makes each shard's collector hold
 exactly the Definition-5-valid candidates of its slice — the property
 the deterministic merge relies on — and as a side effect gives the
 parallel miner *exact* Definition 5 semantics even where serial
-GRMiner(k)'s dynamic threshold can drop below k results (DESIGN.md
-§5.5's blocker-in-pruned-subtree case).
+GRMiner(k)'s dynamic threshold can drop below k results (the
+blocker-in-pruned-subtree case described under ``verify_generality``
+in :class:`~repro.core.miner.GRMiner`).
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from ..core.results import MinedGR, MiningStats
 from ..core.enumeration import static_tau
 from ..core.topk import GeneralityIndex, TopKCollector
 from ..data.store import SharedStoreHandle, attach_shared_store
-from .bus import BusHandle, SharedThresholdCollector, ThresholdBus
 
 __all__ = [
     "CrossShardGeneralityVerifier",
@@ -62,23 +66,17 @@ __all__ = [
 class ShardTask:
     """One worker assignment: a query config plus a slice of branches.
 
-    ``shard_id`` doubles as the worker's slot on the task's threshold
-    bus.  ``bus_handle`` addresses the bus segment for *this query* —
-    concurrent queries interleaved over one pool each bring their own
-    bus, which is how query N's dynamic thresholds stay out of query
-    N+1's pruning.  ``store_handle`` addresses the shared store export
-    the task mines over; a pool worker attaches it on demand, which is
-    what lets one fleet serve many networks
-    (:class:`repro.engine.EngineHub`) and re-exported post-delta stores.
-    Every task sent to a pool must carry one; only a task run in-process
-    through :func:`mine_shard`, on a miner its caller already holds, may
-    leave it ``None``.
+    ``store_handle`` addresses the shared store export the task mines
+    over; a pool worker attaches it on demand, which is what lets one
+    fleet serve many networks (:class:`repro.engine.EngineHub`) and
+    re-exported post-delta stores.  Every task sent to a pool must carry
+    one; only a task run in-process through :func:`mine_shard`, on a
+    miner its caller already holds, may leave it ``None``.
     """
 
     shard_id: int
     branches: tuple[BranchSpec, ...]
     config: MinerConfig
-    bus_handle: BusHandle | None = None
     store_handle: SharedStoreHandle | None = None
 
 
@@ -120,10 +118,6 @@ class WorkerState:
         default_factory=OrderedDict
     )
     max_attachments: int = 8
-    #: Attached threshold buses keyed by segment name.  An engine reuses
-    #: a small free-list of buses across its queries, so this stays
-    #: bounded by the engine's concurrent-query high-water mark.
-    buses: dict[str, ThresholdBus] = field(default_factory=dict)
 
 
 #: Process-global state, populated by the pool initializer.
@@ -134,9 +128,9 @@ def initialize_worker() -> None:
     """Pool initializer: a fresh, store-agnostic worker state.
 
     Deliberately query- and store-agnostic — no miner parameters, no
-    bus, no store — so the pool outlives any individual query or store
-    version (an engine spawns it once and feeds it many); tasks carry
-    the store handles the worker attaches.
+    store — so the pool outlives any individual query or store version
+    (an engine spawns it once and feeds it many); tasks carry the store
+    handles the worker attaches.
     """
     _STATE.clear()
     _STATE.append(WorkerState())
@@ -243,44 +237,27 @@ def _shard_miner(attachment: StoreAttachment, config: MinerConfig) -> GRMiner:
     return attachment.miner
 
 
-def _task_bus(state: WorkerState, handle: BusHandle | None) -> ThresholdBus | None:
-    if handle is None:
-        return None
-    name = handle[0]
-    bus = state.buses.get(name)
-    if bus is None:
-        bus = state.buses[name] = ThresholdBus(handle=handle)
-    return bus
-
-
 def run_shard(task: ShardTask) -> ShardResult:
-    """The pool's entry: resolve the task's store and bus, then mine."""
+    """The pool's entry: resolve the task's store, then mine."""
     if not _STATE:
         raise RuntimeError("worker not initialized — call initialize_worker first")
     state = _STATE[0]
     miner = _shard_miner(_task_attachment(state, task.store_handle), task.config)
-    return mine_shard(miner, task, _task_bus(state, task.bus_handle))
+    return mine_shard(miner, task)
 
 
-def mine_shard(
-    miner: GRMiner, task: ShardTask, bus: ThresholdBus | None
-) -> ShardResult:
+def mine_shard(miner: GRMiner, task: ShardTask) -> ShardResult:
     """Mine one shard's branches on ``miner`` and return its verified
     entries.
 
     ``miner`` must already be armed with ``task.config``; the task's
-    store handle is not consulted.  With a ``bus`` (and a dynamic
-    top-k) the collector trades k-th-best scores over it.
+    store handle is not consulted.
     """
-    if bus is not None and miner.push_topk and miner.k is not None:
-        collector: TopKCollector = SharedThresholdCollector(
-            k=miner.k, min_score=miner.min_score, bus=bus, slot=task.shard_id
-        )
-    else:
-        collector = TopKCollector(
+    miner._begin(
+        TopKCollector(
             k=miner.k if miner.push_topk else None, min_score=miner.min_score
         )
-    miner._begin(collector)
+    )
     miner._candidate_verifier = (
         CrossShardGeneralityVerifier(miner) if miner.apply_generality else None
     )

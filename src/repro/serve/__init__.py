@@ -8,7 +8,7 @@ so a bulk sweep on one network no longer blocks a single query on
 another.  Each submitted :class:`ServeJob` is a handle on one
 execution.  Jobs support deadlines and cooperative cancellation (the
 job detaches; the execution's last job leaving stops it, drains its
-in-flight shards and recycles its bus); answers stay GR-for-GR equal to
+in-flight shards and releases its lease pin); answers stay GR-for-GR equal to
 a direct ``hub.mine()`` under any interleaving because the execution
 machinery — prepare, shard, merge, cache — is the engine's own.
 

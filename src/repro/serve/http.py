@@ -19,17 +19,15 @@ Endpoints
     exposition format (0.0.4); ``?format=json`` for the structured
     equivalent.
 ``GET  /jobs/{id}/trace``
-    The job's recorded spans (plan → bus acquire → per-shard →
-    merge → finalize) as structured JSON; ``?format=chrome`` renders
-    Chrome ``trace_event`` JSON loadable in ``about:tracing`` /
-    Perfetto.  404 once the tracer's ring buffer evicted the job (or
+    The job's recorded spans (plan → per-shard → merge → finalize)
+    as structured JSON; ``?format=chrome`` renders Chrome
+    ``trace_event`` JSON loadable in ``about:tracing`` / Perfetto.  404 once the tracer's ring buffer evicted the job (or
     when the scheduler runs with ``observe=False``).
 ``GET  /jobs/{id}/events``
     Server-sent events progress stream: ``progress`` events (shards
-    done/total, current bus floor, running k-th-best score, partial
-    top-k) as the job advances, ``heartbeat`` events every
-    :attr:`ServeHTTP.sse_heartbeat_s` seconds of silence, and a
-    terminal ``done`` event.  Disconnecting mid-stream frees the
+    done/total, running k-th-best score, partial top-k) as the job
+    advances, ``heartbeat`` events every :attr:`ServeHTTP.sse_heartbeat_s`
+    seconds of silence, and a terminal ``done`` event.  Disconnecting mid-stream frees the
     subscription without affecting the job.
 ``POST /networks/{name}/mine``
     Body: the :class:`~repro.engine.MineRequest` fields (``k``,

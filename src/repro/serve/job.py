@@ -25,11 +25,10 @@ an execution; an execution that plans no shard (every first-level
 partition below minSupp) resolves from ``READY``.  Cancelling a job *detaches* it: its execution keeps
 running for the jobs still attached.  When the last one leaves, the
 execution cancels itself — it submits no further shards, its in-flight
-shards drain (their results are discarded), and only then are its
-threshold bus and lease pin released, the settle-before-release
-invariant that keeps a dead query's stale floors out of whichever query
-checks the bus out next.  That last job resolves once the release is
-done.
+shards drain (their results are discarded), and only then is its
+lease pin released, the settle-before-release invariant that keeps the
+store export its in-flight shards address from being budget-evicted
+under them.  That last job resolves once the release is done.
 """
 
 from __future__ import annotations
@@ -115,9 +114,6 @@ class ServeJob:
         #: SSE progress subscriptions: one ``asyncio.Queue`` per open
         #: ``GET /jobs/{id}/events`` stream (event-loop thread only).
         self._subscribers: list = []
-        #: Highest bus floor ever reported for this job — progress events
-        #: must never publish a looser floor than an earlier one.
-        self._floor_seen: float | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -146,7 +142,7 @@ class ServeJob:
         its execution and awaiting it raises :class:`JobCancelled`.  The
         execution runs on for the other attached jobs; when this was the
         last one it stops submitting shards, drains the in-flight ones
-        and recycles its bus first.  A job whose result is already final
+        and releases its lease pin first.  A job whose result is already final
         is left untouched.
         """
         self._scheduler._request_cancel(self, reason)

@@ -1,8 +1,8 @@
 """Thread-ownership markers for the serving stack.
 
 The :mod:`repro.serve` threading model (PR 4) gives every piece of
-engine-internal mutable state — planning skeletons, bus checkouts,
-leases and pins, the result cache — to ONE coordinator thread, which
+engine-internal mutable state — planning skeletons, leases and pins,
+the result cache — to ONE coordinator thread, which
 plans, merges and caches while the worker fleet does all mining; the
 asyncio event loop owns scheduling state only, and reaches the engine
 exclusively through the coordinator dispatch shim

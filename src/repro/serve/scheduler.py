@@ -19,14 +19,14 @@ one shard task at a time, picked from every execution in flight:
   it cannot burst through accumulated credit.
 * **Cooperative cancellation and deadlines.**  A cancelled execution
   stops submitting shards, drains in-flight ones (results discarded)
-  and only then recycles its threshold bus — the settle-before-release
-  invariant that keeps a dead query's stale floors out of whichever
-  query gets the bus next.  ``deadline_s`` arms a timer that cancels
-  the job with reason ``"deadline"`` (state ``EXPIRED``).
+  and only then returns its lease pin — the settle-before-release
+  invariant that keeps the store export its in-flight shards address
+  from being budget-evicted under them.  ``deadline_s`` arms a timer
+  that cancels the job with reason ``"deadline"`` (state ``EXPIRED``).
 
 What the slots run are **executions**
 (:class:`~repro.parallel.Execution`): one per distinct query in flight,
-holding its plan, shard tasks, bus, lease pin and settled results.  A
+holding its plan, shard tasks, lease pin and settled results.  A
 :class:`ServeJob` is only the caller's handle on one of them:
 
 * **Single-flight dedup.**  Jobs whose ``(network, store fingerprint,
@@ -41,20 +41,19 @@ holding its plan, shard tasks, bus, lease pin and settled results.  A
 Exactness is inherited, not reimplemented: executions are planned by
 :meth:`~repro.engine.MiningEngine.prepare` and merged by
 :meth:`~repro.engine.MiningEngine.finish`, the blocking sweep's own
-steps (per-execution buses, fingerprint-keyed result cache), and the
-merge is settle-order independent, so any interleaving the scheduler
-produces yields GR-for-GR the answer of a direct ``hub.mine()``.
+steps (fingerprint-keyed result cache), and the merge is settle-order
+independent, so any interleaving the scheduler produces yields
+GR-for-GR the answer of a direct ``hub.mine()``.
 
 Threading model — three actors, strict ownership:
 
 * the **asyncio event loop** owns every scheduling decision and all
   scheduler/job state (shard completions are marshalled onto it);
 * one **coordinator thread** (a 1-thread executor) owns all
-  engine-internal mutable state — planning skeletons, bus checkouts,
-  leases and pins, the result cache — i.e. the role the blocking hub's
-  calling thread used to play.  It plans, merges and caches but never
-  mines, so a cache hit on one network never queues behind another
-  network's mine;
+  engine-internal mutable state — planning skeletons, leases and pins,
+  the result cache — i.e. the role the blocking hub's calling thread
+  used to play.  It plans, merges and caches but never mines, so a
+  cache hit on one network never queues behind another network's mine;
 * the **worker fleet** (processes) owns all mining: every execution's
   shards run there, one shard or many.
 
@@ -132,9 +131,9 @@ class Scheduler:
         count (one shard per worker — more would just queue inside the
         pool, outside the scheduler's control).
     observe:
-        Record per-job trace spans (plan → bus acquire → per-shard
-        dispatch/complete → merge → finalize) into :attr:`tracer`, a
-        bounded :class:`repro.obs.Tracer` ring buffer the HTTP facade
+        Record per-job trace spans (plan → per-shard dispatch/complete
+        → merge → finalize) into :attr:`tracer`, a bounded
+        :class:`repro.obs.Tracer` ring buffer the HTTP facade
         exports via ``GET /jobs/{id}/trace``.  ``False`` swaps in a
         :class:`~repro.obs.NullTracer` (metrics are governed separately
         by ``repro.obs.REGISTRY.set_enabled``).
@@ -243,8 +242,8 @@ class Scheduler:
     async def close(self) -> None:
         """Stop admitting, cancel outstanding jobs, drain in-flight shards.
 
-        After the drain the hub is left clean (no bus checkouts, no
-        lease pins) and open — the scheduler never owns it.
+        After the drain the hub is left clean (no lease pins) and open —
+        the scheduler never owns it.
         """
         if self._closed:
             return
@@ -253,7 +252,7 @@ class Scheduler:
             if not job.done:
                 self._request_cancel(job, "scheduler shutdown")
         # The job that ends an execution resolves only after its
-        # in-flight shards settled and its bus/pin were released on the
+        # in-flight shards settled and its pin was released on the
         # coordinator.
         pending = [job.future for job in self._jobs.values() if not job.done]
         if pending:
@@ -491,7 +490,7 @@ class Scheduler:
 
     def _drainable_active(self, network: str) -> int:
         """Live jobs the barrier must wait for: active minus backlogged
-        ones (those hold no shard tasks, pins or buses — they were never
+        ones (those hold no shard tasks or pins — they were never
         prepared — so the delta may safely run over them)."""
         parked = sum(
             1 for j in self._backlog.get(network, ()) if not j.done
@@ -518,7 +517,7 @@ class Scheduler:
             if pause_seq is not None and job.seq > pause_seq:
                 # Submitted after the barrier began: park until the
                 # delta lands (parked jobs block nothing — they hold no
-                # shards, pins or buses yet).  Jobs submitted *before*
+                # shards or pins yet).  Jobs submitted *before*
                 # the pause fall through and are drained by the barrier,
                 # so everything admitted pre-delta sees the old edges.
                 self._backlog.setdefault(job.network, deque()).append(job)
@@ -555,8 +554,6 @@ class Scheduler:
                 self._resolve(job, JobState.DONE, result=prepared)
             return
         execution = prepared
-        for name, (span_start, span_end) in execution.timings.items():
-            self.tracer.span(job.id, name, span_start, span_end)
         if job.done:  # cancelled while being planned: nothing went out
             await self._run_coord(self._release_sync, engine, execution)
             return
@@ -574,7 +571,7 @@ class Scheduler:
     def _prepare_sync(self, engine, request: MineRequest):
         # Runs on the coordinator thread.  A miss comes back as an
         # execution whose engine pinned the lease its tasks address
-        # (released with its bus in _release_sync); a hit addresses none.
+        # (released in _release_sync); a hit addresses none.
         prepared = engine.prepare(request)
         if isinstance(prepared, MiningResult):
             self._publish_hub_stats()
@@ -699,23 +696,13 @@ class Scheduler:
     def progress_payload(self, job: ServeJob) -> dict:
         """JSON-ready progress snapshot for SSE streaming.
 
-        State, shard counts, floor and partial top-k are the job's
-        execution's.  The partial top-k folds every settled shard's best
-        entries — a best-effort preview; the exact, tie-broken merge
-        still happens in ``engine.finish``.  The reported ``floor`` is
-        monotonic per job: the bus read is a lock-free shared-memory max
-        (safe off the coordinator), but the bus is recycled once the
-        execution drained — without the high-water mark a terminal event
-        could report a looser floor than an earlier one.
+        State, shard counts and partial top-k are the job's execution's.
+        The partial top-k folds every settled shard's best entries — a
+        best-effort preview; the exact, tie-broken merge still happens in
+        ``engine.finish``.  ``kth_best`` is the k-th best score over the
+        settled shards' union, so it never falls as more shards settle.
         """
         execution = job.execution
-        bus = execution.bus if execution is not None else None
-        if bus is not None:
-            floor = bus.best_floor()
-            if floor != float("-inf") and (
-                job._floor_seen is None or floor > job._floor_seen
-            ):
-                job._floor_seen = floor
         k = job.request.k
         keep = k if k is not None else 10
         results = execution.results if execution is not None else ()
@@ -734,7 +721,6 @@ class Scheduler:
             "state": job.state.value,
             "shards_total": job.shards_total,
             "shards_done": job.shards_done,
-            "floor": job._floor_seen,
             "kth_best": kth_best,
             "top_k": [{"score": score, "gr": gr} for score, gr in topk],
         }
@@ -798,7 +784,7 @@ class Scheduler:
     @coordinator_only
     def _finish_sync(self, engine, execution) -> MiningResult:
         # Coordinator thread: merge a drained execution, cache, then
-        # release bus and pin.
+        # release its pin.
         try:
             return engine.finish(execution)
         finally:
@@ -906,7 +892,7 @@ class Scheduler:
                 execution.jobs.remove(job)
             else:
                 # The last job out cancels the execution and resolves
-                # once it drained and released its bus and pin.  With
+                # once it drained and released its pin.  With
                 # shards in flight the last one back finalizes it, and
                 # one that already drained is finalizing; one starved of
                 # slots has nothing in flight, so it finalizes here.

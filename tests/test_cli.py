@@ -167,8 +167,8 @@ class TestMine:
         assert main(args + ["--workers", "2"]) == 0
         parallel_out = capsys.readouterr().out
         # The serial GRMiner(k) heuristic can return fewer than k GRs
-        # (DESIGN.md §5.5); the parallel miner is exact, so the serial
-        # table must be a prefix of the parallel one.
+        # (see GRMiner's verify_generality); the parallel miner is exact,
+        # so the serial table must be a prefix of the parallel one.
         serial_table = [l for l in serial_out.splitlines() if "-->" in l]
         parallel_table = [l for l in parallel_out.splitlines() if "-->" in l]
         assert serial_table == parallel_table[: len(serial_table)]

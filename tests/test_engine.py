@@ -9,11 +9,12 @@ The engine's contract has three legs:
    equals a fresh ``ParallelGRMiner`` of the same parameters (and
    therefore the exact Definition 5 reference).
 3. **Isolation** — nothing leaks between consecutive queries: no stale
-   threshold-bus floors, no stale caches when parameters change, no
+   dynamic thresholds, no stale caches when parameters change, no
    orphaned shared-memory segments when a worker dies.
 """
 
 import math
+import os
 import warnings
 from dataclasses import replace
 from multiprocessing import shared_memory
@@ -289,8 +290,7 @@ class TestEngineAmortization:
             assert len(result) == 0 and result.params["shards"] == 0
             assert result.stats.runtime_seconds < 1
             assert engine.hub.pool_spawns == 0
-            buses = engine.hub._buses
-            assert buses is None or len(buses._free) == len(buses._all)
+            assert engine.hub._lease_pins == {}
 
 
 class TestEngineCache:
@@ -361,30 +361,17 @@ class TestEngineCache:
 
 
 class TestThresholdIsolation:
-    """Satellite: bus reuse across queries must never leak thresholds."""
-
-    def test_bus_reset_clears_published_floors(self):
-        from repro.parallel import ThresholdBus
-
-        bus = ThresholdBus(num_slots=3)
-        try:
-            bus.publish(0, 0.9)
-            bus.publish(2, 0.7)
-            bus.reset()
-            assert bus.best_floor() == float("-inf")
-            bus.publish(1, 0.2)  # the bus is fully reusable after reset
-            assert bus.best_floor() == 0.2
-        finally:
-            bus.release()
+    """One query's dynamic threshold never prunes the next."""
 
     def test_tight_query_then_loose_query_same_engine(self):
-        """Query N's k-th-best floor must not prune query N+1's results.
+        """Query N's k-th-best threshold must not prune query N+1's results.
 
-        The first query (k=1) publishes the global best score as its
-        dynamic threshold.  If that floor leaked into the second query
-        (large k, permissive thresholds), its workers would discard
-        everything below the first query's maximum — returning far fewer
-        than the fresh reference does.
+        The first query (k=1) raises each shard's dynamic threshold to
+        its best score, on worker skeletons the second query re-arms.
+        If that threshold leaked into the second query (large k,
+        permissive thresholds), its workers would discard everything
+        below the first query's maximum — returning far fewer than the
+        fresh reference does.
         """
         network = _network(5)
         tight = MineRequest(k=1, min_support=1, min_nhp=0.0, workers=2)
@@ -396,6 +383,8 @@ class TestThresholdIsolation:
         assert len(relaxed) > 1
 
     def test_interleaved_sweep_queries_have_private_buses(self):
+        """A k=1 and a k=20 query interleaved in one sweep each prune on
+        their own shards' thresholds only."""
         network = _network(6)
         requests = [
             MineRequest(k=1, min_support=1, min_nhp=0.0, workers=2),
@@ -424,6 +413,25 @@ class TestEngineLifecycle:
         engine.close()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_planning_maps_only_the_store_lease(self):
+        """A planned query's only shared-memory segment is its network's
+        store lease: shards prune on their own thresholds, so nothing
+        else is exported for them."""
+
+        def segments():
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
+        with MiningEngine(_network(0), workers=2, cache_size=0) as engine:
+            before = segments()
+            execution = engine.prepare(request)
+            try:
+                added = segments() - before
+                assert added == {engine.hub._leases[engine.name].name}
+            finally:
+                engine.release(execution)
 
     def test_crashed_worker_does_not_orphan_segments(self):
         """A task that raises in the pool must not leak the export."""
@@ -467,8 +475,8 @@ class TestEngineLifecycle:
 
     def test_failing_query_does_not_strand_other_work(self):
         """A sweep mixing a good query with one whose shards fail on the
-        fleet must still gather the good one (caching it, recycling its
-        bus) and raise the failure afterwards."""
+        fleet must still gather the good one (caching it, returning its
+        lease pin) and raise the failure afterwards."""
         network = _network(1)
         good = MineRequest(k=5, min_support=2, min_nhp=0.3)
         # max_rhs_attrs is only consulted inside the RIGHT recursion, so
@@ -479,18 +487,16 @@ class TestEngineLifecycle:
         with MiningEngine(network, workers=2) as engine:
             with pytest.raises(TypeError):
                 engine.sweep([bad, good])
-            # every bus back on the free list
-            assert len(engine.hub._buses._free) == len(engine.hub._buses._all)
+            # every lease pin returned
+            assert engine.hub._lease_pins == {}
             again = engine.mine(good)
             assert engine.stats.cache_hits == 1  # the sweep cached it
         assert _signature(again) == _signature(_fresh(network, good))
 
-    def test_failed_store_export_recycles_the_bus_checkout(self, monkeypatch):
-        """plan_query acquires the threshold bus *before* resolving the
-        store handle; if the shared-memory export then fails (e.g.
-        /dev/shm exhaustion) the clean checkout must go back to the
-        pool, not strand until close().  Found by the lease-lifecycle
-        lint audit (PR 8)."""
+    def test_failed_store_export_strands_no_pin(self, monkeypatch):
+        """If plan_query's shared-memory export fails (e.g. /dev/shm
+        exhaustion), the query pins no lease and the engine keeps
+        serving."""
         network = _network(0)
         request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
         with MiningEngine(network, workers=2) as engine:
@@ -499,9 +505,7 @@ class TestEngineLifecycle:
             monkeypatch.setattr(engine.hub, "_touch_lease", boom)
             with pytest.raises(OSError):
                 engine.plan_query(request, engine.query_key(request))
-            buses = engine.hub._buses
-            assert buses is not None  # the checkout happened...
-            assert len(buses._free) == len(buses._all) == 1  # ...and returned
+            assert engine.hub._lease_pins == {}
             monkeypatch.undo()
             result = engine.mine(request)  # the engine still serves
         assert _signature(result) == _signature(_fresh(network, request))
@@ -509,11 +513,9 @@ class TestEngineLifecycle:
     def test_engine_survives_a_worker_side_failure(self):
         """Shards that die *in the pool* must not poison later queries.
 
-        The failing query's bus may only be recycled once every one of
-        its shards settled — otherwise a straggler publishes its stale
-        k-th-best floor into whichever query grabs the segment next and
-        silently over-prunes it.  The follow-up query's equality with a
-        fresh run is exactly that regression check.
+        The follow-up query runs on the same workers, whose skeletons
+        the failed shards left mid-walk; its equality with a fresh run
+        checks that nothing of the failed query carries over.
         """
         network = _network(0)
         # max_rhs_attrs is only consulted inside the RIGHT recursion, so
@@ -573,9 +575,10 @@ class TestWorkerValidation:
         )
         network = random_attributed_network(schema, num_nodes=5, num_edges=12, seed=9)
         miner = ParallelGRMiner(network, workers=8, k=3, min_support=1, min_score=0.0)
-        with pytest.warns(UserWarning, match="branches"):
+        with pytest.warns(UserWarning, match="branches") as record:
             result = miner.mine()
         assert len(result) <= 3
+        assert [w.filename for w in record] == [__file__]
 
     def test_request_workers_clamped_to_fleet(self):
         network = _network(2)
@@ -586,6 +589,15 @@ class TestWorkerValidation:
         assert _signature(result) == _signature(
             _fresh(network, replace(request, workers=2))
         )
+
+    def test_clamp_warning_names_the_callers_file(self):
+        # engine.mine reaches the clamp through sweep, prepare and
+        # plan_query; the warning must still point at the line that asked.
+        request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=8)
+        with MiningEngine(_network(2), workers=1) as engine:
+            with pytest.warns(UserWarning, match="clamping") as record:
+                engine.mine(request)
+        assert [w.filename for w in record] == [__file__]
 
     def test_clamp_warning_fires_once_per_engine(self):
         """Regression: a 100-request sweep used to emit 100 identical

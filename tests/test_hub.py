@@ -3,9 +3,8 @@
 The hub's contract extends the engine's three legs:
 
 1. **Sharing** — any number of registered networks are served through
-   exactly one worker-pool spawn and one bus pool, with at most one
-   live shared-memory lease per resident network (LRU-evicted under the
-   memory budget).
+   exactly one worker-pool spawn, with at most one live shared-memory
+   lease per resident network (LRU-evicted under the memory budget).
 2. **Exactness under mutation** — every hub answer equals a fresh
    one-shot miner over the network's *current* edge set, including
    after ``append_edges`` deltas.
@@ -16,8 +15,13 @@ The hub's contract extends the engine's three legs:
    previously mined query without mining at all.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,28 @@ class TestHubRegistry:
             assert hub.stats("b").cache_misses == 2
             assert hub.pool_spawns == 1 and not hub._pool.closed
         assert _signature(result) == _signature(_fresh(nets["b"], fresh_request))
+
+    def test_a_pinned_registered_engine_refuses_to_close(self):
+        """Closing a registered engine unlinks its lease.  While a planned
+        execution pins it, its shards would then fail to attach, so
+        ``close()`` raises and the execution still mines."""
+        from repro.parallel.miner import dispatch, gather
+
+        network = _make_network(1)
+        request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
+        with EngineHub(workers=2, cache_size=0) as hub:
+            engine = hub.register("a", network)
+            execution = engine.prepare(request)
+            with pytest.raises(RuntimeError, match="pinning"):
+                engine.close()
+            assert not engine.closed
+            gather(dispatch([execution], hub._ensure_pool()))
+            assert execution.error is None
+            result = engine.finish(execution)
+            engine.release(execution)
+            engine.close()
+            assert engine.closed and hub.resident_networks() == []
+        assert _signature(result) == _signature(_fresh(network, request))
 
 
 class TestHubEquivalence:
@@ -572,3 +598,50 @@ class TestWorkerStoreRotation:
         with PersistentWorkerPool(1) as pool:
             with pytest.raises(RuntimeError, match="carries no store handle"):
                 pool.submit(task).get(timeout=30)
+
+
+def _psm_segments() -> set:
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+class TestFleetResourceTracker:
+    def test_fleet_forked_before_any_export_leaks_and_warns_nothing(self):
+        """A fleet forked before the first store export shares the
+        coordinator's resource tracker.  A worker that started a tracker
+        of its own would unlink the segments it attached when it exits,
+        and warn about them at close."""
+        script = textwrap.dedent(
+            """
+            from repro.datasets.random_graphs import (
+                random_attributed_network, random_schema,
+            )
+            from repro.engine import EngineHub
+
+            schema = random_schema(
+                num_node_attrs=3, num_edge_attrs=1, max_domain=3,
+                num_homophily=2, seed=1,
+            )
+            network = random_attributed_network(
+                schema, num_nodes=20, num_edges=100, seed=1
+            )
+            with EngineHub(workers=2, cache_size=0) as hub:
+                hub._ensure_pool()
+                hub.register("a", network)
+                for k in (3, 4, 5):
+                    hub.mine("a", k=k, min_support=2, min_nhp=0.3)
+            """
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        before = _psm_segments()
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert _psm_segments() - before == set()

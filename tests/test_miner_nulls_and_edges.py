@@ -124,7 +124,7 @@ class TestDegenerateInputs:
 
 class TestVerifyGeneralityPass:
     def test_verified_entries_are_maximal(self, toy_network):
-        """Theorem 4-style guarantee after the DESIGN §5.5 post-pass."""
+        """Theorem 4-style guarantee after the verify_generality post-pass."""
         result = GRMiner(toy_network, k=10, min_support=2, min_score=0.5).mine()
         engine = MetricEngine(toy_network)
         for mined in result:

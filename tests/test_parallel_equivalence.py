@@ -5,11 +5,11 @@ worker count: its merged result must equal the brute-force reference and
 the exact serial configuration (``push_topk=False``) GR for GR, and must
 be bit-for-bit deterministic across worker counts.  Serial GRMiner(k)'s
 dynamic-threshold heuristic can drop below k results in the
-blocker-in-pruned-subtree case (DESIGN.md §5.5) — where it doesn't, the
+blocker-in-pruned-subtree case (see ``verify_generality`` in
+:class:`~repro.core.miner.GRMiner`) — where it doesn't, the
 parallel result equals it too, which the dataset tests pin down.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.bruteforce import BruteForceMiner
 from repro.core.miner import GRMiner
 from repro.datasets.random_graphs import random_attributed_network, random_schema
-from repro.parallel import ParallelGRMiner, ThresholdBus, plan_shards
+from repro.parallel import ParallelGRMiner, plan_shards
 
 
 def _signature(result):
@@ -78,29 +78,6 @@ class TestShardPlanner:
             plan_shards((), 0)
 
 
-class TestThresholdBus:
-    def test_publish_and_floor(self):
-        bus = ThresholdBus(num_slots=3)
-        try:
-            assert bus.best_floor() == -np.inf
-            bus.publish(0, 0.4)
-            bus.publish(2, 0.7)
-            bus.publish(2, 0.5)  # never lowers
-            assert bus.best_floor() == 0.7
-        finally:
-            bus.release()
-
-    def test_attach_sees_published_scores(self):
-        bus = ThresholdBus(num_slots=2)
-        try:
-            bus.publish(1, 0.9)
-            attached = ThresholdBus(handle=bus.handle())
-            assert attached.best_floor() == 0.9
-            attached.release()
-        finally:
-            bus.release()
-
-
 class TestDatasetEquivalence:
     """Acceptance sweep: parallel == serial on the three dataset styles."""
 
@@ -134,9 +111,9 @@ class TestDatasetEquivalence:
         parallel = ParallelGRMiner(network, workers=4, **params).mine()
         assert _signature(parallel) == _signature(serial_exact)[:25]
         # GRMiner(k)'s dynamic-threshold heuristic may legitimately hold
-        # fewer entries (DESIGN.md §5.5) but must never disagree on what
-        # it does hold: an order-preserving subsequence of the parallel
-        # result.  On these datasets it deviates at most by dropping.
+        # fewer entries (see GRMiner's verify_generality) but must never
+        # disagree on what it does hold: an order-preserving subsequence
+        # of the parallel result.  On these datasets it deviates at most by dropping.
         parallel_sig = _signature(parallel)
         positions = [parallel_sig.index(item) for item in _signature(serial_heuristic)]
         assert positions == sorted(positions)

@@ -9,9 +9,10 @@ The serving layer's contract, on top of the hub's:
 2. **Priorities** — a high-priority job submitted *after* a bulk batch
    completes before the batch does.
 3. **Cancellation hygiene** — a cancelled job stops submitting shards,
-   drains in-flight ones, releases its bus only after the drain, and
-   never corrupts another job's results (asserted by exactness of
-   everything else, including jobs that reuse the freed bus).
+   drains in-flight ones, releases its lease pin only after the drain,
+   and never corrupts another job's results (asserted by exactness of
+   everything else, including jobs that run after it on the same
+   workers).
 4. **Safety rails** — deadlines expire jobs; ``close()`` during an
    in-flight pooled job fails fast instead of deadlocking its gatherer;
    lease-budget eviction stays correct while two networks' shards are
@@ -256,17 +257,14 @@ class TestCancellation:
                     except JobCancelled:
                         cancelled = True
                     outcomes = [_signature(await job) for job in survivors]
-                    # Bus reuse after the cancellation: new jobs check the
-                    # freed segment out again and must stay exact.
+                    # Jobs after the cancellation run on the same
+                    # workers and must stay exact.
                     reused = [
                         _signature(await scheduler.submit(name, follow_up))
                         for name in ("a", "b")
                     ]
-                    # Every bus the hub ever created is back on the free
-                    # list — the cancelled job's checkout was recycled.
-                    buses = hub._buses
-                    assert buses is not None
-                    assert len(buses._free) == len(buses._all)
+                    # Every lease pin is back — the cancelled job's too.
+                    assert hub._lease_pins == {}
                     return cancelled, victim.state, outcomes, reused
 
         cancelled, state, outcomes, reused = asyncio.run(scenario())
@@ -582,7 +580,7 @@ class TestZeroShardQuery:
     def test_query_below_every_partition_resolves_empty(self):
         """Every first-level partition is below minSupp: the execution
         plans no shard, never enters the ready list, and resolves DONE
-        with an empty answer and no bus left checked out."""
+        with an empty answer and no lease left pinned."""
         from repro.datasets.toy import toy_dating_network
 
         async def scenario():
@@ -598,8 +596,6 @@ class TestZeroShardQuery:
                     assert len(result) == 0
                     assert result.stats.runtime_seconds < 1
                     assert scheduler.stats()["shards_dispatched"] == 0
-                    buses = hub._buses
-                    assert buses is None or len(buses._free) == len(buses._all)
                     assert hub._lease_pins == {}
 
         asyncio.run(scenario())
@@ -1263,7 +1259,7 @@ class TestObservabilityEndpoints:
 
                         self._release(scheduler, "n")
                         last_done = 0
-                        last_floor = None
+                        last_kth = None
                         saw_progress = False
                         while True:
                             event, payload = await _sse_next(reader)
@@ -1271,10 +1267,12 @@ class TestObservabilityEndpoints:
                                 continue
                             assert payload["shards_done"] >= last_done
                             last_done = payload["shards_done"]
-                            if payload["floor"] is not None:
-                                if last_floor is not None:
-                                    assert payload["floor"] >= last_floor
-                                last_floor = payload["floor"]
+                            # The k-th best over the settled shards' union
+                            # never falls, nor goes back to unknown.
+                            if last_kth is not None:
+                                assert payload["kth_best"] is not None
+                                assert payload["kth_best"] >= last_kth
+                            last_kth = payload["kth_best"]
                             if event == "done":
                                 assert payload["state"] == "done"
                                 assert payload["shards_done"] == payload["shards_total"]

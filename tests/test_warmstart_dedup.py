@@ -7,15 +7,14 @@ The contract, on top of the serving layer's:
    through ``config_from_canonical_key``.
 2. **Sweeps equal fresh miners, GR for GR** — a batch through
    :meth:`Scheduler.submit_sweep` is one job per point, all admitted at
-   once at the batch's priority with every threshold bus at −inf, and
-   returns the fresh one-shot miners' answers whatever the points'
-   thresholds.
+   once at the batch's priority, and returns the fresh one-shot miners'
+   answers whatever the points' thresholds.
 3. **Single-flight** — N identical concurrent jobs trigger exactly one
    planned mining execution; every attached future resolves to an
    equal (but private) result, and every attached job reports the
    execution's progress.  Cancelling any one job detaches it and the
    execution runs on for the rest, without re-mining; once the last
-   job left, the execution stops, drains and releases its bus and pin.
+   job left, the execution stops, drains and releases its lease pin.
 """
 
 import asyncio
@@ -337,7 +336,7 @@ class TestSingleFlight:
                 hub.register("n", network)
                 hub.register("blocker", _make_network(8, num_edges=200))
                 # One slot under a long high-priority job: the opener is
-                # planned (bus checked out, tasks queued) but starved,
+                # planned (lease pinned, tasks queued) but starved,
                 # so the cancel deterministically lands while the
                 # execution is in flight.
                 async with Scheduler(hub, max_inflight=1) as scheduler:
@@ -371,8 +370,7 @@ class TestSingleFlight:
                     except JobCancelled:
                         cancelled = True
                     await blocker
-                    buses = hub._buses
-                    freed = buses is None or len(buses._free) == len(buses._all)
+                    freed = hub._lease_pins == {}
                     return attached, outcomes, cancelled, opener.state, freed
 
         attached, outcomes, cancelled, state, freed = asyncio.run(scenario())
@@ -380,7 +378,7 @@ class TestSingleFlight:
         assert state is JobState.CANCELLED
         assert outcomes == [reference, reference]
         assert len([r for r in plans if r == request]) == 1  # no re-mine
-        assert freed  # the execution still recycled its bus
+        assert freed  # the execution still released its pin
 
     def test_attached_priority_boosts_execution(self):
         async def scenario():
@@ -415,7 +413,7 @@ class TestSingleFlight:
         self, monkeypatch
     ):
         """The last job out stops its starved execution: no further
-        shard, bus and pin released, no dedup entry left — and an
+        shard, its pin released, no dedup entry left — and an
         identical job afterwards plans afresh and stays exact."""
         network = _make_network(14, num_edges=150)
         request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
@@ -443,29 +441,26 @@ class TestSingleFlight:
                         states.append(job.state)
                     await blocker
                     after = scheduler._shards_by_network.get("n", 0)
-                    buses = hub._buses
-                    freed = len(buses._free) == len(buses._all)
                     leftovers = (dict(hub._lease_pins), dict(scheduler._executions))
                     plans_before = len(plans)
                     again = _signature(await scheduler.submit("n", request))
                     return (
-                        states, dispatched, after, freed, leftovers,
+                        states, dispatched, after, leftovers,
                         len(plans) - plans_before, again,
                     )
 
-        states, dispatched, after, freed, leftovers, replans, again = (
+        states, dispatched, after, leftovers, replans, again = (
             asyncio.run(scenario())
         )
         assert states == [JobState.CANCELLED] * 3
         assert after == dispatched  # no shard went out after the cancels
-        assert freed
-        assert leftovers == ({}, {})
+        assert leftovers == ({}, {})  # no lease pin, no dedup entry
         assert replans == 1
         assert again == reference
 
     def test_failing_execution_fails_every_attached_job(self):
         """A shard that fails on the fleet fails every job on its
-        execution, releases bus and pin, and poisons nothing after."""
+        execution, releases its pin, and poisons nothing after."""
         network = _make_network(15, num_edges=150)
         # max_rhs_attrs is only consulted inside the RIGHT recursion, so
         # planning succeeds and the TypeError fires in the workers.
@@ -488,13 +483,11 @@ class TestSingleFlight:
                         with pytest.raises(TypeError):
                             await job
                     await blocker
-                    buses = hub._buses
-                    freed = len(buses._free) == len(buses._all)
                     pins = dict(hub._lease_pins)
                     result = _signature(await scheduler.submit("n", loose))
-                    return [job.state for job in jobs], freed, pins, result
+                    return [job.state for job in jobs], pins, result
 
-        states, freed, pins, result = asyncio.run(scenario())
+        states, pins, result = asyncio.run(scenario())
         assert states == [JobState.FAILED] * 3
-        assert freed and pins == {}
+        assert pins == {}
         assert result == _signature(_fresh(network, loose))
