@@ -19,7 +19,7 @@ once, untimed, and shared; each fresh miner pays its own column gathers
 and arena build (milliseconds).  ``memo_mb`` records what one cold run
 left in the lattice memo (bounded by ``LATTICE_BYTE_CAP``).
 
-``--profile`` additionally cProfiles one vector-tier branch walk via
+``--profile`` additionally cProfiles one vector-tier ``mine()`` via
 :func:`repro.bench.harness.profile_mining` and writes the raw profile
 to ``benchmarks/out/kernel_profile.pstats``.
 
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="also cProfile one vector-tier branch walk "
+        help="also cProfile one vector-tier mine() "
         f"(raw profile to {PSTATS_PATH.name})",
     )
     add_history_arguments(parser)

@@ -55,25 +55,6 @@ def _signature(result):
     return [(str(m.gr), round(m.score, 9)) for m in result]
 
 
-def _consistency(serial_sig, parallel_sig) -> str:
-    """Serial GRMiner(k) vs the exact parallel result.
-
-    ``yes`` — identical lists.  ``sub`` — the serial heuristic returned
-    an order-preserving subsequence (it may legitimately hold fewer than
-    k entries; see ``verify_generality`` in ``GRMiner``).  ``NO`` — a
-    genuine divergence.
-    """
-    if serial_sig == parallel_sig:
-        return "yes"
-    position = -1
-    for item in serial_sig:
-        try:
-            position = parallel_sig.index(item, position + 1)
-        except ValueError:
-            return "NO"
-    return "sub"
-
-
 def run(quick: bool, workers: tuple[int, ...], repeats: int) -> str:
     rows = []
     for name, network in _configs(quick):
@@ -98,9 +79,8 @@ def run(quick: bool, workers: tuple[int, ...], repeats: int) -> str:
                 best = min(best, time.perf_counter() - start)
             row[f"par×{count} (s)"] = best
             row[f"par×{count} speedup"] = serial_best / best if best else 0.0
-            row[f"par×{count} =="] = _consistency(
-                _signature(serial_result), _signature(par_result)
-            )
+            same = _signature(serial_result) == _signature(par_result)
+            row[f"par×{count} =="] = "yes" if same else "NO"
         rows.append(row)
     title = (
         f"Parallel scaling — GRMiner(k) vs ParallelGRMiner "

@@ -118,10 +118,10 @@ def algorithm_factories(
 
 
 def profile_mining(miner: GRMiner, out_path=None, top: int = 25):
-    """cProfile one branch walk of ``miner``; returns ``(result, text)``.
+    """cProfile one ``mine()`` of ``miner``; returns ``(result, text)``.
 
-    Branch planning (and the store-derived caches it fills) runs
-    *outside* the profiler, so the profile isolates the enumeration
+    Branch planning (and the store-derived caches it fills) runs once
+    *outside* the profiler first, so the profile isolates the enumeration
     itself — the ``mine_branch`` recursion that kernel work targets.
     The raw profile is dumped to ``out_path`` (a ``.pstats`` file
     loadable with :mod:`pstats` or snakeviz) when given; ``text`` holds
@@ -131,29 +131,17 @@ def profile_mining(miner: GRMiner, out_path=None, top: int = 25):
     import io
     import pstats
 
-    miner._begin()
-    plan = miner.plan_branches()
-    miner._stats.pruned_by_support += plan.pruned_by_support
+    miner.plan_branches()
     profiler = cProfile.Profile()
     profiler.enable()
-    for branch in plan.branches:
-        miner.mine_branch(plan.tau, branch)
+    result = miner.mine()
     profiler.disable()
-
-    results = miner._collector.results()
-    if miner.k is not None and not miner.push_topk:
-        results = results[: miner.k]
-    elif miner.k is not None and miner.apply_generality and miner.verify_generality:
-        results = miner._verify_generality(results)
 
     if out_path is not None:
         profiler.dump_stats(str(out_path))
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)
-    from ..core.results import MiningResult
-
-    result = MiningResult(grs=results, stats=miner._stats, params=miner._params())
     return result, buffer.getvalue()
 
 

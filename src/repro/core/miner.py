@@ -24,7 +24,13 @@ Pruning rules (Theorems 2 and 3):
 Two published variants are exposed through ``push_topk``:
 ``GRMiner(k)`` upgrades ``minNhp`` to the k-th best score on the fly
 (line 28); plain ``GRMiner`` pushes only the user thresholds and
-truncates to k at the end.
+truncates to k at the end.  Both return the exact Definition 5 answer:
+the upgraded threshold can cut a generality blocker's subtree before the
+walk's :class:`~repro.core.topk.GeneralityIndex` sees it, so GRMiner(k)
+also checks each would-be top-k candidate on the data
+(:meth:`GRMiner.generality_blocked`), as every shard of
+:mod:`repro.parallel` does.  ``push_topk`` changes effort, never the
+answer.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ __all__ = [
 #: Total field count of :meth:`MinerConfig.canonical_key` — the length
 #: every well-formed config key must have.  Validators (e.g. the delta
 #: migrator's eligibility check in :mod:`repro.engine.delta`) compare
-#: against this instead of a magic 17.
-CKEY_FIELDS = 17
+#: against this instead of a magic 15.
+CKEY_FIELDS = 15
 
 
 #: Bytes of memoised lattice state one process may hold, summed over
@@ -284,7 +290,6 @@ class MinerConfig:
     apply_generality: bool = True
     laplace_k: int = 2
     gain_theta: float = 0.5
-    verify_generality: bool = True
     #: Execution tier for the RIGHT-phase inner loop; see
     #: :mod:`repro.core.kernels`.  A pure speed knob: both tiers
     #: produce identical results, so it is excluded from
@@ -326,11 +331,12 @@ class MinerConfig:
         explicit-default attribute lists collapse to the schema order,
         and fields that cannot influence the result under the current
         ranking (``laplace_k`` off-``laplace``, ``gain_theta``
-        off-``gain``, ``verify_generality`` without a dynamic top-k) are
-        masked out.  ``kernel`` is excluded entirely: the execution tier
-        never changes the answer, so queries differing only in kernel
-        share one cache entry and dedup against each other.  The
-        engine's result cache is keyed by this.
+        off-``gain``) are masked out.  ``kernel`` and ``push_topk`` are
+        excluded entirely: the execution tier and the dynamic threshold
+        change effort, never the answer (every miner returns the exact
+        Definition 5 answer), so queries differing only in them share
+        one cache entry and dedup against each other.  The engine's
+        result cache is keyed by this.
 
         The field order is part of the contract:
         :func:`config_from_canonical_key` decodes it.
@@ -350,7 +356,6 @@ class MinerConfig:
             float(self.min_score),
             self.k,
             self.rank_by,
-            self.push_topk,
             self.push_score_pruning,
             self.dynamic_rhs_ordering,
             tuple(node_attributes),
@@ -362,11 +367,6 @@ class MinerConfig:
             self.apply_generality,
             self.laplace_k if self.rank_by == "laplace" else None,
             self.gain_theta if self.rank_by == "gain" else None,
-            (
-                self.verify_generality
-                if self.push_topk and self.k is not None and self.apply_generality
-                else None
-            ),
         )
 
 
@@ -379,10 +379,10 @@ def config_from_canonical_key(key: tuple) -> MinerConfig:
     edge-count-independent, so the round trip
     ``config_from_canonical_key(k).canonical_key(schema, any_E) == k``
     holds for every ``any_E``), masked fields (``laplace_k`` under a
-    non-laplace ranking, ``gain_theta`` under non-gain,
-    ``verify_generality`` without a dynamic top-k) come back as their
-    defaults, and ``node_attributes`` / ``include_trivial`` come back
-    explicitly resolved.
+    non-laplace ranking, ``gain_theta`` under non-gain) and the
+    effort-only ``push_topk`` come back as their defaults, and
+    ``node_attributes`` / ``include_trivial`` come back explicitly
+    resolved.
 
     This is what lets the engine's delta migrator re-mine *for a cache
     entry*: the entry's key is all that survives in the cache, and this
@@ -393,7 +393,6 @@ def config_from_canonical_key(key: tuple) -> MinerConfig:
         min_score,
         k,
         rank_by,
-        push_topk,
         push_score_pruning,
         dynamic_rhs_ordering,
         node_attributes,
@@ -405,14 +404,12 @@ def config_from_canonical_key(key: tuple) -> MinerConfig:
         apply_generality,
         laplace_k,
         gain_theta,
-        verify_generality,
     ) = key
     return MinerConfig(
         min_support=int(abs_support),
         min_score=float(min_score),
         k=k,
         rank_by=rank_by,
-        push_topk=push_topk,
         push_score_pruning=push_score_pruning,
         dynamic_rhs_ordering=dynamic_rhs_ordering,
         node_attributes=tuple(node_attributes),
@@ -424,7 +421,6 @@ def config_from_canonical_key(key: tuple) -> MinerConfig:
         apply_generality=apply_generality,
         laplace_k=laplace_k if laplace_k is not None else 2,
         gain_theta=gain_theta if gain_theta is not None else 0.5,
-        verify_generality=verify_generality if verify_generality is not None else True,
     )
 
 
@@ -475,8 +471,14 @@ class GRMiner:
         :class:`repro.core.interestingness.AlternativeMetricMiner`.
     push_topk:
         When true and ``k`` is set, run GRMiner(k): dynamically upgrade
-        the score threshold to the k-th best found (Algorithm 1 line 28).
-        When false, run plain GRMiner: push only the user thresholds.
+        the score threshold to the k-th best found (Algorithm 1 line 28),
+        and check each would-be top-k candidate's generalizations on the
+        data (:meth:`generality_blocked`), since the upgraded threshold
+        can cut a blocker's subtree before the walk's index sees it.
+        When false, run plain GRMiner: push only the user thresholds,
+        with the index alone deciding Definition 5(2), and truncate to k
+        at the end.  Either way the answer is the exact Definition 5
+        top-k; only the effort differs.
     push_score_pruning:
         Enable Theorem 3 pruning.  Disabling it leaves only support
         pruning (the BL2 search strategy) — used by ablation benches.
@@ -507,17 +509,6 @@ class GRMiner:
         config is the single source of truth (the engine and the pool
         workers construct miners this way).  The miner can later be
         pointed at a different query with :meth:`rearm`.
-    verify_generality:
-        Only meaningful for GRMiner(k).  The published dynamic-threshold
-        upgrade can prune a subtree containing a *generality blocker*
-        whose score lies between the user threshold and the current k-th
-        best, letting a redundant specialization into the result (the
-        blocker-in-pruned-subtree case).  With this flag (default) the
-        final top-k list is re-verified by direct evaluation of each
-        entry's generalizations — at most ``k · 2^(|l|+|w|)`` metric
-        queries — and blocked entries are dropped (the list may then
-        hold fewer than k GRs).  Set ``push_topk=False`` for fully exact Definition
-        5 semantics.
     """
 
     def __init__(
@@ -539,7 +530,6 @@ class GRMiner:
         apply_generality: bool = True,
         laplace_k: int = 2,
         gain_theta: float = 0.5,
-        verify_generality: bool = True,
         kernel: str = DEFAULT_KERNEL,
         store: CompactStore | None = None,
         config: MinerConfig | None = None,
@@ -563,7 +553,6 @@ class GRMiner:
             apply_generality=apply_generality,
             laplace_k=laplace_k,
             gain_theta=gain_theta,
-            verify_generality=verify_generality,
             kernel=kernel,
         )
         if config is None:
@@ -578,12 +567,6 @@ class GRMiner:
         self.store = store if store is not None else CompactStore(network)
 
         # ---- store-derived state: built once, survives every rearm ----
-        #: Optional hook consulted before offering a candidate to the
-        #: collector: ``verifier(l_map, w_map, r_map) -> True`` when the
-        #: candidate is blocked by a more general qualifying GR.  Used by
-        #: the parallel workers, whose local generality index cannot see
-        #: blockers discovered in sibling shards (repro.parallel.worker).
-        self._candidate_verifier = None
         #: The enumeration lattice memo (:class:`_LWContext` nodes).
         #: Pure derived data over the immutable store — independent of
         #: the query parameters — so it persists across runs *and*
@@ -664,16 +647,16 @@ class GRMiner:
         self.apply_generality = config.apply_generality
         self.laplace_k = config.laplace_k
         self.gain_theta = config.gain_theta
-        self.verify_generality = config.verify_generality
         self.kernel = config.kernel
         self.kernel_tier = resolve_kernel(config.kernel)
         self._kernel_ops = kernel_ops(self.kernel_tier)
         layout = (tuple(node_attributes), config.dynamic_rhs_ordering)
         self._nodes = self._lattice.layout(layout)
         self._rhs_layouts = self._rhs_layouts_by_layout.setdefault(layout, {})
-        # A verifier installed for a previous query must not leak into
-        # the next one (it may cache verdicts under other thresholds).
-        self._candidate_verifier = None
+        #: :meth:`generality_blocked`'s verdicts per sub-selection: a
+        #: function of the store and of this config's thresholds and
+        #: ranking, so they last until the next rearm.
+        self._blocker_memo: dict[tuple, bool] = {}
         return self
 
     @staticmethod
@@ -714,24 +697,18 @@ class GRMiner:
         The run is organized as the sequence of independent first-level
         branches of :meth:`plan_branches` (the serial traversal order is
         unchanged); :class:`~repro.parallel.ParallelGRMiner` distributes
-        the same branches across worker processes.
+        the same branches across worker processes.  Only the dynamic
+        threshold can hide a blocker from this whole-tree walk, so only
+        GRMiner(k) checks its top-k candidates on the data.
         """
         start = time.perf_counter()
-        self._begin()
+        self._begin(verify=self.k is not None and self.push_topk)
         plan = self.plan_branches()
         self._stats.pruned_by_support += plan.pruned_by_support
         for branch in plan.branches:
             self.mine_branch(plan.tau, branch)
 
-        results = self._collector.results()
-        if self.k is not None and not self.push_topk:
-            results = results[: self.k]
-        elif (
-            self.k is not None
-            and self.apply_generality
-            and self.verify_generality
-        ):
-            results = self._verify_generality(results)
+        results = self._collector.results()[: self.k]
         self._stats.runtime_seconds = time.perf_counter() - start
         params = self._params()
         params.update(lw_memo_hits=self.memo_hits, lw_memo_misses=self.memo_misses)
@@ -740,19 +717,17 @@ class GRMiner:
     # ------------------------------------------------------------------
     # Branch-entry API (used by mine() and by the parallel workers)
     # ------------------------------------------------------------------
-    def _begin(self, collector: TopKCollector | None = None) -> None:
-        """Reset per-run state; a caller may inject its own collector."""
+    def _begin(self, *, verify: bool) -> None:
+        """Reset per-run state.  With ``verify``, a candidate that could
+        enter the top-k must also pass :meth:`generality_blocked`."""
         self._stats = MiningStats()
-        self._collector = collector if collector is not None else TopKCollector(
+        self._collector = TopKCollector(
             k=self.k if self.push_topk else None, min_score=self.min_score
         )
         self._index = GeneralityIndex()
+        self._verify = verify and self.apply_generality
         self._lattice.touch()
         self.memo_hits = self.memo_misses = 0
-        # A worker installs its verifier after _begin; resetting here
-        # keeps a plain mine() exact after the miner served as a shard
-        # executor (repro.parallel reuses miner instances across tasks).
-        self._candidate_verifier = None
 
     def plan_branches(self) -> BranchPlan:
         """Decompose the run into its independent first-level branches.
@@ -901,47 +876,38 @@ class GRMiner:
         ends = np.bincount(keys, minlength=domain + 1).cumsum()
         return edges[self._kernel_ops.argsort(keys, domain)], ends
 
-    def _verify_generality(self, results: list) -> list:
-        """Drop top-k entries whose generalization qualifies.
+    def generality_blocked(self, l_key: tuple, w_key: tuple, r_key: tuple) -> bool:
+        """Definition 5(2) decided on the data: whether a strictly more
+        general GR with the same RHS meets condition (1).
 
-        GRMiner(k)'s dynamic threshold may have pruned the node where a
-        blocker would have been examined; this post-pass re-checks each
-        surviving entry against Definition 5(2) by direct evaluation.
+        Keys are sorted ``(attr, code)`` tuples.  Every proper
+        sub-selection of the candidate's LHS ∧ edge conditions is
+        evaluated over all edges (:meth:`evaluate_codes`) and qualifies
+        when it is admissible (non-empty LHS and non-trivial, unless
+        admitted) and meets minSupp and the user's minimum score.  So the
+        verdict holds whatever the walk enumerated: the blocker may lie
+        in a sibling shard's branch, or under a subtree the dynamic
+        threshold cut.  Verdicts are memoised per sub-selection until the
+        next :meth:`rearm`.
         """
-        from .metrics import MetricEngine  # local import to avoid cycle cost
-
-        engine = MetricEngine(self.network)
-        verified = []
-        for mined in results:
-            blocked = False
-            for general in mined.gr.generalizations():
-                if not general.lhs and not self.allow_empty_lhs:
-                    continue
-                trivial = general.is_trivial(self.schema)
-                if trivial and not self.include_trivial:
-                    continue
-                if self.blocker_qualifies(engine.evaluate(general), trivial):
-                    blocked = True
-                    break
-            if blocked:
-                self._stats.pruned_by_generality += 1
-            else:
-                verified.append(mined)
-        return verified
-
-    def blocker_qualifies(self, metrics: GRMetrics, trivial: bool) -> bool:
-        """Condition (1) for a *generality blocker* (Definition 5(2)).
-
-        The single source of truth shared by the serial verification
-        pass and the parallel workers' cross-shard verifier — a blocker
-        must be admissible (non-trivial unless trivial GRs are admitted)
-        and meet the user's support and score thresholds.
-        """
-        return (
-            (self.include_trivial or not trivial)
-            and metrics.support_count >= self.abs_min_support
-            and self._score(metrics) >= self.min_score
-        )
+        memo = self._blocker_memo
+        for l_sel, w_sel in GeneralityIndex._lw_subselections(l_key, w_key):
+            if not l_sel and not self.allow_empty_lhs:
+                continue
+            key = (l_sel, w_sel, r_key)
+            qualifies = memo.get(key)
+            if qualifies is None:
+                metrics, trivial = self.evaluate_codes(
+                    dict(l_sel), dict(w_sel), dict(r_key)
+                )
+                qualifies = memo[key] = (
+                    (self.include_trivial or not trivial)
+                    and metrics.support_count >= self.abs_min_support
+                    and self._score(metrics) >= self.min_score
+                )
+            if qualifies:
+                return True
+        return False
 
     def _params(self) -> dict:
         return {
@@ -1290,10 +1256,8 @@ class GRMiner:
 
         Returns the same ``(metrics, trivial)`` pair :meth:`_evaluate`
         produces incrementally during the tree walk, but from scratch —
-        the primitive behind the parallel workers' cross-shard generality
-        checks, where the blocker's enumeration node lives in a sibling
-        shard (or was cut by the dynamic threshold) and is therefore
-        absent from the local index.
+        the primitive behind :meth:`generality_blocked`, whose blockers
+        may never have been enumerated by the walk asking.
         """
         lw_mask = np.ones(self.network.num_edges, dtype=bool)
         for name, code in l_map.items():
@@ -1434,12 +1398,12 @@ class GRMiner:
             # Every GR satisfying conditions (1) and (2) enters the index
             # — including ones the dynamic top-k threshold will not admit
             # — so that later, more special GRs are still recognized as
-            # redundant (see ``verify_generality`` in the class docstring).
+            # redundant.
             self._index.add(l_key, w_key, r_key)
         self._stats.candidates += 1
         if self._collector.would_admit(score):
-            if self._candidate_verifier is not None and self._candidate_verifier(
-                context.l_map, context.w_map, r_map
+            if self._verify and self.generality_blocked(
+                context.l_key, context.w_key, r_key
             ):
                 self._stats.pruned_by_generality += 1
                 return
@@ -1525,8 +1489,8 @@ def mine_top_k(
     --------
     >>> from repro.datasets.toy import toy_dating_network
     >>> result = mine_top_k(toy_dating_network(), k=5, min_support=2, min_nhp=0.5)
-    >>> len(result) <= 5
-    True
+    >>> len(result)
+    5
     """
     if workers is not None:
         from ..parallel import ParallelGRMiner  # deferred: avoids an import cycle

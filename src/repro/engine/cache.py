@@ -303,6 +303,7 @@ class DiskResultCache:
                 return None
             try:
                 value = pickle.loads(row[0])
+            # repro-lint: disable=swallowed-exception -- an undecodable row is a miss by this tier's contract, and unpickling a truncated or version-skewed blob can raise any exception type
             except Exception:
                 # Undecodable value (truncated write, version skew): drop it.
                 self._delete(fingerprint, ckey)
@@ -425,6 +426,7 @@ class DiskResultCache:
             for ckey_blob, value_blob in rows:
                 try:
                     taken.append((pickle.loads(ckey_blob), pickle.loads(value_blob)))
+                # repro-lint: disable=swallowed-exception -- an undecodable row is purged by this tier's contract, and unpickling a truncated or version-skewed blob can raise any exception type
                 except Exception:
                     continue
             return taken

@@ -19,7 +19,10 @@ skeleton), then merged through the same total-order reduce every
 sharded query uses — or
 *purged*, whenever any link of the proof below cannot be established.
 The fallback is always available and always sound: a purged entry is
-simply re-mined cold on its next request.
+simply re-mined cold on its next request.  An entry whose migration
+*raises* is purged too, so the others still migrate, but that is a
+fault rather than a safety check: it warns with the exception and is
+counted apart (:attr:`MigrationReport.errors`).
 
 Soundness of a migrated entry (why the merge equals a cold re-mine)
 -------------------------------------------------------------------
@@ -30,11 +33,10 @@ and ``C_T`` the fresh top-k of the branches in ``T``.  The migrated
 result is ``merge(U', C_T)``.  Eligibility conditions and what each one
 buys:
 
-* **Exact entries.**  Every engine entry was mined on the fleet and
-  carries exact Definition 5 semantics (cross-shard verification
-  decides blocking from first principles), so set equalities below are
-  well-defined.  A key of any other layout (e.g. a disk-tier row
-  written before keys lost their execution-mode prefix) is purged.
+* **Exact entries.**  Every engine entry carries exact Definition 5
+  semantics (its shards decide blocking on the data), so set equalities
+  below are well-defined.  A key of any other layout (e.g. a disk-tier
+  row written before ``push_topk`` left the key) is purged.
 * **Ranking ∈ {nhp, confidence, laplace}.**  These depend only on the
   candidate's own counts, which are unchanged in untouched branches.
   ``gain`` divides by ``|E|``, so *every* score moves with the delta —
@@ -46,8 +48,8 @@ buys:
   blocked*: a GR absent from ``R_old`` because of Definition 5(2)
   cannot re-qualify, so untouched branches spring no new members.
   Newly *qualifying* blockers (their counts grew) are handled in the
-  other direction by re-checking each ``U'`` member against
-  :class:`~repro.parallel.worker.CrossShardGeneralityVerifier`.
+  other direction by re-checking each ``U'`` member with
+  :meth:`GRMiner.generality_blocked <repro.core.miner.GRMiner.generality_blocked>`.
 
 Given those, every valid post-delta GR is either in a touched branch
 (exactly covered by ``C_T``) or untouched — then its metrics are
@@ -75,8 +77,8 @@ from dataclasses import dataclass
 from ..core.miner import CKEY_FIELDS, GRMiner, MinerConfig, config_from_canonical_key
 from ..core.results import MinedGR, MiningResult, MiningStats
 from ..data.store import StoreDelta
-from ..parallel.miner import memo_counts, merge_shard_results
-from ..parallel.worker import CrossShardGeneralityVerifier, ShardResult, ShardTask, mine_shard
+from ..parallel.miner import memo_counts, merge_shard_results, warn_at_caller
+from ..parallel.worker import ShardResult, ShardTask, mine_shard
 from ..serve.markers import coordinator_only
 
 __all__ = ["MigrationReport", "migrate_fingerprint"]
@@ -97,8 +99,11 @@ class MigrationReport:
     purged: int = 0
     #: The subset of ``purged`` that *looked* migratable but failed a
     #: safety check during the combine (count mismatch, top-k
-    #: truncation, a combine error).
+    #: truncation).
     fallbacks: int = 0
+    #: The subset of ``purged`` whose migration raised: a fault, not a
+    #: safety check, so each one also warns with its exception.
+    errors: int = 0
 
 
 def _rank_key(entry: MinedGR) -> tuple:
@@ -132,7 +137,9 @@ def migrate_fingerprint(engine, old_fingerprint: str, delta: StoreDelta | None) 
     version.  Entries are *taken* (removed) from the cache first, so any
     failure mid-migration degrades to the old purge behaviour — stale
     keys can never be served, and each successfully migrated entry was
-    validated independently before being re-inserted.
+    validated independently before being re-inserted.  An entry whose
+    migration raises is purged, warned about and counted in
+    :attr:`MigrationReport.errors`; the other entries still migrate.
     """
     cache = engine._cache
     take = getattr(cache, "take_fingerprint", None)
@@ -143,22 +150,29 @@ def migrate_fingerprint(engine, old_fingerprint: str, delta: StoreDelta | None) 
         or delta.num_new_edges <= 0
     ):
         return MigrationReport(purged=cache.purge_fingerprint(old_fingerprint))
-    migrated = purged = fallbacks = 0
+    migrated = purged = fallbacks = errors = 0
     for key, result in take(old_fingerprint):
         combined = None
         status = "ineligible"
         if isinstance(key, tuple) and len(key) == 2:
             try:
                 status, combined = _migrate_entry(engine, key[1], result, delta)
-            except Exception:
-                status, combined = "fallback", None
+            except Exception as exc:
+                status = "error"
+                warn_at_caller(
+                    f"delta migration raised {exc!r}; the cache entry was "
+                    "purged and its query will re-mine cold"
+                )
         if combined is None:
             purged += 1
             fallbacks += status == "fallback"
+            errors += status == "error"
         else:
             cache.put((engine.fingerprint, key[1]), combined)
             migrated += 1
-    return MigrationReport(migrated=migrated, purged=purged, fallbacks=fallbacks)
+    return MigrationReport(
+        migrated=migrated, purged=purged, fallbacks=fallbacks, errors=errors
+    )
 
 
 def _eligible_config(ckey) -> MinerConfig | None:
@@ -199,9 +213,6 @@ def _migrate_entry(
     plan = skeleton.plan_branches()
     touched = delta.touched_partitions
     tau = plan.tau
-    verifier = (
-        CrossShardGeneralityVerifier(skeleton) if config.apply_generality else None
-    )
 
     # --- carry over untouched-branch members, re-verified on the new
     # store (the root branch — empty LHS — is touched by construction).
@@ -222,7 +233,9 @@ def _migrate_entry(
             # The untouched-branch invariant failed — something mutated
             # outside the delta's account.  Trust nothing in this entry.
             return "fallback", None
-        if verifier is not None and verifier(l_map, w_map, r_map):
+        if config.apply_generality and skeleton.generality_blocked(
+            *(tuple(sorted(m.items())) for m in (l_map, w_map, r_map))
+        ):
             continue  # a blocker newly qualified; Definition 5(2) drops it
         survivors.append(MinedGR(gr=entry.gr, metrics=metrics, score=score))
 

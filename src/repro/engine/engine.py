@@ -88,6 +88,7 @@ _DELTA_ENTRIES = REGISTRY.counter(
 _DELTA_MIGRATED = _DELTA_ENTRIES.labels(outcome="migrated")
 _DELTA_PURGED = _DELTA_ENTRIES.labels(outcome="purged")
 _DELTA_FALLBACKS = _DELTA_ENTRIES.labels(outcome="fallback")
+_DELTA_ERRORS = _DELTA_ENTRIES.labels(outcome="error")
 
 
 @dataclass
@@ -482,6 +483,7 @@ class MiningEngine:
         _DELTA_MIGRATED.inc(report.migrated)
         _DELTA_PURGED.inc(report.purged)
         _DELTA_FALLBACKS.inc(report.fallbacks)
+        _DELTA_ERRORS.inc(report.errors)
         return new
 
     # ------------------------------------------------------------------

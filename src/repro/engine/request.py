@@ -5,7 +5,8 @@ A request is the user-facing sibling of
 (``min_nhp``, ``k``) plus an execution hint (``workers``), normalizes
 into a config for the miner skeletons, and canonicalizes into the
 engine's cache key — the config's own canonical key, since every engine
-answer is the exact Definition 5 answer whatever the hint.  Requests
+answer is the exact Definition 5 answer whatever the hint, the kernel or
+``push_topk``.  Requests
 are frozen and hashable so they can be deduplicated, batched and
 replayed.
 """
@@ -30,7 +31,8 @@ class MineRequest:
     ----------
     k, min_support, min_nhp, rank_by, push_topk:
         As on :class:`~repro.core.miner.GRMiner` (``min_nhp`` maps to its
-        ``min_score``).
+        ``min_score``).  ``push_topk`` changes effort, never the answer,
+        so it does not enter the cache key.
     workers:
         How many of the engine's fleet workers the query's shards may
         spread over: ``None`` means the whole fleet, and larger counts
@@ -109,7 +111,8 @@ class MineRequest:
         Two requests with equal keys (over equal stores) are guaranteed
         the same result list, which is exactly what the engine's LRU
         cache needs.  The worker count is excluded: the sharded answer
-        is worker-count deterministic.
+        is worker-count deterministic.  So is ``push_topk``: requests
+        differing only in it share one cache entry and one execution.
         """
         return self.to_config().canonical_key(schema, num_edges)
 

@@ -238,16 +238,19 @@ class CkeyLayout(Rule):
 
 
 class SwallowedException(Rule):
-    """Bare ``except:`` / ``except Exception: pass`` is forbidden in
-    ``repro/parallel/`` and ``repro/serve/``.
+    """A broad handler in ``repro/parallel/``, ``repro/serve/`` or
+    ``repro/engine/`` must re-raise or read the exception it caught.
 
-    Invariant (PRs 1 and 4): worker and scheduler failures must
+    Invariant (PRs 1 and 4): worker, scheduler and engine failures must
     re-raise, log, record, or degrade explicitly — a silently swallowed
-    broad exception in the fleet or the serving loop turns a crashed
-    shard into a hung job or a wrong (partial) answer.  Narrow
-    except clauses (``except FileNotFoundError: pass``) are fine, as is
-    any broad handler whose body does real work.  Genuine best-effort
-    teardown sites must carry a justified pragma.
+    broad exception in the fleet, the serving loop or a cache migration
+    turns a crashed shard into a hung job, a wrong (partial) answer or
+    a silent purge.  So a bare ``except:`` or ``except Exception`` /
+    ``BaseException`` handler fires unless its body raises or reads the
+    name it bound the exception to: ``except Exception: pass`` fires,
+    and so does ``except Exception: status = "fallback"``.  Narrow
+    except clauses (``except FileNotFoundError: pass``) are fine.
+    Genuine best-effort sites must carry a justified pragma.
     """
 
     name = "swallowed-exception"
@@ -263,28 +266,36 @@ class SwallowedException(Rule):
         )
 
     @staticmethod
-    def _is_pass_only(h: ast.ExceptHandler) -> bool:
-        return all(
-            isinstance(s, ast.Pass)
-            or (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
-            for s in h.body
-        )
+    def _handles(h: ast.ExceptHandler) -> bool:
+        """Whether the body re-raises or reads the caught exception."""
+        for stmt in h.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Raise) or (
+                    isinstance(node, ast.Name)
+                    and node.id == h.name
+                    and isinstance(node.ctx, ast.Load)
+                ):
+                    return True
+        return False
 
     def run(self, project: Project) -> Iterator[Finding]:
-        for file in project.files_under("repro/parallel/", "repro/serve/"):
+        for file in project.files_under(
+            "repro/parallel/", "repro/serve/", "repro/engine/"
+        ):
             if file.tree is None:
                 continue
             for node in ast.walk(file.tree):
                 if (
                     isinstance(node, ast.ExceptHandler)
                     and self._is_broad(node)
-                    and self._is_pass_only(node)
+                    and not self._handles(node)
                 ):
                     what = "bare except" if node.type is None else "broad except"
                     yield self.finding(
                         file, node,
-                        f"{what} that swallows the error — re-raise, log, or "
-                        "record the failure (or pragma with a justification)",
+                        f"{what} that neither re-raises nor reads the error it "
+                        "caught — re-raise, log, or record the failure (or "
+                        "pragma with a justification)",
                     )
 
 

@@ -8,9 +8,10 @@ runs it through, :class:`ParallelGRMiner` for the one-shot driver,
 :mod:`repro.parallel.pool` for the long-lived, store-agnostic worker
 fleet used by :class:`repro.engine.MiningEngine` and
 :class:`repro.engine.EngineHub`, and
-:mod:`repro.parallel.worker` for per-shard execution and the
-cross-shard generality verification that keeps the merged result
-exactly equal to the serial miner's Definition 5 semantics.
+:mod:`repro.parallel.worker` for per-shard execution.  Every shard
+checks its would-be top-k candidates' generality on the data, so the
+merged result is the exact Definition 5 answer, equal to the serial
+miner's for any worker count.
 """
 
 from .miner import (
@@ -21,10 +22,9 @@ from .miner import (
 )
 from .planner import plan_shards
 from .pool import PersistentWorkerPool, default_start_method
-from .worker import CrossShardGeneralityVerifier, ShardResult, ShardTask, mine_shard
+from .worker import ShardResult, ShardTask, mine_shard
 
 __all__ = [
-    "CrossShardGeneralityVerifier",
     "Execution",
     "ParallelGRMiner",
     "PersistentWorkerPool",

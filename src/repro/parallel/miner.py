@@ -20,11 +20,8 @@ parallelizes by branch with *no* shared mutable state on the hot path:
    byte-identical for any worker count, including ``workers=1``.
 
 The result carries *exact* Definition 5 semantics: it equals serial
-``GRMiner(..., push_topk=False)`` truncated to k, and the brute-force
-reference miner, GR for GR.  (Serial ``GRMiner(k)`` agrees too except in
-the rare blocker-in-pruned-subtree case described under
-``verify_generality`` in :class:`~repro.core.miner.GRMiner`, where the
-parallel result is the more faithful one.)
+``GRMiner(k)``, serial ``GRMiner(..., push_topk=False)`` truncated to
+k, and the brute-force reference miner, GR for GR.
 
 One sharded query is an :class:`Execution`: the plan and its shard
 tasks, plus what a driver tracks while they run (undispatched tasks,

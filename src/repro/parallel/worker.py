@@ -20,24 +20,17 @@ the per-shard lists the merge folds always contain the global answer.
 
 Cross-shard generality
 ----------------------
-The serial miner's generality index is a *global* structure: a blocker
-(a more general GR passing condition (1)) may be enumerated in a
-different first-level branch than the GRs it blocks — e.g. the blocker
+A blocker (a more general GR passing condition (1)) may be enumerated in
+a different first-level branch than the GRs it blocks — e.g. the blocker
 ``(Region:R) → r`` lives in the Region branch while the blocked
-``(Age:a, Region:R) → r`` lives in the Age branch.  A worker-local index
-therefore cannot enforce Definition 5(2) alone.  Instead of shipping
-index updates between processes (which would serialize the walk), the
-worker verifies each would-be top-k candidate against
-:class:`CrossShardGeneralityVerifier`: every proper LHS∧edge
-sub-selection is evaluated *directly on the data* (memoized), which
-decides blocked-ness from first principles, independent of what any
-shard happened to enumerate.  This makes each shard's collector hold
-exactly the Definition-5-valid candidates of its slice — the property
-the deterministic merge relies on — and as a side effect gives the
-parallel miner *exact* Definition 5 semantics even where serial
-GRMiner(k)'s dynamic threshold can drop below k results (the
-blocker-in-pruned-subtree case described under ``verify_generality``
-in :class:`~repro.core.miner.GRMiner`).
+``(Age:a, Region:R) → r`` lives in the Age branch — so a shard's own
+generality index cannot enforce Definition 5(2) alone.  Instead of
+shipping index updates between processes (which would serialize the
+walk), every shard checks each would-be top-k candidate with
+:meth:`GRMiner.generality_blocked <repro.core.miner.GRMiner.generality_blocked>`,
+which evaluates its generalizations on the data.  Each shard's collector
+then holds exactly the Definition-5-valid candidates of its slice — the
+property the deterministic merge relies on.
 """
 
 from __future__ import annotations
@@ -48,11 +41,9 @@ from dataclasses import dataclass, field
 from ..core.miner import BranchSpec, GRMiner, MinerConfig
 from ..core.results import MinedGR, MiningStats
 from ..core.enumeration import static_tau
-from ..core.topk import GeneralityIndex, TopKCollector
 from ..data.store import SharedStoreHandle, attach_shared_store
 
 __all__ = [
-    "CrossShardGeneralityVerifier",
     "ShardResult",
     "ShardTask",
     "StoreAttachment",
@@ -136,55 +127,6 @@ def initialize_worker() -> None:
     _STATE.append(WorkerState())
 
 
-class CrossShardGeneralityVerifier:
-    """Definition 5(2) decided by direct evaluation (see module docs).
-
-    Called with a candidate's code maps; returns True when some strictly
-    more general GR with the same RHS qualifies under condition (1).
-    Qualification checks mirror the serial miner's verification pass:
-    non-trivial (unless trivial GRs are admitted), non-empty LHS (unless
-    admitted), supp ≥ minSupp, score ≥ the user threshold.  Verdicts are
-    memoized per (LHS, edge, RHS) selection — generalization sets of
-    neighbouring candidates overlap heavily, so the cache hit rate is
-    high within a shard.  The memo is valid only for the config the
-    verifier was built with; :func:`mine_shard` installs a fresh
-    verifier per task.
-    """
-
-    def __init__(self, miner: GRMiner) -> None:
-        self._miner = miner
-        self._memo: dict[tuple, bool] = {}
-
-    def __call__(
-        self,
-        l_map: dict[str, int],
-        w_map: dict[str, int],
-        r_map: dict[str, int],
-    ) -> bool:
-        miner = self._miner
-        l_key = tuple(sorted(l_map.items()))
-        w_key = tuple(sorted(w_map.items()))
-        r_key = tuple(sorted(r_map.items()))
-        for l_sel, w_sel in GeneralityIndex._lw_subselections(l_key, w_key):
-            if not l_sel and not miner.allow_empty_lhs:
-                continue
-            if self._qualifies(l_sel, w_sel, r_key):
-                return True
-        return False
-
-    def _qualifies(self, l_sel: tuple, w_sel: tuple, r_key: tuple) -> bool:
-        key = (l_sel, w_sel, r_key)
-        cached = self._memo.get(key)
-        if cached is None:
-            miner = self._miner
-            metrics, trivial = miner.evaluate_codes(
-                dict(l_sel), dict(w_sel), dict(r_key)
-            )
-            cached = miner.blocker_qualifies(metrics, trivial)
-            self._memo[key] = cached
-        return cached
-
-
 def _task_attachment(
     state: WorkerState, handle: SharedStoreHandle | None
 ) -> StoreAttachment:
@@ -251,16 +193,11 @@ def mine_shard(miner: GRMiner, task: ShardTask) -> ShardResult:
     entries.
 
     ``miner`` must already be armed with ``task.config``; the task's
-    store handle is not consulted.
+    store handle is not consulted.  Every would-be top-k candidate is
+    checked on the data, whatever ``push_topk`` says: the shard's index
+    cannot see its sibling branches.
     """
-    miner._begin(
-        TopKCollector(
-            k=miner.k if miner.push_topk else None, min_score=miner.min_score
-        )
-    )
-    miner._candidate_verifier = (
-        CrossShardGeneralityVerifier(miner) if miner.apply_generality else None
-    )
+    miner._begin(verify=True)
     tau = static_tau(miner.schema, miner.node_attributes)
     for branch in task.branches:
         miner.mine_branch(tau, branch)

@@ -166,13 +166,12 @@ class TestMine:
         serial_out = capsys.readouterr().out
         assert main(args + ["--workers", "2"]) == 0
         parallel_out = capsys.readouterr().out
-        # The serial GRMiner(k) heuristic can return fewer than k GRs
-        # (see GRMiner's verify_generality); the parallel miner is exact,
-        # so the serial table must be a prefix of the parallel one.
+        # Serial GRMiner(k) and the parallel miner both return the exact
+        # Definition 5 top-k, so the ranked tables are identical.
         serial_table = [l for l in serial_out.splitlines() if "-->" in l]
         parallel_table = [l for l in parallel_out.splitlines() if "-->" in l]
-        assert serial_table == parallel_table[: len(serial_table)]
-        assert len(parallel_table) >= len(serial_table)
+        assert len(serial_table) == 3
+        assert serial_table == parallel_table
 
     def test_sweep_grid_through_engine(self, toy_dir, capsys, tmp_path):
         import json

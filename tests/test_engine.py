@@ -322,6 +322,22 @@ class TestEngineCache:
             assert engine.stats.cache_hits == 1
             assert engine.stats.cache_misses == 1
 
+    def test_push_topk_twins_share_a_cache_entry(self):
+        """``push_topk`` changes effort, never the answer, so a request
+        and its ``push_topk=False`` twin are one miss, then one hit."""
+        network = _network(4)
+        request = MineRequest(k=8, min_support=2, min_nhp=0.3)
+        twin = MineRequest(k=8, min_support=2, min_nhp=0.3, push_topk=False)
+        with MiningEngine(network) as engine:
+            assert engine.query_key(request) == engine.query_key(twin)
+            first = engine.mine(request)
+            second = engine.mine(twin)
+            assert second.params["cached"] is True
+            assert _signature(second) == _signature(first)
+            assert _signature(first) == _signature(_fresh(network, twin))
+            assert engine.stats.cache_misses == 1
+            assert engine.stats.cache_hits == 1
+
     def test_mutating_a_hit_does_not_poison_the_cache(self):
         """Regression: cached results used to be returned by reference,
         so a caller clearing (or editing) a returned hit corrupted every

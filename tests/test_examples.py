@@ -1,20 +1,30 @@
-"""Every example script runs end-to-end and prints its key findings."""
+"""Every example script runs end-to-end and prints its key findings.
 
+Each script runs as a subprocess the way the README runs it, with
+``PYTHONPATH=src`` and nothing else on the path, and must exit 0.
+"""
+
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def _run(script: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     completed = subprocess.run(
         [sys.executable, str(EXAMPLES / script), *args],
         capture_output=True,
         text=True,
         timeout=600,
+        cwd=ROOT,
+        env=env,
     )
     assert completed.returncode == 0, completed.stderr
     return completed.stdout
@@ -26,6 +36,9 @@ class TestQuickstart:
         assert "GR4" in out
         assert "nhp  = 100.0%" in out
         assert "Top-5 GRs" in out
+        # GRMiner(k) is exact: the table lists all k = 5 GRs.
+        table = out.split("Top-5 GRs", 1)[1]
+        assert re.findall(r"^  (\d+)\. ", table, re.MULTILINE) == list("12345")
 
 
 class TestPokecExample:

@@ -14,7 +14,8 @@ The contract under test, in three legs:
    migrated entry whose re-mine covered strictly fewer branches than a
    cold mine would, while every ineligible shape (gain ranking, score
    threshold + generality, untracked deltas, old-layout disk rows)
-   demonstrably falls back to the purge path.
+   demonstrably falls back to the purge path, and an entry whose
+   migration raises is purged loudly: a warning and a counted error.
 3. **Transactionality** — ``MiningEngine.append_edges`` never half
    commits: validation failures leave the engine untouched, a refresh
    failure is recovered through a full rebuild (with a warning), and a
@@ -27,11 +28,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.miner import MinerConfig, config_from_canonical_key
+from repro.core.miner import CKEY_FIELDS, MinerConfig, config_from_canonical_key
 from repro.data.network import NetworkError
 from repro.data.store import CompactStore, StoreDelta
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.engine import DiskResultCache, EngineHub, MineRequest, MiningEngine
+from repro.engine import delta as delta_module
+from repro.obs import REGISTRY
 from repro.parallel import ParallelGRMiner
 
 
@@ -281,6 +284,64 @@ class TestMigration:
             assert engine.stats.migrated_entries == 1  # the mined entry
             assert len(disk) == 1
         disk.close()
+
+    def test_seventeen_field_disk_row_misses_and_purges(self, tmp_path):
+        """A row keyed with the 17-field layout (``push_topk`` at field
+        4, ``verify_generality`` last) misses for the same query, and
+        the next delta purges it as ineligible, not as a fallback."""
+        network = _build(7)
+        request = MineRequest(k=5, min_support=3)
+        disk = DiskResultCache(tmp_path / "cache.sqlite")
+        with MiningEngine(network, cache=disk) as engine:
+            fingerprint, ckey = engine.query_key(request)
+            assert len(ckey) == CKEY_FIELDS == 15
+            old_layout = ckey[:4] + (True,) + ckey[4:] + (True,)
+            stale = _fresh(network, MineRequest(k=1, min_support=3))
+            disk.put((fingerprint, old_layout), stale)
+            result = engine.mine(request)
+            assert engine.stats.cache_misses == 1 and len(result) == 5
+            engine.append_edges(*_delta(network, 3, seed=1, concentrated=True))
+            assert engine.stats.purged_entries == 1  # the 17-field row
+            assert engine.stats.migration_fallbacks == 0
+            assert engine.stats.migrated_entries == 1  # the mined entry
+            assert len(disk) == 1
+        disk.close()
+
+    def test_a_raising_migration_warns_and_counts_an_error(self, monkeypatch):
+        """A migrator fault is purged like a fallback, so the query still
+        re-mines exactly, but it warns with the exception and is counted
+        as an error, not as a safety fallback."""
+        network = _build(7)
+        request = MineRequest(k=5, min_support=3, workers=1)
+        errors = REGISTRY.counter(
+            "repro_delta_entries_total", "", labels=("outcome",)
+        ).labels(outcome="error")
+        before = errors.value
+        reports = []
+        migrate = delta_module.migrate_fingerprint
+
+        def recording(*args):
+            reports.append(migrate(*args))
+            return reports[-1]
+
+        def broken(*args, **kwargs):
+            raise TypeError("mine_shard() takes 2 positional arguments")
+
+        monkeypatch.setattr(delta_module, "mine_shard", broken)
+        monkeypatch.setattr("repro.engine.engine.migrate_fingerprint", recording)
+        with MiningEngine(network) as engine:
+            engine.mine(request)
+            with pytest.warns(UserWarning, match="TypeError") as caught:
+                engine.append_edges(*_delta(network, 3, seed=1, concentrated=True))
+            assert caught[0].filename == __file__
+            (report,) = reports
+            assert (report.errors, report.fallbacks, report.purged) == (1, 0, 1)
+            assert errors.value - before == 1
+            assert engine.stats.migration_fallbacks == 0
+            assert engine.stats.purged_entries == 1
+            assert _signature(engine.mine(request)) == _signature(
+                _fresh(network, request)
+            )
 
     def test_gain_ranking_always_purges(self):
         network = _build(9)

@@ -445,6 +445,39 @@ class TestSwallowedException:
         )
         assert report.ok
 
+    def test_fires_on_a_handler_that_drops_the_cause(self, tmp_path):
+        """The shape that hid a broken delta migrator: the body does
+        work, but neither re-raises nor reads what it caught."""
+        report = lint_snippet(
+            tmp_path,
+            "engine/x.py",
+            "def f(entry):\n"
+            "    try:\n"
+            "        status, combined = g(entry)\n"
+            "    except Exception:\n"
+            "        status, combined = 'fallback', None\n"
+            "    return status, combined\n",
+        )
+        assert rules_fired(report) == {"swallowed-exception"}
+
+    def test_fires_when_the_bound_name_is_only_rebound(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "engine/x.py",
+            "def f():\n    try:\n        g()\n"
+            "    except Exception as exc:\n        exc = None\n",
+        )
+        assert rules_fired(report) == {"swallowed-exception"}
+
+    def test_quiet_on_broad_except_that_reraises(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "engine/x.py",
+            "def f(lock):\n    try:\n        g()\n"
+            "    except BaseException:\n        lock.release()\n        raise\n",
+        )
+        assert report.ok
+
     def test_quiet_outside_parallel_and_serve(self, tmp_path):
         report = lint_snippet(
             tmp_path,

@@ -128,7 +128,8 @@ class TestRandomizedEquivalence:
 
 
 class TestTopKPushdown:
-    """GRMiner(k) (dynamic threshold upgrade + verification pass)."""
+    """GRMiner(k): dynamic threshold upgrade plus the in-walk check of
+    each would-be top-k candidate's generality on the data."""
 
     @given(seed=st.integers(0, 15), k=st.integers(1, 30))
     @settings(max_examples=25, deadline=None)
@@ -136,12 +137,26 @@ class TestTopKPushdown:
         network = _network(seed)
         fast = GRMiner(network, k=k, min_support=2, min_score=0.3).mine()
         exact = BruteForceMiner(network, k=k, min_support=2, min_score=0.3).mine()
-        fast_sig, exact_sig = _signature(fast), _signature(exact)
-        positions = []
-        for item in fast_sig:
-            assert item in exact_sig, f"{item} not in exact top-k"
-            positions.append(exact_sig.index(item))
-        assert positions == sorted(positions)
+        _assert_equal_results(fast, exact)
+
+    @given(
+        seed=st.integers(0, 15),
+        k=st.integers(1, 13),
+        min_support=st.integers(1, 5),
+        min_score=st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7]),
+        rank_by=st.sampled_from(["nhp", "confidence", "laplace", "gain"]),
+        push_score_pruning=st.booleans(),
+        dynamic_rhs_ordering=st.booleans(),
+        kernel=st.sampled_from(["reference", "vector"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_topk_equals_plain_grminer_truncated(self, seed, k, **params):
+        """``push_topk`` changes effort, never the answer: GRMiner(k)
+        equals the index-only oracle truncated to k, GR for GR."""
+        network = _network(seed)
+        fast = GRMiner(network, k=k, **params).mine()
+        plain = GRMiner(network, k=k, push_topk=False, **params).mine()
+        _assert_equal_results(fast, plain)
 
     @given(seed=st.integers(0, 15), k=st.integers(1, 30))
     @settings(max_examples=25, deadline=None)

@@ -123,8 +123,11 @@ class TestDegenerateInputs:
 
 
 class TestVerifyGeneralityPass:
+    """GRMiner(k)'s in-walk generality check (``generality_blocked``)."""
+
     def test_verified_entries_are_maximal(self, toy_network):
-        """Theorem 4-style guarantee after the verify_generality post-pass."""
+        """Theorem 4-style guarantee: no GRMiner(k) entry has a
+        qualifying generalization."""
         result = GRMiner(toy_network, k=10, min_support=2, min_score=0.5).mine()
         engine = MetricEngine(toy_network)
         for mined in result:
@@ -135,14 +138,46 @@ class TestVerifyGeneralityPass:
                 blocked = metrics.support_count >= 2 and metrics.nhp >= 0.5
                 assert not blocked, f"{mined.gr} blocked by {general}"
 
-    def test_unverified_variant_may_contain_redundant_entries(self, toy_network):
-        raw = GRMiner(
-            toy_network, k=5, min_support=2, min_score=0.5, verify_generality=False
-        ).mine()
-        verified = GRMiner(
-            toy_network, k=5, min_support=2, min_score=0.5, verify_generality=True
-        ).mine()
-        assert len(verified) <= len(raw)
+    @pytest.mark.parametrize("kernel", ["reference", "vector"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(k=3, min_support=1, min_score=0.0),
+            dict(k=5, min_support=2, min_score=0.5),  # the README example
+        ],
+    )
+    def test_fills_k_where_the_threshold_cut_a_blocker(
+        self, toy_network, params, kernel
+    ):
+        """On these queries the dynamic threshold cuts a blocker's
+        subtree before the index sees it; the answer still holds the
+        oracle's k GRs."""
+        fast = GRMiner(toy_network, kernel=kernel, **params).mine()
+        oracle = GRMiner(toy_network, push_topk=False, kernel=kernel, **params).mine()
+        assert len(fast) == params["k"]
+        assert [(str(m.gr), m.score) for m in fast] == [
+            (str(m.gr), m.score) for m in oracle
+        ]
+
+    def test_only_the_dynamic_threshold_consults_the_data(
+        self, toy_network, monkeypatch
+    ):
+        """The oracle ``push_topk=False`` (and ``k=None``) stays
+        index-only, independent of ``generality_blocked``."""
+        calls = []
+        check = GRMiner.generality_blocked
+
+        def spy(miner, *keys):
+            calls.append(keys)
+            return check(miner, *keys)
+
+        monkeypatch.setattr(GRMiner, "generality_blocked", spy)
+        params = dict(min_support=1, min_score=0.0)
+        GRMiner(toy_network, k=3, push_topk=False, **params).mine()
+        GRMiner(toy_network, k=None, **params).mine()
+        assert calls == []
+        GRMiner(toy_network, k=3, **params).mine()
+        assert calls
 
 
 class TestTheorem4:

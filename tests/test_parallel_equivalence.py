@@ -1,13 +1,10 @@
 """Serial / parallel / brute-force equivalence of the sharded miner.
 
 The parallel miner's contract is *exact* Definition 5 semantics for any
-worker count: its merged result must equal the brute-force reference and
-the exact serial configuration (``push_topk=False``) GR for GR, and must
-be bit-for-bit deterministic across worker counts.  Serial GRMiner(k)'s
-dynamic-threshold heuristic can drop below k results in the
-blocker-in-pruned-subtree case (see ``verify_generality`` in
-:class:`~repro.core.miner.GRMiner`) — where it doesn't, the
-parallel result equals it too, which the dataset tests pin down.
+worker count: its merged result must equal the brute-force reference,
+the oracle serial configuration (``push_topk=False``) and serial
+GRMiner(k) GR for GR, and must be bit-for-bit deterministic across
+worker counts.
 """
 
 import pytest
@@ -110,13 +107,7 @@ class TestDatasetEquivalence:
         serial_heuristic = GRMiner(network, **params).mine()
         parallel = ParallelGRMiner(network, workers=4, **params).mine()
         assert _signature(parallel) == _signature(serial_exact)[:25]
-        # GRMiner(k)'s dynamic-threshold heuristic may legitimately hold
-        # fewer entries (see GRMiner's verify_generality) but must never
-        # disagree on what it does hold: an order-preserving subsequence
-        # of the parallel result.  On these datasets it deviates at most by dropping.
-        parallel_sig = _signature(parallel)
-        positions = [parallel_sig.index(item) for item in _signature(serial_heuristic)]
-        assert positions == sorted(positions)
+        assert _signature(serial_heuristic) == _signature(parallel)
 
 
 class TestRandomizedEquivalence:
@@ -168,18 +159,13 @@ class TestRandomizedEquivalence:
     @given(seed=st.integers(0, 15), k=st.integers(1, 20))
     @settings(max_examples=10, deadline=None)
     def test_serial_pushdown_is_subsequence_of_parallel(self, seed, k):
-        """GRMiner(k)'s (possibly < k) verified list never contradicts
-        the parallel result — it is an order-preserving subsequence."""
+        """GRMiner(k) checks generality in the walk like a shard, so its
+        list equals the parallel result, not just a subsequence of it."""
         network = _network(seed)
         params = dict(k=k, min_support=2, min_score=0.3)
         serial = GRMiner(network, **params).mine()
         parallel = ParallelGRMiner(network, workers=1, **params).mine()
-        serial_sig, parallel_sig = _signature(serial), _signature(parallel)
-        positions = []
-        for item in serial_sig:
-            assert item in parallel_sig
-            positions.append(parallel_sig.index(item))
-        assert positions == sorted(positions)
+        assert _signature(serial) == _signature(parallel)
 
 
 class TestWorkerCountDeterminism:

@@ -57,7 +57,7 @@ class TestTopLevelConvenience:
         from repro.datasets import toy_dating_network
 
         result = mine_top_k(toy_dating_network(), k=5, min_support=2, min_nhp=0.5)
-        assert len(result) <= 5
+        assert len(result) == 5
 
     def test_module_docstrings_exist(self):
         """Every public module is documented."""

@@ -87,7 +87,7 @@ class TestCanonicalKeyLayout:
         schema, edges = network.schema, network.num_edges
         request = MineRequest(k=5, min_support=2, min_nhp=0.3)
         key = _key(network, request)
-        assert len(key) == CKEY_FIELDS
+        assert len(key) == CKEY_FIELDS == 15
         assert key == request.to_config().canonical_key(schema, edges)
         assert key == _key(network, MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2))
         assert config_from_canonical_key(key).canonical_key(schema, edges) == key
@@ -239,6 +239,38 @@ class TestSingleFlight:
         # must not reach a sibling's.
         results[1].grs.clear()
         assert _signature(results[2]) == reference
+
+    def test_push_topk_twins_share_one_execution(self, monkeypatch):
+        """``push_topk`` is out of the key, so a request and its
+        ``push_topk=False`` twin in flight together run as one
+        execution and resolve to the same exact answer."""
+        network = _make_network(7, num_edges=150)
+        request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
+        twin = MineRequest(
+            k=10, min_support=1, min_nhp=0.1, push_topk=False, workers=2
+        )
+        blocker_request = MineRequest(k=15, min_support=1, min_nhp=0.0, workers=2)
+        reference = _signature(_fresh(network, twin))
+        plans: list = []
+        self._count_plans(monkeypatch, plans)
+
+        async def scenario():
+            with EngineHub(workers=2, cache_size=0) as hub:
+                hub.register("n", network)
+                hub.register("blocker", _make_network(8, num_edges=200))
+                async with Scheduler(hub, max_inflight=1) as scheduler:
+                    blocker = scheduler.submit(
+                        "blocker", blocker_request, priority=10
+                    )
+                    jobs = [scheduler.submit("n", r) for r in (request, twin)]
+                    results = [await job for job in jobs]
+                    await blocker
+                    return [_signature(r) for r in results], [j.deduped for j in jobs]
+
+        signatures, deduped = asyncio.run(scenario())
+        assert signatures == [reference, reference]
+        assert [r for r in plans if r in (request, twin)] == [request]
+        assert deduped == [False, True]
 
     def test_attached_job_reports_its_execution_progress(self):
         """A job that attached to another job's execution shows that
