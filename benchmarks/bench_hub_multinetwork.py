@@ -18,11 +18,12 @@ Three phases:
 * **interleaved** — an A/B/A/B… query stream over two registered
   networks through one hub (one fleet, per-network leases) vs cold
   one-shot miners per query; per-query latency recorded on both sides,
-  results verified equal.
+  every result of both verified against the serial index-only miner
+  (``push_topk=False``, no fleet), which runs untimed.
 * **delta** — an ``append_edges`` batch lands on network A mid-stream;
-  the re-mined post-delta answers are verified against fresh miners on
-  the mutated network, and network B's untouched queries must still hit
-  the cache.
+  the re-mined post-delta answers are verified against the serial miner
+  on the mutated network, and network B's untouched queries must still
+  hit the cache.
 * **restart** — the hub is closed and a new one opened on the same
   ``--disk-cache`` file; the whole warm query stream must be answered
   with zero mining calls (cache-hit counters asserted), timing the
@@ -78,6 +79,11 @@ def _signature(result):
     return [(str(m.gr), round(m.score, 9)) for m in result]
 
 
+def _oracle(network, combo: dict) -> list:
+    """The serial index-only miner's answer, the one every side must get."""
+    return _signature(mine_top_k(network, push_topk=False, **combo))
+
+
 def _stream(networks: dict, grid: list[dict]) -> list[tuple[str, dict]]:
     """The interleaved query order: networks alternate per grid point."""
     return [(name, combo) for combo in grid for name in networks]
@@ -103,15 +109,16 @@ def run(quick: bool, workers: int, disk_cache: Path) -> tuple[str, dict]:
     mismatches = 0
     rows = []
 
+    references = [_oracle(networks[name], combo) for name, combo in stream]
+
     # ---- cold side: a fresh one-shot miner per query -------------------
-    cold_results: dict[tuple[str, int], object] = {}
     cold_total = 0.0
-    for i, (name, combo) in enumerate(stream):
+    for (name, combo), reference in zip(stream, references):
         start = time.perf_counter()
         result = mine_top_k(networks[name], workers=workers, **combo)
         elapsed = time.perf_counter() - start
         cold_total += elapsed
-        cold_results[(name, i)] = result
+        mismatches += _signature(result) != reference
         rows.append({"network": name, **combo, "cold (s)": elapsed})
 
     # ---- hub side: one fleet, interleaved traffic ----------------------
@@ -129,7 +136,7 @@ def run(quick: bool, workers: int, disk_cache: Path) -> tuple[str, dict]:
             row = rows[i]
             row["hub (s)"] = elapsed
             row["speedup"] = row["cold (s)"] / elapsed if elapsed else float("inf")
-            equal = _signature(result) == _signature(cold_results[(name, i)])
+            equal = _signature(result) == references[i]
             row["=="] = "yes" if equal else "NO"
             mismatches += not equal
 
@@ -142,8 +149,7 @@ def run(quick: bool, workers: int, disk_cache: Path) -> tuple[str, dict]:
         start = time.perf_counter()
         post = hub.mine(target, MineRequest.create(workers=workers, **combo))
         post_delta_s = time.perf_counter() - start
-        fresh = mine_top_k(networks[target], workers=workers, **combo)
-        post_equal = _signature(post) == _signature(fresh)
+        post_equal = _signature(post) == _oracle(networks[target], combo)
         mismatches += not post_equal
         before_hits = hub.stats("dblp").cache_hits
         hub.mine("dblp", MineRequest.create(workers=workers, **grid[0]))

@@ -19,8 +19,9 @@ comparison:
 * **cold** — a fresh engine over the same post-delta network mines the
   same query from scratch (every branch).
 
-Acceptance: every answer is GR-for-GR equal to a fresh one-shot miner,
-at least one entry migrated, and each migrated round mined *strictly
+Acceptance: every answer is GR-for-GR equal to the serial index-only
+miner (``push_topk=False``, no fleet) on the post-delta network, at
+least one entry migrated, and each migrated round mined *strictly
 fewer* branches than the cold baseline.  The table goes to stdout and
 ``benchmarks/out/incremental.txt``; the machine-readable payload to
 ``benchmarks/out/BENCH_incremental.json`` (the CI artifact).
@@ -37,9 +38,9 @@ import numpy as np
 
 from repro.bench.harness import format_series
 from repro.bench.history import add_history_arguments, record_bench_run
+from repro.core.miner import mine_top_k
 from repro.datasets import synthetic_pokec
 from repro.engine import MineRequest, MiningEngine
-from repro.parallel import ParallelGRMiner
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 TXT_PATH = OUT_DIR / "incremental.txt"
@@ -100,13 +101,13 @@ def run(quick: bool, workers: int) -> tuple[str, dict]:
             cold_s = time.perf_counter() - t0
 
             reference = _signature(
-                ParallelGRMiner(
+                mine_top_k(
                     network,
-                    workers=workers,
                     k=request.k,
                     min_support=request.min_support,
-                    min_score=request.min_nhp,
-                ).mine()
+                    min_nhp=request.min_nhp,
+                    push_topk=False,
+                )
             )
             mismatches += _signature(incremental) != reference
             mismatches += _signature(cold) != reference

@@ -14,10 +14,11 @@ Quickstart
 ...     _ = mined.gr, mined.metrics.nhp
 
 Pass ``workers=N`` to shard the enumeration tree over N processes — the
-:class:`~repro.parallel.ParallelGRMiner` exports the compact store into
-shared memory, mines the first-level LEFT branches concurrently with a
-best-effort dynamic-threshold exchange, and merges the per-shard top-k
-lists into the same ranked answer for any worker count:
+:class:`~repro.parallel.ParallelGRMiner` mines the first-level LEFT
+branches concurrently on a hub of one (which exports the compact store
+into shared memory and forks the fleet for this one query) and merges
+the per-shard top-k lists into the same ranked answer for any worker
+count:
 
 >>> result = mine_top_k(toy_dating_network(), k=5, min_support=2,
 ...                     min_nhp=0.5, workers=2)
@@ -50,9 +51,9 @@ Package map
                     many concurrent prioritized, cancellable ServeJobs
                     over one hub fleet, with a stdlib HTTP facade
                     (``repro serve``).
-``repro.parallel``  Sharded multi-process mining: shard planner,
-                    shared-memory store export, pool lifecycle, and
-                    the deterministic merge (ParallelGRMiner).
+``repro.parallel``  Sharded multi-process mining: shard planner, the
+                    worker pool, dispatch/gather and the deterministic
+                    merge (ParallelGRMiner).
 ``repro.data``      Schemas, networks, the compact LArray/EArray/RArray
                     store (including its shared-memory export) and the
                     single-table model.

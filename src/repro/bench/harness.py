@@ -24,8 +24,6 @@ from ..data.network import SocialNetwork
 
 __all__ = [
     "algorithm_factories",
-    "engine_factory",
-    "parallel_factory",
     "profile_mining",
     "run_series",
     "format_series",
@@ -34,60 +32,12 @@ __all__ = [
 AlgorithmFactory = Callable[..., object]
 
 
-def engine_factory(engine) -> AlgorithmFactory:
-    """Adapt a shared :class:`~repro.engine.MiningEngine` to the bench.
-
-    Drop it into a :func:`run_series` algorithm map next to the one-shot
-    factories: every timed ``mine()`` routes through the *same* engine,
-    so the row measures the amortized per-query latency (no store
-    rebuild, no re-export, no pool respawn) against the cold-start
-    contenders.  The engine's own result cache would turn repeat points
-    into near-zero rows, so sweeps that revisit parameters should build
-    the engine with ``cache_size=0``.
-    """
-
-    from ..engine import MineRequest  # deferred: keep bench import light
-
-    class _Bound:
-        def __init__(self, request):
-            self._request = request
-
-        def mine(self):
-            return engine.mine(self._request)
-
-    def make(network: SocialNetwork, **kw):
-        if network is not engine.network:
-            raise ValueError("engine_factory is bound to the engine's own network")
-        kw.setdefault("workers", None if engine.workers == 1 else engine.workers)
-        return _Bound(MineRequest.create(**kw))
-
-    return make
-
-
-def parallel_factory(workers: int) -> AlgorithmFactory:
-    """A factory for the sharded multi-process miner at a worker count.
-
-    Drop it into a :func:`run_series` algorithm map (e.g. the scaling
-    bench times ``{"GRMiner(k)": ..., "Parallel×4": parallel_factory(4)}``).
-    """
-
-    def make(network: SocialNetwork, **kw):
-        from ..parallel import ParallelGRMiner  # deferred: keep bench import light
-
-        return ParallelGRMiner(network, workers=workers, **kw)
-
-    return make
-
-
-def algorithm_factories(
-    include_baselines: bool = True, parallel_workers: int | None = None
-) -> dict[str, AlgorithmFactory]:
+def algorithm_factories(include_baselines: bool = True) -> dict[str, AlgorithmFactory]:
     """The Fig. 4 contenders, name → miner factory.
 
     Every factory accepts the same keyword arguments as
     :class:`~repro.core.miner.GRMiner` (baselines ignore the push
-    flags they exist to disable).  ``parallel_workers`` adds the sharded
-    :class:`~repro.parallel.ParallelGRMiner` as an extra contender.
+    flags they exist to disable).
     """
 
     def grminer_k(network: SocialNetwork, **kw) -> GRMiner:
@@ -109,8 +59,6 @@ def algorithm_factories(
         "GRMiner(k)": grminer_k,
         "GRMiner": grminer,
     }
-    if parallel_workers is not None:
-        factories[f"Parallel×{parallel_workers}"] = parallel_factory(parallel_workers)
     if include_baselines:
         factories["BL2"] = bl2
         factories["BL1"] = bl1

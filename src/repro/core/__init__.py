@@ -14,7 +14,7 @@ from .interestingness import (
     lift,
     piatetsky_shapiro,
 )
-from .kernels import DEFAULT_KERNEL, KERNEL_TIERS, kernel_ops, resolve_kernel
+from .kernels import DEFAULT_KERNEL, KERNEL_TIERS
 from .metrics import GRMetrics, MetricEngine
 from .miner import GRMiner, MinerConfig, mine_top_k
 from .results import MinedGR, MiningResult, MiningStats
@@ -48,11 +48,9 @@ __all__ = [
     "gain",
     "gr_from_codes",
     "iter_subsets_sfdf",
-    "kernel_ops",
     "laplace",
     "lift",
     "mine_top_k",
     "piatetsky_shapiro",
-    "resolve_kernel",
     "static_tau",
 ]

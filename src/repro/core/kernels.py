@@ -40,27 +40,18 @@ from ..sortutil.counting_sort import _key_dtype
 __all__ = [
     "DEFAULT_KERNEL",
     "KERNEL_TIERS",
-    "VectorOps",
+    "and_eq",
+    "arena_counts",
     "confidence_counts",
     "gain_counts",
-    "kernel_ops",
     "laplace_counts",
     "nhp_counts",
-    "resolve_kernel",
     "score_counts",
+    "stable_argsort",
 ]
 
 KERNEL_TIERS = ("reference", "vector")
 DEFAULT_KERNEL = "vector"
-
-
-def resolve_kernel(name: str) -> str:
-    """Validate a configured tier name; returns the tier that executes."""
-    if name not in KERNEL_TIERS:
-        raise ValueError(
-            f"kernel must be one of {KERNEL_TIERS}; got {name!r}"
-        )
-    return name
 
 
 # ----------------------------------------------------------------------
@@ -128,39 +119,24 @@ def _zeros_like(support_count):
 
 
 # ----------------------------------------------------------------------
-# Kernel ops: the tier-specific numeric primitives
+# Numpy batch primitives: both tiers partition and mask through the
+# first two; the vector tier's RIGHT entries count through the third.
 # ----------------------------------------------------------------------
-class VectorOps:
-    """Pure-numpy batch primitives (the ``"vector"`` tier)."""
-
-    name = "vector"
-
-    @staticmethod
-    def argsort(keys: np.ndarray, domain_size: int) -> np.ndarray:
-        """Stable counting-sort permutation (radix for small domains)."""
-        narrow = keys.astype(_key_dtype(domain_size), copy=False)
-        return narrow.argsort(kind="stable")
-
-    @staticmethod
-    def and_eq(prefix: np.ndarray | None, keys: np.ndarray, code: int) -> np.ndarray:
-        """``prefix & (keys == code)`` (``keys == code`` when no prefix)."""
-        eq = keys == code
-        if prefix is None:
-            return eq
-        return prefix & eq
-
-    @staticmethod
-    def arena_counts(matrix: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
-        """Histogram of every arena row gathered at ``edges`` at once —
-        the fused gather + flat bincount behind each new RIGHT entry."""
-        return np.bincount(matrix.take(edges, axis=1).ravel(), minlength=n_bins)
+def stable_argsort(keys: np.ndarray, domain_size: int) -> np.ndarray:
+    """Stable counting-sort permutation (radix for small domains)."""
+    narrow = keys.astype(_key_dtype(domain_size), copy=False)
+    return narrow.argsort(kind="stable")
 
 
-def kernel_ops(tier: str):
-    """The ops bundle executing a resolved tier's numeric primitives.
+def and_eq(prefix: np.ndarray | None, keys: np.ndarray, code: int) -> np.ndarray:
+    """``prefix & (keys == code)`` (``keys == code`` when no prefix)."""
+    eq = keys == code
+    if prefix is None:
+        return eq
+    return prefix & eq
 
-    The reference tier has no batch primitives of its own; it receives
-    :class:`VectorOps` for the shared plumbing (homophily-mask caching)
-    that both tiers go through.
-    """
-    return VectorOps
+
+def arena_counts(matrix: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
+    """Histogram of every arena row gathered at ``edges`` at once — the
+    fused gather + flat bincount behind each new RIGHT entry."""
+    return np.bincount(matrix.take(edges, axis=1).ravel(), minlength=n_bins)

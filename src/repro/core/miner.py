@@ -55,9 +55,10 @@ from .enumeration import Token, dynamic_rhs_order, static_tau
 from .kernels import (
     DEFAULT_KERNEL,
     KERNEL_TIERS,
-    kernel_ops,
-    resolve_kernel,
+    and_eq,
+    arena_counts,
     score_counts,
+    stable_argsort,
 )
 from .metrics import GRMetrics
 from .results import MiningResult, MiningStats
@@ -648,8 +649,6 @@ class GRMiner:
         self.laplace_k = config.laplace_k
         self.gain_theta = config.gain_theta
         self.kernel = config.kernel
-        self.kernel_tier = resolve_kernel(config.kernel)
-        self._kernel_ops = kernel_ops(self.kernel_tier)
         layout = (tuple(node_attributes), config.dynamic_rhs_ordering)
         self._nodes = self._lattice.layout(layout)
         self._rhs_layouts = self._rhs_layouts_by_layout.setdefault(layout, {})
@@ -874,7 +873,7 @@ class GRMiner:
         """``(edges stably sorted by keys, value ends)``: one counting sort."""
         domain = self._domain[attr]
         ends = np.bincount(keys, minlength=domain + 1).cumsum()
-        return edges[self._kernel_ops.argsort(keys, domain)], ends
+        return edges[stable_argsort(keys, domain)], ends
 
     def generality_blocked(self, l_key: tuple, w_key: tuple, r_key: tuple) -> bool:
         """Definition 5(2) decided on the data: whether a strictly more
@@ -923,7 +922,7 @@ class GRMiner:
             "include_trivial": self.include_trivial,
             "allow_empty_lhs": self.allow_empty_lhs,
             "apply_generality": self.apply_generality,
-            "kernel": self.kernel_tier,
+            "kernel": self.kernel,
         }
 
     # ------------------------------------------------------------------
@@ -980,7 +979,7 @@ class GRMiner:
         layout = context.layout
         if layout is None:
             layout = context.layout = self._rhs_layout(tail, l_map)
-        if self.kernel_tier == "reference":
+        if self.kernel == "reference":
             self._right_reference(context.edges, layout.tokens, context, r_map={})
         else:
             self._right_vector(context.edges, len(layout.tokens), context)
@@ -1185,7 +1184,7 @@ class GRMiner:
         serves every later query's minSupp cut.
         """
         matrix, _, n_bins = self._arena()
-        flat = self._kernel_ops.arena_counts(matrix, edges, n_bins)
+        flat = arena_counts(matrix, edges, n_bins)
         layout = context.layout
         counts = flat.take(layout.arena_bins[: layout.stops[n_tail]])
         positions = counts.nonzero()[0]
@@ -1363,7 +1362,7 @@ class GRMiner:
         if mask is None:
             prefix = self._hom_mask(context, beta[:-1])
             name = beta[-1]
-            mask = self._kernel_ops.and_eq(
+            mask = and_eq(
                 prefix, self._context_dst(context, name), context.l_map[name]
             )
             context.hom_masks[beta] = mask

@@ -3,17 +3,11 @@
 from .edgetable import EdgeTable, lhs_column, rhs_column, split_column
 from .network import NetworkError, SocialNetwork
 from .schema import NULL, Attribute, Schema, SchemaError
-from .store import (
-    CompactStore,
-    SharedStoreExport,
-    SharedStoreHandle,
-    attach_shared_store,
-)
+from .store import CompactStore, SharedStoreHandle, attach_shared_store
 
 __all__ = [
     "Attribute",
     "CompactStore",
-    "SharedStoreExport",
     "SharedStoreHandle",
     "attach_shared_store",
     "EdgeTable",

@@ -22,10 +22,11 @@ gather operations the miners need (source codes, destination codes, edge
 codes — all resolved through the pointer structure, never via a joined
 table).
 
-For multi-process mining, :meth:`CompactStore.export_shared` packs the
+For multi-process mining, :meth:`CompactStore.lease_shared` packs the
 store's arrays *and* the backing network's code columns into one
-POSIX shared-memory segment.  The returned :class:`SharedStoreHandle` is
-a small picklable descriptor; :func:`attach_shared_store` reconstructs a
+POSIX shared-memory segment, owned by a guaranteed-unlink
+:class:`SharedStoreLease`.  The lease's :class:`SharedStoreHandle` is a
+small picklable descriptor; :func:`attach_shared_store` reconstructs a
 read-only network + store in a worker as zero-copy views over the
 segment — the data is written once by the parent, never serialized per
 worker.
@@ -53,7 +54,6 @@ _STORE_ATTACHES = REGISTRY.counter(
 
 __all__ = [
     "CompactStore",
-    "SharedStoreExport",
     "SharedStoreHandle",
     "SharedStoreLease",
     "StoreDelta",
@@ -341,13 +341,15 @@ class CompactStore:
         return arrays
 
     @coordinator_only
-    def export_shared(self) -> "SharedStoreExport":
-        """Copy the store + network arrays into one shared-memory segment.
+    def lease_shared(self) -> "SharedStoreLease":
+        """Copy the store + network arrays into one shared-memory segment
+        under a guaranteed-unlink lease.
 
         The parent pays a single memcpy; every worker then attaches
         zero-copy read-only views via :func:`attach_shared_store`.  The
-        caller owns the segment: ``close()`` + ``unlink()`` it (or use
-        the export as a context manager) once the workers are done.
+        lease unlinks the segment on ``close()`` / ``__exit__`` *and*
+        from a garbage-collection/interpreter-exit finalizer, so no
+        failure mode short of SIGKILL orphans a ``/dev/shm`` segment.
         """
         arrays = self._shared_arrays()
         specs: list[SharedArraySpec] = []
@@ -365,8 +367,7 @@ class CompactStore:
                 )
                 view[...] = arr
         except BaseException:  # never orphan a half-written segment
-            shm.close()
-            shm.unlink()
+            _release_segment(shm)
             raise
         handle = SharedStoreHandle(
             shm_name=shm.name,
@@ -375,19 +376,7 @@ class CompactStore:
             num_nodes=self.network.num_nodes,
             num_edges=self._num_edges,
         )
-        return SharedStoreExport(shm=shm, handle=handle)
-
-    @coordinator_only
-    def lease_shared(self) -> "SharedStoreLease":
-        """Export into shared memory under a guaranteed-unlink lease.
-
-        Prefer this over :meth:`export_shared` anywhere an exception can
-        unwind past the export (worker crashes, pool setup failures):
-        the lease unlinks the segment on ``close()`` / ``__exit__`` *and*
-        from a garbage-collection/interpreter-exit finalizer, so no
-        failure mode short of SIGKILL orphans a ``/dev/shm`` segment.
-        """
-        return SharedStoreLease(self.export_shared())
+        return SharedStoreLease(shm, handle)
 
     @classmethod
     def _from_shared(
@@ -439,24 +428,6 @@ class SharedStoreHandle:
     num_edges: int
 
 
-@dataclass
-class SharedStoreExport:
-    """Owning side of a shared-memory export (parent process)."""
-
-    shm: shared_memory.SharedMemory
-    handle: SharedStoreHandle
-
-    def __enter__(self) -> "SharedStoreExport":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    def release(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        _release_segment(self.shm)
-
-
 def _release_segment(shm: shared_memory.SharedMemory) -> None:
     try:
         shm.close()
@@ -468,38 +439,37 @@ def _release_segment(shm: shared_memory.SharedMemory) -> None:
 class SharedStoreLease:
     """Owning lease on a shared store export with guaranteed unlink.
 
-    A bare :class:`SharedStoreExport` relies on the happy path calling
-    ``release()``; if an exception unwinds past the owner (a worker
-    raises mid-query, pool setup fails, a test errors out), the segment
-    is orphaned in ``/dev/shm`` until reboot.  The lease closes the same
-    gap three ways: ``close()`` is idempotent, ``with lease:`` releases
-    on any exit, and a :func:`weakref.finalize` finalizer fires when the
-    lease is garbage-collected or the interpreter exits — so cleanup
-    never depends on reaching a particular line.
+    An export that relied on the happy path to unlink it would orphan
+    its segment in ``/dev/shm`` until reboot whenever an exception
+    unwinds past the owner (a worker raises mid-query, pool setup fails,
+    a test errors out).  The lease closes that gap three ways:
+    ``close()`` is idempotent, ``with lease:`` releases on any exit, and
+    a :func:`weakref.finalize` finalizer fires when the lease is
+    garbage-collected or the interpreter exits — so cleanup never
+    depends on reaching a particular line.
 
     The picklable :attr:`handle` is what travels to worker processes;
     workers attach by name and are unaffected by the parent unlinking
     the name after they have mapped it (POSIX semantics).
     """
 
-    def __init__(self, export: SharedStoreExport) -> None:
-        self._export = export
-        self._finalizer = weakref.finalize(self, _release_segment, export.shm)
-
-    @property
-    def handle(self) -> SharedStoreHandle:
-        """The picklable descriptor to ship to workers."""
-        return self._export.handle
+    def __init__(
+        self, shm: shared_memory.SharedMemory, handle: SharedStoreHandle
+    ) -> None:
+        self._shm = shm
+        #: The picklable descriptor to ship to workers.
+        self.handle = handle
+        self._finalizer = weakref.finalize(self, _release_segment, shm)
 
     @property
     def name(self) -> str:
         """The shared-memory segment's name."""
-        return self._export.shm.name
+        return self._shm.name
 
     @property
     def size(self) -> int:
         """Bytes held by the segment (the hub's memory-budget unit)."""
-        return self._export.shm.size
+        return self._shm.size
 
     @property
     def closed(self) -> bool:

@@ -4,11 +4,12 @@ Motivation: real use of GR mining — including the paper's own Fig. 4
 experiment grids — runs *many* ``(k, minSupp, minNhp, rank_by)`` queries
 against the *same* network.  The one-shot path
 (:func:`repro.core.miner.mine_top_k` /
-:class:`~repro.parallel.ParallelGRMiner`) pays the full setup on every
-call: build the compact store, export it to shared memory, fork a worker
-pool, re-gather the per-edge columns, re-partition the first level.  The
-engine hoists all of that to construction time and amortizes it over the
-query stream:
+:class:`~repro.parallel.ParallelGRMiner`, which mines on a hub of one
+that lives for one query) pays the full setup on every call: build the
+compact store, export it to shared memory, fork a worker pool, re-gather
+the per-edge columns, re-partition the first level.  The engine hoists
+all of that to construction time and amortizes it over the query
+stream:
 
 * the :class:`~repro.data.store.CompactStore` is built **once** and
   fingerprinted (the cache identity of the data);
@@ -37,14 +38,15 @@ network's export can budget-evict that lease before
 :meth:`MiningEngine.sweep` drives a batch of executions itself; the
 :mod:`repro.serve` scheduler drives the same executions through the
 same steps and hands them back to :meth:`MiningEngine.finish` and
-:meth:`MiningEngine.release`.
+:meth:`MiningEngine.release`.  Both learn of each settled shard through
+the fleet's ``submit`` callbacks.
 
 Semantics are inherited, not reimplemented: every query runs through the
-exact same :func:`~repro.parallel.worker.mine_shard` /
-:meth:`Execution.merge <repro.parallel.Execution.merge>` machinery as
-:class:`~repro.parallel.ParallelGRMiner`, so the equivalence harness's
-guarantees carry over unchanged: every engine answer is the exact
-Definition 5 answer, whatever the worker count.
+:func:`~repro.parallel.worker.mine_shard` /
+:meth:`Execution.merge <repro.parallel.Execution.merge>` machinery that
+the in-process :class:`~repro.parallel.ParallelGRMiner` runs too, so the
+equivalence harness's guarantees carry over unchanged: every engine
+answer is the exact Definition 5 answer, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ class MiningEngine:
                     executions[key] = answer
                 answers.append(answer)
             pending = [e for e in executions.values() if e.queue]
-            handles = dispatch(pending, self.hub._ensure_pool()) if pending else []
+            settled = dispatch(pending, self.hub._ensure_pool()) if pending else None
         except BaseException:
             # A pin is only returnable while none of the query's shards
             # reached the fleet; the others stay out (reclaimed at
@@ -256,7 +258,7 @@ class MiningEngine:
         # always gathered (its pin may only be returned once all of its
         # shards settled), completed work is cached, and the first error
         # is re-raised at the end.
-        gather(handles)
+        gather(pending, settled)
         results: dict[tuple, MiningResult] = {}
         errors: list[BaseException] = []
         for execution in executions.values():

@@ -1,12 +1,14 @@
 """EngineHub — many named networks served through one shared fleet.
 
-The hub is the one long-lived owner of what serving needs beyond a
-network's own store and skeleton: the worker fleet, the store leases
-with their budget and pins, and the result cache.  A
-:class:`~repro.engine.MiningEngine` amortizes per-query setup for one
-network on these resources — a standalone engine on a private hub of
-one network, a registered one on a shared hub — and the hub amortizes
-the *fleet* across many networks and makes the networks mutable:
+The hub is the one owner of what mining needs beyond a network's own
+store and skeleton: the worker fleet, the store leases with their
+budget and pins, and the result cache.  No other code spawns a worker
+or exports a store.  A :class:`~repro.engine.MiningEngine` amortizes
+per-query setup for one network on these resources — a standalone
+engine on a private hub of one network, a registered one on a shared
+hub, and a :class:`~repro.parallel.ParallelGRMiner` query on a hub of
+one that lives for that query — and the hub amortizes the *fleet*
+across many networks and makes the networks mutable:
 
 * **One pool.**  The worker fleet is spawned once and is store-agnostic,
   like every :class:`PersistentWorkerPool`: each shard task carries its
@@ -357,8 +359,8 @@ class EngineHub:
 
         Closing while shard tasks are still in flight fails fast with a
         :class:`RuntimeError` and leaves the hub serving: terminating the
-        pool would leave whoever is blocked in ``AsyncResult.get()``
-        waiting forever.  Drain or cancel the in-flight queries first, or
+        pool would leave whoever waits for their callbacks blocked
+        forever.  Drain or cancel the in-flight queries first, or
         pass ``force=True`` to accept the hard teardown (the path
         ``__exit__`` takes when an exception is already unwinding — after
         a worker crash mid-query the pool is torn down hard and the

@@ -55,8 +55,8 @@ def _func_scopes(tree: ast.Module) -> Iterator[ast.AST]:
 class LeaseLifecycle(Rule):
     """Shared-memory leases and pool checkouts must have an owner.
 
-    Invariant (PRs 1–3): ``export_shared()`` / ``lease_shared()`` /
-    ``SharedStoreLease(...)`` pin POSIX shared-memory segments and
+    Invariant (PRs 1–3): ``lease_shared()`` / ``SharedStoreLease(...)``
+    pin POSIX shared-memory segments and
     ``*.acquire(...)`` checks a resource out of its pool; each
     result must be bound into a ``with`` block, released/closed in the
     binding scope, handed to another call or object that owns its close
@@ -71,7 +71,7 @@ class LeaseLifecycle(Rule):
 
     name = "lease-lifecycle"
 
-    _ACQUIRE_ATTRS = frozenset({"export_shared", "lease_shared", "acquire"})
+    _ACQUIRE_ATTRS = frozenset({"lease_shared", "acquire"})
     _CLOSERS = frozenset(
         {"close", "release", "unlink", "shutdown", "terminate", "detach", "free"}
     )

@@ -7,8 +7,8 @@ in the class), function returns, and calls, back to *poisoned sources*:
 lambdas and locally-defined functions/classes,
 ``threading``/``multiprocessing`` primitives, sockets, ``asyncio``
 primitives, and shared-memory leases (``SharedStoreLease(...)`` /
-``lease_shared()`` / ``export_shared()``).  Every function body and
-every module body is walked.
+``lease_shared()``).  Every function body and every module body is
+walked.
 
 Expression rules: a call that resolves to a project function carries
 that function's return taint, with its parameters substituted by the
@@ -78,7 +78,7 @@ def _call_source(call: ast.Call) -> str | None:
             return f"an asyncio primitive ({d}())"
         if d == "socket.socket":
             return "a socket"
-    if name in ("SharedStoreLease", "lease_shared", "export_shared"):
+    if name in ("SharedStoreLease", "lease_shared"):
         return f"a shared-memory lease ({name}(...))"
     return None
 

@@ -3,12 +3,11 @@
 The paper's GRMiner walks the enumeration tree serially; this package
 exploits the tree's embarrassingly parallel first level.  See
 :class:`Execution` for one sharded query and the steps every driver
-runs it through, :class:`ParallelGRMiner` for the one-shot driver,
-:mod:`repro.parallel.planner` for degree-weighted shard packing,
-:mod:`repro.parallel.pool` for the long-lived, store-agnostic worker
-fleet used by :class:`repro.engine.MiningEngine` and
-:class:`repro.engine.EngineHub`, and
-:mod:`repro.parallel.worker` for per-shard execution.  Every shard
+runs it through, :class:`ParallelGRMiner` for the one-shot miner (a
+hub of one per query), :mod:`repro.parallel.planner` for
+degree-weighted shard packing, :mod:`repro.parallel.pool` for the
+store-agnostic worker fleet that :class:`repro.engine.EngineHub` owns,
+and :mod:`repro.parallel.worker` for per-shard execution.  Every shard
 checks its would-be top-k candidates' generality on the data, so the
 merged result is the exact Definition 5 answer, equal to the serial
 miner's for any worker count.

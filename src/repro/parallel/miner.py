@@ -8,7 +8,8 @@ parallelizes by branch with *no* shared mutable state on the hot path:
    packs the branches into degree-weight-balanced shards (LPT).
 2. **Share** — the compact store and network columns are exported once
    into POSIX shared memory under a guaranteed-unlink
-   :class:`~repro.data.store.SharedStoreLease`; workers attach zero-copy
+   :class:`~repro.data.store.SharedStoreLease` that the
+   :class:`~repro.engine.EngineHub` owns; workers attach zero-copy
    read-only views.
 3. **Mine** — each worker replays the serial recursion over its
    branches.  Candidate validity (thresholds, triviality, Definition
@@ -28,22 +29,24 @@ tasks, plus what a driver tracks while they run (undispatched tasks,
 in-flight count, settled results, first error).  Every driver moves it
 through the same steps — :meth:`Execution.next_task`,
 :meth:`Execution.settle`, :attr:`Execution.drained`,
-:meth:`Execution.merge` — so its answer never depends on who drove it:
-:class:`ParallelGRMiner` runs one execution over a pool of its own
-(exported, spawned and torn down per ``mine()``), or in-process through
-:func:`~repro.parallel.worker.mine_shard` for one shard or
-``workers=1``;
-:meth:`repro.engine.MiningEngine.sweep` runs a batch of them
-round-robin over its hub's long-lived fleet (:func:`dispatch`, then
-:func:`gather`); the :mod:`repro.serve` scheduler feeds their tasks to
-the fleet one slot at a time.  A stream of queries over one network
-should go through :class:`repro.engine.MiningEngine`, whose hub keeps
-the export and the fleet alive across them.
+:meth:`Execution.merge` — so its answer never depends on who drove it,
+and each learns of a settled shard through the fleet's ``submit``
+callbacks:
+:meth:`repro.engine.MiningEngine.sweep` runs a batch of executions
+round-robin over its hub's fleet (:func:`dispatch`, then
+:func:`gather`, which settles them on the caller's thread); the
+:mod:`repro.serve` scheduler feeds their tasks to the fleet one slot at
+a time.  :class:`ParallelGRMiner` mines one query on a hub of one, or
+in-process through :func:`~repro.parallel.worker.mine_shard` for one
+shard or ``workers=1``.  A stream of queries over one network should go
+through :class:`repro.engine.MiningEngine`, whose hub keeps the export
+and the fleet alive across them.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import sys
 import time
 import warnings
@@ -56,7 +59,7 @@ from ..core.results import MiningResult, MiningStats
 from ..core.topk import TopKCollector
 from ..data.network import SocialNetwork
 from .planner import plan_shards
-from .pool import PersistentWorkerPool, default_start_method
+from .pool import default_start_method
 from .worker import ShardResult, ShardTask, mine_shard
 
 __all__ = [
@@ -267,34 +270,36 @@ class Execution:
         return entries, stats
 
 
-def dispatch(executions: Sequence[Execution], pool) -> list[tuple]:
+def dispatch(executions: Sequence[Execution], pool) -> queue.SimpleQueue:
     """Submit every execution's tasks to ``pool``, round-robin across
     executions so each query progresses at once.
 
-    Returns ``(execution, AsyncResult)`` pairs for :func:`gather`.
+    Returns the queue the fleet's callbacks put each settled shard on,
+    as ``(execution, result, error)``, for :func:`gather`.
     """
-    handles = []
+    settled: queue.SimpleQueue = queue.SimpleQueue()
     live = [execution for execution in executions if execution.queue]
     while live:
         for execution in live:
-            handles.append((execution, pool.submit(execution.next_task())))
+            pool.submit(
+                execution.next_task(),
+                callback=lambda result, e=execution: settled.put((e, result, None)),
+                error_callback=lambda exc, e=execution: settled.put((e, None, exc)),
+            )
         live = [execution for execution in live if execution.queue]
-    return handles
+    return settled
 
 
-def gather(handles: Sequence[tuple]) -> None:
-    """Block until every dispatched shard settled on its execution.
+def gather(executions: Sequence[Execution], settled: queue.SimpleQueue) -> None:
+    """Block until every dispatched shard of ``executions`` settled,
+    settling each on the caller's thread.
 
     A failed shard never raises here: it becomes its execution's
     ``error``, so every other shard is still waited for.
     """
-    for execution, handle in handles:
-        try:
-            result = handle.get()
-        except Exception as exc:
-            execution.settle(error=exc)
-        else:
-            execution.settle(result)
+    for _ in range(sum(execution.inflight for execution in executions)):
+        execution, result, error = settled.get()
+        execution.settle(result, error)
 
 
 class ParallelGRMiner:
@@ -310,8 +315,11 @@ class ParallelGRMiner:
         (or a single planned shard) runs in-process through the same
         shard machinery — handy for debugging and for the determinism
         guarantee that the answer never depends on the worker count.
-        Requests above the CPU count or the planned branch count warn
-        (and proceed) rather than crash.
+        Otherwise ``mine()`` runs on a hub of one: a
+        :class:`~repro.engine.MiningEngine` with a worker per shard and
+        no cache, closed with the query.  Requests above the CPU count
+        or the planned branch count warn (and proceed) rather than
+        crash.
     """
 
     def __init__(
@@ -321,53 +329,50 @@ class ParallelGRMiner:
         store=None,
         **miner_kwargs,
     ) -> None:
+        from ..engine import MineRequest  # it imports this module
+
         self.network = network
         self.workers = check_worker_count(workers)
-        self._config = MinerConfig(**miner_kwargs)
-        # The coordinator's miner: validates parameters eagerly, owns the
-        # compact store that gets exported, and does the branch planning.
-        # Also the in-process executor for one shard or workers=1.
+        # One configuration with GRMiner's defaults (k=None: every GR),
+        # asked of the hub of one and mined by the in-process path.
+        self._request = MineRequest.create(**{"k": None, **miner_kwargs})
+        self._config = self._request.to_config()
+        # The coordinator's miner: owns the store the hub exports, plans
+        # the branches and mines in-process for one shard or workers=1.
         self._serial = GRMiner(network, store=store, config=self._config)
 
     # ------------------------------------------------------------------
     def mine(self) -> MiningResult:
         """Plan, shard, mine and merge; returns the ranked result."""
         started = time.perf_counter()
-        config = self._config
         plan = self._serial.plan_branches()
         warn_if_overprovisioned(self.workers, len(plan.branches))
         shards = plan_shards(plan.branches, self.workers)
-        pooled = len(shards) > 1 and self.workers > 1
-        # A one-query pool mines over this store's export, and both are
-        # torn down with the query.
-        lease = self._serial.store.lease_shared() if pooled else None
-        try:
+        if len(shards) > 1 and self.workers > 1:
+            from ..engine import MiningEngine  # it imports this module
+
+            with warnings.catch_warnings():
+                # __init__ already warned about a count above the CPU count.
+                warnings.filterwarnings("ignore", r"workers=\d+ exceeds os\.cpu_count")
+                hub_of_one = MiningEngine(
+                    self.network, len(shards), cache_size=0, store=self._serial.store
+                )
+            with hub_of_one:
+                result = hub_of_one.mine(self._request)
+            del result.params["engine"]  # as in-process: no cache outlives the hub
+        else:
+            # One shard, or workers=1: no fleet, the shards run on the
+            # coordinator's own miner.
             execution = Execution(
-                config=config,
-                plan=plan,
-                tasks=shard_tasks(shards, config, lease.handle if pooled else None),
-                started=started,
+                config=self._config, plan=plan, tasks=shard_tasks(shards, self._config)
             )
-            if pooled:
-                with PersistentWorkerPool(len(shards)) as pool:
-                    gather(dispatch([execution], pool))
-            else:
-                # One shard, or workers=1: no pool, the shards run on the
-                # coordinator's own miner.
-                execution.results = [
-                    mine_shard(self._serial, task) for task in execution.tasks
-                ]
-        finally:
-            if lease is not None:
-                lease.close()
-        if execution.error is not None:
-            raise execution.error
-        entries, stats = execution.merge()
-        params = self._serial._params()
-        params.update(
-            workers=self.workers,
-            shards=len(shards),
-            start_method=default_start_method(),
-            **memo_counts(execution.results),
-        )
-        return MiningResult(grs=entries, stats=stats, params=params)
+            execution.results = [mine_shard(self._serial, t) for t in execution.tasks]
+            entries, stats = execution.merge()
+            params = self._serial._params()
+            params.update(
+                start_method=default_start_method(), **memo_counts(execution.results)
+            )
+            result = MiningResult(grs=entries, stats=stats, params=params)
+        result.stats.runtime_seconds = time.perf_counter() - started
+        result.params.update(workers=self.workers, shards=len(shards))
+        return result

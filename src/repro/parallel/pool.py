@@ -1,21 +1,19 @@
 """Worker-fleet lifecycle: a store-agnostic process pool that outlives queries.
 
-PR 1's flow was build-use-discard: every ``ParallelGRMiner.mine()``
-exported the store, spawned a pool, ran one query and tore everything
-down.  This module separates the *expensive* setup (the spawn) from the
-*cheap, per-query* work (sharding + task dispatch) so a long-lived
-:class:`~repro.engine.EngineHub` — the one long-lived owner of the
-fleet, whether shared by many networks or private to a standalone
-:class:`~repro.engine.MiningEngine` — pays the former once.
-
 :class:`PersistentWorkerPool` is a ``multiprocessing`` pool whose
 workers hold no store and no query.  Tasks are self-describing
 (:class:`~repro.parallel.worker.ShardTask` carries the query config and
 the store handle), so the same fleet serves any number of queries over
-any number of stores, interleaved or sequential.  Workers start with
-:func:`default_start_method`.  Context-manager semantics: graceful
-``close()`` + join on clean exit, ``terminate()`` when an exception
-unwinds.
+any number of stores, interleaved or sequential.  Its one owner is
+:class:`~repro.engine.EngineHub`, which spawns it once (shared by many
+networks, private to a standalone :class:`~repro.engine.MiningEngine`,
+or built for one :class:`~repro.parallel.ParallelGRMiner` query) and
+terminates it on close.  Workers start with :func:`default_start_method`.
+
+Completion has one contract: :meth:`PersistentWorkerPool.submit` takes
+a ``callback`` and an ``error_callback`` and returns nothing, so the
+blocking :func:`~repro.parallel.miner.gather` and the :mod:`repro.serve`
+scheduler learn of a settled shard the same way.
 """
 
 from __future__ import annotations
@@ -89,34 +87,27 @@ class PersistentWorkerPool:
     def inflight(self) -> int:
         """Shard tasks submitted but not yet settled.
 
-        Settled means the result (or error) arrived back from the fleet,
-        whether or not anyone has ``get()``'d it.  A nonzero count at
-        ``close()`` time means someone is still waiting on the pool —
-        tearing it down then would leave that waiter blocked forever,
-        which is why the hub fails fast instead.
+        Settled means the result (or error) arrived back from the fleet
+        and its callback ran.  A nonzero count when the hub closes means
+        someone is still waiting on the pool — tearing it down then
+        would leave that waiter blocked forever, which is why the hub
+        fails fast instead.
         """
         with self._inflight_lock:
             return self._inflight
 
-    def _settle(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-
     def submit(
-        self,
-        task: ShardTask,
-        callback: Callable | None = None,
-        error_callback: Callable | None = None,
-    ):
-        """Dispatch one shard task; returns its ``AsyncResult``.
+        self, task: ShardTask, callback: Callable, error_callback: Callable
+    ) -> None:
+        """Dispatch one shard task.
 
         Submission order is execution order — the engine interleaves
         tasks from concurrent queries by submitting them round-robin.
-        The optional callbacks fire on the pool's result-handler thread
-        the moment the shard settles (before any ``get()``), which is
-        the non-blocking completion hook the ``repro.serve`` scheduler
-        builds its slot accounting on.  Callbacks must be quick and must
-        not raise.
+        Exactly one of the callbacks fires, on the pool's result-handler
+        thread, the moment the shard settles: ``callback(result)`` or
+        ``error_callback(exc)``.  Callbacks must be quick and must not
+        raise: a raising callback kills the result-handler thread, and
+        no later shard would ever settle.
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -125,35 +116,27 @@ class PersistentWorkerPool:
         _TASKS_DISPATCHED.inc()
         _TASKS_INFLIGHT.inc()
 
-        def _done(result):
-            self._settle()
-            _TASKS_INFLIGHT.dec()
-            _TASKS_OK.inc()
-            if callback is not None:
-                callback(result)
+        def settled(outcome, then: Callable) -> Callable:
+            def fire(value) -> None:
+                with self._inflight_lock:
+                    self._inflight -= 1
+                _TASKS_INFLIGHT.dec()
+                outcome.inc()
+                then(value)
 
-        def _err(exc):
-            self._settle()
-            _TASKS_INFLIGHT.dec()
-            _TASKS_ERROR.inc()
-            if error_callback is not None:
-                error_callback(exc)
+            return fire
 
-        return self._pool.apply_async(
-            run_shard, (task,), callback=_done, error_callback=_err
+        self._pool.apply_async(
+            run_shard,
+            (task,),
+            callback=settled(_TASKS_OK, callback),
+            error_callback=settled(_TASKS_ERROR, error_callback),
         )
 
     # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def close(self) -> None:
-        """Graceful shutdown: finish outstanding tasks, then join."""
-        if not self._closed:
-            self._closed = True
-            self._pool.close()
-            self._pool.join()
 
     def terminate(self) -> None:
         """Hard shutdown: kill workers without draining the task queue."""
@@ -165,11 +148,8 @@ class PersistentWorkerPool:
     def __enter__(self) -> "PersistentWorkerPool":
         return self
 
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is not None:
-            self.terminate()
-        else:
-            self.close()
+    def __exit__(self, *exc) -> None:
+        self.terminate()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

@@ -139,6 +139,8 @@ class ServeHTTP:
         #: the subscription down).
         self.sse_heartbeat_s = 15.0
         self._server: asyncio.AbstractServer | None = None
+        #: The writers of connections still sending their request.
+        self._reading: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     async def start(self) -> "ServeHTTP":
@@ -149,8 +151,15 @@ class ServeHTTP:
         return self
 
     async def close(self) -> None:
+        """Stop listening, and close every connection still sending its
+        request: left open, each would wait for bytes that never come,
+        and end in a traceback when the loop cancels it at exit."""
         if self._server is not None:
             self._server.close()
+            writer: asyncio.StreamWriter
+            for writer in self._reading.values():
+                writer.close()
+            await asyncio.gather(*list(self._reading), return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -169,6 +178,8 @@ class ServeHTTP:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._reading[task] = writer
         try:
             try:
                 method, path, query, body = await self._read_request(reader)
@@ -177,6 +188,8 @@ class ServeHTTP:
                 return
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
+            finally:
+                del self._reading[task]
             segments = [s for s in path.split("/") if s]
             # Streaming / non-JSON endpoints bypass the (status, payload)
             # routing contract and own the writer themselves.
@@ -223,8 +236,10 @@ class ServeHTTP:
         length = 0
         while True:
             line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
+            if line in ("\r\n", "\n"):
                 break
+            if not line.endswith("\n"):  # the peer closed before the blank line
+                raise asyncio.IncompleteReadError(line.encode("latin-1"), None)
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
                 try:

@@ -15,8 +15,8 @@ The engine's contract has three legs:
 
 import math
 import os
+import queue
 import warnings
-from dataclasses import replace
 from multiprocessing import shared_memory
 
 import pytest
@@ -27,6 +27,8 @@ from repro.core.miner import GRMiner, MinerConfig
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.engine import EngineHub, MineRequest, MiningEngine, ResultCache
 from repro.parallel import ParallelGRMiner, PersistentWorkerPool
+
+from oracles import oracle
 
 
 def _signature(result):
@@ -49,21 +51,6 @@ def _network(seed: int):
             seed=seed,
         )
     return _NETWORKS[seed]
-
-
-def _fresh(network, request: MineRequest):
-    """A cold one-shot run of the same query, outside any engine: the
-    exact parallel miner, which every engine answer must equal."""
-    return ParallelGRMiner(
-        network,
-        workers=request.workers or 1,
-        k=request.k,
-        min_support=request.min_support,
-        min_score=request.min_nhp,
-        rank_by=request.rank_by,
-        push_topk=request.push_topk,
-        **dict(request.options),
-    ).mine()
 
 
 class TestMineRequest:
@@ -235,7 +222,7 @@ class TestEngineAmortization:
             assert engine.stats.exports == 1
             assert engine.hub.pool_spawns == 1
         for request, result in zip(requests, results):
-            assert _signature(result) == _signature(_fresh(network, request))
+            assert _signature(result) == _signature(oracle(network, request))
 
     def test_workers_less_queries_run_on_the_whole_fleet(self):
         network = _network(1)
@@ -258,7 +245,7 @@ class TestEngineAmortization:
         with MiningEngine(network, workers=2) as engine:
             results = engine.sweep(requests)
         for request, result in zip(requests, results):
-            assert _signature(result) == _signature(_fresh(network, request))
+            assert _signature(result) == _signature(oracle(network, request))
 
     def test_single_shard_request_runs_on_the_fleet(self, monkeypatch):
         # One shard is still a fleet task: the coordinator never mines.
@@ -334,7 +321,7 @@ class TestEngineCache:
             second = engine.mine(twin)
             assert second.params["cached"] is True
             assert _signature(second) == _signature(first)
-            assert _signature(first) == _signature(_fresh(network, twin))
+            assert _signature(first) == _signature(oracle(network, twin))
             assert engine.stats.cache_misses == 1
             assert engine.stats.cache_hits == 1
 
@@ -395,7 +382,7 @@ class TestThresholdIsolation:
         with MiningEngine(network, workers=2) as engine:
             engine.mine(tight)
             relaxed = engine.mine(loose)
-        assert _signature(relaxed) == _signature(_fresh(network, loose))
+        assert _signature(relaxed) == _signature(oracle(network, loose))
         assert len(relaxed) > 1
 
     def test_interleaved_sweep_queries_have_private_buses(self):
@@ -409,7 +396,7 @@ class TestThresholdIsolation:
         with MiningEngine(network, workers=2) as engine:
             results = engine.sweep(requests)
         for request, result in zip(requests, results):
-            assert _signature(result) == _signature(_fresh(network, request))
+            assert _signature(result) == _signature(oracle(network, request))
 
 
 class TestEngineLifecycle:
@@ -465,10 +452,14 @@ class TestEngineLifecycle:
             config=config,
             store_handle=lease.handle,
         )
+        settled = queue.SimpleQueue()
         with pytest.raises(Exception):
             with lease:
                 with PersistentWorkerPool(2) as pool:
-                    pool.submit(poison).get()
+                    pool.submit(poison, callback=settled.put, error_callback=settled.put)
+                    error = settled.get(timeout=30)
+                    raise error
+        assert isinstance(error, Exception)  # the shard's own failure unwound
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
@@ -487,7 +478,7 @@ class TestEngineLifecycle:
                     )
                 )
             result = engine.mine(good)
-        assert _signature(result) == _signature(_fresh(network, good))
+        assert _signature(result) == _signature(oracle(network, good))
 
     def test_failing_query_does_not_strand_other_work(self):
         """A sweep mixing a good query with one whose shards fail on the
@@ -507,7 +498,7 @@ class TestEngineLifecycle:
             assert engine.hub._lease_pins == {}
             again = engine.mine(good)
             assert engine.stats.cache_hits == 1  # the sweep cached it
-        assert _signature(again) == _signature(_fresh(network, good))
+        assert _signature(again) == _signature(oracle(network, good))
 
     def test_failed_store_export_strands_no_pin(self, monkeypatch):
         """If plan_query's shared-memory export fails (e.g. /dev/shm
@@ -524,7 +515,7 @@ class TestEngineLifecycle:
             assert engine.hub._lease_pins == {}
             monkeypatch.undo()
             result = engine.mine(request)  # the engine still serves
-        assert _signature(result) == _signature(_fresh(network, request))
+        assert _signature(result) == _signature(oracle(network, request))
 
     def test_engine_survives_a_worker_side_failure(self):
         """Shards that die *in the pool* must not poison later queries.
@@ -544,7 +535,78 @@ class TestEngineLifecycle:
             with pytest.raises(TypeError):
                 engine.mine(poisoned)
             result = engine.mine(loose)
-        assert _signature(result) == _signature(_fresh(network, loose))
+        assert _signature(result) == _signature(oracle(network, loose))
+
+
+def _psm_segments() -> set:
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+class TestOneShotMinerIsAHubOfOne:
+    """``ParallelGRMiner`` owns no fleet and no lease: a pooled query
+    runs on a hub of one, which builds and tears down both."""
+
+    @pytest.fixture
+    def fleets(self, monkeypatch):
+        """``(every pool constructed, every pool a hub's _ensure_pool
+        returned)``."""
+        built, ensured = [], []
+        construct, ensure = PersistentWorkerPool.__init__, EngineHub._ensure_pool
+
+        def spy_construct(pool, processes):
+            built.append(pool)
+            construct(pool, processes)
+
+        def spy_ensure(hub):
+            ensured.append(ensure(hub))
+            return ensured[-1]
+
+        monkeypatch.setattr(PersistentWorkerPool, "__init__", spy_construct)
+        monkeypatch.setattr(EngineHub, "_ensure_pool", spy_ensure)
+        return built, ensured
+
+    def test_pooled_mine_builds_its_fleet_once_through_the_hub(self, fleets):
+        built, ensured = fleets
+        network = _network(0)
+        params = dict(k=5, min_support=2, min_score=0.3)
+        before = _psm_segments()
+        result = ParallelGRMiner(network, workers=2, **params).mine()
+        assert result.params["shards"] == 2 and result.params["workers"] == 2
+        assert len(ensured) == 1 and built == ensured  # one fleet, via the hub
+        assert ensured[0].closed  # torn down with the query
+        assert _psm_segments() == before  # its lease is unlinked
+        assert _signature(result) == _signature(
+            oracle(network, MineRequest.create(**params))
+        )
+
+    def test_workers_1_and_a_single_shard_build_no_pool(self, fleets, toy_network):
+        built, ensured = fleets
+        params = dict(k=5, min_support=2, min_score=0.3)
+        serial = ParallelGRMiner(_network(0), workers=1, **params).mine()
+        assert serial.params["shards"] == 1
+        single = dict(k=5, min_support=15, min_score=0.0)  # toy: one branch
+        with pytest.warns(UserWarning, match="branches"):
+            one = ParallelGRMiner(toy_network, workers=2, **single).mine()
+        assert one.params["shards"] == 1
+        assert built == [] and ensured == []
+        assert _signature(one) == _signature(
+            oracle(toy_network, MineRequest.create(**single))
+        )
+
+    def test_an_oversubscribed_pooled_mine_warns_once(self, monkeypatch):
+        # The count was validated when the miner was built; the hub of
+        # one the query runs on does not warn about it again.
+        import repro.parallel.miner as pm
+
+        monkeypatch.setattr(pm.os, "cpu_count", lambda: 2)
+        with pytest.warns(UserWarning, match="cpu_count") as record:
+            miner = ParallelGRMiner(_network(0), workers=4, k=5, min_support=2)
+        assert [w.filename for w in record] == [__file__]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert miner.mine().params["shards"] == 4
 
 
 class TestWorkerValidation:
@@ -602,9 +664,7 @@ class TestWorkerValidation:
         with MiningEngine(network, workers=2) as engine:
             with pytest.warns(UserWarning, match="clamping"):
                 result = engine.mine(request)
-        assert _signature(result) == _signature(
-            _fresh(network, replace(request, workers=2))
-        )
+        assert _signature(result) == _signature(oracle(network, request))
 
     def test_clamp_warning_names_the_callers_file(self):
         # engine.mine reaches the clamp through sweep, prepare and

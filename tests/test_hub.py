@@ -17,6 +17,7 @@ The hub's contract extends the engine's three legs:
 
 import os
 import pickle
+import queue
 import subprocess
 import sys
 import textwrap
@@ -35,7 +36,8 @@ from repro.engine import (
     ResultCache,
     TieredResultCache,
 )
-from repro.parallel import ParallelGRMiner
+
+from oracles import oracle
 
 
 def _signature(result):
@@ -49,19 +51,6 @@ def _make_network(seed: int, num_edges: int = 100):
     return random_attributed_network(
         schema, num_nodes=20, num_edges=num_edges, homophily_strength=0.5, seed=seed
     )
-
-
-def _fresh(network, request: MineRequest):
-    kwargs = dict(
-        k=request.k,
-        min_support=request.min_support,
-        min_score=request.min_nhp,
-        rank_by=request.rank_by,
-        push_topk=request.push_topk,
-        **dict(request.options),
-    )
-    # The exact parallel miner: every engine answer must equal it.
-    return ParallelGRMiner(network, workers=request.workers or 1, **kwargs).mine()
 
 
 def _delta(network, count: int, seed: int = 0):
@@ -116,7 +105,7 @@ class TestHubRegistry:
             result = hub.mine("b", fresh_request)  # a miss: mined on the fleet
             assert hub.stats("b").cache_misses == 2
             assert hub.pool_spawns == 1 and not hub._pool.closed
-        assert _signature(result) == _signature(_fresh(nets["b"], fresh_request))
+        assert _signature(result) == _signature(oracle(nets["b"], fresh_request))
 
     def test_a_pinned_registered_engine_refuses_to_close(self):
         """Closing a registered engine unlinks its lease.  While a planned
@@ -132,17 +121,17 @@ class TestHubRegistry:
             with pytest.raises(RuntimeError, match="pinning"):
                 engine.close()
             assert not engine.closed
-            gather(dispatch([execution], hub._ensure_pool()))
+            gather([execution], dispatch([execution], hub._ensure_pool()))
             assert execution.error is None
             result = engine.finish(execution)
             engine.release(execution)
             engine.close()
             assert engine.closed and hub.resident_networks() == []
-        assert _signature(result) == _signature(_fresh(network, request))
+        assert _signature(result) == _signature(oracle(network, request))
 
 
 class TestHubEquivalence:
-    """Acceptance: hub answers equal fresh one-shot miners, with one
+    """Acceptance: hub answers equal the serial oracle, with one
     pool spawn total and one live lease per resident network."""
 
     def test_interleaved_two_network_traffic(self):
@@ -162,7 +151,7 @@ class TestHubEquivalence:
                 for name in ("a", "b", "a"):
                     result = hub.mine(name, request)
                     assert _signature(result) == _signature(
-                        _fresh(nets[name], request)
+                        oracle(nets[name], request)
                     ), f"hub diverged on {name}: {request.describe()}"
             assert hub.pool_spawns == 1
             # One live lease per resident network, nothing orphaned.
@@ -183,7 +172,7 @@ class TestHubEquivalence:
             stats = hub.stats("n")
             assert stats.cache_misses == 2 and stats.cache_hits == 1
         for request, result in zip(requests, results):
-            assert _signature(result) == _signature(_fresh(network, request))
+            assert _signature(result) == _signature(oracle(network, request))
 
 
 class TestDeltaInvalidation:
@@ -196,7 +185,7 @@ class TestDeltaInvalidation:
         with EngineHub(workers=2) as hub:
             hub.register("n", network)
             before = hub.mine("n", request)
-            assert _signature(before) == _signature(_fresh(network, request))
+            assert _signature(before) == _signature(oracle(network, request))
             old_fp = hub.engine("n").fingerprint
 
             new_fp = hub.append_edges("n", *_delta(network, 25, seed=7))
@@ -205,9 +194,9 @@ class TestDeltaInvalidation:
 
             # Sharded and serial modes both see the mutated edge set.
             after = hub.mine("n", request)
-            assert _signature(after) == _signature(_fresh(network, request))
+            assert _signature(after) == _signature(oracle(network, request))
             after_serial = hub.mine("n", serial)
-            assert _signature(after_serial) == _signature(_fresh(network, serial))
+            assert _signature(after_serial) == _signature(oracle(network, serial))
             # Still one fleet; the store was re-exported exactly once.
             assert hub.pool_spawns == 1
             assert hub.stats("n").exports == 2
@@ -275,7 +264,7 @@ class TestLeaseBudget:
             hub.mine("a", request)
             assert hub.resident_networks() == ["a"]
             result = hub.mine("b", request)
-            assert _signature(result) == _signature(_fresh(nets["b"], request))
+            assert _signature(result) == _signature(oracle(nets["b"], request))
             assert hub.resident_networks() == ["b"]
             assert hub.lease_evictions == 1
             # An evicted lease does not evict results: a's repeat query
@@ -286,7 +275,7 @@ class TestLeaseBudget:
             # A *new* pooled query for a re-exports and evicts b in turn.
             fresh_request = MineRequest(k=4, min_support=2, min_nhp=0.4, workers=2)
             again = hub.mine("a", fresh_request)
-            assert _signature(again) == _signature(_fresh(nets["a"], fresh_request))
+            assert _signature(again) == _signature(oracle(nets["a"], fresh_request))
             assert hub.resident_networks() == ["a"]
             assert hub.stats("a").exports == 2
             assert hub.lease_evictions == 2
@@ -304,7 +293,8 @@ class TestLeaseBudget:
             engines = {name: hub.register(name, net) for name, net in nets.items()}
             executions = {name: engines[name].prepare(request) for name in ("a", "b")}
             assert sorted(hub.resident_networks()) == ["a", "b"]
-            gather(dispatch(list(executions.values()), hub._ensure_pool()))
+            planned = list(executions.values())
+            gather(planned, dispatch(planned, hub._ensure_pool()))
             results = {}
             for name, execution in executions.items():
                 assert execution.error is None
@@ -312,7 +302,7 @@ class TestLeaseBudget:
                 engines[name].release(execution)
             assert hub._lease_pins == {}
         for name, result in results.items():
-            assert _signature(result) == _signature(_fresh(nets[name], request))
+            assert _signature(result) == _signature(oracle(nets[name], request))
 
     def test_unbudgeted_hub_keeps_all_leases(self):
         request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
@@ -595,9 +585,12 @@ class TestWorkerStoreRotation:
         with pytest.raises(RuntimeError, match="carries no store handle"):
             _task_attachment(WorkerState(), None)
         task = ShardTask(shard_id=0, branches=(), config=MinerConfig(k=3))
+        settled = queue.SimpleQueue()
         with PersistentWorkerPool(1) as pool:
-            with pytest.raises(RuntimeError, match="carries no store handle"):
-                pool.submit(task).get(timeout=30)
+            pool.submit(task, callback=settled.put, error_callback=settled.put)
+            error = settled.get(timeout=30)
+        assert isinstance(error, RuntimeError)
+        assert "carries no store handle" in str(error)
 
 
 def _psm_segments() -> set:

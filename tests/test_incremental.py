@@ -35,7 +35,8 @@ from repro.datasets.random_graphs import random_attributed_network, random_schem
 from repro.engine import DiskResultCache, EngineHub, MineRequest, MiningEngine
 from repro.engine import delta as delta_module
 from repro.obs import REGISTRY
-from repro.parallel import ParallelGRMiner
+
+from oracles import oracle
 
 
 def _signature(result):
@@ -68,20 +69,6 @@ def _delta(network, count: int, seed: int = 0, concentrated: bool = False):
         for name in network.schema.edge_attribute_names
     }
     return src, dst, edge_codes
-
-
-def _fresh(network, request: MineRequest):
-    """A cold one-shot run of the same query, outside any engine."""
-    kwargs = dict(
-        k=request.k,
-        min_support=request.min_support,
-        min_score=request.min_nhp,
-        rank_by=request.rank_by,
-        push_topk=request.push_topk,
-        **dict(request.options),
-    )
-    # The exact parallel miner: every engine answer must equal it.
-    return ParallelGRMiner(network, workers=request.workers or 1, **kwargs).mine()
 
 
 class TestStoreDelta:
@@ -210,7 +197,7 @@ class TestTransactionalAppend:
             assert engine.stats.purged_entries == 1
             # … and the engine serves exact post-delta answers.
             assert _signature(engine.mine(request)) == _signature(
-                _fresh(network, request)
+                oracle(network, request)
             )
 
     def test_double_failure_poisons_the_engine(self, monkeypatch):
@@ -249,7 +236,7 @@ class TestMigration:
             assert warm.params["cached"] is True
             assert warm.params["migrated"] is True
             assert warm.params["branches_mined"] < warm.params["branches_total"]
-            assert _signature(warm) == _signature(_fresh(network, request))
+            assert _signature(warm) == _signature(oracle(network, request))
 
     def test_workers_less_entries_migrate(self):
         # Without ``workers`` a query still mines exactly on the fleet,
@@ -263,7 +250,7 @@ class TestMigration:
             assert engine.stats.purged_entries == 0
             result = engine.mine(request)
             assert result.params["migrated"] is True
-            assert _signature(result) == _signature(_fresh(network, request))
+            assert _signature(result) == _signature(oracle(network, request))
 
     def test_old_layout_disk_row_misses_and_purges(self, tmp_path):
         """A disk row keyed with the execution-mode prefix keys used to
@@ -274,7 +261,7 @@ class TestMigration:
         disk = DiskResultCache(tmp_path / "cache.sqlite")
         with MiningEngine(network, cache=disk) as engine:
             fingerprint, ckey = engine.query_key(request)
-            stale = _fresh(network, MineRequest(k=1, min_support=3))
+            stale = oracle(network, MineRequest(k=1, min_support=3))
             disk.put((fingerprint, ("sharded",) + ckey), stale)
             result = engine.mine(request)
             assert engine.stats.cache_misses == 1 and len(result) == 5
@@ -296,7 +283,7 @@ class TestMigration:
             fingerprint, ckey = engine.query_key(request)
             assert len(ckey) == CKEY_FIELDS == 15
             old_layout = ckey[:4] + (True,) + ckey[4:] + (True,)
-            stale = _fresh(network, MineRequest(k=1, min_support=3))
+            stale = oracle(network, MineRequest(k=1, min_support=3))
             disk.put((fingerprint, old_layout), stale)
             result = engine.mine(request)
             assert engine.stats.cache_misses == 1 and len(result) == 5
@@ -340,7 +327,7 @@ class TestMigration:
             assert engine.stats.migration_fallbacks == 0
             assert engine.stats.purged_entries == 1
             assert _signature(engine.mine(request)) == _signature(
-                _fresh(network, request)
+                oracle(network, request)
             )
 
     def test_gain_ranking_always_purges(self):
@@ -352,7 +339,7 @@ class TestMigration:
             assert engine.stats.migrated_entries == 0
             assert engine.stats.purged_entries == 1
             assert _signature(engine.mine(request)) == _signature(
-                _fresh(network, request)
+                oracle(network, request)
             )
 
     def test_score_threshold_with_generality_purges(self):
@@ -364,7 +351,7 @@ class TestMigration:
             assert engine.stats.migrated_entries == 0
             assert engine.stats.purged_entries == 1
             assert _signature(engine.mine(request)) == _signature(
-                _fresh(network, request)
+                oracle(network, request)
             )
 
     def test_untracked_delta_purges_and_recovers_cold(self, monkeypatch):
@@ -387,7 +374,7 @@ class TestMigration:
             assert engine.stats.migrated_entries == 0
             assert engine.stats.purged_entries == 1
             assert _signature(engine.mine(request)) == _signature(
-                _fresh(network, request)
+                oracle(network, request)
             )
 
     def test_lying_delta_trips_the_reverification_tripwire(self, monkeypatch):
@@ -423,7 +410,7 @@ class TestMigration:
             assert engine.stats.purged_entries == 1
             assert engine.stats.migration_fallbacks == 1
             assert _signature(engine.mine(request)) == _signature(
-                _fresh(network, request)
+                oracle(network, request)
             )
 
     def test_migration_counters_reach_hub_stats(self):
@@ -456,7 +443,7 @@ class TestIncrementalEquivalence:
                 *_delta(network, size, seed=seed, concentrated=concentrated)
             )
             incremental = engine.mine(request)
-            assert _signature(incremental) == _signature(_fresh(network, request))
+            assert _signature(incremental) == _signature(oracle(network, request))
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_repeated_deltas_sharded(self, workers):
@@ -469,7 +456,7 @@ class TestIncrementalEquivalence:
                     *_delta(network, 4, seed=i, concentrated=(i % 2 == 0))
                 )
                 result = engine.mine(request)
-                assert _signature(result) == _signature(_fresh(network, request))
+                assert _signature(result) == _signature(oracle(network, request))
 
     def test_delta_then_sweep_stays_exact(self):
         network = _build(15)
@@ -483,4 +470,4 @@ class TestIncrementalEquivalence:
             engine.append_edges(*_delta(network, 5, seed=9))
             results = engine.sweep(requests)
             for request, result in zip(requests, results):
-                assert _signature(result) == _signature(_fresh(network, request))
+                assert _signature(result) == _signature(oracle(network, request))

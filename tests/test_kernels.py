@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.interestingness import gain, laplace
-from repro.core.kernels import DEFAULT_KERNEL, KERNEL_TIERS, kernel_ops, resolve_kernel
+from repro.core.kernels import DEFAULT_KERNEL, KERNEL_TIERS
 from repro.core.miner import GRMiner, MinerConfig, _ColumnCache, _LWContext, mine_top_k
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.datasets.toy import toy_dating_network
@@ -139,7 +139,7 @@ class TestTierEquivalence:
         miner = GRMiner(network, kernel="vector", **base)
         vector = miner.mine()
         reference = miner.rearm(MinerConfig(kernel="reference", **base)).mine()
-        assert miner.kernel_tier == "reference"
+        assert miner.kernel == "reference"
         assert _signature(vector) == _signature(reference)
 
     def test_rhs_order_cache_respects_dynamic_ordering_flag(self):
@@ -170,11 +170,11 @@ class TestNumbaTier:
 
     def test_default_is_vector(self):
         assert DEFAULT_KERNEL == "vector"
-        assert GRMiner(toy_dating_network(), k=3).kernel_tier in ("vector",)
+        assert GRMiner(toy_dating_network(), k=3).kernel in ("vector",)
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("simd")
+            MinerConfig(kernel="simd")
         with pytest.raises(ValueError, match="kernel"):
             GRMiner(toy_dating_network(), k=3, kernel="simd")
 
@@ -183,11 +183,7 @@ class TestNumbaTier:
         with pytest.raises(ValueError, match="kernel"):
             MinerConfig(kernel="numba")
         with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("numba")
-
-    def test_kernel_ops_resolution(self):
-        assert kernel_ops("vector") is kernels.VectorOps
-        assert kernel_ops("reference") is kernels.VectorOps
+            GRMiner(toy_dating_network(), k=3, kernel="numba")
 
 
 class TestTierIsExecutionDetail:

@@ -149,7 +149,7 @@ class TestLeaseLifecycle:
             tmp_path,
             "engine/x.py",
             "def f(store):\n"
-            "    store.export_shared()\n",
+            "    store.lease_shared()\n",
         )
         assert rules_fired(report) == {"lease-lifecycle"}
 

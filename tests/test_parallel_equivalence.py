@@ -179,6 +179,7 @@ class TestWorkerCountDeterminism:
             dict(k=5, min_support=1, min_score=0.5, rank_by="confidence"),
             dict(k=15, min_support=2, min_score=0.0, push_topk=False),
             dict(k=10, min_support=2, min_score=0.3, allow_empty_lhs=True),
+            dict(min_support=2, min_score=0.3),  # GRMiner's k=None: every GR
         ],
     )
     def test_workers_1_2_4_identical(self, params):

@@ -2,8 +2,8 @@
 
 The serving layer's contract, on top of the hub's:
 
-1. **Exactness under any interleaving** — every served answer equals a
-   fresh one-shot miner, no matter how many concurrent jobs' shards the
+1. **Exactness under any interleaving** — every served answer equals
+   the serial oracle, no matter how many concurrent jobs' shards the
    scheduler interleaves, in what order they were submitted, at what
    priorities, or across worker counts; cache sharing included.
 2. **Priorities** — a high-priority job submitted *after* a bulk batch
@@ -21,6 +21,8 @@ The serving layer's contract, on top of the hub's:
 
 import asyncio
 import json
+import logging
+import queue
 import random
 import re
 import time
@@ -31,9 +33,10 @@ import pytest
 import repro.parallel.pool as pool_module
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.engine import EngineHub, MineRequest, MiningEngine
-from repro.parallel import ParallelGRMiner
 from repro.parallel.pool import PersistentWorkerPool
 from repro.serve import JobCancelled, JobState, Scheduler, ServeHTTP
+
+from oracles import oracle
 
 
 def _signature(result):
@@ -47,19 +50,6 @@ def _make_network(seed: int, num_edges: int = 100):
     return random_attributed_network(
         schema, num_nodes=20, num_edges=num_edges, homophily_strength=0.5, seed=seed
     )
-
-
-def _fresh(network, request: MineRequest):
-    kwargs = dict(
-        k=request.k,
-        min_support=request.min_support,
-        min_score=request.min_nhp,
-        rank_by=request.rank_by,
-        push_topk=request.push_topk,
-        **dict(request.options),
-    )
-    # The exact parallel miner: every engine answer must equal it.
-    return ParallelGRMiner(network, workers=request.workers or 1, **kwargs).mine()
 
 
 def _delta(network, count: int, seed: int = 0):
@@ -100,7 +90,7 @@ class TestServeEquivalence:
     def test_interleaved_two_network_traffic(self, order_seed, workers):
         nets = {"a": _make_network(1), "b": _make_network(2)}
         baseline = {
-            (name, i): _signature(_fresh(network, request))
+            (name, i): _signature(oracle(network, request))
             for name, network in nets.items()
             for i, request in enumerate(self.REQUESTS)
         }
@@ -132,7 +122,7 @@ class TestServeEquivalence:
     def test_cache_sharing_under_concurrency(self):
         network = _make_network(3)
         request = MineRequest(k=8, min_support=2, min_nhp=0.3, workers=2)
-        reference = _signature(_fresh(network, request))
+        reference = _signature(oracle(network, request))
 
         async def scenario():
             with EngineHub(workers=2) as hub:
@@ -220,12 +210,12 @@ class TestCancellation:
         nets = {"a": _make_network(8), "b": _make_network(9)}
         request = MineRequest(k=10, min_support=1, min_nhp=0.2, workers=2)
         baseline = {
-            name: _signature(_fresh(network, request))
+            name: _signature(oracle(network, request))
             for name, network in nets.items()
         }
         follow_up = MineRequest(k=6, min_support=2, min_nhp=0.3, workers=2)
         follow_base = {
-            name: _signature(_fresh(network, follow_up))
+            name: _signature(oracle(network, follow_up))
             for name, network in nets.items()
         }
 
@@ -323,7 +313,7 @@ class TestCancellation:
                     except JobCancelled:
                         outcome = "cancelled"
                     assert _signature(await hog) == _signature(
-                        _fresh(nets["high"], request)
+                        oracle(nets["high"], request)
                     )
                     return outcome, victim.state
 
@@ -634,7 +624,7 @@ class TestAppendEdgesBarrier:
     def test_delta_drains_then_serves_new_edge_set(self):
         network = _make_network(10)
         request = MineRequest(k=8, min_support=2, min_nhp=0.3, workers=2)
-        pre_delta = _signature(_fresh(network, request))
+        pre_delta = _signature(oracle(network, request))
 
         async def scenario():
             with EngineHub(workers=2) as hub:
@@ -653,7 +643,7 @@ class TestAppendEdgesBarrier:
         assert all(signature == pre_delta for signature in old)
         # The network object was mutated in place, so a fresh miner now
         # sees the post-delta edge set.
-        assert post == _signature(_fresh(network, request))
+        assert post == _signature(oracle(network, request))
         assert post != pre_delta or network.num_edges == 100  # delta really landed
 
     def test_barrier_reports_migrated_vs_purged_counts(self):
@@ -686,7 +676,7 @@ class TestAppendEdgesBarrier:
         stats, post = asyncio.run(scenario())
         assert stats["delta_migrated_entries"] == 1
         assert stats["delta_purged_entries"] == 1
-        assert post == _signature(_fresh(network, eligible))
+        assert post == _signature(oracle(network, eligible))
 
 
 class TestLeaseBudgetInterleaved:
@@ -704,7 +694,7 @@ class TestLeaseBudgetInterleaved:
             MineRequest(k=8, min_support=2, min_nhp=0.3, workers=2),
         ]
         baseline = {
-            (name, i): _signature(_fresh(network, request))
+            (name, i): _signature(oracle(network, request))
             for name, network in nets.items()
             for i, request in enumerate(requests)
         }
@@ -740,7 +730,7 @@ class TestLeaseBudgetInterleaved:
                 f"budget eviction corrupted {name}: {requests[i].describe()}"
             )
         assert follow == _signature(
-            _fresh(nets["a"], MineRequest(k=4, min_support=2, min_nhp=0.5, workers=2))
+            oracle(nets["a"], MineRequest(k=4, min_support=2, min_nhp=0.5, workers=2))
         )
         assert evictions >= 1  # the cap did bite once the pins released
 
@@ -765,23 +755,25 @@ class TestCloseGuard:
         if not pool.closed:
             pool.terminate()
 
-    def _drain(self, pool, handles):
-        for handle in handles:
-            handle.get(timeout=30)
-        deadline = time.monotonic() + 10
-        while pool.inflight > 0:
-            if time.monotonic() > deadline:
-                raise AssertionError("pool never settled")
-            time.sleep(0.01)
+    @staticmethod
+    def _submit(pool) -> queue.SimpleQueue:
+        settled = queue.SimpleQueue()
+        pool.submit("shard-0", callback=settled.put, error_callback=settled.put)
+        return settled
+
+    @staticmethod
+    def _drain(pool, settled) -> None:
+        assert settled.get(timeout=30) == "shard-0"
+        assert pool.inflight == 0  # settled before its callback fired
 
     def test_engine_close_fails_fast_with_inflight_shards(self, slow_pool):
         engine = MiningEngine(_make_network(1), workers=1)
         engine.hub._pool = slow_pool
-        handles = [slow_pool.submit("shard-0")]
+        settled = self._submit(slow_pool)
         with pytest.raises(RuntimeError, match="in flight"):
             engine.close()
         assert not engine.closed  # the guard left the engine serving
-        self._drain(slow_pool, handles)
+        self._drain(slow_pool, settled)
         engine.close()  # drained: the same call now succeeds
         assert engine.closed
 
@@ -789,18 +781,18 @@ class TestCloseGuard:
         hub = EngineHub(workers=1)
         hub.register("n", _make_network(2))
         hub._pool = slow_pool
-        handles = [slow_pool.submit("shard-0")]
+        settled = self._submit(slow_pool)
         with pytest.raises(RuntimeError, match="in flight"):
             hub.close()
         assert not hub.closed
-        self._drain(slow_pool, handles)
+        self._drain(slow_pool, settled)
         hub.close()
         assert hub.closed
 
     def test_force_close_and_exception_exit_still_tear_down(self, slow_pool):
         engine = MiningEngine(_make_network(3), workers=1)
         engine.hub._pool = slow_pool
-        slow_pool.submit("shard-0")
+        self._submit(slow_pool)
         engine.close(force=True)  # explicit override: hard teardown
         assert engine.closed and slow_pool.closed
 
@@ -811,7 +803,7 @@ class TestCloseGuard:
         with pytest.raises(ValueError, match="boom"):
             with MiningEngine(_make_network(4), workers=1) as engine:
                 engine.hub._pool = PersistentWorkerPool(1)
-                engine.hub._pool.submit("shard-0")
+                self._submit(engine.hub._pool)
                 raise ValueError("boom")
         assert engine.closed  # __exit__ forced the teardown
 
@@ -839,7 +831,7 @@ class TestHTTPFacade:
     def test_endpoints_roundtrip(self):
         network = _make_network(13)
         request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=2)
-        reference = [str(m.gr) for m in _fresh(network, request)]
+        reference = [str(m.gr) for m in oracle(network, request)]
 
         async def scenario():
             with EngineHub(workers=2) as hub:
@@ -916,7 +908,7 @@ class TestHTTPFacade:
                         assert status == 200
                         post = [entry["gr"] for entry in payload["result"]["grs"]]
                         assert post == [
-                            str(m.gr) for m in _fresh(network, request)
+                            str(m.gr) for m in oracle(network, request)
                         ]
 
                         status, payload = await _http(port, "GET", "/stats")
@@ -955,6 +947,47 @@ class TestHTTPFacade:
                         await writer.wait_closed()
 
         asyncio.run(scenario())
+
+
+class TestShutdownWithIdleConnections:
+    def test_half_sent_requests_end_quietly_at_close(self, caplog):
+        """Connections still sending their request when the server
+        closes are ended by ``close()``, without a traceback: each
+        client reads EOF, and nothing reaches the ``asyncio`` logger."""
+        head = b"POST /networks/n/mine HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n"
+        sent = [head + b"{", head, b"GET /healthz HTTP/1.1\r\nHost", b""]
+
+        async def scenario():
+            with EngineHub(workers=1) as hub:
+                hub.register("n", _make_network(5))
+                async with Scheduler(hub) as scheduler:
+                    async with ServeHTTP(scheduler, port=0) as server:
+                        clients = []
+                        for prefix in sent:
+                            reader, writer = await asyncio.open_connection(
+                                "127.0.0.1", server.port
+                            )
+                            writer.write(prefix)
+                            await writer.drain()
+                            clients.append((reader, writer))
+                        await asyncio.sleep(0.2)  # every handler awaits bytes
+                    try:
+                        reads = await asyncio.wait_for(
+                            asyncio.gather(*(r.read() for r, _ in clients)), 2.0
+                        )
+                    except asyncio.TimeoutError:
+                        reads = None  # close() left the connections open
+                    for _, writer in clients:
+                        writer.close()
+                    return reads
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            reads = asyncio.run(scenario())
+        assert [
+            record.getMessage() for record in caplog.records
+            if record.name == "asyncio"
+        ] == []
+        assert reads == [b""] * len(sent)
 
 
 class TestServeValidation:

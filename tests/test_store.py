@@ -116,8 +116,8 @@ class TestSharedMemoryExport:
         from repro.data.store import attach_shared_store
 
         store = CompactStore(small_network)
-        with store.export_shared() as export:
-            network2, store2, shm = attach_shared_store(export.handle)
+        with store.lease_shared() as lease:
+            network2, store2, shm = attach_shared_store(lease.handle)
             try:
                 np.testing.assert_array_equal(store2.e_ptr, store.e_ptr)
                 np.testing.assert_array_equal(store2.e_src_row, store.e_src_row)
@@ -142,8 +142,8 @@ class TestSharedMemoryExport:
         from repro.data.store import attach_shared_store
 
         store = CompactStore(small_network)
-        with store.export_shared() as export:
-            _, store2, shm = attach_shared_store(export.handle)
+        with store.lease_shared() as lease:
+            _, store2, shm = attach_shared_store(lease.handle)
             try:
                 assert not store2.e_ptr.flags.owndata  # a view over the segment
                 with pytest.raises(ValueError):
@@ -155,16 +155,15 @@ class TestSharedMemoryExport:
         import pickle
 
         store = CompactStore(small_network)
-        with store.export_shared() as export:
-            restored = pickle.loads(pickle.dumps(export.handle))
-            assert restored.shm_name == export.handle.shm_name
+        with store.lease_shared() as lease:
+            restored = pickle.loads(pickle.dumps(lease.handle))
+            assert restored.shm_name == lease.handle.shm_name
             assert restored.num_edges == store.num_edges
 
     def test_release_is_idempotent(self, small_network):
-        store = CompactStore(small_network)
-        export = store.export_shared()
-        export.release()
-        export.release()  # second call must not raise
+        lease = CompactStore(small_network).lease_shared()
+        lease.close()
+        lease.close()  # second call must not raise
 
     def test_mining_over_attached_store_matches(self, small_network):
         from repro.core.miner import GRMiner
@@ -172,8 +171,8 @@ class TestSharedMemoryExport:
 
         store = CompactStore(small_network)
         baseline = GRMiner(small_network, k=5, min_support=1, min_score=0.0).mine()
-        with store.export_shared() as export:
-            network2, store2, shm = attach_shared_store(export.handle)
+        with store.lease_shared() as lease:
+            network2, store2, shm = attach_shared_store(lease.handle)
             try:
                 mined = GRMiner(
                     network2, k=5, min_support=1, min_score=0.0, store=store2
@@ -223,8 +222,8 @@ class TestFingerprint:
         from repro.data.store import attach_shared_store
 
         store = CompactStore(small_network)
-        with store.export_shared() as export:
-            _, store2, shm = attach_shared_store(export.handle)
+        with store.lease_shared() as lease:
+            _, store2, shm = attach_shared_store(lease.handle)
             try:
                 assert store2.fingerprint() == store.fingerprint()
             finally:

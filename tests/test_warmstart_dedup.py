@@ -5,10 +5,10 @@ The contract, on top of the serving layer's:
 1. **Canonical keys** — a request's cache and dedup identity is its
    config's canonical key, whatever its worker count, and decodes back
    through ``config_from_canonical_key``.
-2. **Sweeps equal fresh miners, GR for GR** — a batch through
+2. **Sweeps equal the serial oracle, GR for GR** — a batch through
    :meth:`Scheduler.submit_sweep` is one job per point, all admitted at
-   once at the batch's priority, and returns the fresh one-shot miners'
-   answers whatever the points' thresholds.
+   once at the batch's priority, and returns the oracle's answers
+   whatever the points' thresholds.
 3. **Single-flight** — N identical concurrent jobs trigger exactly one
    planned mining execution; every attached future resolves to an
    equal (but private) result, and every attached job reports the
@@ -28,8 +28,9 @@ from repro.core.miner import CKEY_FIELDS, config_from_canonical_key
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.engine import EngineHub, MineRequest
 from repro.engine.engine import MiningEngine
-from repro.parallel import ParallelGRMiner
 from repro.serve import JobCancelled, JobState, Scheduler
+
+from oracles import oracle
 
 
 def _make_network(seed: int, num_edges: int = 100, num_nodes: int = 20):
@@ -44,19 +45,6 @@ def _make_network(seed: int, num_edges: int = 100, num_nodes: int = 20):
 
 def _signature(result):
     return [(str(m.gr), round(m.score, 9), m.metrics.support_count) for m in result]
-
-
-def _fresh(network, request: MineRequest):
-    kwargs = dict(
-        k=request.k,
-        min_support=request.min_support,
-        min_score=request.min_nhp,
-        rank_by=request.rank_by,
-        push_topk=request.push_topk,
-        **dict(request.options),
-    )
-    # The exact parallel miner: every engine answer must equal it.
-    return ParallelGRMiner(network, workers=request.workers or 1, **kwargs).mine()
 
 
 def _key(network, request: MineRequest):
@@ -95,7 +83,7 @@ class TestCanonicalKeyLayout:
 
 class TestSweepEquivalence:
     """Acceptance: a sweep through the scheduler is GR-for-GR equal to
-    fresh one-shot miners, whatever its points' thresholds."""
+    the serial oracle, whatever its points' thresholds."""
 
     def _sweep(self, network, requests):
         async def scenario():
@@ -118,7 +106,7 @@ class TestSweepEquivalence:
             MineRequest(k=6, min_support=2, min_nhp=nhp, workers=2)
             for nhp in (0.5, 0.2, 0.35)
         ]
-        fresh = [_signature(_fresh(network, r)) for r in requests]
+        fresh = [_signature(oracle(network, r)) for r in requests]
         assert self._sweep(network, requests) == fresh
 
     def test_batch_admits_every_point_at_batch_priority(self):
@@ -130,7 +118,7 @@ class TestSweepEquivalence:
             MineRequest(k=6, min_support=s, min_nhp=0.3, workers=2)
             for s in (4, 1, 2)
         ]
-        fresh = [_signature(_fresh(network, r)) for r in requests]
+        fresh = [_signature(oracle(network, r)) for r in requests]
 
         async def scenario():
             with EngineHub(workers=2) as hub:
@@ -182,7 +170,7 @@ class TestSweepEquivalence:
             )
             for extra in extra_nhps
         ]
-        fresh = [_signature(_fresh(network, r)) for r in requests]
+        fresh = [_signature(oracle(network, r)) for r in requests]
         assert self._sweep(network, requests) == fresh
 
 
@@ -203,7 +191,7 @@ class TestSingleFlight:
         network = _make_network(7, num_edges=150)
         request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
         blocker_request = MineRequest(k=15, min_support=1, min_nhp=0.0, workers=2)
-        reference = _signature(_fresh(network, request))
+        reference = _signature(oracle(network, request))
         plans: list = []
         self._count_plans(monkeypatch, plans)
 
@@ -250,7 +238,7 @@ class TestSingleFlight:
             k=10, min_support=1, min_nhp=0.1, push_topk=False, workers=2
         )
         blocker_request = MineRequest(k=15, min_support=1, min_nhp=0.0, workers=2)
-        reference = _signature(_fresh(network, twin))
+        reference = _signature(oracle(network, twin))
         plans: list = []
         self._count_plans(monkeypatch, plans)
 
@@ -277,7 +265,7 @@ class TestSingleFlight:
         execution's state and shard counts, and streams its progress."""
         network = _make_network(10, num_edges=150)
         request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
-        reference = _signature(_fresh(network, request))
+        reference = _signature(oracle(network, request))
 
         async def scenario():
             with EngineHub(workers=2, cache_size=0) as hub:
@@ -319,7 +307,7 @@ class TestSingleFlight:
     def test_cancel_follower_detaches_only(self):
         network = _make_network(9, num_edges=150)
         request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
-        reference = _signature(_fresh(network, request))
+        reference = _signature(oracle(network, request))
 
         async def scenario():
             with EngineHub(workers=2, cache_size=0) as hub:
@@ -359,7 +347,7 @@ class TestSingleFlight:
         results — and the opener resolves CANCELLED."""
         network = _make_network(11, num_edges=150)
         request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
-        reference = _signature(_fresh(network, request))
+        reference = _signature(oracle(network, request))
         plans: list = []
         self._count_plans(monkeypatch, plans)
 
@@ -449,7 +437,7 @@ class TestSingleFlight:
         identical job afterwards plans afresh and stays exact."""
         network = _make_network(14, num_edges=150)
         request = MineRequest(k=10, min_support=1, min_nhp=0.1, workers=2)
-        reference = _signature(_fresh(network, request))
+        reference = _signature(oracle(network, request))
         plans: list = []
         self._count_plans(monkeypatch, plans)
 
@@ -522,4 +510,4 @@ class TestSingleFlight:
         states, pins, result = asyncio.run(scenario())
         assert states == [JobState.FAILED] * 3
         assert pins == {}
-        assert result == _signature(_fresh(network, loose))
+        assert result == _signature(oracle(network, loose))
