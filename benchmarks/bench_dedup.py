@@ -21,17 +21,18 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import time
 from pathlib import Path
 
-from repro.bench.history import add_history_arguments, record_bench_run
 from repro.datasets import synthetic_pokec
 from repro.engine import EngineHub, MineRequest
 from repro.serve import Scheduler
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 TXT_PATH = OUT_DIR / "dedup.txt"
+JSON_PATH = OUT_DIR / "BENCH_dedup.json"
 
 
 def _network(quick: bool):
@@ -114,28 +115,13 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="CI smoke run: small data"
     )
     parser.add_argument("--workers", type=int, default=2, help="shared fleet size")
-    add_history_arguments(parser)
     args = parser.parse_args(argv)
     OUT_DIR.mkdir(exist_ok=True)
     line, payload = run(args.quick, max(1, args.workers))
     print(line)
     TXT_PATH.write_text(line + "\n")
-    history = record_bench_run(
-        "dedup",
-        payload,
-        OUT_DIR,
-        headline={
-            "dedup_concurrent_elapsed_s": {
-                "value": payload["summary"]["dedup_concurrent_elapsed_s"],
-                "better": "lower",
-            },
-        },
-        config={"quick": args.quick, "workers": max(1, args.workers)},
-        timestamp=args.timestamp,
-        history_path=args.history,
-    )
-    print(f"\nwrote {TXT_PATH}\nwrote {OUT_DIR / 'BENCH_dedup.json'}")
-    print(f"appended {history}")
+    JSON_PATH.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    print(f"\nwrote {TXT_PATH}\nwrote {JSON_PATH}")
     summary = payload["summary"]
     if summary["mismatches"]:
         print(f"RESULT MISMATCH: {summary['mismatches']} verification failure(s)")

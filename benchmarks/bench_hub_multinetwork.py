@@ -33,6 +33,7 @@ Three phases:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import time
 from itertools import product
@@ -41,7 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import format_series
-from repro.bench.history import add_history_arguments, record_bench_run
 from repro.core.miner import mine_top_k
 from repro.datasets import synthetic_dblp, synthetic_pokec
 from repro.engine import EngineHub, MineRequest
@@ -243,7 +243,6 @@ def main(argv=None) -> int:
         help="sqlite path for the persistent tier (default: out/hub_cache.sqlite, "
         "recreated per run)",
     )
-    add_history_arguments(parser)
     args = parser.parse_args(argv)
     OUT_DIR.mkdir(exist_ok=True)
     disk_cache = Path(args.disk_cache) if args.disk_cache else OUT_DIR / "hub_cache.sqlite"
@@ -252,22 +251,8 @@ def main(argv=None) -> int:
     table, payload = run(args.quick, max(1, args.workers), disk_cache)
     print(table)
     TXT_PATH.write_text(table + "\n")
-    history = record_bench_run(
-        "hub",
-        payload,
-        OUT_DIR,
-        headline={
-            "amortized_speedup": {
-                "value": payload["summary"]["amortized_speedup"],
-                "better": "higher",
-            },
-        },
-        config={"quick": args.quick, "workers": max(1, args.workers)},
-        timestamp=args.timestamp,
-        history_path=args.history,
-    )
-    print(f"\nwrote {TXT_PATH}\nwrote {OUT_DIR / 'BENCH_hub.json'}")
-    print(f"appended {history}")
+    JSON_PATH.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    print(f"\nwrote {TXT_PATH}\nwrote {JSON_PATH}")
     summary = payload["summary"]
     if summary["mismatches"]:
         print(f"RESULT MISMATCH: {summary['mismatches']} verification failure(s)")

@@ -30,6 +30,7 @@ fewer* branches than the cold baseline.  The table goes to stdout and
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import time
 from pathlib import Path
@@ -37,13 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import format_series
-from repro.bench.history import add_history_arguments, record_bench_run
 from repro.core.miner import mine_top_k
 from repro.datasets import synthetic_pokec
 from repro.engine import MineRequest, MiningEngine
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 TXT_PATH = OUT_DIR / "incremental.txt"
+JSON_PATH = OUT_DIR / "BENCH_incremental.json"
 
 
 def _network(quick: bool):
@@ -172,32 +173,13 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="CI smoke run: small data, few rounds"
     )
     parser.add_argument("--workers", type=int, default=2, help="shared fleet size")
-    add_history_arguments(parser)
     args = parser.parse_args(argv)
     OUT_DIR.mkdir(exist_ok=True)
     table, payload = run(args.quick, max(1, args.workers))
     print(table)
     TXT_PATH.write_text(table + "\n")
-    history = record_bench_run(
-        "incremental",
-        payload,
-        OUT_DIR,
-        headline={
-            "incremental_elapsed_s": {
-                "value": payload["summary"]["incremental_elapsed_s"],
-                "better": "lower",
-            },
-            "cold_elapsed_s": {
-                "value": payload["summary"]["cold_elapsed_s"],
-                "better": "lower",
-            },
-        },
-        config={"quick": args.quick, "workers": max(1, args.workers)},
-        timestamp=args.timestamp,
-        history_path=args.history,
-    )
-    print(f"\nwrote {TXT_PATH}\nwrote {OUT_DIR / 'BENCH_incremental.json'}")
-    print(f"appended {history}")
+    JSON_PATH.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    print(f"\nwrote {TXT_PATH}\nwrote {JSON_PATH}")
     summary = payload["summary"]
     if summary["mismatches"]:
         print(f"RESULT MISMATCH: {summary['mismatches']} verification failure(s)")

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import time
 from pathlib import Path
 
 from repro.bench.harness import format_series, profile_mining
-from repro.bench.history import add_history_arguments, record_bench_run
 from repro.core.kernels import KERNEL_TIERS
 from repro.core.miner import LATTICE_BYTE_CAP, GRMiner, MinerConfig
 from repro.data.store import CompactStore
@@ -50,6 +50,7 @@ from repro.datasets import synthetic_pokec
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 TXT_PATH = OUT_DIR / "kernel.txt"
+JSON_PATH = OUT_DIR / "BENCH_kernel.json"
 PSTATS_PATH = OUT_DIR / "kernel_profile.pstats"
 
 #: CPU-time speedup the vector tier must clear over the reference.
@@ -188,28 +189,13 @@ def main(argv=None) -> int:
         help="also cProfile one vector-tier mine() "
         f"(raw profile to {PSTATS_PATH.name})",
     )
-    add_history_arguments(parser)
     args = parser.parse_args(argv)
     OUT_DIR.mkdir(exist_ok=True)
     table, payload = run(args.quick, max(1, args.repeats))
     print(table)
     TXT_PATH.write_text(table + "\n")
-    history = record_bench_run(
-        "kernel",
-        payload,
-        OUT_DIR,
-        headline={
-            "vector_speedup": {
-                "value": payload["summary"]["vector_speedup"],
-                "better": "higher",
-            },
-        },
-        config={"quick": args.quick, "repeats": max(1, args.repeats)},
-        timestamp=args.timestamp,
-        history_path=args.history,
-    )
-    print(f"\nwrote {TXT_PATH}\nwrote {OUT_DIR / 'BENCH_kernel.json'}")
-    print(f"appended {history}")
+    JSON_PATH.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    print(f"\nwrote {TXT_PATH}\nwrote {JSON_PATH}")
 
     if args.profile:
         miner = GRMiner(

@@ -12,8 +12,7 @@ does not collect it):
 ``--quick`` shrinks the datasets and grid to a CI-sized smoke run.  The
 table goes to stdout and ``benchmarks/out/serve_concurrency.txt``; the
 machine-readable rows and summary go to
-``benchmarks/out/BENCH_serve.json`` (the CI artifact) and append a
-history row to ``benchmarks/out/history.jsonl``.
+``benchmarks/out/BENCH_serve.json`` (the CI artifact).
 
 The served phase runs **twice**: once with observability off
 (``observe=False`` + a disabled metrics registry) and once with metrics
@@ -44,13 +43,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import time
 from itertools import product
 from pathlib import Path
 
 from repro.bench.harness import format_series
-from repro.bench.history import add_history_arguments, record_bench_run
 from repro.datasets import synthetic_dblp, synthetic_pokec
 from repro.engine import EngineHub, MineRequest
 from repro.obs import REGISTRY
@@ -58,6 +57,7 @@ from repro.serve import Scheduler, ServeHTTP
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 TXT_PATH = OUT_DIR / "serve_concurrency.txt"
+JSON_PATH = OUT_DIR / "BENCH_serve.json"
 SCRAPE_PATH = OUT_DIR / "metrics_scrape.prom"
 
 #: Overhead gate: instrumented run must stay within this fraction of
@@ -302,38 +302,14 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="CI smoke run: small data, small grid"
     )
     parser.add_argument("--workers", type=int, default=2, help="shared fleet size")
-    add_history_arguments(parser)
     args = parser.parse_args(argv)
     OUT_DIR.mkdir(exist_ok=True)
     table, payload = run(args.quick, max(1, args.workers))
     print(table)
     TXT_PATH.write_text(table + "\n")
+    JSON_PATH.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    print(f"\nwrote {TXT_PATH}\nwrote {JSON_PATH}\nwrote {SCRAPE_PATH}")
     summary = payload["summary"]
-    history = record_bench_run(
-        "serve",
-        payload,
-        OUT_DIR,
-        headline={
-            "urgent_p95_s": {
-                "value": summary["served_latency"]["urgent"]["p95_s"],
-                "better": "lower",
-            },
-            "served_total_s": {"value": summary["served_total_s"], "better": "lower"},
-            "urgent_p95_speedup": {
-                "value": summary["urgent_p95_speedup"],
-                "better": "higher",
-            },
-            "obs_total_ratio": {
-                "value": summary["obs_overhead"]["total_ratio"],
-                "better": "lower",
-            },
-        },
-        config={"quick": args.quick, "workers": max(1, args.workers)},
-        timestamp=args.timestamp,
-        history_path=args.history,
-    )
-    print(f"\nwrote {TXT_PATH}\nwrote {OUT_DIR / 'BENCH_serve.json'}")
-    print(f"wrote {SCRAPE_PATH}\nappended {history}")
     if summary["mismatches"]:
         print(f"RESULT MISMATCH: {summary['mismatches']} verification failure(s)")
         return 1

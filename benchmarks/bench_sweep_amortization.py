@@ -30,19 +30,20 @@ The engine's result cache is disabled so every query is really mined.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import time
 from itertools import product
 from pathlib import Path
 
 from repro.bench.harness import format_series
-from repro.bench.history import add_history_arguments, record_bench_run
 from repro.core.miner import mine_top_k
 from repro.datasets import synthetic_pokec
 from repro.engine import MineRequest, MiningEngine
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 TXT_PATH = OUT_DIR / "sweep_amortization.txt"
+JSON_PATH = OUT_DIR / "BENCH_sweep.json"
 
 
 def _grid(quick: bool) -> list[dict]:
@@ -168,29 +169,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers", type=int, default=2, help="fleet size for both sides"
     )
-    add_history_arguments(parser)
     args = parser.parse_args(argv)
     table, payload = run(args.quick, max(1, args.workers))
     print(table)
     OUT_DIR.mkdir(exist_ok=True)
     TXT_PATH.write_text(table + "\n")
-    history = record_bench_run(
-        "sweep",
-        payload,
-        OUT_DIR,
-        headline={
-            f"{label.split()[0]}_amortized_speedup": {
-                "value": side["summary"]["amortized_speedup"],
-                "better": "higher",
-            }
-            for label, side in payload["sides"].items()
-        },
-        config={"quick": args.quick, "workers": max(1, args.workers)},
-        timestamp=args.timestamp,
-        history_path=args.history,
-    )
-    print(f"\nwrote {TXT_PATH}\nwrote {OUT_DIR / 'BENCH_sweep.json'}")
-    print(f"appended {history}")
+    JSON_PATH.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    print(f"\nwrote {TXT_PATH}\nwrote {JSON_PATH}")
     failed = False
     for label, side in payload["sides"].items():
         if side["summary"]["mismatches"]:

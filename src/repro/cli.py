@@ -19,12 +19,6 @@ Commands
                interleaving of many concurrent clients over one fleet.
 ``compare``    Print the Table II style nhp-vs-conf comparison.
 ``homophily``  Suggest homophily attributes from the data.
-``bench-report``
-               Render the accumulated ``benchmarks/out/history.jsonl``
-               trajectory per ``(bench, config)`` group; ``--check``
-               exits non-zero when a headline metric of the latest run
-               regressed beyond ``--tolerance`` vs the median of its
-               prior runs.
 """
 
 from __future__ import annotations
@@ -155,30 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     hom = sub.add_parser("homophily", help="suggest homophily attributes")
     hom.add_argument("directory")
     hom.add_argument("--threshold", type=float, default=0.1)
-
-    report = sub.add_parser(
-        "bench-report", help="render the bench history trajectory"
-    )
-    report.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="history.jsonl to read (default: benchmarks/out/history.jsonl)",
-    )
-    report.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when the latest run of any (bench, config) "
-        "group regressed beyond the tolerance",
-    )
-    report.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="allowed fractional move in a metric's bad direction before "
-        "it counts as a regression (default 0.10)",
-    )
     return parser
 
 
@@ -651,29 +621,6 @@ def _cmd_homophily(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .bench.history import (
-        HISTORY_FILENAME,
-        check_regressions,
-        format_report,
-        load_history,
-    )
-
-    path = (
-        Path(args.history)
-        if args.history is not None
-        else Path("benchmarks") / "out" / HISTORY_FILENAME
-    )
-    rows = load_history(path)
-    findings = check_regressions(rows, tolerance=args.tolerance)
-    print(format_report(rows, findings, tolerance=args.tolerance))
-    if args.check and findings:
-        return 1
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "info": _cmd_info,
@@ -683,7 +630,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "compare": _cmd_compare,
     "homophily": _cmd_homophily,
-    "bench-report": _cmd_bench_report,
 }
 
 

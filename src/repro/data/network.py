@@ -288,7 +288,6 @@ class SocialNetwork:
         src: np.ndarray | Sequence[int],
         dst: np.ndarray | Sequence[int],
         edge_codes: Mapping[str, np.ndarray] | None = None,
-        on_duplicate: str = "allow",
     ) -> int:
         """Append new edges between *existing* nodes, in place.
 
@@ -307,27 +306,15 @@ class SocialNetwork:
         contributes one unit to every count the miners take (``supp``,
         ``supp(l∧w)``, homophily counts) — the paper's measures are over
         edge instances, not node pairs, so repeated interactions
-        *intentionally* weigh more.  ``on_duplicate`` controls whether a
-        batch may create such multi-edges:
+        *intentionally* weigh more.  An appended edge that repeats an
+        existing row, or another edge of the same batch, therefore
+        becomes a parallel edge.
 
-        * ``"allow"`` (default) — append everything; duplicates of
-          existing rows or within the batch become parallel edges.
-        * ``"reject"`` — raise :class:`NetworkError` (before any
-          mutation) if an appended edge matches an existing edge row or
-          another edge of the same batch on ``(src, dst)`` and every
-          edge-attribute code.
-
-        Self-loops (``src == dst``) are legal under either policy: a
-        node may relate to its own group, and the store's LArray/RArray
-        both carry the node.  ``"reject"`` only rejects *duplicate*
-        self-loops, like any other row.
+        Self-loops (``src == dst``) are legal: a node may relate to its
+        own group, and the store's LArray/RArray both carry the node.
 
         Returns the number of edges appended.
         """
-        if on_duplicate not in ("allow", "reject"):
-            raise ValueError(
-                f"on_duplicate must be 'allow' or 'reject'; got {on_duplicate!r}"
-            )
         new_src = self._int_column(src, "edge endpoints")
         new_dst = self._int_column(dst, "edge endpoints")
         if new_src.shape != new_dst.shape or new_src.ndim != 1:
@@ -359,36 +346,6 @@ class SocialNetwork:
             attr = self.schema.edge_attribute(name)
             self._check_codes(name, col, attr.domain_size)
             new_edge_codes[name] = col
-
-        if on_duplicate == "reject":
-            names = sorted(expected)
-            existing = set(
-                zip(
-                    self.src.tolist(),
-                    self.dst.tolist(),
-                    *(self._edge_codes[n].tolist() for n in names),
-                )
-            )
-            seen: set[tuple] = set()
-            duplicates: list[tuple] = []
-            for i in range(count):
-                row = (
-                    int(new_src[i]),
-                    int(new_dst[i]),
-                    *(int(new_edge_codes[n][i]) for n in names),
-                )
-                if row in existing or row in seen:
-                    duplicates.append(row)
-                seen.add(row)
-            if duplicates:
-                shown = ", ".join(map(repr, duplicates[:5]))
-                more = "" if len(duplicates) <= 5 else f" (+{len(duplicates) - 5} more)"
-                identity = ", ".join(["src", "dst", *names])
-                raise NetworkError(
-                    f"append_edges(on_duplicate='reject'): {len(duplicates)} "
-                    f"edge(s) duplicate an existing edge or another edge in "
-                    f"the batch on ({identity}): {shown}{more}"
-                )
 
         self.src = np.concatenate([self.src, new_src])
         self.dst = np.concatenate([self.dst, new_dst])

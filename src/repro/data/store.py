@@ -90,10 +90,6 @@ class StoreDelta:
 
     num_edges_before: int
     num_edges_after: int
-    #: Source / destination node ids of the appended edges (network
-    #: row order; empty for an untracked delta).
-    new_src: np.ndarray = None
-    new_dst: np.ndarray = None
     #: ``(node attribute name, source code)`` pairs whose first-level
     #: branch gained at least one edge.
     touched_partitions: frozenset = frozenset()
@@ -102,18 +98,6 @@ class StoreDelta:
     @property
     def num_new_edges(self) -> int:
         return self.num_edges_after - self.num_edges_before
-
-    def touched_sources(self) -> frozenset:
-        """Node ids appearing as a source of some appended edge."""
-        if self.new_src is None:
-            return frozenset()
-        return frozenset(int(v) for v in self.new_src)
-
-    def touched_destinations(self) -> frozenset:
-        """Node ids appearing as a destination of some appended edge."""
-        if self.new_dst is None:
-            return frozenset()
-        return frozenset(int(v) for v in self.new_dst)
 
 
 class CompactStore:
@@ -191,12 +175,13 @@ class CompactStore:
         ``refresh_store()`` does exactly that.
 
         Returns a :class:`StoreDelta` describing what changed: the
-        appended tail rows plus their first-level partition footprint
-        (the input of the engine's incremental re-mining differ).  A
-        mutation the store cannot attribute to an edge append — the
-        network's edge count went *down*, meaning something replaced the
-        arrays wholesale — yields an ``untracked`` delta, which
-        consumers must treat as a full invalidation.
+        appended edge count plus the first-level partition footprint of
+        the appended tail rows (the input of the engine's incremental
+        re-mining differ).  A mutation the store cannot attribute to an
+        edge append — the network's edge count went *down*, meaning
+        something replaced the arrays wholesale — yields an
+        ``untracked`` delta, which consumers must treat as a full
+        invalidation.
         """
         before = self._num_edges
         network = self.network
@@ -206,8 +191,7 @@ class CompactStore:
             return StoreDelta(
                 num_edges_before=before, num_edges_after=after, untracked=True
             )
-        new_src = np.array(network.src[before:after], dtype=np.int64)
-        new_dst = np.array(network.dst[before:after], dtype=np.int64)
+        new_src = network.src[before:after]
         touched = frozenset(
             (name, int(code))
             for name in network.schema.node_attribute_names
@@ -217,8 +201,6 @@ class CompactStore:
         return StoreDelta(
             num_edges_before=before,
             num_edges_after=after,
-            new_src=new_src,
-            new_dst=new_dst,
             touched_partitions=touched,
         )
 

@@ -141,17 +141,11 @@ def migrate_fingerprint(engine, old_fingerprint: str, delta: StoreDelta | None) 
     migration raises is purged, warned about and counted in
     :attr:`MigrationReport.errors`; the other entries still migrate.
     """
-    cache = engine._cache
-    take = getattr(cache, "take_fingerprint", None)
-    if (
-        take is None
-        or delta is None
-        or delta.untracked
-        or delta.num_new_edges <= 0
-    ):
+    cache = engine.hub.cache
+    if delta is None or delta.untracked or delta.num_new_edges <= 0:
         return MigrationReport(purged=cache.purge_fingerprint(old_fingerprint))
     migrated = purged = fallbacks = errors = 0
-    for key, result in take(old_fingerprint):
+    for key, result in cache.take_fingerprint(old_fingerprint):
         combined = None
         status = "ineligible"
         if isinstance(key, tuple) and len(key) == 2:

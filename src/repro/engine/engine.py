@@ -139,14 +139,10 @@ class MiningEngine:
     store:
         A prebuilt :class:`~repro.data.store.CompactStore`; defaults to
         building one from the network.
-    cache:
-        An externally owned result-cache object (any of the
-        :mod:`repro.engine.cache` tiers), used instead of a cache of
-        ``cache_size``; ``close()`` leaves it alone.
 
-    The fleet and the store lease live on :attr:`hub`, a private
-    one-network :class:`~repro.engine.EngineHub` that
-    :meth:`close` closes with the engine.  :meth:`EngineHub.register
+    The fleet, the store lease and the result cache live on
+    :attr:`hub`, a private one-network :class:`~repro.engine.EngineHub`
+    that :meth:`close` closes with the engine.  :meth:`EngineHub.register
     <repro.engine.EngineHub.register>` builds engines on a shared hub
     instead.
 
@@ -169,17 +165,16 @@ class MiningEngine:
         workers: int | None = None,
         cache_size: int = 128,
         store: CompactStore | None = None,
-        cache=None,
     ) -> None:
         from .hub import EngineHub  # the hub module imports this one
 
         self._serve_on(
-            EngineHub(workers, cache_size=cache_size), "engine", network, store, cache
+            EngineHub(workers, cache_size=cache_size), "engine", network, store
         )
         self._owns_hub = True
 
     def _serve_on(self, hub, name: str, network: SocialNetwork,
-                  store: CompactStore | None = None, cache=None) -> None:
+                  store: CompactStore | None = None) -> None:
         """Serve ``network`` as ``hub``'s network ``name``: the one set-up
         both a standalone engine and :meth:`EngineHub.register` run."""
         self.hub = hub
@@ -189,7 +184,6 @@ class MiningEngine:
         self.fingerprint = self.store.fingerprint()
         self.workers = hub.workers
         self.stats = EngineStats()
-        self._cache = cache if cache is not None else hub.cache
         self._owns_hub = False
         self._skeleton: GRMiner | None = None
         self._warned_clamp = False
@@ -298,7 +292,7 @@ class MiningEngine:
         self._ensure_open()
         self.stats.queries += 1
         key = self.query_key(request)
-        cached = self._cache.get(key)
+        cached = self.hub.cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
             # The cache hands out private snapshots, so tagging the copy
@@ -365,7 +359,7 @@ class MiningEngine:
             **memo_counts(execution.results),
         )
         result = MiningResult(grs=entries, stats=stats, params=params)
-        self._cache.put(execution.key, result)
+        self.hub.cache.put(execution.key, result)
         return result
 
     @coordinator_only
@@ -396,14 +390,14 @@ class MiningEngine:
     # Store mutation (append-edge deltas)
     # ------------------------------------------------------------------
     @coordinator_only
-    def append_edges(self, src, dst, edge_codes=None, on_duplicate: str = "allow") -> str:
+    def append_edges(self, src, dst, edge_codes=None) -> str:
         """Apply an append-edge delta to the served network, safely.
 
-        Appends the edges (:meth:`SocialNetwork.append_edges`, whose
-        ``on_duplicate`` policy passes through), rebuilds the store's
-        edge-derived arrays (:meth:`CompactStore.apply_delta`) and then
-        :meth:`refresh_store`s the serving state, handing the returned
-        :class:`~repro.data.store.StoreDelta` to the cache migrator.
+        Appends the edges (:meth:`SocialNetwork.append_edges`), rebuilds
+        the store's edge-derived arrays (:meth:`CompactStore.apply_delta`)
+        and then :meth:`refresh_store`s the serving state, handing the
+        returned :class:`~repro.data.store.StoreDelta` to the cache
+        migrator.
         Returns the new store fingerprint.  Do not mutate
         ``engine.network`` directly — the engine would keep serving
         pre-delta results from its caches.
@@ -416,14 +410,11 @@ class MiningEngine:
         through the degraded full-purge path (with a warning); if the
         retry fails too the engine *poisons* itself — every subsequent
         query raises instead of silently serving pre-delta answers for
-        the post-delta network.  Validation errors (bad endpoints,
-        rejected duplicates) raise before any mutation and leave the
-        engine healthy.
+        the post-delta network.  Validation errors (bad endpoints or
+        codes) raise before any mutation and leave the engine healthy.
         """
         self._ensure_open()
-        appended = self.network.append_edges(
-            src, dst, edge_codes, on_duplicate=on_duplicate
-        )
+        appended = self.network.append_edges(src, dst, edge_codes)
         if appended == 0:
             return self.fingerprint
         try:

@@ -215,9 +215,7 @@ class EngineHub:
     # Mutation
     # ------------------------------------------------------------------
     @coordinator_only
-    def append_edges(
-        self, name: str, src, dst, edge_codes=None, on_duplicate: str = "allow"
-    ) -> str:
+    def append_edges(self, name: str, src, dst, edge_codes=None) -> str:
         """Append edges to the named network; returns its new fingerprint.
 
         Rebuilds the store's edge-derived state, retires the stale lease
@@ -227,13 +225,10 @@ class EngineHub:
         re-mined; see :mod:`repro.engine.delta`, and the per-network
         ``migrated_entries`` / ``purged_entries`` counters in
         :meth:`stats` / :meth:`aggregate_stats`) — other networks'
-        entries, hits and leases are untouched.  ``on_duplicate``
-        passes through to :meth:`SocialNetwork.append_edges`.
+        entries, hits and leases are untouched.
         """
         self._ensure_open()
-        return self.engine(name).append_edges(
-            src, dst, edge_codes, on_duplicate=on_duplicate
-        )
+        return self.engine(name).append_edges(src, dst, edge_codes)
 
     # ------------------------------------------------------------------
     # Shared resources (called by the hub's engines)

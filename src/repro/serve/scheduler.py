@@ -184,12 +184,9 @@ class Scheduler:
         self._vtime: dict[str, float] = {}
         self._weights: dict[str, float] = {}
         self._shards_by_network: dict[str, int] = {}
-        self._active_by_network: dict[str, int] = {}
-        self._drain_waiters: dict[str, list[asyncio.Future]] = {}
-        #: Paused networks -> the submission seq at which the pause
-        #: began.  Jobs submitted before the pause pass through and are
-        #: drained; later ones park in the backlog until the delta lands.
-        self._paused: dict[str, int] = {}
+        #: Networks inside an append_edges barrier: jobs submitted to
+        #: them park in the backlog until the delta lands.
+        self._paused: set[str] = set()
         self._backlog: dict[str, deque[ServeJob]] = {}
         #: Single-flight registry: dedup key -> the execution that
         #: identical jobs attach to while it is in flight.
@@ -206,11 +203,6 @@ class Scheduler:
             "shards_completed": 0,
             #: Jobs that attached to an identical in-flight execution.
             "deduped": 0,
-            #: Cache entries migrated across append_edges barriers
-            #: (carried to the new fingerprint, touched branches re-mined).
-            "delta_migrated_entries": 0,
-            #: Cache entries purged by append_edges barriers (re-mine cold).
-            "delta_purged_entries": 0,
         }
         self._closed = False
 
@@ -326,9 +318,6 @@ class Scheduler:
         self._counters["submitted"] += 1
         _M_SUBMITTED.inc()
         self.tracer.begin(job.id, network=network, priority=priority)
-        self._active_by_network[network] = (
-            self._active_by_network.get(network, 0) + 1
-        )
         if network in self._paused:
             self._backlog.setdefault(network, deque()).append(job)
         else:
@@ -437,36 +426,33 @@ class Scheduler:
         segment (or worse, serve half a query from each edge set).  The
         barrier pauses *admission* for this network only (other
         networks keep flowing; late submissions park in a backlog),
-        waits for its active jobs to finish, applies the delta on the
-        coordinator, then releases the backlog.  Returns the new
-        fingerprint.
+        waits for the jobs submitted before the pause to resolve,
+        applies the delta on the coordinator, then releases the
+        backlog.  Returns the new fingerprint.
 
-        The delta's cache outcome is surfaced in :meth:`stats`:
-        ``delta_migrated_entries`` counts result-cache entries carried
-        across the fingerprint change (only delta-touched branches
-        re-mined), ``delta_purged_entries`` those dropped to re-mine
-        cold.
+        The delta's cache outcome shows in :meth:`hub_stats` (the
+        ``hub`` section of ``GET /stats``): ``migrated_entries`` counts
+        result-cache entries carried across the fingerprint change
+        (only delta-touched branches re-mined), ``purged_entries``
+        those dropped to re-mine cold.
         """
         self._ensure_serving()
-        engine = self.hub.engine(network)
+        self.hub.engine(network)  # unknown names fail before the pause
         if network in self._paused:
             raise RuntimeError(f"append_edges already in progress for {network!r}")
-        self._paused[network] = next(self._seq)
+        self._paused.add(network)
         try:
-            await self._drain_network(network)
-            migrated_before = engine.stats.migrated_entries
-            purged_before = engine.stats.purged_entries
+            # Every later submission parks, so these are the pre-delta
+            # jobs; ``wait`` (unlike ``gather``) never cancels them.
+            pending = [
+                job.future
+                for job in self._jobs.values()
+                if job.network == network and not job.done
+            ]
+            if pending:
+                await asyncio.wait(pending)
             fingerprint = await self._run_coord(
                 self.hub.append_edges, network, src, dst, edge_codes
-            )
-            # The coordinator call completed before these reads, and the
-            # drain barrier keeps this engine otherwise idle, so the
-            # diffs attribute exactly this delta's cache outcome.
-            self._counters["delta_migrated_entries"] += (
-                engine.stats.migrated_entries - migrated_before
-            )
-            self._counters["delta_purged_entries"] += (
-                engine.stats.purged_entries - purged_before
             )
             # The delta changed the fingerprint and lease population the
             # published stats snapshot describes — refresh it in place.
@@ -475,33 +461,9 @@ class Scheduler:
             )
             return fingerprint
         finally:
-            self._paused.pop(network, None)
-            backlog = self._backlog.pop(network, None)
-            if backlog:
-                for job in backlog:
-                    self._admit.put_nowait(job)
-
-    async def _drain_network(self, network: str) -> None:
-        if self._drainable_active(network) <= 0:
-            return
-        waiter = self._loop.create_future()
-        self._drain_waiters.setdefault(network, []).append(waiter)
-        await waiter
-
-    def _drainable_active(self, network: str) -> int:
-        """Live jobs the barrier must wait for: active minus backlogged
-        ones (those hold no shard tasks or pins — they were never
-        prepared — so the delta may safely run over them)."""
-        parked = sum(
-            1 for j in self._backlog.get(network, ()) if not j.done
-        )
-        return self._active_by_network.get(network, 0) - parked
-
-    def _check_drain(self, network: str) -> None:
-        if self._drainable_active(network) <= 0:
-            for waiter in self._drain_waiters.pop(network, []):
-                if not waiter.done():
-                    waiter.set_result(None)
+            self._paused.discard(network)
+            for job in self._backlog.pop(network, ()):
+                self._admit.put_nowait(job)
 
     # ------------------------------------------------------------------
     # Admission (attach, or prepare on the coordinator and enqueue)
@@ -513,16 +475,6 @@ class Scheduler:
                 return  # close(): every admission before it has finished
             if job.done:
                 continue  # cancelled while queued; already resolved
-            pause_seq = self._paused.get(job.network)
-            if pause_seq is not None and job.seq > pause_seq:
-                # Submitted after the barrier began: park until the
-                # delta lands (parked jobs block nothing — they hold no
-                # shards or pins yet).  Jobs submitted *before*
-                # the pause fall through and are drained by the barrier,
-                # so everything admitted pre-delta sees the old edges.
-                self._backlog.setdefault(job.network, deque()).append(job)
-                self._check_drain(job.network)
-                continue
             try:
                 await self._admit_one(job)
             except asyncio.CancelledError:
@@ -533,8 +485,9 @@ class Scheduler:
     async def _admit_one(self, job: ServeJob) -> None:
         engine = self.hub.engine(job.network)
         # Single-flight: identical to an in-flight execution -> attach
-        # and stop.  (Admission of a network's jobs never overlaps its
-        # append_edges barrier, so the fingerprint read is stable.)
+        # and stop.  (The append_edges barrier runs a network's delta
+        # only once every job submitted before it resolved, and later
+        # jobs park until it lands, so the fingerprint read is stable.)
         job.dedup_key = (job.network,) + engine.query_key(job.request)
         shared = self._executions.get(job.dedup_key)
         if shared is not None:
@@ -845,12 +798,6 @@ class Scheduler:
                     # Cancellation is a normal outcome the caller may
                     # never await; don't log it as an unretrieved error.
                     job.future.exception()
-        remaining = self._active_by_network.get(job.network, 1) - 1
-        if remaining > 0:
-            self._active_by_network[job.network] = remaining
-        else:
-            self._active_by_network.pop(job.network, None)
-        self._check_drain(job.network)
         self._publish_progress(job, event="done")
         self._retire(job)
 

@@ -353,44 +353,3 @@ class TestHub:
         with pytest.raises(SystemExit):
             main(["hub", "--register", "nodirspec", "-k", "3"])
 
-
-class TestBenchReport:
-    def _history(self, tmp_path, values):
-        import json as _json
-
-        path = tmp_path / "history.jsonl"
-        rows = [
-            {
-                "ts": f"2026-08-0{i + 1}T00:00:00+00:00",
-                "git_sha": "abc",
-                "bench": "serve",
-                "config": {"quick": True},
-                "headline": {"p95_s": {"value": value, "better": "lower"}},
-            }
-            for i, value in enumerate(values)
-        ]
-        path.write_text("".join(_json.dumps(row) + "\n" for row in rows))
-        return path
-
-    def test_report_renders_trajectory(self, tmp_path, capsys):
-        path = self._history(tmp_path, [1.0, 1.02])
-        assert main(["bench-report", "--history", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "serve" in out and "p95_s: 1 -> 1.02" in out
-        assert "REGRESSION" not in out
-
-    def test_check_flags_regression_nonzero(self, tmp_path, capsys):
-        path = self._history(tmp_path, [1.0, 1.0, 2.0])
-        assert main(["bench-report", "--history", str(path), "--check"]) == 1
-        out = capsys.readouterr().out
-        assert "** REGRESSION" in out
-
-    def test_check_passes_within_tolerance(self, tmp_path, capsys):
-        path = self._history(tmp_path, [1.0, 1.0, 1.05])
-        assert main(["bench-report", "--history", str(path), "--check"]) == 0
-        capsys.readouterr()
-
-    def test_missing_history_is_empty_not_an_error(self, tmp_path, capsys):
-        path = tmp_path / "none.jsonl"
-        assert main(["bench-report", "--history", str(path), "--check"]) == 0
-        assert "no bench history yet" in capsys.readouterr().out

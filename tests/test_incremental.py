@@ -32,7 +32,7 @@ from repro.core.miner import CKEY_FIELDS, MinerConfig, config_from_canonical_key
 from repro.data.network import NetworkError
 from repro.data.store import CompactStore, StoreDelta
 from repro.datasets.random_graphs import random_attributed_network, random_schema
-from repro.engine import DiskResultCache, EngineHub, MineRequest, MiningEngine
+from repro.engine import EngineHub, MineRequest, MiningEngine
 from repro.engine import delta as delta_module
 from repro.obs import REGISTRY
 
@@ -82,10 +82,6 @@ class TestStoreDelta:
         assert delta.num_edges_after == 10
         assert delta.num_new_edges == 2
         assert not delta.untracked
-        assert list(delta.new_src) == [0, 2]
-        assert list(delta.new_dst) == [3, 5]
-        assert delta.touched_sources() == {0, 2}
-        assert delta.touched_destinations() == {3, 5}
         expected = {
             (name, int(small_network.node_column(name)[v]))
             for name in small_network.schema.node_attribute_names
@@ -258,19 +254,18 @@ class TestMigration:
         without decoding it as a config."""
         network = _build(7)
         request = MineRequest(k=5, min_support=3)
-        disk = DiskResultCache(tmp_path / "cache.sqlite")
-        with MiningEngine(network, cache=disk) as engine:
+        with EngineHub(disk_cache=tmp_path / "cache.sqlite") as hub:
+            engine = hub.register("net", network)
             fingerprint, ckey = engine.query_key(request)
             stale = oracle(network, MineRequest(k=1, min_support=3))
-            disk.put((fingerprint, ("sharded",) + ckey), stale)
+            hub.cache.disk.put((fingerprint, ("sharded",) + ckey), stale)
             result = engine.mine(request)
             assert engine.stats.cache_misses == 1 and len(result) == 5
             engine.append_edges(*_delta(network, 3, seed=1, concentrated=True))
             assert engine.stats.purged_entries == 1  # the old-layout row
             assert engine.stats.migration_fallbacks == 0
             assert engine.stats.migrated_entries == 1  # the mined entry
-            assert len(disk) == 1
-        disk.close()
+            assert len(hub.cache.disk) == 1
 
     def test_seventeen_field_disk_row_misses_and_purges(self, tmp_path):
         """A row keyed with the 17-field layout (``push_topk`` at field
@@ -278,21 +273,20 @@ class TestMigration:
         the next delta purges it as ineligible, not as a fallback."""
         network = _build(7)
         request = MineRequest(k=5, min_support=3)
-        disk = DiskResultCache(tmp_path / "cache.sqlite")
-        with MiningEngine(network, cache=disk) as engine:
+        with EngineHub(disk_cache=tmp_path / "cache.sqlite") as hub:
+            engine = hub.register("net", network)
             fingerprint, ckey = engine.query_key(request)
             assert len(ckey) == CKEY_FIELDS == 15
             old_layout = ckey[:4] + (True,) + ckey[4:] + (True,)
             stale = oracle(network, MineRequest(k=1, min_support=3))
-            disk.put((fingerprint, old_layout), stale)
+            hub.cache.disk.put((fingerprint, old_layout), stale)
             result = engine.mine(request)
             assert engine.stats.cache_misses == 1 and len(result) == 5
             engine.append_edges(*_delta(network, 3, seed=1, concentrated=True))
             assert engine.stats.purged_entries == 1  # the 17-field row
             assert engine.stats.migration_fallbacks == 0
             assert engine.stats.migrated_entries == 1  # the mined entry
-            assert len(disk) == 1
-        disk.close()
+            assert len(hub.cache.disk) == 1
 
     def test_a_raising_migration_warns_and_counts_an_error(self, monkeypatch):
         """A migrator fault is purged like a fallback, so the query still
@@ -391,8 +385,6 @@ class TestMigration:
                 return StoreDelta(
                     num_edges_before=delta.num_edges_before,
                     num_edges_after=delta.num_edges_after,
-                    new_src=delta.new_src,
-                    new_dst=delta.new_dst,
                     touched_partitions=frozenset(),  # the lie
                 )
 

@@ -239,7 +239,7 @@ class TestAppendEdges:
 
 
 class TestDuplicateSemantics:
-    """``append_edges`` duplicate-edge policy (``on_duplicate``)."""
+    """``append_edges`` is a multigraph append."""
 
     def test_multigraph_by_default(self, small_network):
         # Edge (0, 1, W=w1) already exists; appending it again is legal
@@ -248,41 +248,5 @@ class TestDuplicateSemantics:
         assert small_network.append_edges([0], [1], {"W": [1]}) == 1
         assert small_network.num_edges == before + 1
 
-    def test_reject_refuses_existing_duplicates(self, small_network):
-        before = small_network.num_edges
-        with pytest.raises(NetworkError, match="duplicate"):
-            small_network.append_edges(
-                [0], [1], {"W": [1]}, on_duplicate="reject"
-            )
-        assert small_network.num_edges == before
-
-    def test_reject_refuses_within_batch_duplicates(self, small_network):
-        before = small_network.num_edges
-        with pytest.raises(NetworkError, match="duplicate"):
-            small_network.append_edges(
-                [0, 0], [3, 3], {"W": [2, 2]}, on_duplicate="reject"
-            )
-        # All-or-nothing: the non-duplicate first row was not applied.
-        assert small_network.num_edges == before
-
-    def test_reject_identity_includes_edge_attributes(self, small_network):
-        # Same endpoints as an existing edge but a different W label is
-        # a distinct edge, not a duplicate.
-        assert small_network.append_edges(
-            [0], [1], {"W": [2]}, on_duplicate="reject"
-        ) == 1
-
-    def test_self_loops_are_legal_under_either_policy(self, small_network):
+    def test_self_loops_are_legal(self, small_network):
         assert small_network.append_edges([2], [2], {"W": [1]}) == 1
-        assert small_network.append_edges(
-            [3], [3], {"W": [1]}, on_duplicate="reject"
-        ) == 1
-        # ... but a *duplicate* self-loop is still rejected.
-        with pytest.raises(NetworkError, match="duplicate"):
-            small_network.append_edges(
-                [3], [3], {"W": [1]}, on_duplicate="reject"
-            )
-
-    def test_unknown_policy_rejected(self, small_network):
-        with pytest.raises(ValueError, match="on_duplicate"):
-            small_network.append_edges([0], [1], {"W": [1]}, on_duplicate="drop")

@@ -1,4 +1,4 @@
-"""Unit tests for ``repro.obs`` (metrics + traces) and ``repro.bench.history``."""
+"""Unit tests for ``repro.obs`` (metrics + traces)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,6 @@ import re
 
 import pytest
 
-from repro.bench.history import (
-    check_regressions,
-    format_report,
-    load_history,
-    record_bench_run,
-)
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.trace import NullTracer, Tracer
 
@@ -269,112 +263,3 @@ class TestTracer:
         assert tracer.trace("j") is None
         assert tracer.chrome_trace("j") is None
 
-
-# ---------------------------------------------------------------------------
-# bench history
-# ---------------------------------------------------------------------------
-
-
-def _row(bench="serve", value=1.0, better="lower", metric="p95_s", config=None):
-    return {
-        "ts": "2026-08-07T00:00:00+00:00",
-        "git_sha": "abc",
-        "bench": bench,
-        "config": config or {"quick": True},
-        "headline": {metric: {"value": value, "better": better}},
-    }
-
-
-class TestBenchHistory:
-    def test_record_writes_snapshot_and_appends(self, tmp_path):
-        path = record_bench_run(
-            "demo",
-            {"summary": {"x": 1}},
-            tmp_path,
-            headline={"x_s": {"value": 1.25, "better": "lower"}},
-            config={"quick": True},
-            timestamp="2026-08-07T00:00:00+00:00",
-        )
-        snapshot = json.loads((tmp_path / "BENCH_demo.json").read_text())
-        assert snapshot == {"summary": {"x": 1}}
-        record_bench_run(
-            "demo",
-            {"summary": {"x": 2}},
-            tmp_path,
-            headline={"x_s": {"value": 1.5, "better": "lower"}},
-            config={"quick": True},
-            timestamp="2026-08-07T01:00:00+00:00",
-        )
-        rows = load_history(path)
-        assert len(rows) == 2  # appended, not overwritten
-        assert rows[0]["headline"]["x_s"] == {"value": 1.25, "better": "lower"}
-        assert rows[1]["bench"] == "demo"
-        # snapshot reflects the latest run only
-        assert json.loads((tmp_path / "BENCH_demo.json").read_text())["summary"]["x"] == 2
-
-    def test_record_validates_headline(self, tmp_path):
-        with pytest.raises(ValueError, match="no 'value'"):
-            record_bench_run("d", {}, tmp_path, headline={"m": {"better": "lower"}})
-        with pytest.raises(ValueError, match="'lower' or 'higher'"):
-            record_bench_run(
-                "d", {}, tmp_path, headline={"m": {"value": 1, "better": "sideways"}}
-            )
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert load_history(tmp_path / "none.jsonl") == []
-
-    def test_load_rejects_bad_lines(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"bench": "a"}\nnot json\n')
-        with pytest.raises(ValueError, match=":2:"):
-            load_history(path)
-
-    def test_regression_lower_is_better(self):
-        rows = [_row(value=1.0), _row(value=1.0), _row(value=1.5)]
-        findings = check_regressions(rows, tolerance=0.10)
-        assert len(findings) == 1
-        assert findings[0]["metric"] == "p95_s"
-        assert findings[0]["ratio"] == pytest.approx(1.5)
-
-    def test_regression_higher_is_better(self):
-        rows = [
-            _row(value=2.0, better="higher", metric="speedup"),
-            _row(value=2.0, better="higher", metric="speedup"),
-            _row(value=1.0, better="higher", metric="speedup"),
-        ]
-        assert len(check_regressions(rows, tolerance=0.10)) == 1
-
-    def test_within_tolerance_passes(self):
-        rows = [_row(value=1.0), _row(value=1.05)]
-        assert check_regressions(rows, tolerance=0.10) == []
-
-    def test_single_run_group_skipped(self):
-        assert check_regressions([_row(value=99.0)]) == []
-
-    def test_configs_do_not_cross_baseline(self):
-        # A slow full run must not be flagged against a quick baseline.
-        rows = [
-            _row(value=0.1, config={"quick": True}),
-            _row(value=10.0, config={"quick": False}),
-        ]
-        assert check_regressions(rows) == []
-
-    def test_median_baseline_robust_to_outlier(self):
-        rows = [_row(value=1.0), _row(value=1.0), _row(value=50.0), _row(value=1.05)]
-        assert check_regressions(rows, tolerance=0.10) == []
-
-    def test_zero_baseline_skipped(self):
-        rows = [_row(value=0.0), _row(value=5.0)]
-        assert check_regressions(rows) == []
-
-    def test_format_report_marks_regressions(self):
-        rows = [_row(value=1.0), _row(value=1.0), _row(value=2.0)]
-        findings = check_regressions(rows)
-        text = format_report(rows, findings)
-        assert "serve" in text
-        assert "p95_s: 1 -> 1 -> 2" in text
-        assert "** REGRESSION +100.0%" in text
-        assert "1 regression(s)" in text
-
-    def test_format_report_empty(self):
-        assert format_report([]) == "no bench history yet"

@@ -669,14 +669,53 @@ class TestAppendEdgesBarrier:
                     await scheduler.mine("n", eligible)
                     await scheduler.mine("n", gain)
                     await scheduler.append_edges("n", src, dst, codes)
-                    stats = scheduler.stats()
+                    stats = scheduler.hub_stats()
                     post = _signature(await scheduler.mine("n", eligible))
                     return stats, post
 
         stats, post = asyncio.run(scenario())
-        assert stats["delta_migrated_entries"] == 1
-        assert stats["delta_purged_entries"] == 1
+        assert stats["migrated_entries"] == 1
+        assert stats["purged_entries"] == 1
         assert post == _signature(oracle(network, eligible))
+
+    def test_job_submitted_during_the_drain_waits_for_the_delta(self):
+        """A job submitted while the barrier drains parks until the delta
+        lands, then answers on the new edges; the job submitted before
+        the barrier answers on the old ones."""
+        network = _make_network(14)
+        request = MineRequest(k=8, min_support=2, min_nhp=0.3, workers=2)
+        pre_delta = _signature(oracle(network, request))
+        delta = _delta(network, 25, seed=12)
+
+        async def scenario():
+            with EngineHub(workers=2) as hub:
+                hub.register("n", network)
+                async with Scheduler(hub) as scheduler:
+                    first = scheduler.submit("n", request)
+                    barrier = asyncio.ensure_future(
+                        scheduler.append_edges("n", *delta)
+                    )
+                    await asyncio.sleep(0)  # the barrier pauses "n"
+                    assert "n" in scheduler._paused and not first.done
+                    second = scheduler.submit("n", request)
+                    seen = set()
+
+                    def barrier_done():
+                        if barrier.done():
+                            return True
+                        seen.add((second.state, second.dedup_key))
+                        return False
+
+                    await _wait_for(barrier_done)
+                    assert first.done  # drained before the delta landed
+                    await barrier
+                    return _signature(await first), _signature(await second), seen
+
+        first, second, seen = asyncio.run(scenario())
+        assert seen == {(JobState.PENDING, None)}  # parked, never admitted
+        assert first == pre_delta
+        assert second == _signature(oracle(network, request))
+        assert second != pre_delta  # the delta moved the answer
 
 
 class TestLeaseBudgetInterleaved:
@@ -1157,12 +1196,11 @@ _PROM_SAMPLE = re.compile(
 
 class TestObservabilityEndpoints:
     def _pause(self, scheduler, network):
-        scheduler._paused[network] = next(scheduler._seq)
+        scheduler._paused.add(network)
 
     def _release(self, scheduler, network):
-        scheduler._paused.pop(network, None)
-        backlog = scheduler._backlog.pop(network, None)
-        for job in backlog or ():
+        scheduler._paused.discard(network)
+        for job in scheduler._backlog.pop(network, ()):
             scheduler._admit.put_nowait(job)
 
     def test_metrics_endpoint_prometheus_and_json(self):
