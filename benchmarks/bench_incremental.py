@@ -12,8 +12,8 @@ Per delta round, the bench records both sides of the migrate-vs-cold
 comparison:
 
 * **incremental** — ``engine.append_edges`` migrates the cached entry
-  (untouched branches carried over, touched branches re-mined through
-  the ordinary branch miner) and the next query is a cache hit whose
+  (untouched branches carried over, touched branches re-mined as shards
+  on the engine's fleet) and the next query is a cache hit whose
   ``branches_mined`` / ``branches_total`` params say exactly how much
   mining the delta cost.
 * **cold** — a fresh engine over the same post-delta network mines the
@@ -21,10 +21,13 @@ comparison:
 
 Acceptance: every answer is GR-for-GR equal to the serial index-only
 miner (``push_topk=False``, no fleet) on the post-delta network, at
-least one entry migrated, and each migrated round mined *strictly
-fewer* branches than the cold baseline.  The table goes to stdout and
-``benchmarks/out/incremental.txt``; the machine-readable payload to
-``benchmarks/out/BENCH_incremental.json`` (the CI artifact).
+least one entry migrated, each migrated round mined *strictly fewer*
+branches than the cold baseline, and each migrated round dispatched
+shard tasks to the fleet (``repro_pool_tasks_dispatched_total`` rose
+across its ``append_edges``): the coordinator never mines.  The table
+goes to stdout and ``benchmarks/out/incremental.txt``; the
+machine-readable payload to ``benchmarks/out/BENCH_incremental.json``
+(the CI artifact).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from repro.bench.harness import format_series
 from repro.core.miner import mine_top_k
 from repro.datasets import synthetic_pokec
 from repro.engine import MineRequest, MiningEngine
+from repro.obs import REGISTRY
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 TXT_PATH = OUT_DIR / "incremental.txt"
@@ -82,6 +86,10 @@ def run(quick: bool, workers: int) -> tuple[str, dict]:
     rounds = 3 if quick else 5
     delta_size = 10
 
+    dispatched = REGISTRY.counter(
+        "repro_pool_tasks_dispatched_total",
+        "Shard tasks submitted to the worker fleet.",
+    )
     rows = []
     mismatches = 0
     with MiningEngine(network, workers=workers) as engine:
@@ -91,7 +99,9 @@ def run(quick: bool, workers: int) -> tuple[str, dict]:
             src, dst, edge_codes = _concentrated_delta(network, delta_size, i)
 
             t0 = time.perf_counter()
+            tasks_before = dispatched.value
             engine.append_edges(src, dst, edge_codes)
+            delta_tasks = int(dispatched.value - tasks_before)
             incremental = engine.mine(request)  # cache hit when migrated
             incremental_s = time.perf_counter() - t0
             migrated = engine.stats.migrated_entries - migrated_before
@@ -124,6 +134,7 @@ def run(quick: bool, workers: int) -> tuple[str, dict]:
                     "branches mined (cold)": incremental.params.get(
                         "branches_total", "-"
                     ),
+                    "fleet tasks (delta)": delta_tasks,
                     "incremental (s)": incremental_s,
                     "cold (s)": cold_s,
                 }
@@ -147,6 +158,9 @@ def run(quick: bool, workers: int) -> tuple[str, dict]:
         "incremental_elapsed_s": sum(r["incremental (s)"] for r in rows),
         "cold_elapsed_s": sum(r["cold (s)"] for r in rows),
         "mismatches": mismatches,
+        "migrated_rounds_without_fleet_tasks": sum(
+            r["fleet tasks (delta)"] == 0 for r in migrated_rounds
+        ),
     }
     payload = {
         "config": {
@@ -186,6 +200,13 @@ def main(argv=None) -> int:
         return 1
     if summary["migrated_entries"] == 0:
         print("NO MIGRATIONS: every delta fell back to the purge path")
+        return 1
+    if summary["migrated_rounds_without_fleet_tasks"]:
+        print(
+            "MIGRATION OFF THE FLEET: "
+            f"{summary['migrated_rounds_without_fleet_tasks']} migrated "
+            "round(s) dispatched no shard task"
+        )
         return 1
     if summary["branches_mined_incremental"] >= summary["branches_mined_cold"]:
         print(

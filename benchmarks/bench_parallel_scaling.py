@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Scaling bench: sharded ParallelGRMiner vs the serial GRMiner(k).
+"""Scaling bench: sharded ``mine_top_k(workers=N)`` vs the serial GRMiner(k).
 
-Times the serial miner against the multi-process miner at several worker
-counts on the synthetic Pokec- and DBLP-style workloads, checks that
-every run returns identical GRs, and records the speedups.  Run as a
-script (pytest does not collect it — the sweep needs a CLI):
+Times the serial miner against one-shot sharded mining (one query on a
+cache-less engine of N fleet workers, fork and store export included)
+at several worker counts on the synthetic Pokec- and DBLP-style
+workloads, checks that every run returns identical GRs, and records the
+speedups.  Run as a script (pytest does not collect it — the sweep needs
+a CLI):
 
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py [--quick]
 
@@ -25,9 +27,8 @@ import time
 from pathlib import Path
 
 from repro.bench.harness import format_series
-from repro.core.miner import GRMiner
+from repro.core.miner import GRMiner, mine_top_k
 from repro.datasets import synthetic_dblp, synthetic_pokec
-from repro.parallel import ParallelGRMiner
 
 OUT_PATH = Path(__file__).resolve().parent / "out" / "parallel_scaling.txt"
 
@@ -75,7 +76,13 @@ def run(quick: bool, workers: tuple[int, ...], repeats: int) -> str:
             par_result = None
             for _ in range(repeats):
                 start = time.perf_counter()
-                par_result = ParallelGRMiner(network, workers=count, **PARAMS).mine()
+                par_result = mine_top_k(
+                    network,
+                    k=PARAMS["k"],
+                    min_support=PARAMS["min_support"],
+                    min_nhp=PARAMS["min_score"],
+                    workers=count,
+                )
                 best = min(best, time.perf_counter() - start)
             row[f"par×{count} (s)"] = best
             row[f"par×{count} speedup"] = serial_best / best if best else 0.0
@@ -83,7 +90,7 @@ def run(quick: bool, workers: tuple[int, ...], repeats: int) -> str:
             row[f"par×{count} =="] = "yes" if same else "NO"
         rows.append(row)
     title = (
-        f"Parallel scaling — GRMiner(k) vs ParallelGRMiner "
+        f"Parallel scaling — GRMiner(k) vs mine_top_k(workers=N) "
         f"(minSupp=50, minNhp=0.5, k=100; cpus={os.cpu_count()})"
     )
     return format_series(rows, title=title)

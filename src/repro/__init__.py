@@ -13,12 +13,12 @@ Quickstart
 >>> for mined in result:
 ...     _ = mined.gr, mined.metrics.nhp
 
-Pass ``workers=N`` to shard the enumeration tree over N processes — the
-:class:`~repro.parallel.ParallelGRMiner` mines the first-level LEFT
-branches concurrently on a hub of one (which exports the compact store
-into shared memory and forks the fleet for this one query) and merges
-the per-shard top-k lists into the same ranked answer for any worker
-count:
+Pass ``workers=N`` to shard the enumeration tree over N processes —
+the query runs on a cache-less :class:`~repro.engine.MiningEngine`
+(which exports the compact store into shared memory and forks a fleet
+of N workers for this one query), mines the first-level LEFT branches
+concurrently and merges the per-shard top-k lists into the same ranked
+answer for any worker count:
 
 >>> result = mine_top_k(toy_dating_network(), k=5, min_support=2,
 ...                     min_nhp=0.5, workers=2)
@@ -53,7 +53,7 @@ Package map
                     (``repro serve``).
 ``repro.parallel``  Sharded multi-process mining: shard planner, the
                     worker pool, dispatch/gather and the deterministic
-                    merge (ParallelGRMiner).
+                    merge.
 ``repro.data``      Schemas, networks, the compact LArray/EArray/RArray
                     store (including its shared-memory export) and the
                     single-table model.
@@ -82,7 +82,6 @@ from .core import (
 )
 from .data import Attribute, CompactStore, EdgeTable, Schema, SocialNetwork
 from .engine import EngineHub, MineRequest, MiningEngine
-from .parallel import ParallelGRMiner
 
 __version__ = "1.3.0"
 
@@ -93,7 +92,6 @@ __all__ = [
     "BL2Miner",
     "BruteForceMiner",
     "CompactStore",
-    "ParallelGRMiner",
     "ConfidenceMiner",
     "Descriptor",
     "EdgeTable",

@@ -31,7 +31,7 @@ from .analysis.homophily import homophily_report, suggest_homophily_attributes
 from .analysis.summary import format_result, format_table2
 from .core.baselines import ConfidenceMiner
 from .core.kernels import KERNEL_TIERS
-from .core.miner import GRMiner
+from .core.miner import mine_top_k
 from .data.network import SocialNetwork
 from .io.loaders import load_network, save_network
 
@@ -287,8 +287,8 @@ def _add_mining_arguments(parser: argparse.ArgumentParser) -> None:
         type=_parse_workers,
         default=None,
         metavar="N",
-        help="mine with N sharded worker processes (repro.parallel); "
-        "default is the serial GRMiner",
+        help="mine with N sharded worker processes, on a one-query engine "
+        "of N workers; default is the serial GRMiner",
     )
     parser.add_argument(
         "--output",
@@ -356,34 +356,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_miner(network: SocialNetwork, workers: int | None, **params):
-    """Serial GRMiner, or the sharded parallel miner when --workers asks.
-
-    Any ``--workers`` value (including 1) selects ``ParallelGRMiner`` so
-    the CLI matches ``mine_top_k(..., workers=N)`` and the output never
-    depends on the worker count — ``workers=1`` runs the same shard
-    machinery in-process.
-    """
-    if workers is not None:
-        from .parallel import ParallelGRMiner
-
-        return ParallelGRMiner(network, workers=workers, **params)
-    return GRMiner(network, **params)
-
-
 def _cmd_mine(args: argparse.Namespace) -> int:
     network = _load(args.directory, args.homophily)
     params = dict(
         min_support=args.min_support,
-        min_score=args.min_nhp,
+        min_nhp=args.min_nhp,
         k=args.k,
         rank_by=args.rank_by,
         node_attributes=args.attributes,
+        workers=args.workers,
     )
     if getattr(args, "kernel", None) is not None:
         params["kernel"] = args.kernel
-    miner = _build_miner(network, getattr(args, "workers", None), **params)
-    result = miner.mine()
+    result = mine_top_k(network, **params)
     print(format_result(result, title=f"Top-{args.k} GRs by {args.rank_by}"))
     stats = result.stats
     print(
@@ -602,9 +587,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     if getattr(args, "kernel", None) is not None:
         common["kernel"] = args.kernel
-    nhp_result = _build_miner(
-        network, getattr(args, "workers", None), min_score=args.min_nhp, **common
-    ).mine()
+    nhp_result = mine_top_k(
+        network, min_nhp=args.min_nhp, workers=args.workers, **common
+    )
     conf_result = ConfidenceMiner(network, min_score=args.min_nhp, **common).mine()
     print(format_table2(nhp_result, conf_result, rows=args.rows))
     return 0

@@ -695,10 +695,10 @@ class GRMiner:
 
         The run is organized as the sequence of independent first-level
         branches of :meth:`plan_branches` (the serial traversal order is
-        unchanged); :class:`~repro.parallel.ParallelGRMiner` distributes
-        the same branches across worker processes.  Only the dynamic
-        threshold can hide a blocker from this whole-tree walk, so only
-        GRMiner(k) checks its top-k candidates on the data.
+        unchanged); the engine's fleet mines the same branches as shards
+        across worker processes (:mod:`repro.parallel`).  Only the
+        dynamic threshold can hide a blocker from this whole-tree walk,
+        so only GRMiner(k) checks its top-k candidates on the data.
         """
         start = time.perf_counter()
         self._begin(verify=self.k is not None and self.push_topk)
@@ -1474,9 +1474,11 @@ def mine_top_k(
 ) -> MiningResult:
     """Convenience wrapper: run GRMiner(k) with the paper's defaults.
 
-    Pass ``workers=N`` to mine with the sharded multi-process
-    :class:`~repro.parallel.ParallelGRMiner` instead of the serial
-    miner (``workers=1`` runs the shard machinery in-process).
+    Pass ``workers=N`` to shard the enumeration tree over N worker
+    processes instead of mining serially: the query runs on a cache-less
+    :class:`~repro.engine.MiningEngine` of N workers, closed with it, so
+    it pays the store export and the fleet's fork once per call (hold an
+    engine to ask twice).  The answer is the same for any worker count.
 
     Pass ``kernel="reference"|"vector"`` to select the
     candidate-evaluation tier (:mod:`repro.core.kernels`).  The tier is
@@ -1492,15 +1494,13 @@ def mine_top_k(
     5
     """
     if workers is not None:
-        from ..parallel import ParallelGRMiner  # deferred: avoids an import cycle
+        from ..engine import MineRequest, MiningEngine  # it imports this module
 
-        return ParallelGRMiner(
-            network,
-            workers=workers,
-            min_support=min_support,
-            min_score=min_nhp,
-            k=k,
-            **kwargs,
-        ).mine()
+        store = kwargs.pop("store", None)
+        request = MineRequest.create(
+            k=k, min_support=min_support, min_nhp=min_nhp, workers=workers, **kwargs
+        )
+        with MiningEngine(network, workers, cache_size=0, store=store) as engine:
+            return engine.mine(request)
     miner = GRMiner(network, min_support=min_support, min_score=min_nhp, k=k, **kwargs)
     return miner.mine()

@@ -13,16 +13,19 @@ bit-for-bit, and with it its support, lw, homophily counts and score.
 :func:`migrate_fingerprint` exploits that instead of purging the whole
 superseded fingerprint: each cached entry is either *migrated* — its
 untouched-branch members carried over (re-verified on the new store) and
-only the touched branches re-mined as one shard
-(:func:`~repro.parallel.worker.mine_shard`, on the engine's own
-skeleton), then merged through the same total-order reduce every
-sharded query uses — or
+only the touched branches re-mined on the hub's fleet, as an
+:class:`~repro.parallel.Execution` of the same shards every query runs
+(:meth:`MiningEngine.shard_execution
+<repro.engine.MiningEngine.shard_execution>` over the post-delta
+lease), then merged through the same total-order reduce — or
 *purged*, whenever any link of the proof below cannot be established.
 The fallback is always available and always sound: a purged entry is
 simply re-mined cold on its next request.  An entry whose migration
 *raises* is purged too, so the others still migrate, but that is a
 fault rather than a safety check: it warns with the exception and is
-counted apart (:attr:`MigrationReport.errors`).
+counted apart (:attr:`MigrationReport.errors`).  A failed migration
+shard is such a fault: it becomes the execution's ``error``, which the
+migration raises.
 
 Soundness of a migrated entry (why the merge equals a cold re-mine)
 -------------------------------------------------------------------
@@ -77,8 +80,14 @@ from dataclasses import dataclass
 from ..core.miner import CKEY_FIELDS, GRMiner, MinerConfig, config_from_canonical_key
 from ..core.results import MinedGR, MiningResult, MiningStats
 from ..data.store import StoreDelta
-from ..parallel.miner import memo_counts, merge_shard_results, warn_at_caller
-from ..parallel.worker import ShardResult, ShardTask, mine_shard
+from ..parallel.miner import (
+    dispatch,
+    gather,
+    memo_counts,
+    merge_shard_results,
+    warn_at_caller,
+)
+from ..parallel.worker import ShardResult
 from ..serve.markers import coordinator_only
 
 __all__ = ["MigrationReport", "migrate_fingerprint"]
@@ -233,19 +242,29 @@ def _migrate_entry(
             continue  # a blocker newly qualified; Definition 5(2) drops it
         survivors.append(MinedGR(gr=entry.gr, metrics=metrics, score=score))
 
-    # --- re-mine only the touched branches as one shard, with the same
-    # per-candidate machinery the fleet uses (its exactness carries over).
+    # --- re-mine only the touched branches on the fleet, as an
+    # execution of the shards every query runs (its exactness carries
+    # over).  Its pin comes back once it drained, or when nothing went
+    # out, as in sweep().
     touched_branches = tuple(
         b
         for b in plan.branches
         if b.kind == "root" or (b.attr, b.value) in touched
     )
-    mined = mine_shard(
-        skeleton, ShardTask(shard_id=1, branches=touched_branches, config=config)
+    execution = engine.shard_execution(
+        config, plan, touched_branches, engine.workers
     )
-    carried = ShardResult(shard_id=0, entries=survivors, stats=MiningStats())
+    try:
+        if execution.queue:
+            gather([execution], dispatch([execution], engine.hub._ensure_pool()))
+    finally:
+        if execution.inflight == 0:
+            engine.release(execution)
+    if execution.error is not None:
+        raise execution.error
+    carried = ShardResult(shard_id=-1, entries=survivors, stats=MiningStats())
     entries, stats = merge_shard_results(
-        [carried, mined], config, plan.pruned_by_support
+        [carried, *execution.results], config, plan.pruned_by_support
     )
 
     # --- threshold-truncation safety: if the old result was truncated
@@ -265,6 +284,6 @@ def _migrate_entry(
         migrated=True,
         branches_mined=len(touched_branches),
         branches_total=len(plan.branches),
-        **memo_counts([mined]),
+        **memo_counts(execution.results),
     )
     return "migrated", MiningResult(grs=entries, stats=stats, params=params)

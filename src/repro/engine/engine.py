@@ -3,9 +3,8 @@
 Motivation: real use of GR mining — including the paper's own Fig. 4
 experiment grids — runs *many* ``(k, minSupp, minNhp, rank_by)`` queries
 against the *same* network.  The one-shot path
-(:func:`repro.core.miner.mine_top_k` /
-:class:`~repro.parallel.ParallelGRMiner`, which mines on a hub of one
-that lives for one query) pays the full setup on every call: build the
+(``mine_top_k(..., workers=N)``, which mines on a cache-less engine that
+lives for one query) pays the full setup on every call: build the
 compact store, export it to shared memory, fork a worker pool, re-gather
 the per-edge columns, re-partition the first level.  The engine hoists
 all of that to construction time and amortizes it over the query
@@ -22,8 +21,9 @@ stream:
   fleet is spawned **once** (lazily, on the first mined query) and
   re-armed per query via self-describing shard tasks;
 * one miner skeleton on the coordinator plans every query, re-targeted
-  per query with :meth:`GRMiner.rearm`; it mines nothing but a migrated
-  cache entry's touched branches (:mod:`repro.engine.delta`);
+  per query with :meth:`GRMiner.rearm`, and mines nothing: a migrated
+  cache entry's touched branches run on the fleet as an execution too
+  (:mod:`repro.engine.delta`);
 * results are memoized in an LRU keyed by ``(store fingerprint,
   canonical request)``.
 
@@ -41,10 +41,9 @@ same steps and hands them back to :meth:`MiningEngine.finish` and
 :meth:`MiningEngine.release`.  Both learn of each settled shard through
 the fleet's ``submit`` callbacks.
 
-Semantics are inherited, not reimplemented: every query runs through the
-:func:`~repro.parallel.worker.mine_shard` /
-:meth:`Execution.merge <repro.parallel.Execution.merge>` machinery that
-the in-process :class:`~repro.parallel.ParallelGRMiner` runs too, so the
+Semantics are inherited, not reimplemented: every query runs through
+the fleet's :func:`~repro.parallel.worker.run_shard` and
+:meth:`Execution.merge <repro.parallel.Execution.merge>`, so the
 equivalence harness's guarantees carry over unchanged: every engine
 answer is the exact Definition 5 answer, whatever the worker count.
 """
@@ -307,11 +306,9 @@ class MiningEngine:
     def plan_query(self, request: MineRequest, key: tuple) -> Execution:
         """Plan one cache-missed query into an :class:`Execution`.
 
-        Pays branch planning, sharding and the store-handle resolution
-        here, so the tasks can be dispatched to the fleet without
-        touching the engine again.  The lease the tasks address stays
-        pinned (:meth:`EngineHub.pin_lease
-        <repro.engine.EngineHub.pin_lease>`) until :meth:`release`.
+        Pays branch planning here, then shards every planned branch
+        through :meth:`shard_execution`, so the tasks can be dispatched
+        to the fleet without touching the engine again.
         """
         config = request.to_config()
         plan = self._armed_skeleton(config).plan_branches()
@@ -328,11 +325,25 @@ class MiningEngine:
                     "clamped requests on this engine stay silent)"
                 )
             warn_if_overprovisioned(workers, len(plan.branches))
-        shards = plan_shards(plan.branches, workers)
-        if not shards:  # every first-level partition is below minSupp
+        return self.shard_execution(config, plan, plan.branches, workers, key)
+
+    @coordinator_only
+    def shard_execution(
+        self, config: MinerConfig, plan, branches, workers: int, key: tuple = ()
+    ) -> Execution:
+        """An :class:`Execution` of ``branches`` packed into at most
+        ``workers`` shards over this network's live lease.
+
+        The tasks carry the lease handle so the store-agnostic fleet can
+        attach the right data, and the lease stays pinned
+        (:meth:`EngineHub.pin_lease <repro.engine.EngineHub.pin_lease>`)
+        until :meth:`release`.  With no shard to run (every branch below
+        minSupp) the execution is drained from the start and pins
+        nothing.
+        """
+        shards = plan_shards(branches, workers)
+        if not shards:
             return Execution(config=config, key=key, plan=plan, network=self.name)
-        # Tasks carry the lease handle so the store-agnostic fleet can
-        # attach the right data.
         store_handle = self.hub._touch_lease(self).handle
         self.hub.pin_lease(self.name)
         return Execution(
@@ -450,7 +461,8 @@ class MiningEngine:
         attach the next export per task) and hands the old fingerprint's
         result-cache entries to :func:`repro.engine.delta.migrate_fingerprint`:
         entries the delta provably did not invalidate are re-keyed to
-        the new fingerprint with only their touched branches re-mined;
+        the new fingerprint with only their touched branches re-mined
+        on the fleet, over a fresh export of the post-delta store;
         the rest are purged (they could never be served again — lookups
         use the new fingerprint — but they would pollute the LRU and any
         disk tier).  With no ``delta`` (an untracked mutation) every

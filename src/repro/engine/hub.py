@@ -6,7 +6,7 @@ budget and pins, and the result cache.  No other code spawns a worker
 or exports a store.  A :class:`~repro.engine.MiningEngine` amortizes
 per-query setup for one network on these resources — a standalone
 engine on a private hub of one network, a registered one on a shared
-hub, and a :class:`~repro.parallel.ParallelGRMiner` query on a hub of
+hub, and a ``mine_top_k(..., workers=N)`` query on a cache-less hub of
 one that lives for that query — and the hub amortizes the *fleet*
 across many networks and makes the networks mutable:
 
@@ -30,8 +30,9 @@ across many networks and makes the networks mutable:
   the stale lease.  The old fingerprint's result-cache entries (memory
   *and* disk tier) are not simply purged: entries the delta provably
   did not invalidate are *migrated* to the new fingerprint with only
-  the touched first-level branches re-mined
-  (:mod:`repro.engine.delta`); the rest are purged and re-mine cold.
+  the touched first-level branches re-mined on the fleet during the
+  delta (:mod:`repro.engine.delta`); the rest are purged and re-mine
+  cold.
   Untouched networks keep their cache entries and leases.
 * **A shared result cache with an optional disk tier.**  Keys embed the
   store fingerprint, so one cache safely serves every network.  With
@@ -293,7 +294,7 @@ class EngineHub:
         """Exempt ``name``'s lease from budget eviction (refcounted).
 
         The engine that resolves an execution's store handle pins its
-        lease in :meth:`MiningEngine.plan_query` and unpins it in
+        lease in :meth:`MiningEngine.shard_execution` and unpins it in
         :meth:`MiningEngine.release`: the execution's shard tasks carry
         the lease's segment name, and an eviction in between — triggered
         by another network's query being planned — would unlink the

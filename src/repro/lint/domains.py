@@ -14,9 +14,8 @@ produces no edge, so legal dispatch ends a chain.
 synchronous function the walk reaches for a *blocking call*:
 ``time.sleep``, ``sqlite3.*``, ``subprocess.*``, ``open()``,
 non-awaited ``.acquire()``/``.wait()``, and observability persistence
-(``record_bench_run``/``append_history``, or a persistence verb such as
-``dump``/``flush``/``write_text`` on a receiver whose name says
-metrics/registry/tracer/history).  Only a function's own body counts:
+(a persistence verb such as ``dump``/``flush``/``write_text`` on a
+receiver whose name says metrics/registry/tracer/history).  Only a function's own body counts:
 nested ``def``s and ``lambda``s run whenever, and on whichever thread,
 they are invoked.
 
@@ -64,7 +63,6 @@ from .model import Finding, Project
 __all__ = ["CoordinatorOwnership", "NoBlockingInAsync"]
 
 _BLOCKING_ATTRS = frozenset({"acquire", "wait"})
-_OBS_PERSIST_CALLS = frozenset({"record_bench_run", "append_history"})
 _OBS_PERSIST_VERBS = frozenset(
     {"write", "write_text", "write_bytes", "write_json", "dump", "save",
      "flush", "persist", "append_row"}
@@ -209,8 +207,6 @@ def _blocking_sites(func: ast.AST) -> list[tuple[ast.Call, str]]:
             what = f"blocking {d}()"
         elif d == "open":
             what = "file I/O via open()"
-        elif d in _OBS_PERSIST_CALLS:
-            what = f"bench/obs persistence via {d}()"
         elif attr in _BLOCKING_ATTRS and id(node) not in awaited:
             what = f"non-awaited .{attr}()"
         elif attr in _OBS_PERSIST_VERBS and _obs_receiver(dotted(node.func.value)):

@@ -18,7 +18,7 @@ like ``repro.serve.markers`` it imports nothing from the rest of
 """
 
 from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry, REGISTRY
-from .trace import NullTracer, Tracer
+from .trace import Tracer
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -26,7 +26,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullTracer",
     "REGISTRY",
     "Tracer",
 ]

@@ -18,7 +18,7 @@ import threading
 import time
 from collections import OrderedDict
 
-__all__ = ["Tracer", "NullTracer"]
+__all__ = ["Tracer"]
 
 
 class Tracer:
@@ -26,7 +26,8 @@ class Tracer:
 
     Oldest jobs are evicted once ``max_jobs`` traces are held; spans per
     job are capped at ``max_spans_per_job`` (excess spans are dropped,
-    never an error).
+    never an error).  A tracer with ``enabled`` set to ``False`` records
+    nothing.
     """
 
     def __init__(self, max_jobs: int = 256, max_spans_per_job: int = 4096):
@@ -134,24 +135,3 @@ class Tracer:
                 }
             )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-class NullTracer:
-    """No-op stand-in used when tracing is disabled."""
-
-    enabled = False
-
-    def begin(self, job_id: str, **meta: object) -> None:
-        return
-
-    def span(self, job_id: str, name: str, start_s: float, end_s: float, tid: int = 0, **args: object) -> None:
-        return
-
-    def jobs(self) -> list[str]:
-        return []
-
-    def trace(self, job_id: str) -> dict | None:
-        return None
-
-    def chrome_trace(self, job_id: str) -> dict | None:
-        return None

@@ -1,21 +1,23 @@
-"""ParallelGRMiner — sharded top-k GR mining over a process pool.
+"""Sharded execution: one planned query as an :class:`Execution`, and
+the blocking driver that runs executions on the worker fleet.
 
 The SFDF enumeration tree's first-level LEFT branches partition the GR
 space (every LHS has a unique latest-in-τ assignment), so Algorithm 1
 parallelizes by branch with *no* shared mutable state on the hot path:
 
 1. **Plan** — the coordinator runs :meth:`GRMiner.plan_branches` and
-   packs the branches into degree-weight-balanced shards (LPT).
+   packs the branches into degree-weight-balanced shards (LPT;
+   :meth:`repro.engine.MiningEngine.shard_execution`).
 2. **Share** — the compact store and network columns are exported once
    into POSIX shared memory under a guaranteed-unlink
    :class:`~repro.data.store.SharedStoreLease` that the
    :class:`~repro.engine.EngineHub` owns; workers attach zero-copy
    read-only views.
 3. **Mine** — each worker replays the serial recursion over its
-   branches.  Candidate validity (thresholds, triviality, Definition
-   5(2) generality) is decided per-shard from first principles, and
-   each shard's dynamic ``minNhp`` is its own k-th best score (see
-   :mod:`repro.parallel.worker`).
+   branches (:func:`~repro.parallel.worker.run_shard`).  Candidate
+   validity (thresholds, triviality, Definition 5(2) generality) is
+   decided per-shard from first principles, and each shard's dynamic
+   ``minNhp`` is its own k-th best score.
 4. **Merge** — per-shard top-k lists are folded through
    :meth:`TopKCollector.merge`; the total rank order makes the outcome
    byte-identical for any worker count, including ``workers=1``.
@@ -32,15 +34,14 @@ through the same steps — :meth:`Execution.next_task`,
 :meth:`Execution.merge` — so its answer never depends on who drove it,
 and each learns of a settled shard through the fleet's ``submit``
 callbacks:
-:meth:`repro.engine.MiningEngine.sweep` runs a batch of executions
-round-robin over its hub's fleet (:func:`dispatch`, then
-:func:`gather`, which settles them on the caller's thread); the
-:mod:`repro.serve` scheduler feeds their tasks to the fleet one slot at
-a time.  :class:`ParallelGRMiner` mines one query on a hub of one, or
-in-process through :func:`~repro.parallel.worker.mine_shard` for one
-shard or ``workers=1``.  A stream of queries over one network should go
-through :class:`repro.engine.MiningEngine`, whose hub keeps the export
-and the fleet alive across them.
+:meth:`repro.engine.MiningEngine.sweep` and the delta migrator
+(:mod:`repro.engine.delta`) run executions on their hub's fleet
+(:func:`dispatch`, then :func:`gather`, which settles them on the
+caller's thread); the :mod:`repro.serve` scheduler feeds their tasks to
+the fleet one slot at a time.  ``mine_top_k(..., workers=N)`` runs one
+query on a cache-less :class:`repro.engine.MiningEngine` of ``N``
+workers; a stream of queries over one network should hold an engine,
+whose hub keeps the export and the fleet alive across them.
 """
 
 from __future__ import annotations
@@ -54,17 +55,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core.miner import BranchPlan, GRMiner, MinerConfig
-from ..core.results import MiningResult, MiningStats
+from ..core.miner import BranchPlan, MinerConfig, mine_top_k
+from ..core.results import MiningStats
 from ..core.topk import TopKCollector
-from ..data.network import SocialNetwork
-from .planner import plan_shards
-from .pool import default_start_method
-from .worker import ShardResult, ShardTask, mine_shard
+from .worker import ShardResult, ShardTask
 
 __all__ = [
     "Execution",
-    "ParallelGRMiner",
     "check_worker_count",
     "dispatch",
     "gather",
@@ -77,15 +74,17 @@ __all__ = [
 
 
 def warn_at_caller(message: str) -> None:
-    """Warn from the first caller outside ``repro.engine`` and
-    ``repro.parallel``, however deep inside them the warning is raised:
-    ``engine.mine(...)`` reaches the clamp warning through ``sweep``,
-    ``prepare`` and ``plan_query``, and ``MiningEngine(...)`` reaches
-    :func:`check_worker_count` through the ``EngineHub`` it builds."""
+    """Warn from the first caller outside ``repro.engine``,
+    ``repro.parallel`` and :func:`~repro.core.miner.mine_top_k`, however
+    deep inside them the warning is raised: ``engine.mine(...)`` reaches
+    the clamp warning through ``sweep``, ``prepare`` and ``plan_query``,
+    and ``mine_top_k(..., workers=N)`` reaches
+    :func:`check_worker_count` through the ``MiningEngine`` and
+    ``EngineHub`` it builds."""
     level, frame = 1, sys._getframe()
-    while frame.f_globals.get("__name__", "").startswith(
-        ("repro.engine.", "repro.parallel.")
-    ):
+    while frame.f_code is mine_top_k.__code__ or frame.f_globals.get(
+        "__name__", ""
+    ).startswith(("repro.engine.", "repro.parallel.")):
         level, frame = level + 1, frame.f_back
     warnings.warn(message, stacklevel=level)
 
@@ -115,8 +114,7 @@ def warn_if_overprovisioned(workers: int, num_branches: int) -> None:
     """Warn when a query cannot occupy the workers it asked for.
 
     Shard count is capped by the first-level branch count, so surplus
-    workers would simply idle; one shared message keeps the one-shot
-    miner and the engine diagnostics identical.
+    workers would simply idle.
     """
     if 0 < num_branches < workers:
         warn_at_caller(
@@ -133,8 +131,8 @@ def merge_shard_results(
 ) -> tuple[list, MiningStats]:
     """Fold per-shard collections into the globally ranked result.
 
-    The deterministic reduce step shared by :class:`ParallelGRMiner` and
-    the engine: because the rank key is a total order, the merge is
+    The deterministic reduce step of every execution and of a delta
+    migration: because the rank key is a total order, the merge is
     independent of shard count and gather order.
     """
     merged = TopKCollector.merge(
@@ -162,7 +160,7 @@ def memo_counts(shard_results: Sequence[ShardResult]) -> dict:
 
 
 def shard_tasks(
-    shards: Sequence[tuple], config: MinerConfig, store_handle=None
+    shards: Sequence[tuple], config: MinerConfig, store_handle
 ) -> tuple[ShardTask, ...]:
     """One :class:`ShardTask` per planned shard, all on one store."""
     return tuple(
@@ -209,7 +207,7 @@ class Execution:
     error: BaseException | None = None
     #: The engine's network name (engine-planned executions), and whether
     #: the execution holds a pin on that network's lease: the engine
-    #: pins it in ``plan_query`` and unpins it in ``release``.
+    #: pins it in ``shard_execution`` and unpins it in ``release``.
     network: str | None = None
     pinned: bool = False
     #: The jobs sharing this execution (``repro.serve``).
@@ -300,79 +298,3 @@ def gather(executions: Sequence[Execution], settled: queue.SimpleQueue) -> None:
     for _ in range(sum(execution.inflight for execution in executions)):
         execution, result, error = settled.get()
         execution.settle(result, error)
-
-
-class ParallelGRMiner:
-    """Mine top-k GRs with sharded worker processes.
-
-    Accepts every :class:`~repro.core.miner.GRMiner` keyword argument,
-    plus:
-
-    Parameters
-    ----------
-    workers:
-        Process count; ``None`` uses ``os.cpu_count()``.  ``workers=1``
-        (or a single planned shard) runs in-process through the same
-        shard machinery — handy for debugging and for the determinism
-        guarantee that the answer never depends on the worker count.
-        Otherwise ``mine()`` runs on a hub of one: a
-        :class:`~repro.engine.MiningEngine` with a worker per shard and
-        no cache, closed with the query.  Requests above the CPU count
-        or the planned branch count warn (and proceed) rather than
-        crash.
-    """
-
-    def __init__(
-        self,
-        network: SocialNetwork,
-        workers: int | None = None,
-        store=None,
-        **miner_kwargs,
-    ) -> None:
-        from ..engine import MineRequest  # it imports this module
-
-        self.network = network
-        self.workers = check_worker_count(workers)
-        # One configuration with GRMiner's defaults (k=None: every GR),
-        # asked of the hub of one and mined by the in-process path.
-        self._request = MineRequest.create(**{"k": None, **miner_kwargs})
-        self._config = self._request.to_config()
-        # The coordinator's miner: owns the store the hub exports, plans
-        # the branches and mines in-process for one shard or workers=1.
-        self._serial = GRMiner(network, store=store, config=self._config)
-
-    # ------------------------------------------------------------------
-    def mine(self) -> MiningResult:
-        """Plan, shard, mine and merge; returns the ranked result."""
-        started = time.perf_counter()
-        plan = self._serial.plan_branches()
-        warn_if_overprovisioned(self.workers, len(plan.branches))
-        shards = plan_shards(plan.branches, self.workers)
-        if len(shards) > 1 and self.workers > 1:
-            from ..engine import MiningEngine  # it imports this module
-
-            with warnings.catch_warnings():
-                # __init__ already warned about a count above the CPU count.
-                warnings.filterwarnings("ignore", r"workers=\d+ exceeds os\.cpu_count")
-                hub_of_one = MiningEngine(
-                    self.network, len(shards), cache_size=0, store=self._serial.store
-                )
-            with hub_of_one:
-                result = hub_of_one.mine(self._request)
-            del result.params["engine"]  # as in-process: no cache outlives the hub
-        else:
-            # One shard, or workers=1: no fleet, the shards run on the
-            # coordinator's own miner.
-            execution = Execution(
-                config=self._config, plan=plan, tasks=shard_tasks(shards, self._config)
-            )
-            execution.results = [mine_shard(self._serial, t) for t in execution.tasks]
-            entries, stats = execution.merge()
-            params = self._serial._params()
-            params.update(
-                start_method=default_start_method(), **memo_counts(execution.results)
-            )
-            result = MiningResult(grs=entries, stats=stats, params=params)
-        result.stats.runtime_seconds = time.perf_counter() - started
-        result.params.update(workers=self.workers, shards=len(shards))
-        return result

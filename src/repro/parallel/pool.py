@@ -7,13 +7,15 @@ the store handle), so the same fleet serves any number of queries over
 any number of stores, interleaved or sequential.  Its one owner is
 :class:`~repro.engine.EngineHub`, which spawns it once (shared by many
 networks, private to a standalone :class:`~repro.engine.MiningEngine`,
-or built for one :class:`~repro.parallel.ParallelGRMiner` query) and
-terminates it on close.  Workers start with :func:`default_start_method`.
+or built for one ``mine_top_k(..., workers=N)`` query) and terminates
+it on close.  Every shard is mined here, a query's or a delta
+migration's.  Workers start with :func:`default_start_method`.
 
 Completion has one contract: :meth:`PersistentWorkerPool.submit` takes
 a ``callback`` and an ``error_callback`` and returns nothing, so the
-blocking :func:`~repro.parallel.miner.gather` and the :mod:`repro.serve`
-scheduler learn of a settled shard the same way.
+blocking :func:`~repro.parallel.miner.gather` (behind ``sweep`` and the
+delta migrator) and the :mod:`repro.serve` scheduler learn of a settled
+shard the same way.
 """
 
 from __future__ import annotations

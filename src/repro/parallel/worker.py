@@ -8,10 +8,10 @@ serves any stream of queries over any number of stores.  Each
 attached store (LRU-bounded) keeps one :class:`~repro.core.miner.GRMiner`
 skeleton, re-armed (:meth:`GRMiner.rearm`) whenever a task's config
 differs, while its per-edge column gathers and enumeration-lattice memo
-persist for the attachment's lifetime.  :func:`mine_shard` replays the
-serial miner's recursion over a task's slice of first-level branches
-and returns a :class:`ShardResult` of mined entries plus effort
-counters; :func:`run_shard` is the pool's entry around it.
+persist for the attachment's lifetime.  :func:`run_shard`, the pool's
+entry and the one place a shard is mined, replays the serial miner's
+recursion over a task's slice of first-level branches and returns a
+:class:`ShardResult` of mined entries plus effort counters.
 
 A shard prunes on its own collector's k-th best score (Algorithm 1
 line 28) and nothing else: under the total rank order, a GR in the
@@ -48,7 +48,6 @@ __all__ = [
     "ShardTask",
     "StoreAttachment",
     "initialize_worker",
-    "mine_shard",
     "run_shard",
 ]
 
@@ -60,9 +59,8 @@ class ShardTask:
     ``store_handle`` addresses the shared store export the task mines
     over; a pool worker attaches it on demand, which is what lets one
     fleet serve many networks (:class:`repro.engine.EngineHub`) and
-    re-exported post-delta stores.  Every task sent to a pool must carry
-    one; only a task run in-process through :func:`mine_shard`, on a
-    miner its caller already holds, may leave it ``None``.
+    re-exported post-delta stores.  Every task must carry one: a task
+    without it fails in the worker with a clear error.
     """
 
     shard_id: int
@@ -180,23 +178,17 @@ def _shard_miner(attachment: StoreAttachment, config: MinerConfig) -> GRMiner:
 
 
 def run_shard(task: ShardTask) -> ShardResult:
-    """The pool's entry: resolve the task's store, then mine."""
+    """The pool's entry: mine one shard's branches on the skeleton of
+    the store its handle addresses, and return its verified entries.
+
+    Every would-be top-k candidate is checked on the data, whatever
+    ``push_topk`` says: the shard's index cannot see its sibling
+    branches.
+    """
     if not _STATE:
         raise RuntimeError("worker not initialized — call initialize_worker first")
     state = _STATE[0]
     miner = _shard_miner(_task_attachment(state, task.store_handle), task.config)
-    return mine_shard(miner, task)
-
-
-def mine_shard(miner: GRMiner, task: ShardTask) -> ShardResult:
-    """Mine one shard's branches on ``miner`` and return its verified
-    entries.
-
-    ``miner`` must already be armed with ``task.config``; the task's
-    store handle is not consulted.  Every would-be top-k candidate is
-    checked on the data, whatever ``push_topk`` says: the shard's index
-    cannot see its sibling branches.
-    """
     miner._begin(verify=True)
     tau = static_tau(miner.schema, miner.node_attributes)
     for branch in task.branches:

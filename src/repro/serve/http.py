@@ -10,10 +10,8 @@ Endpoints
 ``GET  /healthz``
     ``{"status": "ok", "networks": [...]}``.
 ``GET  /stats``
-    Scheduler counters + the hub-stats snapshot the coordinator
-    publishes on every job release (never a live coordinator
-    round-trip — a stats poll cannot queue behind mining work; the
-    ``hub`` object carries its staleness as ``age_s``).
+    Scheduler counters + the hub's aggregate stats, read on the
+    coordinator thread (one round trip; the coordinator never mines).
 ``GET  /metrics``
     The process-wide :data:`repro.obs.REGISTRY` in Prometheus text
     exposition format (0.0.4); ``?format=json`` for the structured
@@ -359,12 +357,9 @@ class ServeHTTP:
         if segments == ["healthz"] and method == "GET":
             return 200, {"status": "ok", "networks": self.scheduler.hub.names()}
         if segments == ["stats"] and method == "GET":
-            # Served from the coordinator-published snapshot: a stats
-            # poll never waits behind mining work on the coordinator
-            # (the snapshot's own staleness rides along as "age_s").
             return 200, {
                 "scheduler": self.scheduler.stats(),
-                "hub": self.scheduler.hub_stats(),
+                "hub": await self.scheduler.hub_stats(),
             }
         if len(segments) == 2 and segments[0] == "jobs":
             return await self._route_job(method, segments[1])

@@ -51,11 +51,12 @@ Threading model — three actors, strict ownership:
   scheduler/job state (shard completions are marshalled onto it);
 * one **coordinator thread** (a 1-thread executor) owns all
   engine-internal mutable state — planning skeletons, leases and pins,
-  the result cache — i.e. the role the blocking hub's calling thread
-  used to play.  It plans, merges and caches but never mines, so a
-  cache hit on one network never queues behind another network's mine;
+  the result cache, the engines' counters behind ``GET /stats`` — i.e.
+  the role the blocking hub's calling thread used to play.  It plans,
+  merges and caches but never mines, so a cache hit on one network
+  never queues behind another network's mine;
 * the **worker fleet** (processes) owns all mining: every execution's
-  shards run there, one shard or many.
+  shards run there, one shard or many, and so do a delta migration's.
 
 While a scheduler serves a hub, route all traffic through it: calling
 the blocking ``hub.mine()`` / ``hub.sweep()`` concurrently from another
@@ -78,7 +79,7 @@ from ..engine.hub import EngineHub
 from ..engine.request import MineRequest
 from ..parallel.miner import Execution
 from ..obs.metrics import REGISTRY
-from ..obs.trace import NullTracer, Tracer
+from ..obs.trace import Tracer
 from .job import JobCancelled, JobState, ServeJob
 from .markers import coordinator_only
 
@@ -134,9 +135,9 @@ class Scheduler:
         Record per-job trace spans (plan → per-shard dispatch/complete
         → merge → finalize) into :attr:`tracer`, a bounded
         :class:`repro.obs.Tracer` ring buffer the HTTP facade
-        exports via ``GET /jobs/{id}/trace``.  ``False`` swaps in a
-        :class:`~repro.obs.NullTracer` (metrics are governed separately
-        by ``repro.obs.REGISTRY.set_enabled``).
+        exports via ``GET /jobs/{id}/trace``.  ``False`` disables that
+        tracer, which then records nothing (metrics are governed
+        separately by ``repro.obs.REGISTRY.set_enabled``).
 
     Use as an async context manager (or ``await start()`` /
     ``await close()``)::
@@ -157,14 +158,8 @@ class Scheduler:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be positive (or None)")
         self.hub = hub
-        self.observe = observe
-        self.tracer = Tracer() if observe else NullTracer()
-        #: Snapshot age past which :meth:`hub_stats` kicks a background
-        #: refresh (the current snapshot is still served immediately).
-        self.stats_max_age_s = 1.0
-        self._hub_stats: dict | None = None
-        self._hub_stats_at: float = 0.0
-        self._hub_stats_refreshing = False
+        self.tracer = Tracer()
+        self.tracer.enabled = observe
         self.slots = max_inflight if max_inflight is not None else hub.workers
         self._loop: asyncio.AbstractEventLoop | None = None
         self._coordinator = ThreadPoolExecutor(
@@ -226,9 +221,6 @@ class Scheduler:
             self._admit_loop(), name="serve-admitter"
         )
         self._fleet = await self._run_coord(self.hub._ensure_pool)
-        # Seed the stats snapshot so GET /stats never has to wait for a
-        # first job to publish one (see hub_stats()).
-        self._store_hub_stats(await self._run_coord(self.hub.aggregate_stats))
         return self
 
     async def close(self) -> None:
@@ -428,7 +420,9 @@ class Scheduler:
         networks keep flowing; late submissions park in a backlog),
         waits for the jobs submitted before the pause to resolve,
         applies the delta on the coordinator, then releases the
-        backlog.  Returns the new fingerprint.
+        backlog.  Returns the new fingerprint.  Migrated cache entries'
+        touched branches mine on the fleet, outside the scheduler's
+        slots, while the coordinator waits for them.
 
         The delta's cache outcome shows in :meth:`hub_stats` (the
         ``hub`` section of ``GET /stats``): ``migrated_entries`` counts
@@ -451,15 +445,9 @@ class Scheduler:
             ]
             if pending:
                 await asyncio.wait(pending)
-            fingerprint = await self._run_coord(
+            return await self._run_coord(
                 self.hub.append_edges, network, src, dst, edge_codes
             )
-            # The delta changed the fingerprint and lease population the
-            # published stats snapshot describes — refresh it in place.
-            self._store_hub_stats(
-                await self._run_coord(self.hub.aggregate_stats)
-            )
-            return fingerprint
         finally:
             self._paused.discard(network)
             for job in self._backlog.pop(network, ()):
@@ -497,7 +485,7 @@ class Scheduler:
             self._attach(job, shared)
             return
         plan_started = time.perf_counter()
-        prepared = await self._run_coord(self._prepare_sync, engine, job.request)
+        prepared = await self._run_coord(engine.prepare, job.request)
         self.tracer.span(job.id, "plan", plan_started, time.perf_counter())
         if isinstance(prepared, MiningResult):
             if not job.done:
@@ -508,7 +496,7 @@ class Scheduler:
             return
         execution = prepared
         if job.done:  # cancelled while being planned: nothing went out
-            await self._run_coord(self._release_sync, engine, execution)
+            await self._run_coord(engine.release, execution)
             return
         self._attach(job, execution)
         self._executions[job.dedup_key] = execution
@@ -519,16 +507,6 @@ class Scheduler:
             # Every first-level partition is below minSupp: no shard to
             # run, so the (empty) answer merges right away.
             self._finalize_soon(execution)
-
-    @coordinator_only
-    def _prepare_sync(self, engine, request: MineRequest):
-        # Runs on the coordinator thread.  A miss comes back as an
-        # execution whose engine pinned the lease its tasks address
-        # (released in _release_sync); a hit addresses none.
-        prepared = engine.prepare(request)
-        if isinstance(prepared, MiningResult):
-            self._publish_hub_stats()
-        return prepared
 
     def _attach(self, job: ServeJob, execution) -> None:
         job.execution = execution
@@ -706,7 +684,7 @@ class Scheduler:
             ):
                 result = await self._run_coord(self._finish_sync, engine, execution)
             else:
-                await self._run_coord(self._release_sync, engine, execution)
+                await self._run_coord(engine.release, execution)
         except Exception as exc:
             error = exc
         self._forget(execution)
@@ -741,25 +719,7 @@ class Scheduler:
         try:
             return engine.finish(execution)
         finally:
-            self._release_sync(engine, execution)
-
-    @coordinator_only
-    def _release_sync(self, engine, execution) -> None:
-        # Coordinator thread.  Safe exactly because an execution is only
-        # released once drained, or before any of its shards went out.
-        engine.release(execution)
-        self._publish_hub_stats()
-
-    @coordinator_only
-    def _publish_hub_stats(self) -> None:
-        # Publish a fresh hub snapshot while we're already on the
-        # coordinator — the GET /stats read path then serves it without
-        # its own round-trip (see hub_stats()).
-        stats = self.hub.aggregate_stats()
-        try:
-            self._loop.call_soon_threadsafe(self._store_hub_stats, stats)
-        except RuntimeError:
-            pass  # loop already closed under a forced teardown
+            engine.release(execution)
 
     def _resolve(
         self,
@@ -859,47 +819,10 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _store_hub_stats(self, stats: dict) -> None:
-        # Event-loop thread only (coordinator publishers marshal here
-        # via call_soon_threadsafe).
-        self._hub_stats = stats
-        self._hub_stats_at = self._loop.time()
-
-    def hub_stats(self) -> dict:
-        """The published hub-stats snapshot — never blocks on the coordinator.
-
-        The coordinator republishes after every job release and every
-        append-edge delta, so under traffic the snapshot is fresh by
-        construction.  On an idle scheduler a read older than
-        :attr:`stats_max_age_s` kicks one background refresh but still
-        returns the current snapshot immediately — a ``GET /stats`` poll
-        can never queue behind mining work on the coordinator.  The
-        returned dict carries its own staleness as ``age_s``.
-        """
-        age = (
-            self._loop.time() - self._hub_stats_at
-            if self._hub_stats is not None
-            else None
-        )
-        if (
-            not self._closed
-            and not self._hub_stats_refreshing
-            and (age is None or age > self.stats_max_age_s)
-        ):
-            self._hub_stats_refreshing = True
-            self._loop.create_task(self._refresh_hub_stats())
-        payload = dict(self._hub_stats or {})
-        payload["age_s"] = age
-        return payload
-
-    async def _refresh_hub_stats(self) -> None:
-        try:
-            stats = await self._run_coord(self.hub.aggregate_stats)
-        except RuntimeError:
-            return  # coordinator already shut down mid-close
-        finally:
-            self._hub_stats_refreshing = False
-        self._store_hub_stats(stats)
+    async def hub_stats(self) -> dict:
+        """The hub's :meth:`~repro.engine.EngineHub.aggregate_stats`, read
+        on the coordinator, which owns the engines' counters."""
+        return await self._run_coord(self.hub.aggregate_stats)
 
     def stats(self) -> dict:
         """Counters + live state (JSON-ready)."""

@@ -6,8 +6,7 @@ The engine's contract has three legs:
    store export and one pool spawn (the acceptance criterion of the
    engine PR), with the first-level state reused across queries.
 2. **Exactness** — every engine result, with or without ``workers``,
-   equals a fresh ``ParallelGRMiner`` of the same parameters (and
-   therefore the exact Definition 5 reference).
+   equals the exact Definition 5 reference of the same parameters.
 3. **Isolation** — nothing leaks between consecutive queries: no stale
    dynamic thresholds, no stale caches when parameters change, no
    orphaned shared-memory segments when a worker dies.
@@ -23,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.miner import GRMiner, MinerConfig
+from repro.core.miner import GRMiner, MinerConfig, mine_top_k
 from repro.datasets.random_graphs import random_attributed_network, random_schema
 from repro.engine import EngineHub, MineRequest, MiningEngine, ResultCache
-from repro.parallel import ParallelGRMiner, PersistentWorkerPool
+from repro.parallel import PersistentWorkerPool
 
 from oracles import oracle
 
@@ -263,8 +262,8 @@ class TestEngineAmortization:
             result = engine.mine(k=3, min_support=1, min_nhp=0.0, workers=1)
             monkeypatch.undo()
             assert result.params["shards"] == 1
-        fresh = ParallelGRMiner(network, workers=1, k=3, min_support=1, min_score=0.0).mine()
-        assert _signature(result) == _signature(fresh)
+        reference = oracle(network, MineRequest(k=3, min_support=1, min_nhp=0.0))
+        assert _signature(result) == _signature(reference)
 
     def test_zero_shard_query_resolves_without_the_fleet(self):
         # Every first-level partition is below minSupp: no shard runs,
@@ -545,8 +544,9 @@ def _psm_segments() -> set:
 
 
 class TestOneShotMinerIsAHubOfOne:
-    """``ParallelGRMiner`` owns no fleet and no lease: a pooled query
-    runs on a hub of one, which builds and tears down both."""
+    """``mine_top_k(..., workers=N)`` owns no fleet and no lease: it runs
+    one query on a cache-less engine of N workers, whose hub builds and
+    tears down both."""
 
     @pytest.fixture
     def fleets(self, monkeypatch):
@@ -570,43 +570,47 @@ class TestOneShotMinerIsAHubOfOne:
     def test_pooled_mine_builds_its_fleet_once_through_the_hub(self, fleets):
         built, ensured = fleets
         network = _network(0)
-        params = dict(k=5, min_support=2, min_score=0.3)
+        params = dict(k=5, min_support=2, min_nhp=0.3)
         before = _psm_segments()
-        result = ParallelGRMiner(network, workers=2, **params).mine()
+        result = mine_top_k(network, workers=2, **params)
         assert result.params["shards"] == 2 and result.params["workers"] == 2
         assert len(ensured) == 1 and built == ensured  # one fleet, via the hub
+        assert ensured[0].processes == 2
         assert ensured[0].closed  # torn down with the query
         assert _psm_segments() == before  # its lease is unlinked
-        assert _signature(result) == _signature(
-            oracle(network, MineRequest.create(**params))
-        )
+        assert _signature(result) == _signature(oracle(network, MineRequest(**params)))
 
-    def test_workers_1_and_a_single_shard_build_no_pool(self, fleets, toy_network):
+    def test_workers_1_and_a_single_shard_mine_on_a_fleet_of_n(
+        self, fleets, toy_network
+    ):
         built, ensured = fleets
-        params = dict(k=5, min_support=2, min_score=0.3)
-        serial = ParallelGRMiner(_network(0), workers=1, **params).mine()
+        params = dict(k=5, min_support=2, min_nhp=0.3)
+        serial = mine_top_k(_network(0), workers=1, **params)
         assert serial.params["shards"] == 1
-        single = dict(k=5, min_support=15, min_score=0.0)  # toy: one branch
+        single = dict(k=5, min_support=15, min_nhp=0.0)  # toy: one branch
         with pytest.warns(UserWarning, match="branches"):
-            one = ParallelGRMiner(toy_network, workers=2, **single).mine()
+            one = mine_top_k(toy_network, workers=2, **single)
         assert one.params["shards"] == 1
-        assert built == [] and ensured == []
+        # One fleet per call, as many workers as asked, each closed.
+        assert built == ensured and [pool.processes for pool in built] == [1, 2]
+        assert all(pool.closed for pool in built)
+        assert _signature(serial) == _signature(
+            oracle(_network(0), MineRequest(**params))
+        )
         assert _signature(one) == _signature(
-            oracle(toy_network, MineRequest.create(**single))
+            oracle(toy_network, MineRequest(**single))
         )
 
     def test_an_oversubscribed_pooled_mine_warns_once(self, monkeypatch):
-        # The count was validated when the miner was built; the hub of
-        # one the query runs on does not warn about it again.
+        # The hub validates the count once; mining does not warn again,
+        # and the warning names this file, not mine_top_k's.
         import repro.parallel.miner as pm
 
         monkeypatch.setattr(pm.os, "cpu_count", lambda: 2)
         with pytest.warns(UserWarning, match="cpu_count") as record:
-            miner = ParallelGRMiner(_network(0), workers=4, k=5, min_support=2)
+            result = mine_top_k(_network(0), workers=4, k=5, min_support=2)
         assert [w.filename for w in record] == [__file__]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            assert miner.mine().params["shards"] == 4
+        assert result.params["shards"] == 4
 
 
 class TestWorkerValidation:
@@ -617,7 +621,7 @@ class TestWorkerValidation:
 
         monkeypatch.setattr(pm.os, "cpu_count", lambda: 2)
         with pytest.warns(UserWarning, match="cpu_count"):
-            ParallelGRMiner(_network(0), workers=16, k=5, min_support=2)
+            mine_top_k(_network(0), workers=3, k=5, min_support=2)
         with pytest.warns(UserWarning, match="cpu_count"):
             MiningEngine(_network(0), workers=16)
 
@@ -640,21 +644,23 @@ class TestWorkerValidation:
         makers = [
             lambda: MiningEngine(network, workers=1, **knob),
             lambda: EngineHub(workers=1, **knob),
-            lambda: ParallelGRMiner(network, workers=1, k=3, **knob),
+            lambda: mine_top_k(network, workers=1, k=3, **knob),
             lambda: PersistentWorkerPool(1, **knob),
         ]
         for make in makers:
             with pytest.raises(TypeError):
                 make()
 
-    def test_workers_above_branch_count_warns_not_crashes(self):
+    def test_workers_above_branch_count_warns_not_crashes(self, monkeypatch):
+        import repro.parallel.miner as pm
+
         schema = random_schema(
             num_node_attrs=1, num_edge_attrs=0, max_domain=2, num_homophily=1, seed=9
         )
         network = random_attributed_network(schema, num_nodes=5, num_edges=12, seed=9)
-        miner = ParallelGRMiner(network, workers=8, k=3, min_support=1, min_score=0.0)
+        monkeypatch.setattr(pm.os, "cpu_count", lambda: 3)
         with pytest.warns(UserWarning, match="branches") as record:
-            result = miner.mine()
+            result = mine_top_k(network, workers=3, k=3, min_support=1, min_nhp=0.0)
         assert len(result) <= 3
         assert [w.filename for w in record] == [__file__]
 

@@ -28,7 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.miner import CKEY_FIELDS, MinerConfig, config_from_canonical_key
+from repro.core.miner import (
+    CKEY_FIELDS,
+    GRMiner,
+    MinerConfig,
+    config_from_canonical_key,
+)
 from repro.data.network import NetworkError
 from repro.data.store import CompactStore, StoreDelta
 from repro.datasets.random_graphs import random_attributed_network, random_schema
@@ -288,10 +293,34 @@ class TestMigration:
             assert engine.stats.migrated_entries == 1  # the mined entry
             assert len(hub.cache.disk) == 1
 
-    def test_a_raising_migration_warns_and_counts_an_error(self, monkeypatch):
+    def test_migration_mines_on_the_fleet_not_the_coordinator(self, monkeypatch):
+        """The touched branches are an execution on the hub's fleet: a
+        coordinator whose miner cannot walk a branch still migrates."""
+        network = _build(7)
+        request = MineRequest(k=5, min_support=3, workers=1)
+        with MiningEngine(network) as engine:
+            engine.mine(request)  # forks the fleet before the patch
+            with monkeypatch.context() as patch:
+
+                def no_mining(*args, **kwargs):
+                    raise AssertionError("the coordinator must not mine")
+
+                patch.setattr(GRMiner, "mine_branch", no_mining)
+                engine.append_edges(*_delta(network, 3, seed=1, concentrated=True))
+            assert engine.stats.migrated_entries == 1
+            warm = engine.mine(request)
+        assert warm.params["migrated"] is True
+        assert warm.params["branches_mined"] < warm.params["branches_total"]
+        assert _signature(warm) == _signature(oracle(network, request))
+
+    def test_a_raising_migration_warns_and_counts_an_error(
+        self, monkeypatch, tmp_path
+    ):
         """A migrator fault is purged like a fallback, so the query still
         re-mines exactly, but it warns with the exception and is counted
-        as an error, not as a safety fallback."""
+        as an error, not as a safety fallback.  The fault is a migration
+        shard failing on the fleet: the workers inherit a ``mine_branch``
+        that raises while the ``fault`` file exists."""
         network = _build(7)
         request = MineRequest(k=5, min_support=3, workers=1)
         errors = REGISTRY.counter(
@@ -300,26 +329,33 @@ class TestMigration:
         before = errors.value
         reports = []
         migrate = delta_module.migrate_fingerprint
+        fault = tmp_path / "fault"
+        mine_branch = GRMiner.mine_branch
 
         def recording(*args):
             reports.append(migrate(*args))
             return reports[-1]
 
-        def broken(*args, **kwargs):
-            raise TypeError("mine_shard() takes 2 positional arguments")
+        def faulty(miner, *args, **kwargs):
+            if fault.exists():
+                raise TypeError("injected migration shard fault")
+            return mine_branch(miner, *args, **kwargs)
 
-        monkeypatch.setattr(delta_module, "mine_shard", broken)
+        monkeypatch.setattr(GRMiner, "mine_branch", faulty)
         monkeypatch.setattr("repro.engine.engine.migrate_fingerprint", recording)
         with MiningEngine(network) as engine:
-            engine.mine(request)
+            engine.mine(request)  # forks the fleet with the fault disarmed
+            fault.touch()
             with pytest.warns(UserWarning, match="TypeError") as caught:
                 engine.append_edges(*_delta(network, 3, seed=1, concentrated=True))
+            fault.unlink()
             assert caught[0].filename == __file__
             (report,) = reports
             assert (report.errors, report.fallbacks, report.purged) == (1, 0, 1)
             assert errors.value - before == 1
             assert engine.stats.migration_fallbacks == 0
             assert engine.stats.purged_entries == 1
+            assert engine.hub._lease_pins == {}  # the drained shard's pin came back
             assert _signature(engine.mine(request)) == _signature(
                 oracle(network, request)
             )

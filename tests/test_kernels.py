@@ -123,14 +123,13 @@ class TestTierEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parallel_workers_match_reference_across_tiers(self, workers):
-        from repro.parallel import ParallelGRMiner
+        from repro.engine import MineRequest, MiningEngine
 
         network = _network(2)
-        kw = dict(k=6, min_support=2, min_score=0.2)
-        ref = ParallelGRMiner(
-            network, workers=workers, kernel="reference", **kw
-        ).mine()
-        got = ParallelGRMiner(network, workers=workers, kernel="vector", **kw).mine()
+        kw = dict(k=6, min_support=2, min_nhp=0.2)
+        with MiningEngine(network, workers, cache_size=0) as engine:
+            ref = engine.mine(MineRequest.create(kernel="reference", **kw))
+            got = engine.mine(MineRequest.create(kernel="vector", **kw))
         assert _signature(got) == _signature(ref)
 
     def test_rearmed_skeleton_switches_tiers_in_place(self):

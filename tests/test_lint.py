@@ -512,16 +512,6 @@ class TestObsNonblocking:
         assert rules_fired(report) == {"no-blocking-in-async"}
         assert len(report.findings) == 2
 
-    def test_fires_on_direct_record_bench_run(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "serve/x.py",
-            "from repro.bench.history import record_bench_run\n"
-            "async def handler(payload):\n"
-            "    record_bench_run('serve', payload, 'out', headline={})\n",
-        )
-        assert rules_fired(report) == {"no-blocking-in-async"}
-
     def test_quiet_on_in_memory_emission(self, tmp_path):
         report = lint_snippet(
             tmp_path,

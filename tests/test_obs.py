@@ -8,7 +8,7 @@ import re
 import pytest
 
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,8 @@ class TestTracer:
         assert tracer.trace("ghost") is None
 
     def test_null_tracer_is_inert(self):
-        tracer = NullTracer()
+        tracer = Tracer()
+        tracer.enabled = False
         tracer.begin("j", network="a")
         tracer.span("j", "plan", 0.0, 1.0)
         assert tracer.jobs() == []

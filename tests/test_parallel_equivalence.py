@@ -1,10 +1,11 @@
 """Serial / parallel / brute-force equivalence of the sharded miner.
 
-The parallel miner's contract is *exact* Definition 5 semantics for any
-worker count: its merged result must equal the brute-force reference,
-the oracle serial configuration (``push_topk=False``) and serial
-GRMiner(k) GR for GR, and must be bit-for-bit deterministic across
-worker counts.
+A sharded answer — one query on a cache-less engine of N fleet workers,
+what ``mine_top_k(..., workers=N)`` runs — must carry *exact*
+Definition 5 semantics for any worker count: it must equal the
+brute-force reference, the oracle serial configuration
+(``push_topk=False``) and serial GRMiner(k) GR for GR, and must be
+bit-for-bit deterministic across worker counts.
 """
 
 import pytest
@@ -14,11 +15,20 @@ from hypothesis import strategies as st
 from repro.core.bruteforce import BruteForceMiner
 from repro.core.miner import GRMiner
 from repro.datasets.random_graphs import random_attributed_network, random_schema
-from repro.parallel import ParallelGRMiner, plan_shards
+from repro.engine import MineRequest, MiningEngine
+from repro.parallel import plan_shards
 
 
 def _signature(result):
     return [(str(m.gr), round(m.score, 9), m.metrics.support_count) for m in result]
+
+
+def _sharded(network, workers: int, **params):
+    """One query on a cache-less engine of ``workers`` fleet workers,
+    with GRMiner's keywords and defaults (``k=None``: every GR)."""
+    request = MineRequest.create(**{"k": None, **params})
+    with MiningEngine(network, workers, cache_size=0) as engine:
+        return engine.mine(request)
 
 
 _NETWORKS = {}
@@ -105,7 +115,7 @@ class TestDatasetEquivalence:
         # push_topk=False to the brute-force reference).
         serial_exact = GRMiner(network, push_topk=False, **params).mine()
         serial_heuristic = GRMiner(network, **params).mine()
-        parallel = ParallelGRMiner(network, workers=4, **params).mine()
+        parallel = _sharded(network, 4, **params)
         assert _signature(parallel) == _signature(serial_exact)[:25]
         assert _signature(serial_heuristic) == _signature(parallel)
 
@@ -135,9 +145,7 @@ class TestRandomizedEquivalence:
         exact_serial = GRMiner(
             network, push_topk=False, dynamic_rhs_ordering=dynamic, **params
         ).mine()
-        parallel = ParallelGRMiner(
-            network, workers=2, dynamic_rhs_ordering=dynamic, **params
-        ).mine()
+        parallel = _sharded(network, 2, dynamic_rhs_ordering=dynamic, **params)
         assert _signature(parallel) == _signature(brute)
         assert _signature(parallel) == _signature(exact_serial)
 
@@ -153,7 +161,7 @@ class TestRandomizedEquivalence:
         network = _network(seed)
         params = dict(k=k, min_support=2, min_score=0.3, push_topk=push_topk)
         brute = BruteForceMiner(network, k=k, min_support=2, min_score=0.3).mine()
-        parallel = ParallelGRMiner(network, workers=2, **params).mine()
+        parallel = _sharded(network, 2, **params)
         assert _signature(parallel) == _signature(brute)
 
     @given(seed=st.integers(0, 15), k=st.integers(1, 20))
@@ -164,7 +172,7 @@ class TestRandomizedEquivalence:
         network = _network(seed)
         params = dict(k=k, min_support=2, min_score=0.3)
         serial = GRMiner(network, **params).mine()
-        parallel = ParallelGRMiner(network, workers=1, **params).mine()
+        parallel = _sharded(network, 1, **params)
         assert _signature(serial) == _signature(parallel)
 
 
@@ -185,15 +193,13 @@ class TestWorkerCountDeterminism:
     def test_workers_1_2_4_identical(self, params):
         network = _network(3)
         signatures = [
-            _signature(ParallelGRMiner(network, workers=w, **params).mine())
+            _signature(_sharded(network, w, **params))
             for w in (1, 2, 4)
         ]
         assert signatures[0] == signatures[1] == signatures[2]
 
     def test_shard_and_worker_metadata_recorded(self):
-        result = ParallelGRMiner(
-            _network(0), workers=2, k=5, min_support=2, min_score=0.3
-        ).mine()
+        result = _sharded(_network(0), 2, k=5, min_support=2, min_score=0.3)
         assert result.params["workers"] == 2
         assert result.params["shards"] >= 1
         assert result.stats.grs_examined > 0
@@ -212,8 +218,6 @@ class TestEngineEquivalence:
     ]
 
     def test_sweep_matches_fresh_miners_with_one_setup(self):
-        from repro.engine import MineRequest, MiningEngine
-
         network = _network(7)
         requests = [
             MineRequest.create(workers=2, **params) for params in self._GRID
@@ -223,7 +227,7 @@ class TestEngineEquivalence:
             assert engine.stats.exports == 1
             assert engine.hub.pool_spawns == 1
         for params, result in zip(self._GRID, results):
-            fresh_parallel = ParallelGRMiner(network, workers=2, **params).mine()
+            fresh_parallel = _sharded(network, 2, **params)
             assert _signature(result) == _signature(fresh_parallel)
             # ... and therefore the exact serial Definition 5 reference.
             exact = dict(params)
@@ -234,8 +238,6 @@ class TestEngineEquivalence:
 
     @pytest.mark.slow
     def test_engine_workers_less_requests_match_the_exact_oracle(self):
-        from repro.engine import MineRequest, MiningEngine
-
         network = _network(8)
         requests = [MineRequest.create(**params) for params in self._GRID]
         with MiningEngine(network, workers=2) as engine:
@@ -244,13 +246,11 @@ class TestEngineEquivalence:
         for params, result in zip(self._GRID, results):
             exact = GRMiner(network, **dict(params, push_topk=False)).mine()
             assert _signature(result) == _signature(exact)[: params["k"]]
-            fresh_parallel = ParallelGRMiner(network, workers=2, **params).mine()
+            fresh_parallel = _sharded(network, 2, **params)
             assert _signature(result) == _signature(fresh_parallel)
 
     @pytest.mark.slow
     def test_engine_answer_independent_of_fleet_size(self):
-        from repro.engine import MineRequest, MiningEngine
-
         network = _network(3)
         signatures = []
         for fleet in (1, 2, 4):
@@ -263,7 +263,7 @@ class TestEngineEquivalence:
 class TestParallelEdgeCases:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            ParallelGRMiner(_network(0), workers=0, k=5)
+            _sharded(_network(0), 0, k=5)
 
     def test_mine_top_k_workers_keyword(self):
         from repro import mine_top_k
@@ -280,12 +280,12 @@ class TestParallelEdgeCases:
         )
         network = random_attributed_network(schema, num_nodes=5, num_edges=12, seed=9)
         serial = GRMiner(network, k=3, min_support=1, min_score=0.0, push_topk=False).mine()
-        parallel = ParallelGRMiner(network, workers=4, k=3, min_support=1, min_score=0.0).mine()
+        parallel = _sharded(network, 4, k=3, min_support=1, min_score=0.0)
         assert _signature(parallel) == _signature(serial)[:3]
 
     def test_empty_lhs_root_branch_is_sharded(self):
         network = _network(4)
         params = dict(k=10, min_support=2, min_score=0.2, allow_empty_lhs=True)
         brute = BruteForceMiner(network, allow_empty_lhs=True, k=10, min_support=2, min_score=0.2).mine()
-        parallel = ParallelGRMiner(network, workers=3, **params).mine()
+        parallel = _sharded(network, 3, **params)
         assert _signature(parallel) == _signature(brute)

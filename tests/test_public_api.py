@@ -44,7 +44,6 @@ class TestTopLevelConvenience:
             "Descriptor",
             "GRMiner",
             "MetricEngine",
-            "ParallelGRMiner",
             "SocialNetwork",
             "Schema",
             "Attribute",
