@@ -18,7 +18,9 @@ Two tiers are exposed through ``MinerConfig(kernel=...)``:
 ``"vector"``
     :meth:`GRMiner._right_vector`: each memoised RIGHT node lists its
     non-empty value bins by count, so a visit cuts at minSupp with one
-    ``bisect`` and handles only the surviving values; the default.
+    ``bisect`` and handles only the surviving values, and keeps their
+    rows (count, β, triviality, score under the query's rank formula),
+    so a warm visit recomputes none of them; the default.
 
 Both tiers score a candidate with the same scalar formula on the same
 counts, so results, stats counters and cache identities match across

@@ -62,7 +62,7 @@ from .kernels import (
 )
 from .metrics import GRMetrics
 from .results import MiningResult, MiningStats
-from .topk import GeneralityIndex, TopKCollector
+from .topk import GeneralityIndex, TopKCollector, lw_subselections
 
 __all__ = [
     "BranchPlan",
@@ -93,6 +93,16 @@ _PART_BYTES = 384
 #: Resident cost per candidate of a RIGHT entry: one count and one bin
 #: position, 8 bytes each in the entry's two arrays.
 _CANDIDATE_BYTES = 16
+#: Resident cost per survivor row of a RIGHT entry, per LEFT/EDGE child
+#: row, per verifier count and per listed sub-selection: the row tuples
+#: or lists with their ints, floats and β tuples, the counts' metrics
+#: and keys, and the dict slots (measured with tracemalloc).
+_RIGHT_ROW_BYTES = 140
+_CHILD_ROW_BYTES = 125
+_COUNT_BYTES = 400
+_SUBSEL_BYTES = 110
+#: The :class:`_LWContext` slot keeping each role's child rows.
+_CHILD_ROWS = {"L": "left_rows", "W": "edge_rows"}
 #: Process-wide lattice accounting: bytes ``held`` by every ``live``
 #: lattice, and the ``clock`` ordering their last arming.
 _PROCESS = SimpleNamespace(held=0, live=weakref.WeakSet(), clock=itertools.count(1))
@@ -105,9 +115,10 @@ class _LWContext:
     Holds the node's edge set and what Algorithm 1's counting-sort
     partitioning derives from it.  Every data field is a function of
     the store and of ``(l_key, w_key)`` under one layout (see
-    :class:`_Lattice`), never of a query's thresholds, k, ranking or
-    collector, so a node built by one query serves every later query of
-    the same skeleton unchanged.
+    :class:`_Lattice`), never of a query's thresholds, k or collector
+    (a RIGHT entry's rows name the rank formula they were scored
+    under), so a node built by one query serves every later query of
+    the same skeleton.
     """
 
     edges: np.ndarray
@@ -130,11 +141,15 @@ class _LWContext:
     #: ``ends`` (the histogram's running sum) — value ``v``'s child is
     #: ``sorted[ends[v - 1]:ends[v]]``; null-coded edges sort first.
     children: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    #: RIGHT nodes keyed by ``r_key``: ``(counts, positions, {attr:
-    #: (sorted edges, ends)})`` — the tail's non-empty value bins as two
-    #: aligned arrays, sorted by count, highest first (counts negated,
-    #: so ascending), and the recursion partitions.
-    right: dict[tuple, tuple] = field(default_factory=dict)
+    #: The non-empty LEFT and EDGE children in traversal order, listed
+    #: on the second visit (``None`` before the first, ``False`` after
+    #: it), as rows ``[size, τ position, value, start, stop, child]``:
+    #: ``sorted[start:stop]`` of partition ``children[τ position]``, and
+    #: a link to the child once it is memoised.
+    left_rows: list | tuple | bool | None = None
+    edge_rows: list | tuple | bool | None = None
+    #: RIGHT nodes keyed by ``r_key`` (:class:`_RightEntry`).
+    right: dict[tuple, "_RightEntry"] = field(default_factory=dict)
     #: Cache of homophily-effect counts ``supp(l -w-> l[β])`` keyed by β.
     hom_cache: dict[tuple[str, ...], int] = field(default_factory=dict)
     #: Destination-code columns gathered onto this context's edge set,
@@ -171,6 +186,27 @@ class _RHSLayout:
     can_flip: list[bool]
 
 
+@dataclass(eq=False, slots=True)
+class _RightEntry:
+    """A RIGHT node's memo.
+
+    ``neg_counts``/``positions`` list the tail's non-empty value bins as
+    two aligned arrays sorted by count, highest first (counts negated,
+    so ascending); ``partitions`` holds the recursion partitions by
+    attribute, ``(sorted edges, ends)``, once one is kept.  ``rows`` are
+    the survivor rows ``(count, tail position, attr, value, β, trivial,
+    score)`` of the loosest minSupp cut a visit reached, in visit order,
+    scored under the rank ``formula``; ``None`` until the entry's first
+    visit ends, which stores none (a fresh walk visits each entry once).
+    """
+
+    neg_counts: array
+    positions: array
+    partitions: dict | None = None
+    formula: tuple = ()
+    rows: list | tuple | None = None
+
+
 class _Lattice:
     """The LW-node memo of one miner skeleton.
 
@@ -183,10 +219,17 @@ class _Lattice:
     armed first (a dropped skeleton awaiting garbage collection, a stale
     post-delta attachment), then refuses.  Mining is single-threaded per
     process, so an evicted lattice is never mid-walk.
+
+    Beside the nodes it keeps what Definition 5(2)'s checks derive from
+    the store under any layout: the proper sub-selections of each ``(l_key,
+    w_key)``, and :meth:`GRMiner.evaluate_codes`' ``(metrics, trivial)``
+    per ``(l_sel, w_sel, r_key)``.
     """
 
     def __init__(self) -> None:
         self.layouts: dict[tuple, dict[tuple, _LWContext]] = {}
+        self.subselections: dict[tuple, tuple] = {}
+        self.counts: dict[tuple, tuple[GRMetrics, bool]] = {}
         self.nbytes = 0
         self.last_armed = 0
         _PROCESS.live.add(self)
@@ -220,6 +263,8 @@ class _Lattice:
         self.nbytes = 0
         for nodes in self.layouts.values():
             nodes.clear()
+        self.subselections.clear()
+        self.counts.clear()
 
     def __del__(self, process=_PROCESS) -> None:
         process.held -= self.nbytes
@@ -649,13 +694,15 @@ class GRMiner:
         self.laplace_k = config.laplace_k
         self.gain_theta = config.gain_theta
         self.kernel = config.kernel
+        #: What a RIGHT row's score depends on.
+        self._formula = (
+            config.rank_by,
+            config.laplace_k if config.rank_by == "laplace" else None,
+            config.gain_theta if config.rank_by == "gain" else None,
+        )
         layout = (tuple(node_attributes), config.dynamic_rhs_ordering)
         self._nodes = self._lattice.layout(layout)
         self._rhs_layouts = self._rhs_layouts_by_layout.setdefault(layout, {})
-        #: :meth:`generality_blocked`'s verdicts per sub-selection: a
-        #: function of the store and of this config's thresholds and
-        #: ranking, so they last until the next rearm.
-        self._blocker_memo: dict[tuple, bool] = {}
         return self
 
     @staticmethod
@@ -723,7 +770,7 @@ class GRMiner:
         self._collector = TopKCollector(
             k=self.k if self.push_topk else None, min_score=self.min_score
         )
-        self._index = GeneralityIndex()
+        self._index = GeneralityIndex(self._subselections)
         self._verify = verify and self.apply_generality
         self._lattice.touch()
         self.memo_hits = self.memo_misses = 0
@@ -886,27 +933,38 @@ class GRMiner:
         admitted) and meets minSupp and the user's minimum score.  So the
         verdict holds whatever the walk enumerated: the blocker may lie
         in a sibling shard's branch, or under a subtree the dynamic
-        threshold cut.  Verdicts are memoised per sub-selection until the
-        next :meth:`rearm`.
+        threshold cut.  The counts are store-derived and live on the
+        lattice across re-arms; only the qualify check runs per query.
         """
-        memo = self._blocker_memo
-        for l_sel, w_sel in GeneralityIndex._lw_subselections(l_key, w_key):
+        lattice = self._lattice
+        counts = lattice.counts
+        for l_sel, w_sel in self._subselections(l_key, w_key):
             if not l_sel and not self.allow_empty_lhs:
                 continue
             key = (l_sel, w_sel, r_key)
-            qualifies = memo.get(key)
-            if qualifies is None:
-                metrics, trivial = self.evaluate_codes(
-                    dict(l_sel), dict(w_sel), dict(r_key)
-                )
-                qualifies = memo[key] = (
-                    (self.include_trivial or not trivial)
-                    and metrics.support_count >= self.abs_min_support
-                    and self._score(metrics) >= self.min_score
-                )
-            if qualifies:
+            evaluated = counts.get(key)
+            if evaluated is None:
+                evaluated = self.evaluate_codes(dict(l_sel), dict(w_sel), dict(r_key))
+                if lattice.charge(_COUNT_BYTES):
+                    counts[key] = evaluated
+            metrics, trivial = evaluated
+            if (
+                (self.include_trivial or not trivial)
+                and metrics.support_count >= self.abs_min_support
+                and self._score(metrics) >= self.min_score
+            ):
                 return True
         return False
+
+    def _subselections(self, l_key: tuple, w_key: tuple) -> tuple:
+        """The proper sub-selections of ``l ∧ w`` (:func:`lw_subselections`),
+        listed once per lattice for the generality index and the verifier."""
+        subs = self._lattice.subselections.get((l_key, w_key))
+        if subs is None:
+            subs = lw_subselections(l_key, w_key)
+            if self._lattice.charge(_SUBSEL_BYTES * (len(subs) + 1)):
+                self._lattice.subselections[(l_key, w_key)] = subs
+        return subs
 
     def _params(self) -> dict:
         return {
@@ -930,30 +988,78 @@ class GRMiner:
     # ------------------------------------------------------------------
     def _children(self, node: _LWContext, tail: tuple[Token, ...], role: str):
         """The support-qualified LEFT (``"L"``) or EDGE (``"W"``) children
-        of ``node``: ``(child tail, attr, value, edges)`` in traversal order."""
+        of ``node``: ``(child node, child tail)`` in traversal order (τ
+        position, then value).
+
+        A memoised node's second visit lists its non-empty children of
+        the role as rows while it scans, so a later visit reads one size
+        per child instead of every value of every tail token, and follows
+        a row's link to the memoised child (one memo hit) instead of
+        building the child's key and looking it up.  A first visit only
+        scans and marks the node: a fresh walk visits each node once.
+        """
+        slot = _CHILD_ROWS[role]
+        rows = getattr(node, slot)
         min_support = self.abs_min_support
-        for i, token in enumerate(tail):
-            if token.role != role:
+        stats = self._stats
+        if rows is None or rows is False:
+            listing = [] if rows is False else None
+            if rows is None and node.lattice is not None:
+                setattr(node, slot, False)
+            for i, token in enumerate(tail):
+                if token.role != role:
+                    continue
+                sorted_edges, ends = self._partition(node, i, token)
+                ends = ends.tolist()
+                for value in range(1, len(ends)):  # code 0 is null
+                    start, stop = ends[value - 1], ends[value]
+                    if start == stop:
+                        continue
+                    if listing is not None:
+                        row = [stop - start, i, value, start, stop, None]
+                        listing.append(row)
+                    if stop - start < min_support:
+                        stats.pruned_by_support += 1
+                        continue
+                    stats.lw_nodes += 1
+                    child = self._child(node, token, value, sorted_edges[start:stop])
+                    if listing is not None and child.lattice is not None:
+                        row[5] = child
+                    yield child, tail[:i]
+            if listing is not None and (
+                not listing or node.lattice.charge(_CHILD_ROW_BYTES * len(listing))
+            ):
+                setattr(node, slot, listing or ())
+            return
+        at = -1
+        for row in rows:
+            if row[0] < min_support:
+                stats.pruned_by_support += 1
                 continue
-            sorted_edges, ends = self._partition(node, i, token)
-            ends = ends.tolist()
-            for value in range(1, len(ends)):  # code 0 is null
-                start, stop = ends[value - 1], ends[value]
-                if start == stop:
-                    continue
-                if stop - start < min_support:
-                    self._stats.pruned_by_support += 1
-                    continue
-                yield tail[:i], token.attr, value, sorted_edges[start:stop]
+            stats.lw_nodes += 1
+            _, i, value, start, stop, child = row
+            if child is not None:
+                self.memo_hits += 1
+            else:
+                if i != at:
+                    at, edges = i, self._partition(node, i, tail[i])[0]
+                child = self._child(node, tail[i], value, edges[start:stop])
+                if child.lattice is not None:
+                    row[5] = child
+            yield child, tail[:i]
+
+    def _child(
+        self, node: _LWContext, token: Token, value: int, edges: np.ndarray
+    ) -> _LWContext:
+        """The LEFT/EDGE child of ``node`` binding ``token`` to ``value``."""
+        if token.role == "L":
+            return self._node({**node.l_map, token.attr: value}, node.w_map, edges)
+        return self._node(node.l_map, {**node.w_map, token.attr: value}, edges)
 
     def _left(self, node: _LWContext, tail: tuple[Token, ...]) -> None:
         if self.max_lhs_attrs is not None and len(node.l_map) >= self.max_lhs_attrs:
             return
-        for child_tail, attr, value, subset in self._children(node, tail, "L"):
-            l_map = dict(node.l_map)
-            l_map[attr] = value
-            self._stats.lw_nodes += 1
-            child = self._node(l_map, {}, subset)
+        for child, child_tail in self._children(node, tail, "L"):
             self._enter_right(child, child_tail)
             self._edge(child, child_tail)
             self._left(child, child_tail)
@@ -961,11 +1067,7 @@ class GRMiner:
     def _edge(self, node: _LWContext, tail: tuple[Token, ...]) -> None:
         if self.max_edge_attrs is not None and len(node.w_map) >= self.max_edge_attrs:
             return
-        for child_tail, attr, value, subset in self._children(node, tail, "W"):
-            w_map = dict(node.w_map)
-            w_map[attr] = value
-            self._stats.lw_nodes += 1
-            child = self._node(node.l_map, w_map, subset)
+        for child, child_tail in self._children(node, tail, "W"):
             self._enter_right(child, child_tail)
             self._edge(child, child_tail)
 
@@ -993,9 +1095,10 @@ class GRMiner:
         LHS binds (Eqn. 8 groups by homophily flag and LHS membership,
         never by value) and on the lattice layout, which selects the
         dict (``dynamic_rhs_ordering`` and the arena's attribute order
-        are both part of it).
+        are both part of it).  Every tail is a prefix of the layout's τ,
+        so its length names it.
         """
-        key = (tail, frozenset(l_map))
+        key = (len(tail), frozenset(l_map))
         layout = self._rhs_layouts.get(key)
         if layout is None:
             tokens = tuple(t for t in tail if t.role == "R")
@@ -1077,6 +1180,14 @@ class GRMiner:
         node's tail (a prefix of the context's RHS ordering), and
         ``base_beta`` / ``base_trivial`` are β and triviality of the
         node's own RHS ``r_key``.
+
+        Everything a survivor's decision reads from the store — β,
+        triviality, score — sits in the entry's rows, so a warm visit
+        pays only for the query: the cut, the threshold comparisons, the
+        values it considers and the recursion.  The threshold is read
+        once, and again only after a :meth:`_consider` or a recursion:
+        the offers made there are the only ones that can raise a
+        shard's own k-th best.
         """
         max_rhs = self.max_rhs_attrs
         if not n_tail or (max_rhs is not None and len(r_key) >= max_rhs):
@@ -1087,75 +1198,98 @@ class GRMiner:
             entry = self._candidates(context, edges, n_tail)
             lattice = context.lattice
             kept = lattice is not None and lattice.charge(
-                _ENTRY_BYTES + _CANDIDATE_BYTES * len(entry[0])
+                _ENTRY_BYTES + _CANDIDATE_BYTES * len(entry.neg_counts)
             )
             if kept:
                 context.right[r_key] = entry
-        neg_counts, positions, partitions = entry
-        examined = len(neg_counts)
-        cut = bisect_right(neg_counts, -self.abs_min_support)
+        examined = len(entry.neg_counts)
+        cut = bisect_right(entry.neg_counts, -self.abs_min_support)
         stats = self._stats
         stats.grs_examined += examined
         stats.pruned_by_support += examined - cut
         if not cut:
             return
-        survivors = sorted(zip(positions[:cut], neg_counts[:cut]))
+        rows = entry.rows
+        # From the entry's second visit on, a visit whose cut reaches past
+        # its rows (or that ranks by another formula) builds them as it
+        # walks: in visit order (tail position, then value), each a
+        # by-product of deciding it.
+        building = rows is None or len(rows) < cut or entry.formula != self._formula
+        if building:
+            source = sorted(zip(entry.positions[:cut], entry.neg_counts[:cut]))
+            rows = None if rows is None else []
+            bins = context.layout.bins
+            l_map = context.l_map
+            rank_by = self.rank_by
+            laplace_k, gain_theta = self.laplace_k, self.gain_theta
+        else:
+            source = rows
 
-        layout = context.layout
-        bins = layout.bins
-        l_map = context.l_map
+        partitions = entry.partitions
+        can_flip = context.layout.can_flip
+        rank_nhp = self.rank_by == "nhp"
         lw_count = context.lw_count
         num_edges = self.network.num_edges
-        rank_by = self.rank_by
-        rank_nhp = rank_by == "nhp"
+        min_support = self.abs_min_support
         min_score = self.min_score
         include_trivial = self.include_trivial
         push_prune = self.push_score_pruning
         collector = self._collector
+        threshold = collector.effective_threshold
         may_recurse = max_rhs is None or len(r_key) + 1 < max_rhs
-        for position, neg_count in survivors:
-            i, attr, value, lhs_hom = bins[position]
-            count = -neg_count
-            if lhs_hom and value != l_map[attr]:
-                beta = tuple(sorted(base_beta + (attr,)))
-                trivial = False
+        for row in source:
+            if building:
+                position, count = row
+                i, attr, value, lhs_hom = bins[position]
+                count = -count
+                if lhs_hom and value != l_map[attr]:
+                    beta = tuple(sorted(base_beta + (attr,)))
+                    trivial = False
+                else:
+                    beta = base_beta
+                    trivial = base_trivial and lhs_hom
+                # Only nhp scores read the homophily count; the other
+                # metrics need it just for the metrics of a considered GR.
+                hom_count = (
+                    self._homophily_count(context, beta) if beta and rank_nhp else 0
+                )
+                score = score_counts(
+                    rank_by, count, lw_count, hom_count, num_edges, laplace_k, gain_theta
+                )
+                if rows is not None:
+                    rows.append((count, i, attr, value, beta, trivial, score))
             else:
-                beta = base_beta
-                trivial = base_trivial and lhs_hom
-            # Only nhp scores read the homophily count; the other
-            # metrics need it just for the metrics of a considered GR.
-            hom_count = self._homophily_count(context, beta) if beta and rank_nhp else 0
-            score = score_counts(
-                rank_by, count, lw_count, hom_count, num_edges,
-                self.laplace_k, self.gain_theta,
-            )
+                count, i, attr, value, beta, trivial, score = row
+                if count < min_support:
+                    continue
             new_key = None
             # _consider's own first exits, tested here so that a value
             # it would drop builds no metrics or keys.
             if score >= min_score and (include_trivial or not trivial):
-                if beta and not rank_nhp:
-                    hom_count = self._homophily_count(context, beta)
                 new_key = tuple(sorted(r_key + ((attr, value),)))
                 metrics = GRMetrics(
                     support_count=count,
                     lw_count=lw_count,
-                    homophily_count=hom_count,
+                    homophily_count=(
+                        self._homophily_count(context, beta) if beta else 0
+                    ),
                     num_edges=num_edges,
                     beta=beta,
                 )
                 self._consider(
                     context, dict(new_key), metrics, trivial, score, r_key=new_key
                 )
+                threshold = collector.effective_threshold
             if (
                 push_prune
-                and score < collector.effective_threshold
-                and (beta or not rank_nhp or not layout.can_flip[i])
+                and score < threshold
+                and (beta or not rank_nhp or not can_flip[i])
             ):
                 stats.pruned_by_nhp += 1
                 continue
             if not i or not may_recurse:
                 continue
-            part = partitions.get(attr)
+            part = partitions.get(attr) if partitions else None
             if part is None:
                 if edges is context.edges:
                     keys = self._context_dst(context, attr)
@@ -1165,6 +1299,8 @@ class GRMiner:
                 if kept and context.lattice.charge(
                     part[0].nbytes + part[1].nbytes + _PART_BYTES
                 ):
+                    if partitions is None:
+                        partitions = entry.partitions = {}
                     partitions[attr] = part
             sorted_edges, ends = part
             stop = int(ends[value])
@@ -1173,8 +1309,21 @@ class GRMiner:
             self._right_vector(
                 sorted_edges[stop - count : stop], i, context, new_key, beta, trivial
             )
+            threshold = collector.effective_threshold
+        if building and kept:
+            # New rows replace the entry's when the cap allows the
+            # difference: rows built for a looser minSupp serve every
+            # tighter one.
+            if rows is None:
+                entry.rows = ()
+            elif context.lattice.charge(
+                _RIGHT_ROW_BYTES * (len(rows) - len(entry.rows))
+            ):
+                entry.rows, entry.formula = rows, self._formula
 
-    def _candidates(self, context: _LWContext, edges: np.ndarray, n_tail: int) -> tuple:
+    def _candidates(
+        self, context: _LWContext, edges: np.ndarray, n_tail: int
+    ) -> _RightEntry:
         """A RIGHT entry: the tail's non-empty value bins, by count.
 
         One gather and bincount over the arena give every destination
@@ -1190,10 +1339,9 @@ class GRMiner:
         positions = counts.nonzero()[0]
         neg_counts = -counts.take(positions)
         order = neg_counts.argsort()
-        return (
+        return _RightEntry(
             array("q", neg_counts.take(order).tobytes()),
             array("q", positions.take(order).tobytes()),
-            {},
         )
 
     def _score(self, metrics: GRMetrics) -> float:

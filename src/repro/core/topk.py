@@ -26,10 +26,33 @@ from .descriptors import GR
 from .metrics import GRMetrics
 from .results import MinedGR
 
-__all__ = ["TopKCollector", "GeneralityIndex"]
+__all__ = ["TopKCollector", "GeneralityIndex", "lw_subselections"]
 
 #: Internal identity of a descriptor: sorted (attr, code) pairs.
 DescriptorKey = tuple[tuple[str, int], ...]
+
+
+def lw_subselections(
+    l_key: DescriptorKey, w_key: DescriptorKey
+) -> tuple[tuple[DescriptorKey, DescriptorKey], ...]:
+    """Every proper sub-selection ``(l', w')`` of the conditions ``l ∧ w``.
+
+    ``2^(|l|+|w|) − 1`` pairs, in a fixed order.  A miner lists them
+    once per ``(l_key, w_key)`` on its lattice (``GRMiner._subselections``).
+    """
+    l_subs = [
+        sel for size in range(len(l_key) + 1) for sel in combinations(l_key, size)
+    ]
+    w_subs = [
+        sel for size in range(len(w_key) + 1) for sel in combinations(w_key, size)
+    ]
+    full = (l_key, w_key)
+    return tuple(
+        (l_sel, w_sel)
+        for l_sel in l_subs
+        for w_sel in w_subs
+        if (l_sel, w_sel) != full  # proper subsets only
+    )
 
 
 class GeneralityIndex:
@@ -40,48 +63,14 @@ class GeneralityIndex:
     a hash set) — cheap because descriptors are short.  Only maximally
     general entries need to be stored: blocking is transitive, so a
     redundant GR never blocks anything its own blocker would not.
+
+    ``subselections`` lists them for an ``(l_key, w_key)``; a miner
+    passes the lists its lattice keeps across queries.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, subselections=lw_subselections) -> None:
         self._by_rhs: dict[DescriptorKey, set[tuple[DescriptorKey, DescriptorKey]]] = {}
-        # The subselection list depends only on (l_key, w_key) — one
-        # ``l ∧ w`` enumeration context — while ``is_blocked`` probes it
-        # once per candidate RHS under that context, so it is memoised
-        # as a materialized tuple.
-        self._sub_cache: dict[
-            tuple[DescriptorKey, DescriptorKey],
-            tuple[tuple[DescriptorKey, DescriptorKey], ...],
-        ] = {}
-
-    @staticmethod
-    def _lw_subselections(
-        l_key: DescriptorKey, w_key: DescriptorKey
-    ) -> Iterable[tuple[DescriptorKey, DescriptorKey]]:
-        l_subs = [
-            sel
-            for size in range(len(l_key) + 1)
-            for sel in combinations(l_key, size)
-        ]
-        w_subs = [
-            sel
-            for size in range(len(w_key) + 1)
-            for sel in combinations(w_key, size)
-        ]
-        full = (l_key, w_key)
-        for l_sel in l_subs:
-            for w_sel in w_subs:
-                if (l_sel, w_sel) != full:  # proper subsets only
-                    yield l_sel, w_sel
-
-    def _subselections(
-        self, l_key: DescriptorKey, w_key: DescriptorKey
-    ) -> tuple[tuple[DescriptorKey, DescriptorKey], ...]:
-        cache_key = (l_key, w_key)
-        subs = self._sub_cache.get(cache_key)
-        if subs is None:
-            subs = tuple(self._lw_subselections(l_key, w_key))
-            self._sub_cache[cache_key] = subs
-        return subs
+        self._subselections = subselections
 
     def is_blocked(self, l_key: DescriptorKey, w_key: DescriptorKey, r_key: DescriptorKey) -> bool:
         """Whether a strictly more general GR with the same RHS is indexed.

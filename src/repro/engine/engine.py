@@ -320,9 +320,10 @@ class MiningEngine:
                 # over-asking requests is one misconfiguration, not N.
                 self._warned_clamp = True
                 warn_at_caller(
-                    f"request asked for workers={request.workers} but the "
-                    f"engine's fleet has {self.workers}; clamping (further "
-                    "clamped requests on this engine stay silent)"
+                    f"network {self.name!r}: request asked for "
+                    f"workers={request.workers} but the engine's fleet has "
+                    f"{self.workers}; clamping (further clamped requests on "
+                    "this engine stay silent)"
                 )
             warn_if_overprovisioned(workers, len(plan.branches))
         return self.shard_execution(config, plan, plan.branches, workers, key)

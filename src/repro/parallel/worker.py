@@ -9,9 +9,10 @@ attached store (LRU-bounded) keeps one :class:`~repro.core.miner.GRMiner`
 skeleton, re-armed (:meth:`GRMiner.rearm`) whenever a task's config
 differs, while its per-edge column gathers and enumeration-lattice memo
 persist for the attachment's lifetime.  :func:`run_shard`, the pool's
-entry and the one place a shard is mined, replays the serial miner's
-recursion over a task's slice of first-level branches and returns a
-:class:`ShardResult` of mined entries plus effort counters.
+entry, hands that skeleton to :func:`mine_on_skeleton`, the one place a
+shard is mined, which replays the serial miner's recursion over a
+task's slice of first-level branches and returns a :class:`ShardResult`
+of mined entries plus effort counters.
 
 A shard prunes on its own collector's k-th best score (Algorithm 1
 line 28) and nothing else: under the total rank order, a GR in the
@@ -48,6 +49,7 @@ __all__ = [
     "ShardTask",
     "StoreAttachment",
     "initialize_worker",
+    "mine_on_skeleton",
     "run_shard",
 ]
 
@@ -167,28 +169,24 @@ def _task_attachment(
 
 
 def _shard_miner(attachment: StoreAttachment, config: MinerConfig) -> GRMiner:
-    """The attachment's miner skeleton, re-armed when the query changes."""
+    """The attachment's miner skeleton, built for ``config`` on first use."""
     if attachment.miner is None:
         attachment.miner = GRMiner(
             attachment.network, store=attachment.store, config=config
         )
-    elif attachment.miner.config != config:
-        attachment.miner.rearm(config)
     return attachment.miner
 
 
-def run_shard(task: ShardTask) -> ShardResult:
-    """The pool's entry: mine one shard's branches on the skeleton of
-    the store its handle addresses, and return its verified entries.
+def mine_on_skeleton(miner: GRMiner, task: ShardTask) -> ShardResult:
+    """Mine a task's branches on a worker skeleton, re-armed first when
+    it holds another query, and return the shard's verified entries.
 
     Every would-be top-k candidate is checked on the data, whatever
     ``push_topk`` says: the shard's index cannot see its sibling
     branches.
     """
-    if not _STATE:
-        raise RuntimeError("worker not initialized — call initialize_worker first")
-    state = _STATE[0]
-    miner = _shard_miner(_task_attachment(state, task.store_handle), task.config)
+    if miner.config != task.config:
+        miner.rearm(task.config)
     miner._begin(verify=True)
     tau = static_tau(miner.schema, miner.node_attributes)
     for branch in task.branches:
@@ -200,3 +198,12 @@ def run_shard(task: ShardTask) -> ShardResult:
         memo_hits=miner.memo_hits,
         memo_misses=miner.memo_misses,
     )
+
+
+def run_shard(task: ShardTask) -> ShardResult:
+    """The pool's entry: mine one shard's branches on the skeleton of
+    the store its handle addresses (:func:`mine_on_skeleton`)."""
+    if not _STATE:
+        raise RuntimeError("worker not initialized — call initialize_worker first")
+    attachment = _task_attachment(_STATE[0], task.store_handle)
+    return mine_on_skeleton(_shard_miner(attachment, task.config), task)

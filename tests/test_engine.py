@@ -681,6 +681,15 @@ class TestWorkerValidation:
                 engine.mine(request)
         assert [w.filename for w in record] == [__file__]
 
+    def test_clamp_warning_names_the_network(self):
+        # Under ``repro serve`` the warning is attributed to a scheduler
+        # frame, so only its message can say which network clamped.
+        request = MineRequest(k=5, min_support=2, min_nhp=0.3, workers=8)
+        with EngineHub(workers=1) as hub:
+            engine = hub.register("dating", _network(2))
+            with pytest.warns(UserWarning, match="network 'dating'"):
+                engine.mine(request)
+
     def test_clamp_warning_fires_once_per_engine(self):
         """Regression: a 100-request sweep used to emit 100 identical
         clamping warnings; only the first over-asking request warns."""

@@ -121,6 +121,24 @@ class TestTierEquivalence:
         assert _signature(got) == _signature(ref)
         assert _counters(got.stats) == _counters(ref.stats)
 
+    def test_threshold_raised_inside_a_recursion_cuts_later_siblings(self):
+        # The offers made below one survivor can lift the k-th best above
+        # a later sibling's score, so the vector loop must re-read the
+        # threshold after each recursion, not only after its own offers:
+        # on this network and query a stale threshold lets a sibling the
+        # reference cuts recurse (two more GRs examined).
+        schema = random_schema(
+            num_node_attrs=2, num_edge_attrs=0, max_domain=3, num_homophily=1, seed=0
+        )
+        network = random_attributed_network(
+            schema, num_nodes=12, num_edges=40, homophily_strength=0.7, seed=0
+        )
+        kw = dict(k=2, min_support=1, rank_by="nhp", include_trivial=False)
+        ref = _mine(network, "reference", **kw)
+        got = _mine(network, "vector", **kw)
+        assert _signature(got) == _signature(ref)
+        assert _counters(got.stats) == _counters(ref.stats)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parallel_workers_match_reference_across_tiers(self, workers):
         from repro.engine import MineRequest, MiningEngine

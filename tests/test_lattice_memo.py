@@ -93,6 +93,9 @@ def _configs(draw, names):
         max_rhs_attrs=draw(st.sampled_from([None, 1, 2])),
         max_edge_attrs=draw(st.sampled_from([None, 0, 1])),
         include_trivial=draw(st.sampled_from([None, True, False])),
+        # Score inputs: memoised scores must follow the rank formula.
+        laplace_k=draw(st.sampled_from([2, 3, 5])),
+        gain_theta=draw(st.sampled_from([0.3, 0.5, 0.8])),
     )
 
 
@@ -138,6 +141,24 @@ class TestWarmSkeletonEqualsFresh:
         skeleton.mine()
         for selection in (names[::-1], names[1:], names[:2], names):
             config = MinerConfig(node_attributes=tuple(selection), **base)
+            warm = skeleton.rearm(config).mine()
+            fresh = GRMiner(network, config=config).mine()
+            assert _signature(warm) == _signature(fresh)
+            assert _counters(warm.stats) == _counters(fresh.stats)
+
+    @pytest.mark.parametrize(
+        "rank_by, field, values",
+        [("laplace", "laplace_k", (2, 5, 3)), ("gain", "gain_theta", (0.3, 0.8, 0.5))],
+    )
+    def test_rearm_to_another_score_parameter_matches_fresh(
+        self, rank_by, field, values
+    ):
+        # RIGHT rows keep scores, so a skeleton re-armed to another
+        # laplace_k or gain_theta must not serve the last one's.
+        network = _network(0)
+        skeleton = GRMiner(network)
+        for value in values:
+            config = MinerConfig(k=8, min_support=2, rank_by=rank_by, **{field: value})
             warm = skeleton.rearm(config).mine()
             fresh = GRMiner(network, config=config).mine()
             assert _signature(warm) == _signature(fresh)
@@ -226,8 +247,39 @@ class TestStoreDeltaDropsTheMemo:
                 lease.close()
 
 
+def _held(skeleton) -> dict:
+    """What a skeleton's lattice memo holds, by kind."""
+    lattice = skeleton._lattice
+    nodes = [node for layout in lattice.layouts.values() for node in layout.values()]
+    return {
+        "nodes": len(nodes),
+        "right_rows": sum(len(e.rows or ()) for n in nodes for e in n.right.values()),
+        "child_rows": sum(len(n.left_rows or ()) + len(n.edge_rows or ()) for n in nodes),
+        "counts": len(lattice.counts),
+        "subselections": len(lattice.subselections),
+    }
+
+
+#: Memo kinds charged per item; a charge above the cap refuses them all.
+_ITEM_CHARGES = ("_RIGHT_ROW_BYTES", "_CHILD_ROW_BYTES", "_COUNT_BYTES", "_SUBSEL_BYTES")
+
+
 class TestByteCap:
-    def test_tiny_cap_keeps_answers_exact_and_bounds_held_bytes(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "cap, refuse_items",
+        [
+            (24_000, False),
+            (200_000, False),
+            (600_000, False),
+            # Every node, entry and partition fits; no row, verifier
+            # count or sub-selection list does.
+            (4 << 20, True),
+        ],
+        ids=["24k", "200k", "600k", "items"],
+    )
+    def test_tiny_cap_keeps_answers_exact_and_bounds_held_bytes(
+        self, monkeypatch, cap, refuse_items
+    ):
         network = _network(3)
         stream = [
             MinerConfig(k=8, min_support=s, min_score=score, rank_by=rank_by)
@@ -239,8 +291,10 @@ class TestByteCap:
             )
         ]
         expected = [GRMiner(network, config=config).mine() for config in stream]
-        cap = 24_000
         monkeypatch.setattr(miner_module, "LATTICE_BYTE_CAP", cap)
+        if refuse_items:
+            for name in _ITEM_CHARGES:
+                monkeypatch.setattr(miner_module, name, cap + 1)
         skeleton = GRMiner(network, config=stream[0])
         hits = misses = 0
         for config, want in zip(stream, expected):
@@ -250,20 +304,34 @@ class TestByteCap:
             assert miner_module._PROCESS.held <= cap
             hits += got.params["lw_memo_hits"]
             misses += got.params["lw_memo_misses"]
-        # The cap bit (some nodes stayed transient) yet the memo served.
+        held = _held(skeleton)
         assert 0 < skeleton.memo_bytes <= cap
         assert hits > 0 and misses > 0
-        assert misses > expected[0].stats.lw_nodes
+        if refuse_items:
+            # Every node was built once and served after; nothing else.
+            assert misses == held["nodes"] - 1  # the root is looked up, not built
+            assert held["right_rows"] == held["child_rows"] == 0
+            assert held["counts"] == held["subselections"] == 0
+        else:
+            # The cap bit (some nodes stayed transient) yet the memo served.
+            assert misses > expected[0].stats.lw_nodes
 
     def test_clear_memo_returns_bytes(self):
         skeleton = GRMiner(_network(0), k=5, min_support=2)
-        skeleton.mine()
+        for config in (
+            MinerConfig(k=5, min_support=2),
+            MinerConfig(k=8, min_support=1, min_score=0.3, rank_by="gain"),
+            MinerConfig(k=5, min_support=2),
+        ):
+            skeleton.rearm(config).mine()
         held = skeleton.memo_bytes
         assert held > 0
+        assert all(_held(skeleton).values())
         before = miner_module._PROCESS.held
         skeleton.clear_memo()
         assert skeleton.memo_bytes == 0
         assert miner_module._PROCESS.held == before - held
+        assert not any(_held(skeleton).values())
         again = skeleton.mine()
         assert again.params["lw_memo_hits"] == 0
 
